@@ -2,9 +2,22 @@
 
 Renders a vector scene description (lakes, rivers, buildings, trees, dark
 fields on a grass/soil background) into co-registered PAN, MS and multi-date
-Landsat rasters plus ground-truth masks, by supersampling the geometry at
-0.1 m and block-averaging into each sensor's grid.  Everything is seeded, so
-the same scene file always produces bit-identical rasters.
+Landsat rasters plus ground-truth masks.  The geometry is painted, and the
+sun's shadows cast, on a 0.1 m supersample grid.  One pass then counts the
+supersamples of each (surface class, lit/shadow) pair per cell.  Cells are
+cut at every multiple of 0.4 m, the largest step that divides the 0.8, 3.2
+and 30 m pixels, and of every texture cell, so a class's texture brightness
+is constant inside a cell.  A pixel is the mean of its supersamples'
+reflectances: the sum over its cells and pairs of count times the float32
+reflectance, divided by its supersample count.
+
+Those sums are exact.  Each term is a whole multiple of one power of two (the
+last-place unit of the band's smallest float32 reflectance), and a 30 m
+pixel's total of 90000 terms stays below 2**53 such units as long as a band's
+largest reflectance is under about 5000 times its smallest non-zero one.  So the
+rasters equal the per-supersample block means bit for bit, whatever the
+order of summation.  Everything is seeded, so the same scene file always
+produces bit-identical rasters.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowGeometry
+from .shadow import ShadowGeometry, shift_or
 
 SUPERSAMPLE_M = 0.1
 PAN_PIXEL_M = 0.8
@@ -42,6 +55,7 @@ EVAL_CLASS_OF = {
 }
 
 LANDSAT_DAYS = (16, 74, 135, 192, 230, 288, 340)
+NOISE_SENSORS = ("pan", "ms", "landsat")
 
 
 class SceneError(Exception):
@@ -97,7 +111,19 @@ class SceneSpec:
             for band in set(PAN_BANDS) | set(MS_BANDS) | set(LANDSAT_BANDS):
                 if band not in self.spectra[cls]:
                     raise SceneError(f"class {cls!r} misses band {band!r}")
+        for cls in self.spectra:
+            if cls not in SURFACE_CLASSES:
+                raise SceneError(f"unknown spectrum class {cls!r}")
+        for cls, (sigma, cell_m) in self.textures.items():
+            if cls not in SURFACE_CLASSES:
+                raise SceneError(f"unknown texture class {cls!r}")
+            if not sigma >= 0:
+                raise SceneError(f"texture sigma for {cls!r} must be >= 0")
+            if not 0 < cell_m < math.inf:
+                raise SceneError(f"texture cell for {cls!r} must be a positive size")
         for sensor, sigma in self.noise.items():
+            if sensor not in NOISE_SENSORS:
+                raise SceneError(f"unknown noise sensor {sensor!r}")
             if sigma < 0:
                 raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
         for factor in (self.shadow_factor, self.shadow_factor_nir):
@@ -112,6 +138,8 @@ class SceneSpec:
                 raise SceneError("feature height must be >= 0")
             if f.shape == "line" and f.width <= 0:
                 raise SceneError("line feature needs a positive width")
+            if not all(map(math.isfinite, f.params + (f.width, f.height))):
+                raise SceneError("feature numbers must be finite")
         return self
 
 
@@ -301,108 +329,182 @@ def _feature_mask(f: Feature, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     raise SceneError(f"unknown shape {f.shape!r}")
 
 
-def _paint_classes(spec: SceneSpec, xs, ys):
-    """Supersampled surface-class codes plus the solid-object height map."""
+def _feature_box(f: Feature, xs: np.ndarray, ys: np.ndarray):
+    """Row and column slices of the supersample grid that hold every pixel of
+    ``f``, with two pixels to spare against rounding at the edges."""
+    if f.shape == "disk":
+        cx, cy, radius = f.params
+        x0, x1, y0, y1 = cx - radius, cx + radius, cy - radius, cy + radius
+    else:
+        reach = f.width / 2.0 if f.shape == "line" else 0.0
+        x0, x1 = min(f.params[0::2]) - reach, max(f.params[0::2]) + reach
+        y0, y1 = min(f.params[1::2]) - reach, max(f.params[1::2]) + reach
+    pad = 2 * SUPERSAMPLE_M
+    c0, c1 = np.searchsorted(xs, (x0 - pad, x1 + pad))
+    r0, r1 = np.searchsorted(-ys, (-y1 - pad, -y0 + pad))  # ys falls with the row
+    return slice(int(r0), int(r1)), slice(int(c0), int(c1))
+
+
+def _object_height(f: Feature) -> np.float32:
+    """Height of the solid object a feature paints (0 for flat surfaces)."""
+    return np.float32(f.height if f.kind in ("impervious", "tree") else 0.0)
+
+
+def _paint(spec: SceneSpec, xs, ys):
+    """Supersampled surface-class codes, the object-height level of every
+    pixel (0 for flat ground, else 1 + index into ``heights``), the sorted
+    object heights and the (level, rows, cols) box of every object feature."""
+    heights = sorted({h for h in map(_object_height, spec.features) if h > 0})
     classes = np.full((ys.size, xs.size), SURFACE_CLASSES.index("soil"), dtype=np.int8)
-    heights = np.zeros((ys.size, xs.size), dtype=np.float32)
+    level = np.zeros((ys.size, xs.size), dtype=np.min_scalar_type(len(heights)))
+    objects = []
     for f in spec.features:
-        mask = _feature_mask(f, xs, ys)
-        classes[mask] = SURFACE_CLASSES.index(f.kind)
-        heights[mask] = f.height if f.kind in ("impervious", "tree") else 0.0
-    return classes, heights
+        rows, cols = _feature_box(f, xs, ys)
+        mask = _feature_mask(f, xs[cols], ys[rows])
+        h = _object_height(f)
+        lvl = heights.index(h) + 1 if h > 0 else 0
+        classes[rows, cols][mask] = SURFACE_CLASSES.index(f.kind)
+        level[rows, cols][mask] = lvl
+        if lvl:
+            objects.append((lvl, rows, cols))
+    return classes, level, heights, objects
 
 
-def _cast_shadows(spec: SceneSpec, heights: np.ndarray) -> np.ndarray:
+def _cast_shadows(spec: SceneSpec, level, heights, objects) -> np.ndarray:
     """Shadow mask at the supersample grid: sweep each object height from the
-    ground up, shifting its footprint by the sun-projection offset."""
+    ground up, shifting the object's footprint, inside its box, by the
+    sun-projection offset."""
     a, b = spec.sun.offset_coefficients()  # meters east / south per meter height
-    shadow = np.zeros(heights.shape, dtype=bool)
     slope = max(abs(a), abs(b))
-    for h in np.unique(heights):
-        if h <= 0:
-            continue
-        footprint = heights == h
+    sweeps = []  # per height level, the sorted (row, col) offsets
+    for h in heights:
         step = SUPERSAMPLE_M / slope if slope > 0 else h
         n_steps = int(math.ceil(h / step)) + 1
         sweep = np.minimum(step * np.arange(n_steps), h)
-        offsets = {
+        sweeps.append(sorted({
             (int(math.floor(b * hh / SUPERSAMPLE_M + 0.5)),
              int(math.floor(a * hh / SUPERSAMPLE_M + 0.5)))
             for hh in sweep
-        }
-        for drow, dcol in sorted(offsets):
-            _shift_into(shadow, footprint, drow, dcol)
+        }))
+    shadow = np.zeros(level.shape, dtype=bool)
+    for lvl, rows, cols in objects:
+        footprint = level[rows, cols] == lvl
+        for drow, dcol in sweeps[lvl - 1]:
+            shift_or(shadow, footprint, drow, dcol, origin=(rows.start, cols.start))
     # objects are lit surfaces, not shadows of themselves
-    shadow &= heights == 0
+    for _, rows, cols in objects:
+        shadow[rows, cols] &= level[rows, cols] == 0
     return shadow
 
 
-def _shift_into(acc, mask, drow, dcol):
-    h, w = mask.shape
-    if abs(drow) >= h or abs(dcol) >= w:
-        return
-    sr0, sr1 = max(0, -drow), min(h, h - drow)
-    sc0, sc1 = max(0, -dcol), min(w, w - dcol)
-    acc[sr0 + drow:sr1 + drow, sc0 + dcol:sc1 + dcol] |= mask[sr0:sr1, sc0:sc1]
+def _texture_factor(cell_m: float) -> int:
+    return max(1, int(round(cell_m / SUPERSAMPLE_M)))
 
 
-def _texture_field(spec: SceneSpec, cls: str, shape, stream: int) -> np.ndarray:
-    """Multiplicative brightness texture for one class, constant over cells of
-    the configured size, clipped to stay positive."""
-    if cls not in spec.textures:
-        return None
-    sigma, cell_m = spec.textures[cls]
-    factor = max(1, int(round(cell_m / SUPERSAMPLE_M)))
-    ch = (shape[0] + factor - 1) // factor
-    cw = (shape[1] + factor - 1) // factor
-    rng = np.random.default_rng([spec.seed, 1000 + stream])
-    cells = 1.0 + rng.normal(0.0, sigma, size=(ch, cw))
-    cells = np.clip(cells, 0.2, None)
-    field_ = np.repeat(np.repeat(cells, factor, axis=0), factor, axis=1)
-    return field_[:shape[0], :shape[1]].astype(np.float32)
+def _cell_edges(spec: SceneSpec, n: int) -> np.ndarray:
+    """Cell boundaries along an axis of ``n`` supersamples, 0 and ``n``
+    included.  Cells are cut at every multiple of the sensor pixels' common
+    divisor and of each texture cell, so every sensor pixel is a block of
+    whole cells and every class's texture is constant inside a cell."""
+    sides = [int(round(p / SUPERSAMPLE_M)) for p in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M)]
+    steps = {math.gcd(*sides)} | {_texture_factor(c) for _, c in spec.textures.values()}
+    return np.unique(np.concatenate([np.arange(0, n + 1, s) for s in steps]))
 
 
-def _block_mean(values: np.ndarray, factor: int) -> np.ndarray:
-    h, w = values.shape
-    return values.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+N_PAIRS = 2 * len(SURFACE_CLASSES)  # (surface class, lit/shadow) pairs
+
+
+def _count_pairs(classes: np.ndarray, shadow: np.ndarray, edges) -> np.ndarray:
+    """``counts[2 * code + shadowed, i, j]``: supersamples of each (class,
+    lit/shadow) pair in cell (i, j), counted one Landsat row at a time."""
+    row_edges, col_edges = edges
+    h, w = classes.shape
+    row_cell = np.searchsorted(row_edges, np.arange(h), side="right") - 1
+    col_cell = np.searchsorted(col_edges, np.arange(w), side="right") - 1
+    wc = col_edges.size - 1
+    counts = np.empty((N_PAIRS, row_edges.size - 1, wc), dtype=np.uint8)
+    strip = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # starts on a cell edge
+    for r in range(0, h, strip):
+        cells = row_cell[r:r + strip]
+        index = ((cells - cells[0])[:, np.newaxis] * wc + col_cell) * N_PAIRS
+        pairs = 2 * classes[r:r + strip] + shadow[r:r + strip]
+        n = np.bincount((index + pairs).ravel(),
+                        minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
+        counts[:, cells[0]:cells[-1] + 1] = n.reshape(-1, wc, N_PAIRS).transpose(2, 0, 1)
+    return counts
+
+
+def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
+    """Paint, cast shadows and count; the supersample grids die on return."""
+    classes, level, heights, objects = _paint(spec, xs, ys)
+    shadow = _cast_shadows(spec, level, heights, objects)
+    return _count_pairs(classes, shadow, edges)
+
+
+def _pixel_sums(cells: np.ndarray, edges, pixel_m: float, dtype=None) -> np.ndarray:
+    """Sum the cell grid in the last two axes into sensor pixels."""
+    side = int(round(pixel_m / SUPERSAMPLE_M))
+    for axis, e in ((-2, edges[0]), (-1, edges[1])):
+        starts = np.searchsorted(e, np.arange(0, e[-1], side))
+        cells = np.add.reduceat(cells, starts, axis=axis, dtype=dtype)
+    return cells
+
+
+def _cell_brightness(spec: SceneSpec, edges) -> list:
+    """Per class, its multiplicative brightness texture on the cell grid
+    (``None`` when untextured): constant over texture cells of the configured
+    size, clipped to stay positive."""
+    brightness = [None] * len(SURFACE_CLASSES)
+    for stream, cls in enumerate(sorted(spec.textures)):
+        sigma, cell_m = spec.textures[cls]
+        factor = _texture_factor(cell_m)
+        ch, cw = (-(-e[-1] // factor) for e in edges)
+        rng = np.random.default_rng([spec.seed, 1000 + stream])
+        cells = np.clip(1.0 + rng.normal(0.0, sigma, size=(ch, cw)), 0.2, None)
+        rows, cols = (e[:-1] // factor for e in edges)
+        brightness[SURFACE_CLASSES.index(cls)] = cells[np.ix_(rows, cols)].astype(np.float32)
+    return brightness
 
 
 NIR_GROUP = ("nir", "swir1", "swir2")
 
 
-def _render_sensor(spec: SceneSpec, classes, brightness, shadow, band_names, pixel_m,
-                   sensor: str, sensor_id: int, date_idx: int = 0) -> RasterGrid:
+def _render(spec: SceneSpec, counts, edges, brightness, band_names, pixel_m,
+            sensor: str, sensor_id: int, dates: int = 1) -> list:
+    """One raster per date.  A pixel is the mean of its supersamples' float32
+    reflectances: per cell, count times reflectance over the pairs, summed
+    in float64 and then over the pixel's cells, exactly (see module doc)."""
     ex, ey = spec.extent
-    factor = int(round(pixel_m / SUPERSAMPLE_M))
     width = int(round(ex / pixel_m))
     height = int(round(ey / pixel_m))
+    side = int(round(pixel_m / SUPERSAMPLE_M))
     geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=ey)
     lut = np.array(
         [[spec.spectra[cls][band] for cls in SURFACE_CLASSES] for band in band_names],
         dtype=np.float32,
     )
+    present = counts.reshape(N_PAIRS, -1).any(axis=1)
+    means = []
+    for bidx, band in enumerate(band_names):
+        darken = spec.shadow_factor_nir if band in NIR_GROUP else spec.shadow_factor
+        total = np.zeros(counts.shape[1:])
+        for code, bright in enumerate(brightness):
+            lit = lut[bidx, code] if bright is None else lut[bidx, code] * bright
+            for pair, reflect in ((2 * code, lit), (2 * code + 1, lit * darken)):
+                if present[pair]:
+                    total += np.multiply(counts[pair], reflect, dtype=np.float64)
+        means.append(_pixel_sums(total, edges, pixel_m) / side ** 2)
     sigma = spec.noise.get(sensor, 0.0)
-    bands = np.empty((len(band_names), height, width), dtype=np.float32)
-    for bidx in range(len(band_names)):
-        darken = (spec.shadow_factor_nir if band_names[bidx] in NIR_GROUP
-                  else spec.shadow_factor)
-        reflect = lut[bidx][classes] * brightness
-        reflect[shadow] *= darken
-        pixels = _block_mean(reflect.astype(np.float64), factor)
-        if sigma > 0:
-            rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
-            pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
-        bands[bidx] = pixels.astype(np.float32)
-    return RasterGrid(geom, bands, list(band_names))
-
-
-def _majority_code(classes: np.ndarray, factor: int, n_codes: int) -> np.ndarray:
-    """Per-PAN-pixel majority class code (smallest code wins ties)."""
-    counts = np.stack([
-        _block_mean((classes == code).astype(np.float64), factor)
-        for code in range(n_codes)
-    ])
-    return np.argmax(counts, axis=0).astype(np.int8)
+    rasters = []
+    for date_idx in range(dates):
+        bands = np.empty((len(band_names), height, width), dtype=np.float32)
+        for bidx, pixels in enumerate(means):
+            if sigma > 0:
+                rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
+                pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
+            bands[bidx] = pixels
+        rasters.append(RasterGrid(geom, bands, list(band_names)))
+    return rasters
 
 
 # one archetypal surface per validation class provides the training exemplars
@@ -456,31 +558,23 @@ def _pick_train_sites(spec: SceneSpec, surface_codes: np.ndarray,
 def generate_scene(spec: SceneSpec) -> SceneBundle:
     spec.validate()
     xs, ys = _supersample_axes(spec)
-    classes, heights = _paint_classes(spec, xs, ys)
-    shadow = _cast_shadows(spec, heights)
+    edges = (_cell_edges(spec, ys.size), _cell_edges(spec, xs.size))
+    counts = _surface_counts(spec, xs, ys, edges)
+    brightness = _cell_brightness(spec, edges)
+    [pan] = _render(spec, counts, edges, brightness, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
+    [ms] = _render(spec, counts, edges, brightness, MS_BANDS, MS_PIXEL_M, "ms", 2)
+    landsat = _render(spec, counts, edges, brightness, LANDSAT_BANDS, LANDSAT_PIXEL_M,
+                      "landsat", 3, dates=len(spec.landsat_days))
 
-    brightness = np.ones(classes.shape, dtype=np.float32)
-    for stream, cls in enumerate(sorted(spec.textures)):
-        tex = _texture_field(spec, cls, classes.shape, stream)
-        sel = classes == SURFACE_CLASSES.index(cls)
-        brightness[sel] = tex[sel]
-    pan = _render_sensor(spec, classes, brightness, shadow, PAN_BANDS, PAN_PIXEL_M,
-                         "pan", 1)
-    ms = _render_sensor(spec, classes, brightness, shadow, MS_BANDS, MS_PIXEL_M,
-                        "ms", 2)
-    landsat = [
-        _render_sensor(spec, classes, brightness, shadow, LANDSAT_BANDS,
-                       LANDSAT_PIXEL_M, "landsat", 3, date_idx=i)
-        for i in range(len(spec.landsat_days))
-    ]
-
-    factor = int(round(PAN_PIXEL_M / SUPERSAMPLE_M))
+    # supersample counts per PAN pixel: [class code, shadowed, row, col]
+    pan_counts = _pixel_sums(counts, edges, PAN_PIXEL_M, dtype=np.uint16)
+    pan_counts = pan_counts.reshape(len(SURFACE_CLASSES), 2, *pan_counts.shape[1:])
+    half = int(round(PAN_PIXEL_M / SUPERSAMPLE_M)) ** 2 / 2
     water_codes = [SURFACE_CLASSES.index(c) for c in WATER_CLASSES]
-    water_ss = np.isin(classes, water_codes)
-    truth_bits = (_block_mean(water_ss.astype(np.float64), factor) > 0.5)
-    shadow_bits = (_block_mean(shadow.astype(np.float64), factor) > 0.5)
-
-    majority = _majority_code(classes, factor, len(SURFACE_CLASSES))
+    truth_bits = pan_counts[water_codes].sum(axis=(0, 1)) > half
+    shadow_bits = pan_counts[:, 1].sum(axis=0) > half
+    # majority class per PAN pixel; argmax keeps the smallest code on ties
+    majority = np.argmax(pan_counts.sum(axis=1), axis=0).astype(np.int8)
     stratum_names = ("vegetation", "soil", "impervious", "water")
     stratum_of_code = np.array(
         [stratum_names.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES], dtype=np.int8

@@ -120,13 +120,14 @@ OBJECT_KIND_LOW_BUILDING = 2
 OBJECT_KIND_TREE = 3
 
 
-def _shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int):
-    h, w = mask.shape
-    if abs(drow) >= h or abs(dcol) >= w:
-        return
-    sr0, sr1 = max(0, -drow), min(h, h - drow)
-    sc0, sc1 = max(0, -dcol), min(w, w - dcol)
-    acc[sr0 + drow:sr1 + drow, sc0 + dcol:sc1 + dcol] |= mask[sr0:sr1, sc0:sc1]
+def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int, origin=(0, 0)):
+    """OR ``mask`` into ``acc``, shifted by (drow, dcol) from where its top-left
+    pixel sits at ``origin`` of ``acc``.  Pixels shifted off ``acc`` are dropped."""
+    top, left = origin[0] + drow, origin[1] + dcol
+    r0, r1 = max(top, 0), min(top + mask.shape[0], acc.shape[0])
+    c0, c1 = max(left, 0), min(left + mask.shape[1], acc.shape[1])
+    if r0 < r1 and c0 < c1:
+        acc[r0:r1, c0:c1] |= mask[r0 - top:r1 - top, c0 - left:c1 - left]
 
 
 def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
@@ -163,7 +164,7 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
             for hh in heights
         }
         for drow, dcol in sorted(offsets):
-            _shift_or(out, mask, drow, dcol)
+            shift_or(out, mask, drow, dcol)
     return BinaryMask(grid, out.astype(np.uint8))
 
 

@@ -80,6 +80,21 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", [
+        "texture lake 0.1 3.2",
+        "texture grass -0.1 3.2",
+        "texture grass 0.1 0",
+        "noise landsaat 0.01",
+    ])
+    def test_invalid_scene_line_is_config_error(self, tmp_path, line):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(cli.DEFAULT_SCENE_TEXT + line + "\n")
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "pan.bin").exists()
+
 
 class TestPipelineArtifacts:
     def test_expected_artifacts_exist(self, pipeline_dir):

@@ -1,17 +1,35 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aquafuse.raster import BinaryMask, GridGeometry, RasterGrid
 from aquafuse.scene import (
     DEFAULT_SCENE_TEXT,
+    EVAL_CLASS_OF,
     LANDSAT_BANDS,
+    LANDSAT_PIXEL_M,
     MS_BANDS,
+    MS_PIXEL_M,
+    NIR_GROUP,
+    PAN_BANDS,
+    PAN_PIXEL_M,
+    SUPERSAMPLE_M,
+    SURFACE_CLASSES,
+    WATER_CLASSES,
+    SceneBundle,
     SceneError,
     SceneSpec,
+    _feature_mask,
+    _pick_train_sites,
+    _supersample_axes,
     default_scene,
     format_scene,
     generate_scene,
     parse_scene,
 )
+from aquafuse.shadow import shift_or
 from aquafuse.spectral import landsat_water_index
 
 ALL_BANDS = ("pan",) + tuple(LANDSAT_BANDS)
@@ -93,6 +111,23 @@ class TestParser:
     def test_unknown_feature_class(self):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\nfeature lava rect 0 0 1 1")
+
+    @pytest.mark.parametrize("line", [
+        "texture lake 0.1 3.2",          # a feature alias, not a surface class
+        "spectrum lake pan=0.05",
+        "spectrum asphalt pan=0.06",     # replaces asphalt's spectrum, bands go missing
+        "noise landsaat 0.01",
+        "texture grass -0.1 3.2",
+        "texture grass nan 3.2",
+        "texture grass 0.1 0",
+        "texture grass 0.1 -3.2",
+        "texture grass 0.1 inf",
+        "feature lake rect 0 0 inf 10",
+        "feature building rect 0 0 10 10 height nan",
+    ])
+    def test_invalid_line_rejected(self, line):
+        with pytest.raises(SceneError):
+            parse_scene(SIMPLE_SCENE + "\n" + line)
 
     def test_tree_needs_height(self):
         with pytest.raises(SceneError):
@@ -267,3 +302,156 @@ class TestRendering:
         text = SIMPLE_SCENE.replace("train_per_class 5", "train_per_class 100000")
         with pytest.raises(SceneError):
             generate_scene(parse_scene(text))
+
+    def test_generate_peak_allocation(self):
+        spec = default_scene()
+        tracemalloc.start()
+        try:
+            generate_scene(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# reference renderer: each band painted at the 0.1 m supersample grid as a
+# float32 reflectance map and block-averaged in float64 into its sensor grid
+
+def _ref_paint(spec, xs, ys):
+    classes = np.full((ys.size, xs.size), SURFACE_CLASSES.index("soil"), dtype=np.int8)
+    heights = np.zeros((ys.size, xs.size), dtype=np.float32)
+    for f in spec.features:
+        mask = _feature_mask(f, xs, ys)
+        classes[mask] = SURFACE_CLASSES.index(f.kind)
+        heights[mask] = f.height if f.kind in ("impervious", "tree") else 0.0
+    return classes, heights
+
+
+def _ref_shadows(spec, heights):
+    a, b = spec.sun.offset_coefficients()
+    shadow = np.zeros(heights.shape, dtype=bool)
+    slope = max(abs(a), abs(b))
+    for h in np.unique(heights):
+        if h <= 0:
+            continue
+        footprint = heights == h
+        step = SUPERSAMPLE_M / slope if slope > 0 else h
+        n_steps = int(math.ceil(h / step)) + 1
+        sweep = np.minimum(step * np.arange(n_steps), h)
+        offsets = {
+            (int(math.floor(b * hh / SUPERSAMPLE_M + 0.5)),
+             int(math.floor(a * hh / SUPERSAMPLE_M + 0.5)))
+            for hh in sweep
+        }
+        for drow, dcol in sorted(offsets):
+            shift_or(shadow, footprint, drow, dcol)
+    shadow &= heights == 0
+    return shadow
+
+
+def _ref_texture(spec, cls, shape, stream):
+    sigma, cell_m = spec.textures[cls]
+    factor = max(1, int(round(cell_m / SUPERSAMPLE_M)))
+    ch = (shape[0] + factor - 1) // factor
+    cw = (shape[1] + factor - 1) // factor
+    rng = np.random.default_rng([spec.seed, 1000 + stream])
+    cells = np.clip(1.0 + rng.normal(0.0, sigma, size=(ch, cw)), 0.2, None)
+    field_ = np.repeat(np.repeat(cells, factor, axis=0), factor, axis=1)
+    return field_[:shape[0], :shape[1]].astype(np.float32)
+
+
+def _ref_block_mean(values, factor):
+    h, w = values.shape
+    return values.reshape(h // factor, factor, w // factor, factor).mean(axis=(1, 3))
+
+
+def _ref_sensor(spec, classes, brightness, shadow, band_names, pixel_m,
+                sensor, sensor_id, dates=1):
+    ex, ey = spec.extent
+    factor = int(round(pixel_m / SUPERSAMPLE_M))
+    width, height = int(round(ex / pixel_m)), int(round(ey / pixel_m))
+    geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=ey)
+    lut = np.array([[spec.spectra[cls][band] for cls in SURFACE_CLASSES]
+                    for band in band_names], dtype=np.float32)
+    sigma = spec.noise.get(sensor, 0.0)
+    bands = np.empty((dates, len(band_names), height, width), dtype=np.float32)
+    for bidx, band in enumerate(band_names):
+        darken = spec.shadow_factor_nir if band in NIR_GROUP else spec.shadow_factor
+        reflect = lut[bidx][classes] * brightness
+        reflect[shadow] *= darken
+        mean = _ref_block_mean(reflect.astype(np.float64), factor)
+        for date_idx in range(dates):  # dates differ only by their noise
+            pixels = mean
+            if sigma > 0:
+                rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
+                pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
+            bands[date_idx, bidx] = pixels.astype(np.float32)
+    return [RasterGrid(geom, date_bands, list(band_names)) for date_bands in bands]
+
+
+def reference_scene(spec):
+    xs, ys = _supersample_axes(spec)
+    classes, heights = _ref_paint(spec, xs, ys)
+    shadow = _ref_shadows(spec, heights)
+    brightness = np.ones(classes.shape, dtype=np.float32)
+    for stream, cls in enumerate(sorted(spec.textures)):
+        tex = _ref_texture(spec, cls, classes.shape, stream)
+        sel = classes == SURFACE_CLASSES.index(cls)
+        brightness[sel] = tex[sel]
+    [pan] = _ref_sensor(spec, classes, brightness, shadow, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
+    [ms] = _ref_sensor(spec, classes, brightness, shadow, MS_BANDS, MS_PIXEL_M, "ms", 2)
+    landsat = _ref_sensor(spec, classes, brightness, shadow, LANDSAT_BANDS, LANDSAT_PIXEL_M,
+                          "landsat", 3, dates=len(spec.landsat_days))
+    factor = int(round(PAN_PIXEL_M / SUPERSAMPLE_M))
+    water = np.isin(classes, [SURFACE_CLASSES.index(c) for c in WATER_CLASSES])
+    truth_bits = _ref_block_mean(water.astype(np.float64), factor) > 0.5
+    shadow_bits = _ref_block_mean(shadow.astype(np.float64), factor) > 0.5
+    shares = np.stack([_ref_block_mean((classes == code).astype(np.float64), factor)
+                       for code in range(len(SURFACE_CLASSES))])
+    majority = np.argmax(shares, axis=0).astype(np.int8)  # smallest code wins ties
+    strata = ("vegetation", "soil", "impervious", "water")
+    stratum_of_code = np.array([strata.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES],
+                               dtype=np.int8)
+    class_truth = RasterGrid(pan.geometry,
+                             stratum_of_code[majority].astype(np.float32)[np.newaxis],
+                             ["class_index"])
+    return SceneBundle(pan, ms, landsat, tuple(spec.landsat_days),
+                       BinaryMask(pan.geometry, truth_bits.astype(np.uint8)), class_truth,
+                       BinaryMask(pan.geometry, shadow_bits.astype(np.uint8)),
+                       _pick_train_sites(spec, majority, shadow_bits, pan.geometry))
+
+
+EQUIVALENCE_SCENES = {
+    "simple": SIMPLE_SCENE,
+    "sun_35_120": SIMPLE_SCENE.replace("sun 45 180", "sun 35 120"),
+    "sun_90_0": SIMPLE_SCENE.replace("sun 45 180", "sun 90 0"),
+    # 0.5 m tree cells do not tile the 0.4 m cell grid; a poly building and a
+    # slanted river ride along so that every shape is rendered, and a field
+    # whose edges halve PAN pixels makes class-majority ties
+    "texture_0.5m": SIMPLE_SCENE + "\n" + "\n".join([
+        "texture grass 0.08 3.2",
+        "texture tree 0.22 0.5",
+        "texture water 0.1 3.2",
+        "feature building poly 60 20 95 24 88 52 70 45 height 12",
+        "feature river line 150 100 230 118 width 3.1",
+        "feature asphalt rect 100.4 80.4 110 90",
+    ]),
+    "noise_landsat": SIMPLE_SCENE.replace("noise landsat 0", "noise landsat 0.01")
+                                 .replace("noise ms 0", "noise ms 0.03"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_SCENES))
+def test_matches_reference_renderer(name):
+    spec = parse_scene(EQUIVALENCE_SCENES[name])
+    got, want = generate_scene(spec), reference_scene(spec)
+    for g, w in [(got.pan, want.pan), (got.ms, want.ms)] + list(zip(got.landsat, want.landsat)):
+        assert g.geometry == w.geometry and g.band_names == w.band_names
+        assert np.array_equal(g.data, w.data)
+    assert len(got.landsat) == len(want.landsat) == len(spec.landsat_days)
+    assert got.landsat_days == want.landsat_days
+    assert np.array_equal(got.truth.bits, want.truth.bits)
+    assert np.array_equal(got.class_truth.data, want.class_truth.data)
+    assert np.array_equal(got.shadow_truth.bits, want.shadow_truth.bits)
+    assert got.train_sites == want.train_sites

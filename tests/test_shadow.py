@@ -18,6 +18,7 @@ from aquafuse.shadow import (
     classify_segments_majority,
     potential_shadow_mask,
     segment_shadow_proportion,
+    shift_or,
     tree_grass_split,
 )
 
@@ -195,6 +196,22 @@ class TestPotentialShadowMask:
                                      HeightRanges(tree=(4.0, 10.0)), grid)
         rows = np.flatnonzero(mask.bits[:, 15])
         assert rows.tolist() == [15, 16, 17, 18]  # offsets -2..-5
+
+
+class TestShiftOr:
+    @pytest.mark.parametrize("origin", [(0, 0), (3, 5), (8, 1)])
+    @pytest.mark.parametrize("drow,dcol", [(0, 0), (-2, 3), (4, -6), (-12, 0), (0, 15), (9, 9)])
+    def test_matches_pixel_by_pixel_shift(self, origin, drow, dcol):
+        rng = np.random.default_rng(5)
+        acc = rng.random((12, 14)) < 0.2
+        mask = rng.random((4, 6)) < 0.5
+        want = acc.copy()
+        for r, c in zip(*np.nonzero(mask)):
+            rr, cc = r + origin[0] + drow, c + origin[1] + dcol
+            if 0 <= rr < acc.shape[0] and 0 <= cc < acc.shape[1]:
+                want[rr, cc] = True
+        shift_or(acc, mask, drow, dcol, origin=origin)
+        assert np.array_equal(acc, want)
 
 
 class TestSegmentShadowProportion:
