@@ -10,6 +10,7 @@ Usage:  python demos/scene_tour.py
 import numpy as np
 
 from aquafuse.scene import MS_BANDS, default_scene, generate_scene
+from aquafuse.spectral import CLASS_ORDER
 
 spec = default_scene()
 print(f"scene extent: {spec.extent[0]:.0f} x {spec.extent[1]:.0f} m, "
@@ -36,9 +37,8 @@ area = bundle.pan.geometry.pixel_size ** 2
 print(f"water truth:  {truth.sum()} PAN pixels ({truth.sum() * area:.0f} m2)")
 print(f"shadow truth: {shadow.sum()} PAN pixels ({shadow.sum() * area:.0f} m2)")
 
-strata = np.array(["vegetation", "soil", "impervious", "water"])
 codes = bundle.class_truth.data[0].astype(int)
-for idx, name in enumerate(strata):
+for idx, name in enumerate(CLASS_ORDER):
     print(f"  stratum {name:<11} {np.count_nonzero(codes == idx):>6} pixels")
 print()
 

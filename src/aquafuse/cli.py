@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, PipelineConfig, load_config, stage_params
 from .evaluate import EvalError, confusion_matrix, format_report, stratified_sample
-from .fusion import FusionError, FusionParams, fuse_all_segments
-from .postclass import PostClassError, PostClassParams, boundary_unmix, relabel_shadow_segments
+from .fusion import FusionError, fuse_all_segments
+from .postclass import PostClassError, boundary_unmix, relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      resample_nearest, write_raster)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
@@ -34,14 +35,11 @@ from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats
                            morphological_profiles, pan_water_probability, paint_segments,
                            save_segment_stats, segment_stats, segment_water_mask)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
-                     HeightRanges, IntensityParams, ShadowError, ShadowGeometry,
-                     building_intensity_map, classify_segments_majority,
+                     ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
-from .spectral import (SpectralError, classify_probabilities, fit_classifier,
+from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
                        landsat_water_index, load_classifier, otsu_threshold, pca_fuse,
                        save_classifier)
-
-STRATA = ("vegetation", "soil", "impervious", "water")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -208,12 +206,16 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
+    scene_path = out / "scene.txt"
+    if not scene_path.exists():
+        raise ArtifactError(f"missing artifact {scene_path} (run synth first)")
+    sun = parse_scene(scene_path.read_text()).sun
+    params = stage_params(cfg)
     segmap = _load_segments(out)
     tree_flags = np.array([rec.label == "tree" for rec in segmap.records])
     imp_flags = np.array([rec.label == "impervious" for rec in segmap.records])
     imp_mask = BinaryMask(segmap.geometry, imp_flags[segmap.labels].astype(np.uint8))
-    intensity = building_intensity_map(
-        imp_mask, IntensityParams(cfg.intensity_window, cfg.intensity_ratio))
+    intensity = building_intensity_map(imp_mask, params.intensity)
 
     kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
     kinds[tree_flags[segmap.labels]] = OBJECT_KIND_TREE
@@ -223,27 +225,18 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     _write(out, "object_kinds",
            RasterGrid(segmap.geometry, kinds.astype(np.float32)[np.newaxis], ["kind"]))
 
-    geom = ShadowGeometry(cfg.sun_elevation_deg, cfg.sun_azimuth_deg)
-    ranges = HeightRanges(
-        high_intensity_building=(cfg.height_high_min, cfg.height_high_max),
-        low_intensity_building=(cfg.height_low_min, cfg.height_low_max),
-        tree=(cfg.height_tree_min, cfg.height_tree_max),
-        sweep_step=cfg.sweep_step_m,
-    )
-    shadow_mask = potential_shadow_mask(kinds, geom, ranges, segmap.geometry)
+    shadow_mask = potential_shadow_mask(kinds, sun, params.heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
     segment_shadow_proportion(segmap, shadow_mask)
     save_segment_stats(segmap, out / "segment_stats.txt")
 
 
-def _fusion_params(cfg: PipelineConfig) -> FusionParams:
-    return FusionParams(n1=cfg.n1, n2=cfg.n2, r_ms=cfg.r_ms, r_l=cfg.r_l,
-                        decision_threshold=cfg.decision_threshold)
-
-
 def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
+    params = replace(stage_params(cfg).fusion,
+                     r_ms=_load_raster(out, "ms").geometry.pixel_size,
+                     r_l=_load_raster(out, "landsat_wi").geometry.pixel_size)
     segmap = _load_segments(out)
-    p_w, flags = fuse_all_segments(segmap, _fusion_params(cfg))
+    p_w, flags = fuse_all_segments(segmap, params)
     lines = [f"{s} {p!r} {int(f)}" for s, (p, f) in enumerate(zip(p_w, flags))]
     (out / "fusion.txt").write_text("\n".join(lines) + "\n")
     _write(out, "pgm_prob", paint_segments(segmap, p_w, band_name="p_water"))
@@ -264,19 +257,10 @@ def _load_fusion(out: Path):
     return p_w, flags
 
 
-def _postclass_params(cfg: PipelineConfig) -> PostClassParams:
-    return PostClassParams(
-        shadow_relabel_threshold=cfg.shadow_relabel_threshold,
-        boundary_band_px=cfg.boundary_band_px,
-        unmix_window_px=cfg.unmix_window_px,
-        water_fraction_threshold=cfg.water_fraction_threshold,
-    )
-
-
 def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
     segmap = _load_segments(out)
     _, flags = _load_fusion(out)
-    params = _postclass_params(cfg)
+    params = stage_params(cfg).postclass
     relabeled = relabel_shadow_segments(flags, segmap, params)
     mask = segment_water_mask(segmap, relabeled)
     ms = _load_raster(out, "ms")
@@ -292,7 +276,7 @@ PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
 def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
     truth = _load_mask(out, "truth")
     class_truth = _load_raster(out, "class_truth")
-    names = np.array(STRATA)[class_truth.data[0].astype(int)]
+    names = np.array(CLASS_ORDER)[class_truth.data[0].astype(int)]
     counts = {"water": cfg.eval_water, "vegetation": cfg.eval_vegetation,
               "soil": cfg.eval_soil, "impervious": cfg.eval_impervious}
     counts = {cls: n for cls, n in counts.items() if n > 0}

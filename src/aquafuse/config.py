@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
+
+from .fusion import FusionError, FusionParams
+from .postclass import PostClassError, PostClassParams
+from .shadow import HeightRanges, IntensityParams, ShadowError
 
 
 class ConfigError(Exception):
@@ -12,21 +18,15 @@ class ConfigError(Exception):
 _AUTO = ("auto", "")
 
 
-def _parse_bool(text):
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass
 class PipelineConfig:
     """Every tunable of the pipeline, with library defaults.
 
     ``t_pan``, ``t_tree`` and ``sweep_step_m`` accept the string ``auto`` in
     the file form, meaning "derive from the data" (stored here as None).
+    Facts of the scene are not tunables: the shadow stage reads the sun from
+    the scene, and fusion reads the MS and Landsat resolutions from the
+    rasters.
     """
 
     # scene / orchestration
@@ -38,8 +38,6 @@ class PipelineConfig:
     t_pan: float | None = None      # PAN water threshold; None = Otsu
 
     # shadow geometry and object analysis
-    sun_elevation_deg: float = 50.0
-    sun_azimuth_deg: float = 180.0
     t_tree: float | None = None     # tree/grass texture threshold; None = Otsu
     intensity_window: int = 101
     intensity_ratio: float = 0.30
@@ -54,8 +52,6 @@ class PipelineConfig:
     # fusion
     n1: int = 2
     n2: int = 1
-    r_ms: float = 3.2
-    r_l: float = 30.0
     decision_threshold: float = 0.5
 
     # post-classification
@@ -71,25 +67,54 @@ class PipelineConfig:
     eval_impervious: int = 100
 
 
-_OPTIONAL_FLOATS = ("t_pan", "t_tree", "sweep_step_m")
+class StageParams(NamedTuple):
+    intensity: IntensityParams
+    heights: HeightRanges
+    fusion: FusionParams        # at the library's default MS and Landsat resolutions
+    postclass: PostClassParams
 
 
-def _coerce(name: str, typ, text: str):
-    if name in _OPTIONAL_FLOATS:
-        if text.strip().lower() in _AUTO:
-            return None
-        return float(text)
+def stage_params(cfg: PipelineConfig) -> StageParams:
+    """The stage parameter objects built from ``cfg``; a value their own range
+    checks refuse is a ConfigError."""
+    try:
+        return StageParams(
+            IntensityParams(cfg.intensity_window, cfg.intensity_ratio),
+            HeightRanges(
+                high_intensity_building=(cfg.height_high_min, cfg.height_high_max),
+                low_intensity_building=(cfg.height_low_min, cfg.height_low_max),
+                tree=(cfg.height_tree_min, cfg.height_tree_max),
+                sweep_step=cfg.sweep_step_m,
+            ),
+            FusionParams(n1=cfg.n1, n2=cfg.n2, decision_threshold=cfg.decision_threshold),
+            PostClassParams(
+                shadow_relabel_threshold=cfg.shadow_relabel_threshold,
+                boundary_band_px=cfg.boundary_band_px,
+                unmix_window_px=cfg.unmix_window_px,
+                water_fraction_threshold=cfg.water_fraction_threshold,
+            ),
+        )
+    except (ShadowError, FusionError, PostClassError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _coerce(typ: str, text: str):
+    """``typ`` is the field's annotation, a string under the future import."""
+    if typ == "float | None" and text.strip().lower() in _AUTO:
+        return None
     if typ == "int":
         return int(text)
-    if typ == "float":
-        return float(text)
-    if typ == "bool":
-        return _parse_bool(text)
+    if typ.startswith("float"):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not finite")
+        return value
     return text.strip()
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse `key = value` lines; '#' comments; unknown keys are rejected."""
+    """Parse `key = value` lines; '#' comments; unknown keys are rejected, and
+    so is a value a stage would refuse, before any stage runs."""
     cfg = PipelineConfig()
     known = {f.name: f for f in fields(PipelineConfig)}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -101,16 +126,14 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        f = known[key]
-        base = {int: "int", float: "float", bool: "bool", str: "str"}.get(f.type if isinstance(f.type, type) else None)
-        if base is None:
-            # dataclass stores annotations as strings under future-import
-            ann = str(f.type)
-            base = "int" if ann == "int" else "float" if ann.startswith("float") else "bool" if ann == "bool" else "str"
         try:
-            setattr(cfg, key, _coerce(key, base, value))
+            setattr(cfg, key, _coerce(known[key].type, value))
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
+    for key in known:
+        if key.startswith("eval_") and getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    stage_params(cfg)
     return cfg
 
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
 from .shadow import ShadowGeometry, shift_or
+from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
 PAN_PIXEL_M = 0.8
@@ -536,8 +537,7 @@ def _pick_train_sites(spec: SceneSpec, surface_codes: np.ndarray,
 
     rng = np.random.default_rng([spec.seed, 77])
     sites = []
-    strata = ("vegetation", "soil", "impervious", "water")
-    for stratum in strata:
+    for stratum in CLASS_ORDER:
         scode = SURFACE_CLASSES.index(TRAIN_SURFACE_OF[stratum])
         pool = np.flatnonzero(clean & (block_class == scode))
         if pool.size < spec.train_per_class:
@@ -575,9 +575,8 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     shadow_bits = pan_counts[:, 1].sum(axis=0) > half
     # majority class per PAN pixel; argmax keeps the smallest code on ties
     majority = np.argmax(pan_counts.sum(axis=1), axis=0).astype(np.int8)
-    stratum_names = ("vegetation", "soil", "impervious", "water")
     stratum_of_code = np.array(
-        [stratum_names.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES], dtype=np.int8
+        [CLASS_ORDER.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES], dtype=np.int8
     )
     class_truth_codes = stratum_of_code[majority]
 

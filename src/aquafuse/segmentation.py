@@ -298,15 +298,3 @@ def load_segment_stats(path, labels: np.ndarray, geometry) -> SegmentMap:
         records.append(rec)
     return SegmentMap(np.asarray(labels, dtype=np.int32), records, geometry)
 
-
-def export_segment_table(segmap: SegmentMap, path) -> None:
-    """One line per segment: id, pixel_count, w, p_pan, p_ms, p_lan, p_shadow,
-    majority_class."""
-    lines = []
-    for s, rec in enumerate(segmap.records):
-        lines.append(
-            f"{s}, {rec.pixel_count}, {rec.w:.6f}, {rec.p_pan:.6f}, {rec.p_ms:.6f}, "
-            f"{rec.p_lan:.6f}, {rec.p_shadow:.6f}, {rec.label or ''}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -19,12 +19,10 @@ class ShadowError(Exception):
 
 @dataclass
 class ShadowGeometry:
-    """Sun/view angles; azimuths are degrees clockwise from north."""
+    """Sun angles; the azimuth is degrees clockwise from north."""
 
     sun_elevation_deg: float
     sun_azimuth_deg: float
-    view_elevation_deg: float = 90.0  # nadir
-    view_azimuth_deg: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.sun_elevation_deg <= 90.0):

@@ -219,6 +219,22 @@ class TestShadowGeometryCoverage:
         assert rendered.sum() > 0
         assert (predicted & rendered).sum() / rendered.sum() >= 0.95
 
+    def test_sun_is_read_from_the_scene(self, tmp_path):
+        """A sun other than the default must reach the same coverage bar with
+        a config that sets nothing but the scene."""
+        scene = tmp_path / "scene.txt"
+        text = cli.DEFAULT_SCENE_TEXT
+        assert "sun 50 180\n" in text
+        scene.write_text(text.replace("sun 50 180\n", "sun 35 120\n"))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
+        predicted = read_mask(out / "potential_shadow.hdr").bits.astype(bool)
+        rendered = read_mask(out / "shadow_truth.hdr").bits.astype(bool)
+        assert rendered.sum() > 0
+        assert (predicted & rendered).sum() / rendered.sum() >= 0.95
+
     def test_analytic_offset_coefficients(self):
         # sun due south at 45 degrees: unit-length shadow due north
         a, b = ShadowGeometry(45.0, 180.0).offset_coefficients()

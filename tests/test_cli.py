@@ -1,4 +1,5 @@
 import filecmp
+import shutil
 
 import pytest
 
@@ -95,6 +96,28 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "pan.bin").exists()
 
+    @pytest.mark.parametrize("line", [
+        "n1 = 0",
+        "decision_threshold = 1.5",
+        "intensity_window = 100",
+        "shadow_relabel_threshold = 0",
+        "height_tree_min = 60",
+        "t_pan = nan",
+        "intensity_ratio = inf",
+        "eval_water = -1",
+        # facts of the scene, not tunables
+        "sun_elevation_deg = 35",
+        "sun_azimuth_deg = 120",
+        "r_ms = 3.2",
+        "r_l = 30",
+    ])
+    def test_rejected_config_value_stops_before_any_stage(self, tmp_path, line):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "pan.bin").exists()
+
 
 class TestPipelineArtifacts:
     def test_expected_artifacts_exist(self, pipeline_dir):
@@ -136,6 +159,12 @@ class TestPipelineArtifacts:
         assert cli.main(["evaluate", "--out", str(tmp_path)]) == 0
         report = (tmp_path / "report_water_final.txt").read_text()
         assert "pa=100.0,ua=100.0,oa=100.0" in report
+
+    def test_shadow_without_scene_artifact_is_io_error(self, pipeline_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        (out / "scene.txt").unlink()
+        assert cli.main(["shadow", "--out", str(out)]) == cli.EXIT_IO
 
     def test_reports_have_machine_line(self, pipeline_dir):
         for stem in cli.PREDICTION_STEMS:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,11 @@ class TestParser:
         assert again.textures == spec.textures
         assert again.spectra == spec.spectra
         assert again.features == spec.features
+
+    def test_fixture_is_the_default_scene(self):
+        """The benchmark renders the fixture file, the CLI the constant."""
+        fixture = Path(__file__).resolve().parents[1] / "fixtures" / "default_scene.txt"
+        assert fixture.read_bytes() == DEFAULT_SCENE_TEXT.encode()
 
     def test_default_scene_parses(self):
         spec = default_scene()

@@ -5,7 +5,6 @@ from aquafuse.raster import GridGeometry, RasterGrid
 from aquafuse.segmentation import (
     SE_FAMILY,
     SegmentationError,
-    export_segment_table,
     kmeans_segment,
     morphological_profiles,
     pan_water_probability,
@@ -251,19 +250,6 @@ class TestPanWaterProbability:
         values = rng.random((10, 10))
         probs = [self._simple(values, t) for t in np.linspace(0, 1, 11)]
         assert all(a <= b for a, b in zip(probs, probs[1:]))
-
-
-def test_export_segment_table(tmp_path):
-    from aquafuse.segmentation import SegmentMap, SegmentRecord
-
-    geom = GridGeometry(2, 1, 0.8)
-    rec = SegmentRecord(pixel_count=2, w=4.66, p_pan=1.0, p_ms=0.5,
-                        p_lan=0.25, p_shadow=0.0, label="water")
-    segmap = SegmentMap(np.zeros((1, 2), dtype=np.int32), [rec], geom)
-    export_segment_table(segmap, tmp_path / "segments.txt")
-    line = (tmp_path / "segments.txt").read_text().strip()
-    assert line.startswith("0, 2, 4.66")
-    assert line.endswith("water")
 
 
 def test_paint_segments():
