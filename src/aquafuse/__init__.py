@@ -24,11 +24,11 @@ from .spectral import (
 )
 from .segmentation import (
     SegmentMap,
-    SegmentRecord,
     kmeans_segment,
     morphological_profiles,
     pan_water_probability,
     segment_stats,
+    segment_table,
 )
 from .shadow import (
     HeightRanges,

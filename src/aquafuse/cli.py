@@ -31,9 +31,10 @@ from .postclass import PostClassError, boundary_unmix, relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      resample_nearest, write_raster)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
-from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats,
-                           morphological_profiles, pan_water_probability, paint_segments,
-                           save_segment_stats, segment_stats, segment_water_mask)
+from .segmentation import (SegmentationError, SegmentTableError, kmeans_segment,
+                           load_segment_stats, morphological_profiles, pan_water_probability,
+                           paint_segments, save_segment_stats, segment_stats,
+                           segment_water_mask)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
@@ -106,11 +107,13 @@ def _sample_spectra(raster: RasterGrid, sites):
     return np.array(spectra), np.array(labels)
 
 
+SEGMENT_TABLE = "segment_table.npy"
+
+
 def _load_segments(out: Path):
     labels = _load_raster(out, "segments")
-    segmap = load_segment_stats(out / "segment_stats.txt",
-                                labels.data[0].astype(np.int32), labels.geometry)
-    return segmap
+    return load_segment_stats(out / SEGMENT_TABLE,
+                              labels.data[0].astype(np.int32), labels.geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
     _write(out, "segments",
            RasterGrid(pan.geometry, segmap.labels.astype(np.float32)[np.newaxis], ["segment"]))
-    save_segment_stats(segmap, out / "segment_stats.txt")
+    save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
 def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
@@ -212,8 +215,8 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     sun = parse_scene(scene_path.read_text()).sun
     params = stage_params(cfg)
     segmap = _load_segments(out)
-    tree_flags = np.array([rec.label == "tree" for rec in segmap.records])
-    imp_flags = np.array([rec.label == "impervious" for rec in segmap.records])
+    tree_flags = segmap.records.label == "tree"
+    imp_flags = segmap.records.label == "impervious"
     imp_mask = BinaryMask(segmap.geometry, imp_flags[segmap.labels].astype(np.uint8))
     intensity = building_intensity_map(imp_mask, params.intensity)
 
@@ -228,7 +231,7 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     shadow_mask = potential_shadow_mask(kinds, sun, params.heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
     segment_shadow_proportion(segmap, shadow_mask)
-    save_segment_stats(segmap, out / "segment_stats.txt")
+    save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
 def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
@@ -236,32 +239,19 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
                      r_ms=_load_raster(out, "ms").geometry.pixel_size,
                      r_l=_load_raster(out, "landsat_wi").geometry.pixel_size)
     segmap = _load_segments(out)
-    p_w, flags = fuse_all_segments(segmap, params)
-    lines = [f"{s} {p!r} {int(f)}" for s, (p, f) in enumerate(zip(p_w, flags))]
-    (out / "fusion.txt").write_text("\n".join(lines) + "\n")
-    _write(out, "pgm_prob", paint_segments(segmap, p_w, band_name="p_water"))
-    _write_mask(out, "pgm_water", segment_water_mask(segmap, flags))
-
-
-def _load_fusion(out: Path):
-    path = out / "fusion.txt"
-    if not path.exists():
-        raise ArtifactError(f"missing artifact {path} (run fuse first)")
-    p_w, flags = [], []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        _, p, f = line.split()
-        p_w.append(float(p))
-        flags.append(bool(int(f)))
-    return p_w, flags
+    table = segmap.records
+    table.p_w, table.water = fuse_all_segments(segmap, params)
+    save_segment_stats(segmap, out / SEGMENT_TABLE)
+    _write(out, "pgm_prob", paint_segments(segmap, table.p_w, band_name="p_water"))
+    _write_mask(out, "pgm_water", segment_water_mask(segmap, table.water))
 
 
 def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
+    if not (out / "pgm_water.hdr").exists():
+        raise ArtifactError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
     segmap = _load_segments(out)
-    _, flags = _load_fusion(out)
     params = stage_params(cfg).postclass
-    relabeled = relabel_shadow_segments(flags, segmap, params)
+    relabeled = relabel_shadow_segments(segmap.records.water, segmap, params)
     mask = segment_water_mask(segmap, relabeled)
     ms = _load_raster(out, "ms")
     ms_up = resample_nearest(ms, segmap.geometry)
@@ -352,6 +342,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
             cfg.seed = args.seed
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, SceneError) as exc:
@@ -365,7 +357,7 @@ def main(argv=None) -> int:
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArtifactError, RasterError, OSError) as exc:
+    except (ArtifactError, RasterError, SegmentTableError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SpectralError, SegmentationError, ShadowError, FusionError,

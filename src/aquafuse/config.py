@@ -130,9 +130,10 @@ def parse_config(text: str) -> PipelineConfig:
             setattr(cfg, key, _coerce(known[key].type, value))
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
-    for key in known:
-        if key.startswith("eval_") and getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be >= 0, got {getattr(cfg, key)}")
+    minimums = {"kmeans_k": 1} | {k: 0 for k in known if k.startswith("eval_")}
+    for key, low in minimums.items():
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
     stage_params(cfg)
     return cfg
 

@@ -10,8 +10,9 @@ detectability scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 WATER = True
 NON_WATER = False
@@ -39,11 +40,11 @@ class FusionParams:
             raise FusionError("decision threshold must be in (0, 1)")
 
 
-def sigmoid(t: float) -> float:
-    if t >= 0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+def sigmoid(t):
+    """Logistic function of a scalar or an array, without overflow."""
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
 
 
 def cpd_pm(pm, pan, ms, w: float, p_shadow: float, params: FusionParams) -> float:
@@ -65,42 +66,34 @@ def cpd_w(w_state, pm, lan, w: float, params: FusionParams) -> float:
     return s if w_state == lan else 1.0 - s
 
 
-def fuse_pm(p_pan: float, p_ms: float, w: float, p_shadow: float,
-            params: FusionParams) -> float:
+def _marginal(a, b, s):
+    """P(child = water) for independent parents with water probabilities
+    ``a`` and ``b``: the child copies agreeing parents and, when they
+    disagree, follows the second parent with probability ``s``."""
+    return s * (1.0 - a) * b + (1.0 - s) * a * (1.0 - b) + a * b
+
+
+def fuse_pm(p_pan, p_ms, w, p_shadow, params: FusionParams):
     """Marginal water probability of the PAN+MS stage, treating the two
-    sources as independent binary variables."""
-    total = 0.0
-    for pan in STATES:
-        p_a = p_pan if pan is WATER else 1.0 - p_pan
-        for ms in STATES:
-            p_b = p_ms if ms is WATER else 1.0 - p_ms
-            total += cpd_pm(WATER, pan, ms, w, p_shadow, params) * p_a * p_b
-    return total
+    sources as independent binary variables (``cpd_pm`` summed out)."""
+    s = sigmoid((w / (params.n1 * params.r_ms) + p_shadow) / 2.0)
+    return _marginal(p_pan, p_ms, s)
 
 
-def fuse_w(p_pm: float, p_lan: float, w: float, params: FusionParams) -> float:
-    """Marginal water probability of the final stage."""
-    total = 0.0
-    for pm in STATES:
-        p_a = p_pm if pm is WATER else 1.0 - p_pm
-        for lan in STATES:
-            p_b = p_lan if lan is WATER else 1.0 - p_lan
-            total += cpd_w(WATER, pm, lan, w, params) * p_a * p_b
-    return total
+def fuse_w(p_pm, p_lan, w, params: FusionParams):
+    """Marginal water probability of the final stage (``cpd_w`` summed out)."""
+    scale = params.n2 * params.r_l
+    s = np.where(np.asarray(w) >= scale, sigmoid(w / scale), 0.0)[()]
+    return _marginal(p_pm, p_lan, s)
 
 
-def decide(p_w: float, params: FusionParams) -> bool:
+def decide(p_w, params: FusionParams):
     """Water iff the fused probability strictly exceeds the threshold."""
     return p_w > params.decision_threshold
 
 
 def fuse_all_segments(segmap, params: FusionParams):
-    """Fuse every segment's probabilities; returns (p_w list, water flags)."""
-    p_w = []
-    flags = []
-    for rec in segmap.records:
-        pm = fuse_pm(rec.p_pan, rec.p_ms, rec.w, rec.p_shadow, params)
-        pw = fuse_w(pm, rec.p_lan, rec.w, params)
-        p_w.append(pw)
-        flags.append(decide(pw, params))
-    return p_w, flags
+    """Fuse every segment's probabilities; returns (p_w, water flags) arrays."""
+    t = segmap.records
+    p_w = fuse_w(fuse_pm(t.p_pan, t.p_ms, t.w, t.p_shadow, params), t.p_lan, t.w, params)
+    return p_w, decide(p_w, params)

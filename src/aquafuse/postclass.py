@@ -34,13 +34,11 @@ class PostClassParams:
 
 
 def relabel_shadow_segments(water_flags, segmap: SegmentMap,
-                            params: PostClassParams) -> list[bool]:
+                            params: PostClassParams) -> np.ndarray:
     """Water segments whose shadow proportion strictly exceeds the threshold
     become non-water; everything else is untouched."""
-    out = []
-    for flag, rec in zip(water_flags, segmap.records):
-        out.append(bool(flag) and not rec.p_shadow > params.shadow_relabel_threshold)
-    return out
+    shadowed = segmap.records.p_shadow > params.shadow_relabel_threshold
+    return np.asarray(water_flags, dtype=bool) & ~shadowed
 
 
 def _window_means(values: np.ndarray, mask: np.ndarray, radius: int):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowGeometry, shift_or
+from .shadow import ShadowError, ShadowGeometry, shift_or
 from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
@@ -213,7 +213,7 @@ def parse_scene(text: str) -> SceneSpec:
                 spec.features.append(_parse_feature(parts[1:]))
             else:
                 raise SceneError(f"unknown directive {key!r}")
-        except (IndexError, ValueError) as exc:
+        except (IndexError, ValueError, ShadowError) as exc:
             raise SceneError(f"scene line {lineno}: {raw.strip()!r}: {exc}") from exc
     return spec.validate()
 

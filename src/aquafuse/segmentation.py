@@ -3,12 +3,12 @@ statistics on the panchromatic grid."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .raster import BinaryMask, RasterGrid, RasterError
+from .raster import BinaryMask, RasterGrid
 from .spectral import CLASS_ORDER
 
 # profile family: (shape, size); each contributes an opening and a closing band
@@ -28,27 +28,39 @@ class SegmentationError(Exception):
     pass
 
 
-@dataclass
-class SegmentRecord:
-    """Statistics of one 4-connected segment on the PAN grid."""
+class SegmentTableError(Exception):
+    """A segment table file that is not a table of this program's layout."""
 
-    pixel_count: int = 0
-    area_m2: float = 0.0
-    perimeter_px: int = 0
-    w: float = 0.0          # hydraulic diameter 4*area/perimeter, meters
-    p_pan: float = 0.0
-    p_ms: float = 0.0
-    p_lan: float = 0.0
-    p_shadow: float = 0.0
-    class_votes: dict = field(default_factory=dict)
-    mp_std: float = 0.0
-    label: str | None = None
+
+# One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
+# order; ``label`` is "" until classify_segments_majority sets it; ``p_w`` and
+# ``water`` are filled by the fuse stage.
+SEGMENT_DTYPE = np.dtype([
+    ("pixel_count", "<i8"),
+    ("perimeter_px", "<i8"),
+    ("area_m2", "<f8"),
+    ("w", "<f8"),           # hydraulic diameter 4*area/perimeter, meters
+    ("p_pan", "<f8"),
+    ("p_ms", "<f8"),
+    ("p_lan", "<f8"),
+    ("p_shadow", "<f8"),
+    ("mp_std", "<f8"),
+    ("votes", "<i8", (len(CLASS_ORDER),)),
+    ("label", "<U10"),
+    ("p_w", "<f8"),
+    ("water", "?"),
+])
+
+
+def segment_table(n: int) -> np.recarray:
+    """Zeroed table of ``n`` segments, one column per SEGMENT_DTYPE field."""
+    return np.zeros(n, dtype=SEGMENT_DTYPE).view(np.recarray)
 
 
 @dataclass
 class SegmentMap:
     labels: np.ndarray               # (h, w) int32 segment ids, 0..S-1
-    records: list[SegmentRecord]
+    records: np.recarray             # segment_table rows, indexed by id
     geometry: object
 
     @property
@@ -171,7 +183,8 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8, seed: int = 0) 
     labels = _connected_segments(assign.reshape(h, w))
     n_segments = int(labels.max()) + 1
     counts = np.bincount(labels.ravel(), minlength=n_segments)
-    records = [SegmentRecord(pixel_count=int(c)) for c in counts]
+    records = segment_table(n_segments)
+    records.pixel_count = counts
     return SegmentMap(labels, records, pan.geometry)
 
 
@@ -194,11 +207,11 @@ def _segment_means(labels_flat, values_flat, counts):
 
 def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
                   p_ms_field: RasterGrid, p_lan_field: RasterGrid,
-                  ms_class_map: RasterGrid, class_names=CLASS_ORDER) -> SegmentMap:
+                  ms_class_map: RasterGrid) -> SegmentMap:
     """Fill every per-segment statistic except the shadow proportion.
 
     All rasters must already live on the PAN grid; ``ms_class_map`` holds
-    indices into ``class_names``.
+    indices into ``CLASS_ORDER``.
     """
     for r in (pan, mps, p_ms_field, p_lan_field, ms_class_map):
         if r.geometry != segmap.geometry:
@@ -216,19 +229,16 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     mp_std = _segment_means(flat, mp_std_px.ravel(), counts)
 
     class_idx = ms_class_map.data[0].astype(np.int64)
-    votes = np.zeros((n, len(class_names)), dtype=np.int64)
-    for ci in range(len(class_names)):
-        votes[:, ci] = np.bincount(flat[class_idx.ravel() == ci], minlength=n)
-
-    for s, rec in enumerate(segmap.records):
-        rec.pixel_count = int(counts[s])
-        rec.area_m2 = float(counts[s]) * r_pan * r_pan
-        rec.perimeter_px = int(perimeter[s])
-        rec.w = 4.0 * rec.area_m2 / (rec.perimeter_px * r_pan)
-        rec.p_ms = float(p_ms[s])
-        rec.p_lan = float(p_lan[s])
-        rec.mp_std = float(mp_std[s])
-        rec.class_votes = {c: int(votes[s, ci]) for ci, c in enumerate(class_names)}
+    table = segmap.records
+    for ci in range(len(CLASS_ORDER)):
+        table.votes[:, ci] = np.bincount(flat[class_idx.ravel() == ci], minlength=n)
+    table.pixel_count = counts
+    table.area_m2 = counts * r_pan * r_pan
+    table.perimeter_px = perimeter
+    table.w = 4.0 * table.area_m2 / (perimeter * r_pan)
+    table.p_ms = p_ms
+    table.p_lan = p_lan
+    table.mp_std = mp_std
     return segmap
 
 
@@ -242,9 +252,7 @@ def pan_water_probability(segmap: SegmentMap, pan: RasterGrid, t_pan: float) -> 
     if (counts == 0).any():
         raise SegmentationError("segment with no pixels")
     dark = np.bincount(flat[pan.data[0].ravel() < t_pan], minlength=n)
-    p = dark / counts
-    for s, rec in enumerate(segmap.records):
-        rec.p_pan = float(p[s])
+    segmap.records.p_pan = dark / counts
     return segmap
 
 
@@ -259,42 +267,22 @@ def segment_water_mask(segmap: SegmentMap, water_flags) -> BinaryMask:
     return BinaryMask(segmap.geometry, flags[segmap.labels])
 
 
-def save_segment_stats(segmap: SegmentMap, path, class_names=CLASS_ORDER) -> None:
-    """Full machine-readable per-segment record table (superset of the
-    exported summary): one `field = values` block per segment."""
-    lines = [f"classes = {', '.join(class_names)}", f"count = {segmap.count}"]
-    for s, rec in enumerate(segmap.records):
-        votes = " ".join(str(int(rec.class_votes.get(c, 0))) for c in class_names)
-        lines.append(
-            f"segment {s} = {int(rec.pixel_count)} {int(rec.perimeter_px)} "
-            f"{float(rec.area_m2)!r} {float(rec.w)!r} {float(rec.p_pan)!r} "
-            f"{float(rec.p_ms)!r} {float(rec.p_lan)!r} {float(rec.p_shadow)!r} "
-            f"{float(rec.mp_std)!r} {rec.label or '-'} {votes}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def save_segment_stats(segmap: SegmentMap, path) -> None:
+    """Write the segment table as one ``.npy`` file."""
+    np.save(path, segmap.records, allow_pickle=False)
 
 
 def load_segment_stats(path, labels: np.ndarray, geometry) -> SegmentMap:
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            if "=" in line:
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
-    class_names = [c.strip() for c in entries["classes"].split(",")]
-    count = int(entries["count"])
-    records = []
-    for s in range(count):
-        parts = entries[f"segment {s}"].split()
-        rec = SegmentRecord(
-            pixel_count=int(parts[0]), perimeter_px=int(parts[1]),
-            area_m2=float(parts[2]), w=float(parts[3]), p_pan=float(parts[4]),
-            p_ms=float(parts[5]), p_lan=float(parts[6]), p_shadow=float(parts[7]),
-            mp_std=float(parts[8]),
-            label=None if parts[9] == "-" else parts[9],
-            class_votes={c: int(v) for c, v in zip(class_names, parts[10:])},
-        )
-        records.append(rec)
-    return SegmentMap(np.asarray(labels, dtype=np.int32), records, geometry)
-
+    """Read a table written by ``save_segment_stats`` for the segment raster
+    ``labels``; a file of another layout or length is a SegmentTableError."""
+    labels = np.asarray(labels, dtype=np.int32)
+    try:
+        table = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise SegmentTableError(f"{path}: not a segment table ({exc})") from exc
+    n = int(labels.max()) + 1
+    if not isinstance(table, np.ndarray) or table.dtype != SEGMENT_DTYPE:
+        raise SegmentTableError(f"{path}: not a segment table of this layout")
+    if table.shape != (n,):
+        raise SegmentTableError(f"{path}: {table.shape} rows for {n} segments")
+    return SegmentMap(labels, table.view(np.recarray), geometry)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .raster import BinaryMask, window_ratio
 from .segmentation import SegmentMap
-from .spectral import CLASS_ORDER, SpectralError, class_sort_key, otsu_threshold
+from .spectral import CLASS_ORDER, SpectralError, otsu_threshold
 
 
 class ShadowError(Exception):
@@ -70,39 +70,34 @@ class IntensityParams:
             raise ShadowError("ratio threshold must be in (0, 1)")
 
 
-def classify_segments_majority(segmap: SegmentMap) -> list[str]:
+def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
     """Label each segment with its maximum-vote class from the MS class map.
 
     Ties break by the fixed class order (vegetation < soil < impervious <
     water)."""
-    labels = []
-    for rec in segmap.records:
-        if not rec.class_votes or sum(rec.class_votes.values()) == 0:
-            raise ShadowError("segment has no class votes; run segment_stats first")
-        top = max(rec.class_votes.values())
-        winners = sorted(
-            (c for c, v in rec.class_votes.items() if v == top), key=class_sort_key
-        )
-        rec.label = winners[0]
-        labels.append(rec.label)
-    return labels
+    votes = segmap.records.votes
+    if (votes.sum(axis=1) == 0).any():
+        raise ShadowError("segment has no class votes; run segment_stats first")
+    segmap.records.label = np.array(CLASS_ORDER)[votes.argmax(axis=1)]
+    return segmap.records.label
 
 
-def tree_grass_split(segmap: SegmentMap, t_tree: float | None = None) -> list[str]:
+def tree_grass_split(segmap: SegmentMap, t_tree: float | None = None) -> np.ndarray:
     """Relabel vegetation segments as tree (profile deviation strictly above
     the threshold) or grass.  With no threshold given, one is derived by Otsu
     from the vegetation segments' values."""
-    veg = [rec for rec in segmap.records if rec.label == "vegetation"]
-    if not veg:
-        return [rec.label for rec in segmap.records]
+    labels = segmap.records.label
+    veg = labels == "vegetation"
+    if not veg.any():
+        return labels
+    mp_std = segmap.records.mp_std[veg]
     if t_tree is None:
         try:
-            t_tree = otsu_threshold([rec.mp_std for rec in veg])
+            t_tree = otsu_threshold(mp_std)
         except SpectralError:
             t_tree = math.inf  # indistinguishable: treat everything as grass
-    for rec in veg:
-        rec.label = "tree" if rec.mp_std > t_tree else "grass"
-    return [rec.label for rec in segmap.records]
+    labels[veg] = np.where(mp_std > t_tree, "tree", "grass")
+    return labels
 
 
 def building_intensity_map(impervious_mask: BinaryMask, params: IntensityParams) -> BinaryMask:
@@ -167,12 +162,10 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
 
 
 def segment_shadow_proportion(segmap: SegmentMap, shadow_mask: BinaryMask) -> SegmentMap:
-    """Fill each record's shadow proportion from the potential shadow mask."""
+    """Fill each segment's shadow proportion from the potential shadow mask."""
     flat = segmap.labels.ravel()
     n = segmap.count
     counts = np.bincount(flat, minlength=n)
     hits = np.bincount(flat[shadow_mask.bits.ravel() == 1], minlength=n)
-    p = hits / np.maximum(counts, 1)
-    for s, rec in enumerate(segmap.records):
-        rec.p_shadow = float(p[s])
+    segmap.records.p_shadow = hits / np.maximum(counts, 1)
     return segmap

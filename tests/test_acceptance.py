@@ -33,13 +33,8 @@ def load_pipeline(out):
     """Segments + per-segment fusion results of a finished pipeline run."""
     labels = read_raster(out / "segments.hdr")
     segmap = segmentation.load_segment_stats(
-        out / "segment_stats.txt", labels.data[0].astype(np.int32), labels.geometry)
-    p_w, flags = [], []
-    for line in (out / "fusion.txt").read_text().splitlines():
-        _, p, f = line.split()
-        p_w.append(float(p))
-        flags.append(bool(int(f)))
-    return segmap, p_w, flags
+        out / "segment_table.npy", labels.data[0].astype(np.int32), labels.geometry)
+    return segmap, segmap.records.p_w, segmap.records.water
 
 
 def map_coordinates(geometry):

@@ -1,6 +1,7 @@
 import filecmp
 import shutil
 
+import numpy as np
 import pytest
 
 from aquafuse import cli
@@ -86,6 +87,7 @@ class TestExitCodes:
         "texture grass -0.1 3.2",
         "texture grass 0.1 0",
         "noise landsaat 0.01",
+        "sun 0 180",
     ])
     def test_invalid_scene_line_is_config_error(self, tmp_path, line):
         scene = tmp_path / "scene.txt"
@@ -105,6 +107,8 @@ class TestExitCodes:
         "t_pan = nan",
         "intensity_ratio = inf",
         "eval_water = -1",
+        "kmeans_k = 0",
+        "seed = -1",
         # facts of the scene, not tunables
         "sun_elevation_deg = 35",
         "sun_azimuth_deg = 120",
@@ -117,6 +121,12 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_CONFIG
         assert not (out / "pan.bin").exists()
+
+    def test_negative_seed_stops_before_any_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["run-all", "--seed", "-1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not (out / "pan.bin").exists()
+        capsys.readouterr()
 
 
 class TestPipelineArtifacts:
@@ -131,7 +141,7 @@ class TestPipelineArtifacts:
             assert (pipeline_dir / f"{stem}.hdr").exists(), stem
             assert (pipeline_dir / f"{stem}.bin").exists(), stem
         for name in ["scene.txt", "train_sites.txt", "classifier.txt", "t_pan.txt",
-                     "segment_stats.txt", "fusion.txt"]:
+                     "segment_table.npy"]:
             assert (pipeline_dir / name).exists(), name
         for stem in cli.PREDICTION_STEMS:
             assert (pipeline_dir / f"report_{stem}.txt").exists(), stem
@@ -165,6 +175,24 @@ class TestPipelineArtifacts:
         shutil.copytree(pipeline_dir, out)
         (out / "scene.txt").unlink()
         assert cli.main(["shadow", "--out", str(out)]) == cli.EXIT_IO
+
+    def test_postclass_before_fuse_is_io_error(self, pipeline_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        (out / "pgm_water.hdr").unlink()
+        assert cli.main(["postclass", "--out", str(out)]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("stage", ["fuse", "postclass"])
+    @pytest.mark.parametrize("damage", ["truncated", "wrong_dtype"])
+    def test_damaged_segment_table_is_io_error(self, pipeline_dir, tmp_path, stage, damage):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        path = out / "segment_table.npy"
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            np.save(path, np.load(path)["w"])
+        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
 
     def test_reports_have_machine_line(self, pipeline_dir):
         for stem in cli.PREDICTION_STEMS:

@@ -131,18 +131,18 @@ class TestDecision:
 
     def test_segment_sweep(self):
         from aquafuse.raster import GridGeometry
-        from aquafuse.segmentation import SegmentMap, SegmentRecord
+        from aquafuse.segmentation import SegmentMap, segment_table
 
         params = FusionParams()
-        recs = [
-            SegmentRecord(p_pan=1.0, p_ms=1.0, p_lan=1.0, w=60.0),
-            SegmentRecord(p_pan=0.0, p_ms=0.0, p_lan=0.0, w=60.0),
-            SegmentRecord(p_pan=0.9, p_ms=0.1, p_lan=0.1, w=3.2),
-        ]
+        recs = segment_table(3)
+        recs.p_pan = [1.0, 0.0, 0.9]
+        recs.p_ms = [1.0, 0.0, 0.1]
+        recs.p_lan = [1.0, 0.0, 0.1]
+        recs.w = [60.0, 60.0, 3.2]
         geom = GridGeometry(3, 1, 1.0)
         segmap = SegmentMap(np.arange(3, dtype=np.int32)[np.newaxis], recs, geom)
         p_w, flags = fuse_all_segments(segmap, params)
-        assert flags == [True, False, False]
+        assert flags.tolist() == [True, False, False]
         assert p_w[0] == pytest.approx(1.0)
         assert p_w[2] == pytest.approx(fuse_pm(0.9, 0.1, 3.2, 0.0, params))
 

@@ -8,13 +8,14 @@ from aquafuse.postclass import (
     relabel_shadow_segments,
 )
 from aquafuse.raster import BinaryMask, GridGeometry, RasterGrid
-from aquafuse.segmentation import SegmentMap, SegmentRecord
+from aquafuse.segmentation import SegmentMap, segment_table
 
 
 def segmap_of(p_shadows):
     n = len(p_shadows)
     geom = GridGeometry(n, 1, 1.0)
-    recs = [SegmentRecord(p_shadow=p) for p in p_shadows]
+    recs = segment_table(n)
+    recs.p_shadow = p_shadows
     return SegmentMap(np.arange(n, dtype=np.int32)[np.newaxis], recs, geom)
 
 
@@ -23,17 +24,17 @@ class TestShadowRelabel:
         segmap = segmap_of([0.0, 0.85, 0.86, 1.0])
         out = relabel_shadow_segments([True, True, True, True], segmap,
                                       PostClassParams())
-        assert out == [True, True, False, False]
+        assert out.tolist() == [True, True, False, False]
 
     def test_non_water_untouched(self):
         segmap = segmap_of([1.0, 1.0])
         out = relabel_shadow_segments([False, False], segmap, PostClassParams())
-        assert out == [False, False]
+        assert out.tolist() == [False, False]
 
     def test_custom_threshold(self):
         segmap = segmap_of([0.5, 0.6])
         params = PostClassParams(shadow_relabel_threshold=0.55)
-        assert relabel_shadow_segments([True, True], segmap, params) == [True, False]
+        assert relabel_shadow_segments([True, True], segmap, params).tolist() == [True, False]
 
 
 def two_class_scene(split_col, h=40, w=40, water_val=0.1, land_val=0.9,

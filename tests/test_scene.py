@@ -125,6 +125,7 @@ class TestParser:
         "texture grass 0.1 inf",
         "feature lake rect 0 0 inf 10",
         "feature building rect 0 0 10 10 height nan",
+        "sun 0 180",                     # elevation outside (0, 90]
     ])
     def test_invalid_line_rejected(self, line):
         with pytest.raises(SceneError):

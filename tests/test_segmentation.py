@@ -5,13 +5,19 @@ from aquafuse.raster import GridGeometry, RasterGrid
 from aquafuse.segmentation import (
     SE_FAMILY,
     SegmentationError,
+    SegmentMap,
+    SegmentTableError,
     kmeans_segment,
+    load_segment_stats,
     morphological_profiles,
     pan_water_probability,
     paint_segments,
+    save_segment_stats,
     segment_stats,
+    segment_table,
     structuring_element,
 )
+from aquafuse.spectral import CLASS_ORDER
 
 
 def pan_raster(values, pixel_size=0.8):
@@ -142,7 +148,7 @@ class TestKmeansSegment:
         segmap = kmeans_segment(pan, mps, k=5, seed=0)
         counts = np.bincount(segmap.labels.ravel(), minlength=segmap.count)
         assert counts.sum() == 10 * 14
-        assert all(rec.pixel_count == counts[i] for i, rec in enumerate(segmap.records))
+        assert np.array_equal(segmap.records.pixel_count, counts)
 
     def test_ids_in_raster_scan_order(self):
         rng = np.random.default_rng(4)
@@ -161,13 +167,13 @@ def constant_field(geom, value, name):
 
 class TestSegmentStats:
     def _segmap_for(self, labels, pixel_size=0.8):
-        from aquafuse.segmentation import SegmentMap, SegmentRecord
+        from aquafuse.segmentation import SegmentMap, segment_table
 
         labels = np.asarray(labels, dtype=np.int32)
         h, w = labels.shape
         geom = GridGeometry(w, h, pixel_size, origin_y=h * pixel_size)
         n = labels.max() + 1
-        return SegmentMap(labels, [SegmentRecord() for _ in range(n)], geom), geom
+        return SegmentMap(labels, segment_table(n), geom), geom
 
     def test_constant_probability_mean(self):
         labels = np.zeros((4, 4), dtype=np.int32)
@@ -180,7 +186,7 @@ class TestSegmentStats:
                               constant_field(geom, 3.0, "class_index"))
         assert stats.records[0].p_ms == pytest.approx(0.7)
         assert stats.records[0].p_lan == pytest.approx(0.2)
-        assert stats.records[0].class_votes["water"] == 16
+        assert stats.records.votes[0, CLASS_ORDER.index("water")] == 16
 
     def test_ribbon_hydraulic_diameter(self):
         labels = np.ones((7, 104), dtype=np.int32)
@@ -227,11 +233,10 @@ class TestSegmentStats:
 class TestPanWaterProbability:
     def _simple(self, values, t):
         pan = pan_raster(values)
-        from aquafuse.segmentation import SegmentMap, SegmentRecord
+        from aquafuse.segmentation import SegmentMap, segment_table
 
         labels = np.zeros_like(pan.data[0], dtype=np.int32)
-        segmap = SegmentMap(labels, [SegmentRecord(pixel_count=labels.size)],
-                            pan.geometry)
+        segmap = SegmentMap(labels, segment_table(1), pan.geometry)
         return pan_water_probability(segmap, pan, t).records[0].p_pan
 
     def test_all_below(self):
@@ -253,10 +258,40 @@ class TestPanWaterProbability:
 
 
 def test_paint_segments():
-    from aquafuse.segmentation import SegmentMap, SegmentRecord
+    from aquafuse.segmentation import SegmentMap, segment_table
 
     geom = GridGeometry(2, 2, 1.0)
     labels = np.array([[0, 0], [1, 1]], dtype=np.int32)
-    segmap = SegmentMap(labels, [SegmentRecord(), SegmentRecord()], geom)
+    segmap = SegmentMap(labels, segment_table(2), geom)
     out = paint_segments(segmap, [0.25, 0.75])
     assert np.array_equal(out.data[0], [[0.25, 0.25], [0.75, 0.75]])
+
+
+class TestSegmentTableFile:
+    def _segmap(self):
+        labels = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
+        table = segment_table(3)
+        rng = np.random.default_rng(0)
+        for name in ("area_m2", "w", "p_pan", "p_ms", "p_lan", "p_shadow", "mp_std", "p_w"):
+            table[name] = rng.random(3)
+        table.pixel_count = [2, 2, 2]
+        table.perimeter_px = [6, 6, 6]
+        table.votes = rng.integers(0, 9, (3, len(CLASS_ORDER)))
+        table.label = ["impervious", "", "vegetation"]
+        table.water = [True, False, True]
+        return SegmentMap(labels, table, GridGeometry(3, 2, 0.8))
+
+    def test_round_trip(self, tmp_path):
+        segmap = self._segmap()
+        save_segment_stats(segmap, tmp_path / "t.npy")
+        loaded = load_segment_stats(tmp_path / "t.npy", segmap.labels, segmap.geometry)
+        assert loaded.count == 3
+        for name in segmap.records.dtype.names:
+            assert np.array_equal(loaded.records[name], segmap.records[name]), name
+
+    def test_other_length_rejected(self, tmp_path):
+        segmap = self._segmap()
+        save_segment_stats(segmap, tmp_path / "t.npy")
+        with pytest.raises(SegmentTableError):
+            load_segment_stats(tmp_path / "t.npy", np.zeros((2, 3), dtype=np.int32),
+                               segmap.geometry)

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage
 
 from aquafuse.raster import BinaryMask, GridGeometry
-from aquafuse.segmentation import SegmentMap, SegmentRecord
+from aquafuse.segmentation import SegmentMap, segment_table
 from aquafuse.shadow import (
     OBJECT_KIND_HIGH_BUILDING,
     OBJECT_KIND_LOW_BUILDING,
@@ -21,6 +21,7 @@ from aquafuse.shadow import (
     shift_or,
     tree_grass_split,
 )
+from aquafuse.spectral import CLASS_ORDER
 
 
 class TestShadowGeometry:
@@ -55,50 +56,55 @@ class TestShadowGeometry:
             ShadowGeometry(95.0, 0.0)
 
 
-def segmap_with(records, labels=None):
-    n = len(records)
-    if labels is None:
-        labels = np.arange(n, dtype=np.int32)[np.newaxis]
-    geom = GridGeometry(labels.shape[1], labels.shape[0], 1.0)
-    return SegmentMap(np.asarray(labels, dtype=np.int32), records, geom)
+def segmap_with(**columns):
+    """One segment per value; each keyword fills that table column."""
+    n = len(next(iter(columns.values())))
+    table = segment_table(n)
+    for name, values in columns.items():
+        table[name] = values
+    labels = np.arange(n, dtype=np.int32)[np.newaxis]
+    return SegmentMap(labels, table, GridGeometry(n, 1, 1.0))
+
+
+def votes(**counts):
+    return [counts.get(c, 0) for c in CLASS_ORDER]
 
 
 class TestMajorityVote:
     def test_plain_majority(self):
-        rec = SegmentRecord(class_votes={"vegetation": 2, "water": 5, "soil": 1})
-        out = classify_segments_majority(segmap_with([rec]))
-        assert out == ["water"]
-        assert rec.label == "water"
+        segmap = segmap_with(votes=[votes(vegetation=2, water=5, soil=1)])
+        out = classify_segments_majority(segmap)
+        assert out.tolist() == ["water"]
+        assert segmap.records.label[0] == "water"
 
     def test_tie_breaks_by_class_order(self):
-        rec = SegmentRecord(class_votes={"soil": 3, "vegetation": 3, "water": 1})
-        assert classify_segments_majority(segmap_with([rec])) == ["vegetation"]
+        segmap = segmap_with(votes=[votes(soil=3, vegetation=3, water=1)])
+        assert classify_segments_majority(segmap).tolist() == ["vegetation"]
 
     def test_missing_votes_rejected(self):
         with pytest.raises(ShadowError):
-            classify_segments_majority(segmap_with([SegmentRecord()]))
+            classify_segments_majority(segmap_with(votes=[votes()]))
 
 
 class TestTreeGrassSplit:
     def test_explicit_threshold_is_strict(self):
-        recs = [SegmentRecord(label="vegetation", mp_std=v)
-                for v in (0.1, 0.5, 0.9)]
-        out = tree_grass_split(segmap_with(recs), t_tree=0.5)
-        assert out == ["grass", "grass", "tree"]
+        segmap = segmap_with(label=["vegetation"] * 3, mp_std=[0.1, 0.5, 0.9])
+        out = tree_grass_split(segmap, t_tree=0.5)
+        assert out.tolist() == ["grass", "grass", "tree"]
 
     def test_non_vegetation_untouched(self):
-        recs = [SegmentRecord(label="water"), SegmentRecord(label="soil")]
-        assert tree_grass_split(segmap_with(recs)) == ["water", "soil"]
+        segmap = segmap_with(label=["water", "soil"])
+        assert tree_grass_split(segmap).tolist() == ["water", "soil"]
 
     def test_derived_threshold_separates_modes(self):
-        recs = [SegmentRecord(label="vegetation", mp_std=v)
-                for v in [0.01, 0.02, 0.015, 0.8, 0.9, 0.85]]
-        out = tree_grass_split(segmap_with(recs))
-        assert out == ["grass", "grass", "grass", "tree", "tree", "tree"]
+        segmap = segmap_with(label=["vegetation"] * 6,
+                             mp_std=[0.01, 0.02, 0.015, 0.8, 0.9, 0.85])
+        out = tree_grass_split(segmap)
+        assert out.tolist() == ["grass", "grass", "grass", "tree", "tree", "tree"]
 
     def test_constant_deviation_means_all_grass(self):
-        recs = [SegmentRecord(label="vegetation", mp_std=0.3) for _ in range(4)]
-        assert tree_grass_split(segmap_with(recs)) == ["grass"] * 4
+        segmap = segmap_with(label=["vegetation"] * 4, mp_std=[0.3] * 4)
+        assert tree_grass_split(segmap).tolist() == ["grass"] * 4
 
 
 class TestBuildingIntensity:
@@ -218,7 +224,7 @@ class TestSegmentShadowProportion:
     def test_fractions(self):
         labels = np.array([[0, 0, 1, 1]], dtype=np.int32)
         geom = GridGeometry(4, 1, 1.0)
-        segmap = SegmentMap(labels, [SegmentRecord(), SegmentRecord()], geom)
+        segmap = SegmentMap(labels, segment_table(2), geom)
         bits = np.array([[1, 0, 1, 1]], dtype=np.uint8)
         out = segment_shadow_proportion(segmap, BinaryMask(geom, bits))
         assert out.records[0].p_shadow == pytest.approx(0.5)
