@@ -198,6 +198,10 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
     mps = morphological_profiles(pan)
     segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k, seed=cfg.seed)
+    (out / "kmeans.txt").write_text(
+        f"iterations = {segmap.kmeans_iterations}\n"
+        f"objective = {segmap.kmeans_objective!r}\n"
+        f"segments = {segmap.count}\n")
     segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up)
     pan_water_probability(segmap, pan, t_pan)
     classify_segments_majority(segmap)

@@ -75,38 +75,47 @@ def confusion_matrix(predicted, reference) -> ConfusionMatrix:
 
 @dataclass
 class AccuracyReport:
-    pa: float  # water producer's accuracy, percent
-    ua: float  # water user's accuracy, percent
-    oa: float  # overall accuracy, percent
+    pa: float | None  # water producer's accuracy, percent; None without reference water
+    ua: float | None  # water user's accuracy, percent; None without predicted water
+    oa: float         # overall accuracy, percent
 
     def rounded(self, decimals=1):
-        """Half-up rounding for display, matching 1-decimal table style."""
+        """Half-up rounding for display, matching 1-decimal table style;
+        an undefined accuracy stays None."""
         q = Decimal(1).scaleb(-decimals)
         return tuple(
-            float(Decimal(repr(float(v))).quantize(q, rounding=ROUND_HALF_UP))
+            None if v is None
+            else float(Decimal(repr(float(v))).quantize(q, rounding=ROUND_HALF_UP))
             for v in (self.pa, self.ua, self.oa)
         )
 
 
+def _percent(part, whole):
+    return 100.0 * part / whole if whole else None
+
+
 def accuracy_metrics(m: ConfusionMatrix) -> AccuracyReport:
+    """PA and UA of the water class and OA.  A map or a reference without
+    water leaves UA or PA undefined (None); no samples at all is an error."""
     c = m.counts
-    ref_water = c[0, 1] + c[1, 1]
-    pred_water = c[1, 0] + c[1, 1]
-    total = m.total
-    if ref_water == 0 or pred_water == 0 or total == 0:
-        raise EvalError("zero denominator in accuracy metrics")
+    if m.total == 0:
+        raise EvalError("no samples to score")
     return AccuracyReport(
-        pa=100.0 * c[1, 1] / ref_water,
-        ua=100.0 * c[1, 1] / pred_water,
-        oa=100.0 * (c[0, 0] + c[1, 1]) / total,
+        pa=_percent(c[1, 1], c[0, 1] + c[1, 1]),
+        ua=_percent(c[1, 1], c[1, 0] + c[1, 1]),
+        oa=_percent(c[0, 0] + c[1, 1], m.total),
     )
+
+
+def _shown(value, unit=""):
+    return "n/a" if value is None else f"{value}{unit}"
 
 
 def format_report(m: ConfusionMatrix, title="classification") -> str:
     """Text table mirroring the usual confusion-matrix layout, plus one
-    machine-readable line ``pa=...,ua=...,oa=...``."""
-    rep = accuracy_metrics(m)
-    pa, ua, oa = rep.rounded()
+    machine-readable line ``pa=...,ua=...,oa=...``.  An undefined accuracy
+    reads ``n/a``."""
+    pa, ua, oa = accuracy_metrics(m).rounded()
     c = m.counts
     lines = [
         f"Confusion matrix for {title}",
@@ -114,7 +123,7 @@ def format_report(m: ConfusionMatrix, title="classification") -> str:
         "                       non-water      water",
         f"Predicted  non-water   {c[0, 0]:9d}  {c[0, 1]:9d}",
         f"           water       {c[1, 0]:9d}  {c[1, 1]:9d}",
-        f"PA(water) = {pa}%   UA(water) = {ua}%   OA = {oa}%",
-        f"pa={pa},ua={ua},oa={oa}",
+        f"PA(water) = {_shown(pa, '%')}   UA(water) = {_shown(ua, '%')}   OA = {oa}%",
+        f"pa={_shown(pa)},ua={_shown(ua)},oa={oa}",
     ]
     return "\n".join(lines)

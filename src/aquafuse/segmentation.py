@@ -62,6 +62,10 @@ class SegmentMap:
     labels: np.ndarray               # (h, w) int32 segment ids, 0..S-1
     records: np.recarray             # segment_table rows, indexed by id
     geometry: object
+    # Lloyd iterations and final objective of the k-means fit that made
+    # ``labels``; None for a map read back from disk
+    kmeans_iterations: int | None = None
+    kmeans_objective: float | None = None
 
     @property
     def count(self):
@@ -113,38 +117,51 @@ def _standardize(features: np.ndarray) -> np.ndarray:
     return (features - mean) / std
 
 
+def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances ``f2 - 2 f.c + c2`` of every row to every centre, in
+    one (n, k) array.  Scaling the product by -2 is exact and addition
+    commutes, so the bits are those of ``(f2 - (2 * features) @ centers.T) + c2``."""
+    d2 = features @ centers.T
+    d2 *= -2.0
+    d2 += f2[:, None]
+    d2 += np.sum(centers ** 2, axis=1)
+    return d2
+
+
 def _kmeans(features: np.ndarray, k: int, seed: int):
-    n = features.shape[0]
+    """Lloyd's k-means from farthest-point seeds.
+
+    Returns ``(assign, centers, iterations, objective)``: the objective is the
+    sum of the squared distances of every row to its nearest final centre.
+    ``features`` should be F-contiguous, so that each column is contiguous.
+    """
+    n, dims = features.shape
     rng = np.random.default_rng(seed)
-    centers = np.empty((k, features.shape[1]))
+    centers = np.empty((k, dims))
     centers[0] = features[rng.integers(n)]
     dist = np.sum((features - centers[0]) ** 2, axis=1)
     for i in range(1, k):
         centers[i] = features[int(np.argmax(dist))]
         dist = np.minimum(dist, np.sum((features - centers[i]) ** 2, axis=1))
 
-    assign = np.zeros(n, dtype=np.int64)
-    for _ in range(KMEANS_MAX_ITER):
-        d2 = (np.sum(features ** 2, axis=1)[:, None]
-              - 2.0 * features @ centers.T
-              + np.sum(centers ** 2, axis=1)[None, :])
+    f2 = np.sum(features ** 2, axis=1)
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
+        d2 = _sq_distances(features, f2, centers)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
         counts = np.bincount(assign, minlength=k)
-        for c in range(k):
-            if counts[c] == 0:
-                far = int(np.argmax(np.min(d2, axis=1)))
-                new_centers[c] = features[far]
-            else:
-                new_centers[c] = features[assign == c].mean(axis=0)
+        # per-centre sums in pixel order, as features[assign == c].sum(axis=0)
+        sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
+                         for j in range(dims)], axis=1)
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        empty = counts == 0
+        if empty.any():
+            new_centers[empty] = features[int(np.argmax(np.min(d2, axis=1)))]
         movement = np.max(np.abs(new_centers - centers))
         centers = new_centers
         if movement < KMEANS_TOL:
             break
-    d2 = (np.sum(features ** 2, axis=1)[:, None]
-          - 2.0 * features @ centers.T
-          + np.sum(centers ** 2, axis=1)[None, :])
-    return np.argmin(d2, axis=1), centers
+    d2 = _sq_distances(features, f2, centers)
+    return np.argmin(d2, axis=1), centers, iterations, float(np.min(d2, axis=1).sum())
 
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -179,13 +196,13 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8, seed: int = 0) 
     h, w = pan.geometry.height, pan.geometry.width
     features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
     features = _standardize(features)
-    assign, _ = _kmeans(features, k, seed)
+    assign, _, iterations, objective = _kmeans(features, k, seed)
     labels = _connected_segments(assign.reshape(h, w))
     n_segments = int(labels.max()) + 1
     counts = np.bincount(labels.ravel(), minlength=n_segments)
     records = segment_table(n_segments)
     records.pixel_count = counts
-    return SegmentMap(labels, records, pan.geometry)
+    return SegmentMap(labels, records, pan.geometry, iterations, objective)
 
 
 def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
@@ -228,10 +245,13 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     mp_std_px = mps.data.astype(np.float64).std(axis=0, ddof=0)
     mp_std = _segment_means(flat, mp_std_px.ravel(), counts)
 
-    class_idx = ms_class_map.data[0].astype(np.int64)
+    n_classes = len(CLASS_ORDER)
+    class_idx = ms_class_map.data[0].ravel().astype(np.int64)
+    if class_idx.min() < 0 or class_idx.max() >= n_classes:
+        raise SegmentationError("class map holds an index outside CLASS_ORDER")
     table = segmap.records
-    for ci in range(len(CLASS_ORDER)):
-        table.votes[:, ci] = np.bincount(flat[class_idx.ravel() == ci], minlength=n)
+    table.votes = np.bincount(flat * n_classes + class_idx,
+                              minlength=n * n_classes).reshape(n, n_classes)
     table.pixel_count = counts
     table.area_m2 = counts * r_pan * r_pan
     table.perimeter_px = perimeter

@@ -284,7 +284,7 @@ class TestMorphologyAndClustering:
             previous = None
             for max_iter in range(1, 13):
                 monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", max_iter)
-                assign, centers = segmentation._kmeans(features, 3, seed=trial)
+                assign, centers, _, _ = segmentation._kmeans(features, 3, seed=trial)
                 value = objective(features, assign, centers)
                 if previous is not None:
                     assert value <= previous + 1e-9

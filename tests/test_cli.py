@@ -6,6 +6,7 @@ import pytest
 
 from aquafuse import cli
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
+from aquafuse.raster import read_mask
 
 
 class TestConfig:
@@ -141,10 +142,37 @@ class TestPipelineArtifacts:
             assert (pipeline_dir / f"{stem}.hdr").exists(), stem
             assert (pipeline_dir / f"{stem}.bin").exists(), stem
         for name in ["scene.txt", "train_sites.txt", "classifier.txt", "t_pan.txt",
-                     "segment_table.npy"]:
+                     "kmeans.txt", "segment_table.npy"]:
             assert (pipeline_dir / name).exists(), name
         for stem in cli.PREDICTION_STEMS:
             assert (pipeline_dir / f"report_{stem}.txt").exists(), stem
+
+    def test_kmeans_summary(self, pipeline_dir):
+        fields = dict(line.split(" = ") for line in
+                      (pipeline_dir / "kmeans.txt").read_text().splitlines())
+        assert sorted(fields) == ["iterations", "objective", "segments"]
+        assert fields["iterations"] == "47"
+        assert fields["segments"] == "1281"
+        assert float(fields["objective"]) > 0.0
+
+    def test_map_without_water_reports_na(self, pipeline_dir, tmp_path):
+        """A threshold below every PAN value leaves pan_water empty: its UA is
+        n/a, and every report is still written."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        for stem in cli.PREDICTION_STEMS:
+            (out / f"report_{stem}.txt").unlink()
+        cfg = tmp_path / "dry.cfg"
+        cfg.write_text("t_pan = 0.0\n")
+        for step in ("segment", "evaluate"):
+            assert cli.main([step, "--config", str(cfg), "--out", str(out)]) == 0
+        assert not read_mask(out / "pan_water.hdr").bits.any()
+        last = (out / "report_pan_water.txt").read_text().splitlines()[-1]
+        assert last.startswith("pa=0.0,ua=n/a,oa=")
+        for stem in cli.PREDICTION_STEMS:
+            if stem != "pan_water":
+                assert (out / f"report_{stem}.txt").read_text() == \
+                    (pipeline_dir / f"report_{stem}.txt").read_text(), stem
 
     def test_step_by_step_matches_run_all(self, pipeline_dir, tmp_path):
         """run-all must be exactly the composition of the individual steps."""

@@ -100,10 +100,20 @@ class TestAccuracyMetrics:
         assert AccuracyReport(87.24999, 0.05, 50.0).rounded() == (87.2, 0.1, 50.0)
 
     def test_zero_denominators(self):
+        # no reference water: PA undefined; no predicted water: UA undefined
+        assert accuracy_metrics(ConfusionMatrix(np.array([[5, 0], [3, 0]]))).rounded() \
+            == (None, 0.0, 62.5)
+        assert accuracy_metrics(ConfusionMatrix(np.array([[5, 3], [0, 0]]))).rounded() \
+            == (0.0, None, 62.5)
         with pytest.raises(EvalError):
-            accuracy_metrics(ConfusionMatrix(np.array([[5, 0], [3, 0]])))
-        with pytest.raises(EvalError):
-            accuracy_metrics(ConfusionMatrix(np.array([[5, 3], [0, 0]])))
+            accuracy_metrics(ConfusionMatrix(np.zeros((2, 2), dtype=np.int64)))
+
+
+def test_format_report_undefined_accuracy():
+    m = ConfusionMatrix(np.array([[299, 2], [0, 0]], dtype=np.int64))
+    lines = format_report(m, title="dry").splitlines()
+    assert lines[-2] == "PA(water) = 0.0%   UA(water) = n/a   OA = 99.3%"
+    assert lines[-1] == "pa=0.0,ua=n/a,oa=99.3"
 
 
 def test_format_report_machine_line():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from aquafuse.raster import GridGeometry, RasterGrid
+from aquafuse import segmentation
+from aquafuse.raster import GridGeometry, RasterGrid, read_raster
 from aquafuse.segmentation import (
+    KMEANS_MAX_ITER,
+    KMEANS_TOL,
     SE_FAMILY,
     SegmentationError,
     SegmentMap,
@@ -25,6 +28,41 @@ def pan_raster(values, pixel_size=0.8):
     h, w = values.shape
     geom = GridGeometry(w, h, pixel_size, origin_y=h * pixel_size)
     return RasterGrid(geom, values[np.newaxis], ["pan"])
+
+
+def reference_kmeans(features, k, seed):
+    """Lloyd's k-means as first written: distances from four (n, k) arrays,
+    each centre the mean of a boolean-mask copy of its rows."""
+    n = features.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, features.shape[1]))
+    centers[0] = features[rng.integers(n)]
+    dist = np.sum((features - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        centers[i] = features[int(np.argmax(dist))]
+        dist = np.minimum(dist, np.sum((features - centers[i]) ** 2, axis=1))
+
+    for _ in range(KMEANS_MAX_ITER):
+        d2 = (np.sum(features ** 2, axis=1)[:, None]
+              - 2.0 * features @ centers.T
+              + np.sum(centers ** 2, axis=1)[None, :])
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        counts = np.bincount(assign, minlength=k)
+        for c in range(k):
+            if counts[c] == 0:
+                far = int(np.argmax(np.min(d2, axis=1)))
+                new_centers[c] = features[far]
+            else:
+                new_centers[c] = features[assign == c].mean(axis=0)
+        movement = np.max(np.abs(new_centers - centers))
+        centers = new_centers
+        if movement < KMEANS_TOL:
+            break
+    d2 = (np.sum(features ** 2, axis=1)[:, None]
+          - 2.0 * features @ centers.T
+          + np.sum(centers ** 2, axis=1)[None, :])
+    return np.argmin(d2, axis=1), centers
 
 
 def brute_morph(image, fp, anchor, op):
@@ -160,6 +198,55 @@ class TestKmeansSegment:
         assert firsts == sorted(firsts)
 
 
+def standardized_features(pan):
+    """The (pixels, 11) F-ordered feature matrix that kmeans_segment clusters."""
+    mps = morphological_profiles(pan)
+    h, w = pan.geometry.height, pan.geometry.width
+    features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
+    return segmentation._standardize(features)
+
+
+class TestKmeansOracle:
+    """_kmeans gives the reference's labels and centres bit for bit."""
+
+    def assert_matches_reference(self, features, k, seed):
+        assign, centers, iterations, objective = segmentation._kmeans(features, k, seed)
+        ref_assign, ref_centers = reference_kmeans(features, k, seed)
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(centers, ref_centers)
+        return assign, iterations, objective
+
+    @pytest.mark.parametrize("seed,segments,lloyd", [(0, 1281, 47), (1, 1831, 81)])
+    def test_fixture_scene(self, pipeline_dir, seed, segments, lloyd):
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        features = standardized_features(pan)
+        assert features.flags.f_contiguous
+        assign, iterations, objective = self.assert_matches_reference(features, 8, seed)
+        labels = segmentation._connected_segments(
+            assign.reshape(pan.geometry.height, pan.geometry.width))
+        assert int(labels.max()) + 1 == segments
+        assert iterations == lloyd
+        assert objective > 0.0
+
+    def test_single_cluster(self):
+        features = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 3)))
+        assign, iterations, objective = self.assert_matches_reference(features, 1, 0)
+        assert (assign == 0).all()
+        assert iterations == 2
+        assert objective == pytest.approx(
+            np.sum((features - features.mean(axis=0)) ** 2))
+
+    def test_empty_cluster_takes_farthest_point(self):
+        # three centres for two distinct points: one cluster is always empty,
+        # and rounding in the distances moves it off the point it sat on
+        points = np.random.default_rng(0).normal(size=(2, 2))
+        features = np.asfortranarray(points[[0, 0, 0, 1, 1]])
+        assign, iterations, objective = self.assert_matches_reference(features, 3, 0)
+        assert sorted(np.bincount(assign, minlength=3)) == [0, 2, 3]
+        assert iterations > 1
+        assert abs(objective) < 1e-12
+
+
 def constant_field(geom, value, name):
     return RasterGrid(geom, np.full((1, geom.height, geom.width), value,
                                     dtype=np.float32), [name])
@@ -187,6 +274,27 @@ class TestSegmentStats:
         assert stats.records[0].p_ms == pytest.approx(0.7)
         assert stats.records[0].p_lan == pytest.approx(0.2)
         assert stats.records.votes[0, CLASS_ORDER.index("water")] == 16
+
+    def test_votes_per_class(self):
+        labels = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int32)
+        segmap, geom = self._segmap_for(labels)
+        classes = np.array([[0, 3, 3], [1, 3, 1]], dtype=np.float32)
+        f = constant_field(geom, 0.0, "p")
+        stats = segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 3), np.float32)),
+                              f, f, RasterGrid(geom, classes[np.newaxis]))
+        expected = np.zeros((3, len(CLASS_ORDER)), dtype=np.int64)
+        for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
+            expected[segment, cls] += 1
+        assert np.array_equal(stats.records.votes, expected)
+
+    @pytest.mark.parametrize("bad", [-1.0, float(len(CLASS_ORDER))])
+    def test_class_index_out_of_range_rejected(self, bad):
+        labels = np.zeros((2, 2), dtype=np.int32)
+        segmap, geom = self._segmap_for(labels)
+        f = constant_field(geom, 0.0, "p")
+        with pytest.raises(SegmentationError):
+            segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 2), np.float32)),
+                          f, f, constant_field(geom, bad, "class_index"))
 
     def test_ribbon_hydraulic_diameter(self):
         labels = np.ones((7, 104), dtype=np.int32)
