@@ -31,5 +31,5 @@ for stem in cli.PREDICTION_STEMS:
 
 print("The fused map (pgm_water) beats every single-source map on overall")
 print("accuracy, and the post-classified map (water_final) improves the")
-print("user's accuracy further by removing shadow false alarms and unmixing")
-print("the water-land boundary.")
+print("user's accuracy further by clearing the water segments that the sun")
+print("geometry marks as shadow.")

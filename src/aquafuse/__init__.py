@@ -41,7 +41,7 @@ from .shadow import (
     tree_grass_split,
 )
 from .fusion import FusionParams, cpd_pm, cpd_w, decide, fuse_all_segments, fuse_pm, fuse_w, sigmoid
-from .postclass import PostClassParams, boundary_unmix, relabel_shadow_segments
+from .postclass import PostClassParams, relabel_shadow_segments
 from .evaluate import (
     AccuracyReport,
     ConfusionMatrix,

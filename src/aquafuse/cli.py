@@ -11,7 +11,7 @@ directory, so `run-all` is exactly the composition of the individual steps:
     segment      morphology, K-Means segments, per-segment statistics
     shadow       object kinds, potential shadow mask, shadow proportions
     fuse         per-segment probabilistic fusion -> PGM water map
-    postclass    shadow relabeling + boundary unmixing -> final map
+    postclass    shadow relabeling -> final map
     evaluate     stratified accuracy reports for every water map present
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 from .config import ConfigError, PipelineConfig, load_config, stage_params
 from .evaluate import EvalError, confusion_matrix, format_report, stratified_sample
 from .fusion import FusionError, fuse_all_segments
-from .postclass import PostClassError, boundary_unmix, relabel_shadow_segments
+from .postclass import PostClassError, relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      resample_nearest, write_raster)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
@@ -38,9 +38,9 @@ from .segmentation import (SegmentationError, SegmentTableError, kmeans_segment,
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
-from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
-                       landsat_water_index, load_classifier, otsu_threshold, pca_fuse,
-                       save_classifier)
+from .spectral import (CLASS_ORDER, ClassifierFileError, SpectralError, classify_probabilities,
+                       fit_classifier, landsat_water_index, load_classifier, otsu_threshold,
+                       pca_fuse, save_classifier)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,19 +89,26 @@ def _load_sites(out: Path):
     if not path.exists():
         raise ArtifactError(f"missing artifact {path} (run synth first)")
     sites = []
-    for line in path.read_text().splitlines():
-        line = line.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        cls, x, y = line.split()
-        sites.append((cls, float(x), float(y)))
+        try:
+            cls, x, y = line.split()
+            sites.append((cls, float(x), float(y)))
+        except ValueError:
+            raise ArtifactError(
+                f"{path} line {lineno}: expected 'class x y', got {raw!r}") from None
     return sites
 
 
 def _sample_spectra(raster: RasterGrid, sites):
     spectra, labels = [], []
+    geometry = raster.geometry
     for cls, x, y in sites:
-        row, col = raster.geometry.locate(x, y)
+        row, col = geometry.locate(x, y)
+        if not (-0.5 <= row < geometry.height - 0.5 and -0.5 <= col < geometry.width - 0.5):
+            raise ArtifactError(f"training site {cls} {x!r} {y!r} lies outside the raster")
         spectra.append(raster.data[:, int(row), int(col)])
         labels.append(cls)
     return np.array(spectra), np.array(labels)
@@ -254,13 +261,10 @@ def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
     if not (out / "pgm_water.hdr").exists():
         raise ArtifactError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
     segmap = _load_segments(out)
-    params = stage_params(cfg).postclass
-    relabeled = relabel_shadow_segments(segmap.records.water, segmap, params)
-    mask = segment_water_mask(segmap, relabeled)
-    ms = _load_raster(out, "ms")
-    ms_up = resample_nearest(ms, segmap.geometry)
-    final = boundary_unmix(mask, ms_up, params)
-    _write_mask(out, "water_final", final)
+    water = segmap.records.water
+    final = relabel_shadow_segments(water, segmap, stage_params(cfg).postclass)
+    (out / "postclass.txt").write_text(f"relabeled = {int((water & ~final).sum())}\n")
+    _write_mask(out, "water_final", segment_water_mask(segmap, final))
 
 
 PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
@@ -361,7 +365,8 @@ def main(argv=None) -> int:
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArtifactError, RasterError, SegmentTableError, OSError) as exc:
+    except (ArtifactError, RasterError, SegmentTableError, ClassifierFileError,
+            OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SpectralError, SegmentationError, ShadowError, FusionError,

@@ -56,9 +56,6 @@ class PipelineConfig:
 
     # post-classification
     shadow_relabel_threshold: float = 0.85
-    boundary_band_px: int = 4
-    unmix_window_px: int = 33
-    water_fraction_threshold: float = 0.5
 
     # evaluation (stratified sample sizes per validation class)
     eval_water: int = 300
@@ -87,12 +84,7 @@ def stage_params(cfg: PipelineConfig) -> StageParams:
                 sweep_step=cfg.sweep_step_m,
             ),
             FusionParams(n1=cfg.n1, n2=cfg.n2, decision_threshold=cfg.decision_threshold),
-            PostClassParams(
-                shadow_relabel_threshold=cfg.shadow_relabel_threshold,
-                boundary_band_px=cfg.boundary_band_px,
-                unmix_window_px=cfg.unmix_window_px,
-                water_fraction_threshold=cfg.water_fraction_threshold,
-            ),
+            PostClassParams(shadow_relabel_threshold=cfg.shadow_relabel_threshold),
         )
     except (ShadowError, FusionError, PostClassError) as exc:
         raise ConfigError(str(exc)) from exc

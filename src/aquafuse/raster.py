@@ -268,11 +268,14 @@ def resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     return RasterGrid(target, out, list(src.band_names), nodata)
 
 
-def _box_sums(values: np.ndarray, radius: int):
-    """Clipped-window box sums and in-bounds counts for every pixel."""
-    h, w = values.shape
+def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
+    """Mean of mask values in a centered window, clipped at image borders."""
+    if window < 1 or window % 2 == 0:
+        raise RasterError(f"window must be odd and >= 1, got {window}")
+    radius = window // 2
+    h, w = mask.bits.shape
     ii = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(values, axis=0), axis=1, out=ii[1:, 1:])
+    np.cumsum(np.cumsum(mask.bits, axis=0, dtype=np.float64), axis=1, out=ii[1:, 1:])
     r0 = np.clip(np.arange(h) - radius, 0, h)
     r1 = np.clip(np.arange(h) + radius + 1, 0, h)
     c0 = np.clip(np.arange(w) - radius, 0, w)
@@ -280,13 +283,5 @@ def _box_sums(values: np.ndarray, radius: int):
     sums = (ii[np.ix_(r1, c1)] - ii[np.ix_(r0, c1)]
             - ii[np.ix_(r1, c0)] + ii[np.ix_(r0, c0)])
     counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
-    return sums, counts
-
-
-def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
-    """Mean of mask values in a centered window, clipped at image borders."""
-    if window < 1 or window % 2 == 0:
-        raise RasterError(f"window must be odd and >= 1, got {window}")
-    sums, counts = _box_sums(mask.bits.astype(np.float64), window // 2)
     ratio = (sums / counts).astype(np.float32)
     return RasterGrid(mask.geometry, ratio[np.newaxis], ["ratio"])

@@ -111,10 +111,13 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
 
 
 def _standardize(features: np.ndarray) -> np.ndarray:
+    """Standardize the columns of ``features`` in place; returns it."""
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std == 0] = 1.0
-    return (features - mean) / std
+    features -= mean
+    features /= std
+    return features
 
 
 def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> np.ndarray:

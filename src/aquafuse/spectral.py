@@ -22,6 +22,10 @@ class SpectralError(Exception):
     pass
 
 
+class ClassifierFileError(Exception):
+    """A classifier file with a missing or malformed entry."""
+
+
 def class_sort_key(label):
     """Fixed ordering: the canonical classes first, then alphabetical."""
     try:
@@ -189,6 +193,7 @@ def save_classifier(model: ClassifierModel, path) -> None:
 
 
 def load_classifier(path) -> ClassifierModel:
+    """Read a model written by :func:`save_classifier`."""
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -205,7 +210,9 @@ def load_classifier(path) -> ClassifierModel:
         ]).reshape(len(classes), d, d)
         priors = np.array([float(entries[f"prior {c}"]) for c in classes])
     except KeyError as exc:
-        raise SpectralError(f"classifier file {path} misses {exc}") from exc
+        raise ClassifierFileError(f"classifier file {path} misses {exc}") from exc
+    except ValueError as exc:
+        raise ClassifierFileError(f"classifier file {path} is malformed: {exc}") from exc
     return ClassifierModel(classes, means, covs, priors)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 import aquafuse.segmentation as segmentation
 from aquafuse import cli
+from aquafuse.config import PipelineConfig
 from aquafuse.evaluate import ConfusionMatrix, accuracy_metrics
 from aquafuse.fusion import FusionParams, cpd_pm, cpd_w, fuse_pm, fuse_w
 from aquafuse.raster import GridGeometry, RasterGrid, read_mask, read_raster, write_raster
@@ -205,6 +206,25 @@ class TestAccuracyOrdering:
         after = report_metrics(pipeline_dir, "water_final")
         assert after["ua"] > before["ua"]
         assert after["pa"] >= before["pa"]
+
+    def test_final_map_is_fused_map_without_shadowed_segments(self, tmp_path):
+        """On a 40 m lake, post-classification clears exactly the water
+        segments whose shadow share exceeds the relabel threshold."""
+        text = cli.DEFAULT_SCENE_TEXT
+        assert "feature lake rect 48 121.6 144 217.6\n" in text
+        scene = tmp_path / "scene.txt"
+        scene.write_text(text.replace("feature lake rect 48 121.6 144 217.6\n",
+                                      "feature lake rect 48 121.6 88 217.6\n"))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        out = tmp_path / "out"
+        assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
+        segmap, _, _ = load_pipeline(out)
+        shadowed = segmap.records.p_shadow > PipelineConfig().shadow_relabel_threshold
+        pgm = read_mask(out / "pgm_water.hdr").bits.astype(bool)
+        final = read_mask(out / "water_final.hdr").bits.astype(bool)
+        assert shadowed[segmap.labels][pgm].any()
+        assert np.array_equal(final, pgm & ~shadowed[segmap.labels])
 
 
 class TestShadowGeometryCoverage:

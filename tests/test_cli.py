@@ -1,4 +1,5 @@
 import filecmp
+import re
 import shutil
 
 import numpy as np
@@ -115,6 +116,10 @@ class TestExitCodes:
         "sun_azimuth_deg = 120",
         "r_ms = 3.2",
         "r_l = 30",
+        # removed with boundary unmixing
+        "boundary_band_px = 4",
+        "unmix_window_px = 33",
+        "water_fraction_threshold = 0.5",
     ])
     def test_rejected_config_value_stops_before_any_stage(self, tmp_path, line):
         cfg = tmp_path / "p.cfg"
@@ -142,7 +147,7 @@ class TestPipelineArtifacts:
             assert (pipeline_dir / f"{stem}.hdr").exists(), stem
             assert (pipeline_dir / f"{stem}.bin").exists(), stem
         for name in ["scene.txt", "train_sites.txt", "classifier.txt", "t_pan.txt",
-                     "kmeans.txt", "segment_table.npy"]:
+                     "kmeans.txt", "segment_table.npy", "postclass.txt"]:
             assert (pipeline_dir / name).exists(), name
         for stem in cli.PREDICTION_STEMS:
             assert (pipeline_dir / f"report_{stem}.txt").exists(), stem
@@ -154,6 +159,9 @@ class TestPipelineArtifacts:
         assert fields["iterations"] == "47"
         assert fields["segments"] == "1281"
         assert float(fields["objective"]) > 0.0
+
+    def test_postclass_summary(self, pipeline_dir):
+        assert (pipeline_dir / "postclass.txt").read_text() == "relabeled = 7\n"
 
     def test_map_without_water_reports_na(self, pipeline_dir, tmp_path):
         """A threshold below every PAN value leaves pan_water empty: its UA is
@@ -220,6 +228,19 @@ class TestPipelineArtifacts:
             path.write_bytes(path.read_bytes()[:-100])
         else:
             np.save(path, np.load(path)["w"])
+        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("stage,name,damage", [
+        ("classify-ms", "classifier.txt",
+         lambda text: re.sub(r"(?m)^mean water = .*$", "mean water = abc", text)),
+        ("train", "train_sites.txt", lambda text: text + "water 1.0\n"),
+        ("train", "train_sites.txt", lambda text: text + "water 1000.0 1000.0\n"),
+    ], ids=["classifier-bad-value", "sites-short-line", "sites-outside-raster"])
+    def test_damaged_text_artifact_is_io_error(self, pipeline_dir, tmp_path, stage, name, damage):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        path = out / name
+        path.write_text(damage(path.read_text()))
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
 
     def test_reports_have_machine_line(self, pipeline_dir):
