@@ -204,7 +204,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
                 BinaryMask(pan.geometry, (pan.data[0] < t_pan).astype(np.uint8)))
 
     mps = morphological_profiles(pan)
-    segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k, seed=cfg.seed)
+    segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k)
     (out / "kmeans.txt").write_text(
         f"iterations = {segmap.kmeans_iterations}\n"
         f"objective = {segmap.kmeans_objective!r}\n"

@@ -31,7 +31,7 @@ class PipelineConfig:
 
     # scene / orchestration
     scene: str = ""                 # scene description file; "" = bundled default
-    seed: int = 0                   # segmentation + validation sampling seed
+    seed: int = 0                   # validation sampling seed
 
     # segmentation
     kmeans_k: int = 8

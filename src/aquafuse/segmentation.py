@@ -22,6 +22,7 @@ SE_FAMILY = (
 
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 100
+KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
 
 
 class SegmentationError(Exception):
@@ -131,22 +132,27 @@ def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> 
     return d2
 
 
-def _kmeans(features: np.ndarray, k: int, seed: int):
-    """Lloyd's k-means from farthest-point seeds.
+def _farthest_point_centers(sample: np.ndarray, k: int) -> np.ndarray:
+    """``k`` rows of ``sample``: first the row farthest from the mean, then
+    each time the row farthest from every centre picked so far."""
+    centers = np.empty((k, sample.shape[1]))
+    centers[0] = sample[int(np.argmax(np.sum((sample - sample.mean(axis=0)) ** 2, axis=1)))]
+    dist = np.sum((sample - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        centers[i] = sample[int(np.argmax(dist))]
+        dist = np.minimum(dist, np.sum((sample - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def _lloyd(features: np.ndarray, centers: np.ndarray):
+    """Lloyd's k-means from ``centers``, until no centre coordinate moves by
+    KMEANS_TOL or more, for at most KMEANS_MAX_ITER passes.
 
     Returns ``(assign, centers, iterations, objective)``: the objective is the
     sum of the squared distances of every row to its nearest final centre.
     ``features`` should be F-contiguous, so that each column is contiguous.
     """
-    n, dims = features.shape
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, dims))
-    centers[0] = features[rng.integers(n)]
-    dist = np.sum((features - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        centers[i] = features[int(np.argmax(dist))]
-        dist = np.minimum(dist, np.sum((features - centers[i]) ** 2, axis=1))
-
+    k, dims = centers.shape
     f2 = np.sum(features ** 2, axis=1)
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         d2 = _sq_distances(features, f2, centers)
@@ -159,12 +165,27 @@ def _kmeans(features: np.ndarray, k: int, seed: int):
         empty = counts == 0
         if empty.any():
             new_centers[empty] = features[int(np.argmax(np.min(d2, axis=1)))]
+        del d2  # so that the next pass's (n, k) distances do not overlap it
         movement = np.max(np.abs(new_centers - centers))
         centers = new_centers
         if movement < KMEANS_TOL:
             break
     d2 = _sq_distances(features, f2, centers)
     return np.argmin(d2, axis=1), centers, iterations, float(np.min(d2, axis=1).sum())
+
+
+def _kmeans(features: np.ndarray, k: int):
+    """k-means that depends on ``features`` alone: Lloyd on every
+    KMEANS_SUBSAMPLE-th row from farthest-point centres, then Lloyd on all
+    rows from the centres that reaches.  A subsample of fewer than ``k`` rows
+    is replaced by all rows.  Returns what ``_lloyd`` returns for the full
+    pass, so ``iterations`` counts full-data passes."""
+    sample = features[::KMEANS_SUBSAMPLE]
+    if len(sample) < k:
+        sample = features
+    sample = np.asfortranarray(sample)
+    _, centers, _, _ = _lloyd(sample, _farthest_point_centers(sample, k))
+    return _lloyd(features, centers)
 
 
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
@@ -189,9 +210,9 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
     return remap[flat].reshape(h, w)
 
 
-def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8, seed: int = 0) -> SegmentMap:
+def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8) -> SegmentMap:
     """Cluster (PAN, MPs) feature vectors and split clusters into 4-connected
-    segments.  Deterministic for a fixed seed."""
+    segments.  The result depends on the images alone."""
     if pan.geometry != mps.geometry:
         raise SegmentationError("PAN and profile rasters must share one grid")
     if k < 1:
@@ -199,7 +220,7 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8, seed: int = 0) 
     h, w = pan.geometry.height, pan.geometry.width
     features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
     features = _standardize(features)
-    assign, _, iterations, objective = _kmeans(features, k, seed)
+    assign, _, iterations, objective = _kmeans(features, k)
     labels = _connected_segments(assign.reshape(h, w))
     n_segments = int(labels.max()) + 1
     counts = np.bincount(labels.ravel(), minlength=n_segments)

@@ -156,7 +156,7 @@ class TestPipelineArtifacts:
         fields = dict(line.split(" = ") for line in
                       (pipeline_dir / "kmeans.txt").read_text().splitlines())
         assert sorted(fields) == ["iterations", "objective", "segments"]
-        assert fields["iterations"] == "47"
+        assert fields["iterations"] == "18"
         assert fields["segments"] == "1281"
         assert float(fields["objective"]) > 0.0
 

@@ -5,6 +5,7 @@ from aquafuse import segmentation
 from aquafuse.raster import GridGeometry, RasterGrid, read_raster
 from aquafuse.segmentation import (
     KMEANS_MAX_ITER,
+    KMEANS_SUBSAMPLE,
     KMEANS_TOL,
     SE_FAMILY,
     SegmentationError,
@@ -30,18 +31,10 @@ def pan_raster(values, pixel_size=0.8):
     return RasterGrid(geom, values[np.newaxis], ["pan"])
 
 
-def reference_kmeans(features, k, seed):
-    """Lloyd's k-means as first written: distances from four (n, k) arrays,
-    each centre the mean of a boolean-mask copy of its rows."""
-    n = features.shape[0]
-    rng = np.random.default_rng(seed)
-    centers = np.empty((k, features.shape[1]))
-    centers[0] = features[rng.integers(n)]
-    dist = np.sum((features - centers[0]) ** 2, axis=1)
-    for i in range(1, k):
-        centers[i] = features[int(np.argmax(dist))]
-        dist = np.minimum(dist, np.sum((features - centers[i]) ** 2, axis=1))
-
+def reference_lloyd(features, centers):
+    """Lloyd's k-means from ``centers`` as first written: distances from four
+    (n, k) arrays, each centre the mean of a boolean-mask copy of its rows."""
+    k = len(centers)
     for _ in range(KMEANS_MAX_ITER):
         d2 = (np.sum(features ** 2, axis=1)[:, None]
               - 2.0 * features @ centers.T
@@ -63,6 +56,21 @@ def reference_kmeans(features, k, seed):
           - 2.0 * features @ centers.T
           + np.sum(centers ** 2, axis=1)[None, :])
     return np.argmin(d2, axis=1), centers
+
+
+def reference_kmeans(features, k):
+    """The two-step k-means written out: farthest-point centres on every
+    KMEANS_SUBSAMPLE-th row (all rows if that leaves fewer than k), starting
+    from the row farthest from the mean; Lloyd there; Lloyd on all rows."""
+    sample = features[::KMEANS_SUBSAMPLE]
+    if len(sample) < k:
+        sample = features
+    picked = [int(np.argmax(np.sum((sample - sample.mean(axis=0)) ** 2, axis=1)))]
+    while len(picked) < k:
+        dist = np.min([np.sum((sample - sample[i]) ** 2, axis=1) for i in picked], axis=0)
+        picked.append(int(np.argmax(dist)))
+    _, centers = reference_lloyd(sample, sample[picked])
+    return reference_lloyd(features, centers)
 
 
 def brute_morph(image, fp, anchor, op):
@@ -144,7 +152,7 @@ class TestKmeansSegment:
     def test_single_cluster(self):
         pan = pan_raster(np.random.default_rng(0).random((8, 8)))
         mps = morphological_profiles(pan)
-        segmap = kmeans_segment(pan, mps, k=1, seed=0)
+        segmap = kmeans_segment(pan, mps, k=1)
         assert segmap.count == 1
         assert (segmap.labels == 0).all()
 
@@ -154,7 +162,7 @@ class TestKmeansSegment:
         img[:8, :8], img[:8, 8:], img[8:, :8], img[8:, 8:] = 0.0, 10.0, 20.0, 30.0
         pan = pan_raster(img)
         mps = morphological_profiles(pan)
-        segmap = kmeans_segment(pan, mps, k=4, seed=1)
+        segmap = kmeans_segment(pan, mps, k=4)
         labels = segmap.labels
         for block in (labels[:8, :8], labels[:8, 8:], labels[8:, :8], labels[8:, 8:]):
             assert np.unique(block).size == 1
@@ -166,24 +174,24 @@ class TestKmeansSegment:
         img[6:8, 6:8] = 5.0
         pan = pan_raster(img)
         mps = morphological_profiles(pan)
-        segmap = kmeans_segment(pan, mps, k=2, seed=0)
+        segmap = kmeans_segment(pan, mps, k=2)
         a = segmap.labels[1, 1]
         b = segmap.labels[6, 6]
         assert a != b
 
-    def test_deterministic_for_seed(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(2)
         pan = pan_raster(rng.random((12, 12)))
         mps = morphological_profiles(pan)
-        a = kmeans_segment(pan, mps, k=3, seed=7)
-        b = kmeans_segment(pan, mps, k=3, seed=7)
+        a = kmeans_segment(pan, mps, k=3)
+        b = kmeans_segment(pan, mps, k=3)
         assert np.array_equal(a.labels, b.labels)
 
     def test_partition_completeness(self):
         rng = np.random.default_rng(3)
         pan = pan_raster(rng.random((10, 14)))
         mps = morphological_profiles(pan)
-        segmap = kmeans_segment(pan, mps, k=5, seed=0)
+        segmap = kmeans_segment(pan, mps, k=5)
         counts = np.bincount(segmap.labels.ravel(), minlength=segmap.count)
         assert counts.sum() == 10 * 14
         assert np.array_equal(segmap.records.pixel_count, counts)
@@ -192,7 +200,7 @@ class TestKmeansSegment:
         rng = np.random.default_rng(4)
         pan = pan_raster(rng.random((10, 10)))
         mps = morphological_profiles(pan)
-        segmap = kmeans_segment(pan, mps, k=4, seed=5)
+        segmap = kmeans_segment(pan, mps, k=4)
         firsts = [np.flatnonzero(segmap.labels.ravel() == s)[0]
                   for s in range(segmap.count)]
         assert firsts == sorted(firsts)
@@ -209,42 +217,65 @@ def standardized_features(pan):
 class TestKmeansOracle:
     """_kmeans gives the reference's labels and centres bit for bit."""
 
-    def assert_matches_reference(self, features, k, seed):
-        assign, centers, iterations, objective = segmentation._kmeans(features, k, seed)
-        ref_assign, ref_centers = reference_kmeans(features, k, seed)
+    def assert_matches_reference(self, features, k):
+        assign, centers, iterations, objective = segmentation._kmeans(features, k)
+        ref_assign, ref_centers = reference_kmeans(features, k)
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(centers, ref_centers)
-        return assign, iterations, objective
+        return assign, centers, iterations, objective
 
-    @pytest.mark.parametrize("seed,segments,lloyd", [(0, 1281, 47), (1, 1831, 81)])
-    def test_fixture_scene(self, pipeline_dir, seed, segments, lloyd):
+    def test_fixture_scene(self, pipeline_dir):
         pan = read_raster(pipeline_dir / "pan.hdr")
         features = standardized_features(pan)
         assert features.flags.f_contiguous
-        assign, iterations, objective = self.assert_matches_reference(features, 8, seed)
+        assign, _, iterations, objective = self.assert_matches_reference(features, 8)
         labels = segmentation._connected_segments(
             assign.reshape(pan.geometry.height, pan.geometry.width))
-        assert int(labels.max()) + 1 == segments
-        assert iterations == lloyd
-        assert objective > 0.0
+        assert int(labels.max()) + 1 == 1281
+        assert iterations == 18
+        assert objective == pytest.approx(14719.7455, abs=1e-4)
 
     def test_single_cluster(self):
         features = np.asfortranarray(np.random.default_rng(0).normal(size=(50, 3)))
-        assign, iterations, objective = self.assert_matches_reference(features, 1, 0)
+        assign, _, iterations, objective = self.assert_matches_reference(features, 1)
         assert (assign == 0).all()
         assert iterations == 2
         assert objective == pytest.approx(
             np.sum((features - features.mean(axis=0)) ** 2))
 
     def test_empty_cluster_takes_farthest_point(self):
-        # three centres for two distinct points: one cluster is always empty,
-        # and rounding in the distances moves it off the point it sat on
+        # three centres for two distinct points: the farthest-point start
+        # repeats one, so one cluster is always empty, and rounding in the
+        # distances moves it off the point it sat on
         points = np.random.default_rng(0).normal(size=(2, 2))
         features = np.asfortranarray(points[[0, 0, 0, 1, 1]])
-        assign, iterations, objective = self.assert_matches_reference(features, 3, 0)
+        start = segmentation._farthest_point_centers(features, 3)
+        assert len(np.unique(start, axis=0)) == 2
+        assign, centers, iterations, objective = segmentation._lloyd(features, start)
+        ref_assign, ref_centers = reference_lloyd(features, start)
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(centers, ref_centers)
         assert sorted(np.bincount(assign, minlength=3)) == [0, 2, 3]
         assert iterations > 1
         assert abs(objective) < 1e-12
+        self.assert_matches_reference(features, 3)
+
+    @pytest.mark.parametrize("shape,k", [((8, 8), 8), ((5, 1), 3)],
+                             ids=["8x8-k8", "5x1-k3"])
+    def test_small_input_seeds_on_all_rows(self, shape, k):
+        """A subsample of fewer than k rows would repeat start centres; the
+        start is then taken from every row, so it has k distinct rows."""
+        pan = pan_raster(np.random.default_rng(5).random(shape))
+        features = standardized_features(pan)
+        assert len(features[::KMEANS_SUBSAMPLE]) < k
+        start = segmentation._farthest_point_centers(features, k)
+        assert len(np.unique(start, axis=0)) == k
+        _, seeded, _, _ = segmentation._lloyd(features, start)
+        assign, centers, iterations, _ = self.assert_matches_reference(features, k)
+        assert np.array_equal(centers, seeded)
+        assert iterations == 1
+        assert np.unique(assign).size == k
+        assert kmeans_segment(pan, morphological_profiles(pan), k=k).kmeans_iterations == 1
 
 
 def constant_field(geom, value, name):
