@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, load_config, stage_params
+from .config import ConfigError, PipelineConfig, format_config, load_config, stage_params
 from .evaluate import EvalError, confusion_matrix, format_report, stratified_sample
-from .fusion import FusionError, fuse_all_segments
+from .fusion import FusionError, fuse_all_segments, landsat_active
 from .postclass import PostClassError, relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      resample_nearest, write_raster)
@@ -252,6 +252,9 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
     segmap = _load_segments(out)
     table = segmap.records
     table.p_w, table.water = fuse_all_segments(segmap, params)
+    (out / "fuse.txt").write_text(
+        f"landsat_active = {int(landsat_active(table.w, params).sum())}\n"
+        f"water_segments = {int(table.water.sum())}\n")
     save_segment_stats(segmap, out / SEGMENT_TABLE)
     _write(out, "pgm_prob", paint_segments(segmap, table.p_w, band_name="p_water"))
     _write_mask(out, "pgm_water", segment_water_mask(segmap, table.water))
@@ -354,6 +357,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        (out / "config.txt").write_text(format_config(cfg))
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

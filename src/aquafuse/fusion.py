@@ -80,10 +80,16 @@ def fuse_pm(p_pan, p_ms, w, p_shadow, params: FusionParams):
     return _marginal(p_pan, p_ms, s)
 
 
+def landsat_active(w, params: FusionParams):
+    """Whether the Landsat branch speaks for a segment of size ``w`` meters:
+    only at or above the Landsat detectability scale ``n2 * r_l``."""
+    return np.asarray(w) >= params.n2 * params.r_l
+
+
 def fuse_w(p_pm, p_lan, w, params: FusionParams):
     """Marginal water probability of the final stage (``cpd_w`` summed out)."""
     scale = params.n2 * params.r_l
-    s = np.where(np.asarray(w) >= scale, sigmoid(w / scale), 0.0)[()]
+    s = np.where(landsat_active(w, params), sigmoid(w / scale), 0.0)[()]
     return _marginal(p_pm, p_lan, s)
 
 

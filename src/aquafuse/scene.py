@@ -5,11 +5,11 @@ fields on a grass/soil background) into co-registered PAN, MS and multi-date
 Landsat rasters plus ground-truth masks.  The geometry is painted, and the
 sun's shadows cast, on a 0.1 m supersample grid.  One pass then counts the
 supersamples of each (surface class, lit/shadow) pair per cell.  Cells are
-cut at every multiple of 0.4 m, the largest step that divides the 0.8, 3.2
-and 30 m pixels, and of every texture cell, so a class's texture brightness
-is constant inside a cell.  A pixel is the mean of its supersamples'
-reflectances: the sum over its cells and pairs of count times the float32
-reflectance, divided by its supersample count.
+cut at every edge of a 0.8, 3.2 or 30 m sensor pixel and of a texture cell,
+so every sensor pixel is a block of whole cells and a class's texture
+brightness is constant inside a cell.  A pixel is the mean of its
+supersamples' reflectances: the sum over its cells and pairs of count times
+the float32 reflectance, divided by its supersample count.
 
 Those sums are exact.  Each term is a whole multiple of one power of two (the
 last-place unit of the band's smallest float32 reflectance), and a 30 m
@@ -404,11 +404,13 @@ def _texture_factor(cell_m: float) -> int:
 
 def _cell_edges(spec: SceneSpec, n: int) -> np.ndarray:
     """Cell boundaries along an axis of ``n`` supersamples, 0 and ``n``
-    included.  Cells are cut at every multiple of the sensor pixels' common
-    divisor and of each texture cell, so every sensor pixel is a block of
-    whole cells and every class's texture is constant inside a cell."""
-    sides = [int(round(p / SUPERSAMPLE_M)) for p in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M)]
-    steps = {math.gcd(*sides)} | {_texture_factor(c) for _, c in spec.textures.values()}
+    included.  Cells are cut at every multiple of each sensor pixel and of
+    each texture cell, so every sensor pixel is a block of whole cells and
+    every class's texture is constant inside a cell.  The PAN pixel's edges
+    make every cell at most 8 supersamples wide, so a cell holds at most 64
+    supersamples and its counts fit ``uint8``."""
+    sides = {int(round(p / SUPERSAMPLE_M)) for p in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M)}
+    steps = sides | {_texture_factor(c) for _, c in spec.textures.values()}
     return np.unique(np.concatenate([np.arange(0, n + 1, s) for s in steps]))
 
 
@@ -423,14 +425,15 @@ def _count_pairs(classes: np.ndarray, shadow: np.ndarray, edges) -> np.ndarray:
     row_cell = np.searchsorted(row_edges, np.arange(h), side="right") - 1
     col_cell = np.searchsorted(col_edges, np.arange(w), side="right") - 1
     wc = col_edges.size - 1
+    col_part = col_cell * N_PAIRS
     counts = np.empty((N_PAIRS, row_edges.size - 1, wc), dtype=np.uint8)
     strip = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # starts on a cell edge
     for r in range(0, h, strip):
         cells = row_cell[r:r + strip]
-        index = ((cells - cells[0])[:, np.newaxis] * wc + col_cell) * N_PAIRS
-        pairs = 2 * classes[r:r + strip] + shadow[r:r + strip]
-        n = np.bincount((index + pairs).ravel(),
-                        minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
+        index = ((cells - cells[0]) * (wc * N_PAIRS))[:, np.newaxis] + col_part
+        index += 2 * classes[r:r + strip]
+        index += shadow[r:r + strip]
+        n = np.bincount(index.ravel(), minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
         counts[:, cells[0]:cells[-1] + 1] = n.reshape(-1, wc, N_PAIRS).transpose(2, 0, 1)
     return counts
 

@@ -146,8 +146,9 @@ class TestPipelineArtifacts:
         for stem in stems:
             assert (pipeline_dir / f"{stem}.hdr").exists(), stem
             assert (pipeline_dir / f"{stem}.bin").exists(), stem
-        for name in ["scene.txt", "train_sites.txt", "classifier.txt", "t_pan.txt",
-                     "kmeans.txt", "segment_table.npy", "postclass.txt"]:
+        for name in ["config.txt", "scene.txt", "train_sites.txt", "classifier.txt",
+                     "t_pan.txt", "kmeans.txt", "segment_table.npy", "fuse.txt",
+                     "postclass.txt"]:
             assert (pipeline_dir / name).exists(), name
         for stem in cli.PREDICTION_STEMS:
             assert (pipeline_dir / f"report_{stem}.txt").exists(), stem
@@ -160,8 +161,24 @@ class TestPipelineArtifacts:
         assert fields["segments"] == "1281"
         assert float(fields["objective"]) > 0.0
 
+    def test_fuse_summary(self, pipeline_dir):
+        assert (pipeline_dir / "fuse.txt").read_text() == (
+            "landsat_active = 3\nwater_segments = 27\n")
+
     def test_postclass_summary(self, pipeline_dir):
         assert (pipeline_dir / "postclass.txt").read_text() == "relabeled = 7\n"
+
+    def test_effective_config_written(self, pipeline_dir, tmp_path):
+        """config.txt holds the config a command ran with, --seed applied."""
+        assert parse_config((pipeline_dir / "config.txt").read_text()) == PipelineConfig()
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("seed = 5\nt_pan = 0.11\nkmeans_k = 6\n")
+        assert cli.main(["evaluate", "--config", str(cfg), "--seed", "9",
+                         "--out", str(out)]) == 0
+        assert parse_config((out / "config.txt").read_text()) == PipelineConfig(
+            seed=9, t_pan=0.11, kmeans_k=6)
 
     def test_map_without_water_reports_na(self, pipeline_dir, tmp_path):
         """A threshold below every PAN value leaves pan_water empty: its UA is

@@ -22,6 +22,7 @@ from aquafuse.scene import (
     SceneBundle,
     SceneError,
     SceneSpec,
+    _cell_edges,
     _feature_mask,
     _pick_train_sites,
     _supersample_axes,
@@ -433,9 +434,10 @@ EQUIVALENCE_SCENES = {
     "simple": SIMPLE_SCENE,
     "sun_35_120": SIMPLE_SCENE.replace("sun 45 180", "sun 35 120"),
     "sun_90_0": SIMPLE_SCENE.replace("sun 45 180", "sun 90 0"),
-    # 0.5 m tree cells do not tile the 0.4 m cell grid; a poly building and a
-    # slanted river ride along so that every shape is rendered, and a field
-    # whose edges halve PAN pixels makes class-majority ties
+    # 0.5 m tree cells do not nest in the 0.8 m PAN grid, so cells of 1 to 5
+    # supersamples appear; a poly building and a slanted river ride along so
+    # that every shape is rendered, and a field whose edges halve PAN pixels
+    # makes class-majority ties
     "texture_0.5m": SIMPLE_SCENE + "\n" + "\n".join([
         "texture grass 0.08 3.2",
         "texture tree 0.22 0.5",
@@ -446,7 +448,22 @@ EQUIVALENCE_SCENES = {
     ]),
     "noise_landsat": SIMPLE_SCENE.replace("noise landsat 0", "noise landsat 0.01")
                                  .replace("noise ms 0", "noise ms 0.03"),
+    # 3.0 m grass cells divide neither the 0.8 m nor the 3.2 m pixel
+    "texture_3.0m": SIMPLE_SCENE + "\ntexture grass 0.08 3.0",
 }
+
+
+def test_cells_cut_only_at_pixel_and_texture_edges():
+    """The default scene's textures (0.8 and 3.2 m) nest in the PAN grid, so
+    an axis of 2400 supersamples has the PAN grid's 301 edges plus the four
+    30 m edges (30, 90, 150 and 210 m) that halve a PAN pixel.  No cell is
+    wider than a PAN pixel, so its uint8 counts hold at most 64."""
+    edges = _cell_edges(default_scene(), 2400)
+    assert edges.size == 305
+    assert np.array_equal(edges[edges % 8 != 0], [300, 900, 1500, 2100])
+    side = round(PAN_PIXEL_M / SUPERSAMPLE_M)
+    for text in [DEFAULT_SCENE_TEXT, *EQUIVALENCE_SCENES.values()]:
+        assert np.diff(_cell_edges(parse_scene(text), 2400)).max() <= side
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SCENES))
