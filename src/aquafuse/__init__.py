@@ -40,7 +40,7 @@ from .shadow import (
     segment_shadow_proportion,
     tree_grass_split,
 )
-from .fusion import FusionParams, cpd_pm, cpd_w, decide, fuse_all_segments, fuse_pm, fuse_w, sigmoid
+from .fusion import FusionParams, decide, fuse_all_segments, fuse_pm, fuse_w, sigmoid
 from .postclass import PostClassParams, relabel_shadow_segments
 from .evaluate import (
     AccuracyReport,

@@ -29,18 +29,17 @@ from .evaluate import EvalError, confusion_matrix, format_report, stratified_sam
 from .fusion import FusionError, fuse_all_segments, landsat_active
 from .postclass import PostClassError, relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
-                     resample_nearest, write_raster)
+                     read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
-from .segmentation import (SegmentationError, SegmentTableError, kmeans_segment,
-                           load_segment_stats, morphological_profiles, pan_water_probability,
-                           paint_segments, save_segment_stats, segment_stats,
-                           segment_water_mask)
+from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats,
+                           morphological_profiles, pan_water_probability, paint_segments,
+                           save_segment_stats, segment_stats, segment_water_mask)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
-from .spectral import (CLASS_ORDER, ClassifierFileError, SpectralError, classify_probabilities,
-                       fit_classifier, landsat_water_index, load_classifier, otsu_threshold,
-                       pca_fuse, save_classifier)
+from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
+                       landsat_water_index, load_classifier, otsu_threshold, pca_fuse,
+                       save_classifier)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,34 +83,28 @@ def _landsat_stems(out: Path):
     return stems
 
 
+# one row per training site: its stratum and map coordinates (m)
+SITE_DTYPE = np.dtype([("cls", "<U10"), ("x", "<f8"), ("y", "<f8")])
+
+
 def _load_sites(out: Path):
-    path = out / "train_sites.txt"
+    path = out / "train_sites.npy"
     if not path.exists():
         raise ArtifactError(f"missing artifact {path} (run synth first)")
-    sites = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            cls, x, y = line.split()
-            sites.append((cls, float(x), float(y)))
-        except ValueError:
-            raise ArtifactError(
-                f"{path} line {lineno}: expected 'class x y', got {raw!r}") from None
-    return sites
+    return read_table(path, SITE_DTYPE)
 
 
 def _sample_spectra(raster: RasterGrid, sites):
-    spectra, labels = [], []
+    """(n, bands) spectra of the pixels under the sites, and their labels."""
     geometry = raster.geometry
-    for cls, x, y in sites:
-        row, col = geometry.locate(x, y)
-        if not (-0.5 <= row < geometry.height - 0.5 and -0.5 <= col < geometry.width - 0.5):
-            raise ArtifactError(f"training site {cls} {x!r} {y!r} lies outside the raster")
-        spectra.append(raster.data[:, int(row), int(col)])
-        labels.append(cls)
-    return np.array(spectra), np.array(labels)
+    row, col = geometry.locate(sites["x"], sites["y"])
+    outside = ~((-0.5 <= row) & (row < geometry.height - 0.5)
+                & (-0.5 <= col) & (col < geometry.width - 0.5))
+    if outside.any():
+        cls, x, y = sites[np.argmax(outside)].tolist()
+        raise ArtifactError(f"training site {cls} {x!r} {y!r} lies outside the raster")
+    spectra = raster.data[:, row.astype(int), col.astype(int)].T
+    return np.ascontiguousarray(spectra), sites["cls"]
 
 
 SEGMENT_TABLE = "segment_table.npy"
@@ -144,20 +137,19 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     _write_mask(out, "truth", bundle.truth)
     _write(out, "class_truth", bundle.class_truth)
     _write_mask(out, "shadow_truth", bundle.shadow_truth)
-    lines = [f"{cls} {x!r} {y!r}" for cls, x, y in bundle.train_sites]
-    (out / "train_sites.txt").write_text("\n".join(lines) + "\n")
+    write_table(np.array(bundle.train_sites, dtype=SITE_DTYPE), out / "train_sites.npy")
 
 
 def cmd_train(cfg: PipelineConfig, out: Path) -> None:
     ms = _load_raster(out, "ms")
     spectra, labels = _sample_spectra(ms, _load_sites(out))
     model = fit_classifier(spectra, labels)
-    save_classifier(model, out / "classifier.txt")
+    save_classifier(model, out / "classifier.npy")
 
 
 def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
     ms = _load_raster(out, "ms")
-    model = load_classifier(out / "classifier.txt")
+    model = load_classifier(out / "classifier.npy", ms.bands)
     probs, class_map = classify_probabilities(model, ms)
     _write(out, "ms_prob", probs)
     _write(out, "ms_class", class_map)
@@ -369,8 +361,7 @@ def main(argv=None) -> int:
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArtifactError, RasterError, SegmentTableError, ClassifierFileError,
-            OSError) as exc:
+    except (ArtifactError, RasterError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SpectralError, SegmentationError, ShadowError, FusionError,

@@ -14,11 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WATER = True
-NON_WATER = False
-STATES = (NON_WATER, WATER)
-
-
 class FusionError(Exception):
     pass
 
@@ -47,25 +42,6 @@ def sigmoid(t):
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
 
 
-def cpd_pm(pm, pan, ms, w: float, p_shadow: float, params: FusionParams) -> float:
-    """P(intermediate state | PAN state, MS state) for a segment of size
-    ``w`` meters with shadow proportion ``p_shadow``."""
-    if pan == ms:
-        return 1.0 if pm == pan else 0.0
-    s = sigmoid((w / (params.n1 * params.r_ms) + p_shadow) / 2.0)
-    return s if pm == ms else 1.0 - s
-
-
-def cpd_w(w_state, pm, lan, w: float, params: FusionParams) -> float:
-    """P(final state | intermediate state, Landsat state); the Landsat branch
-    is gated off for segments below the Landsat detectability scale."""
-    if pm == lan:
-        return 1.0 if w_state == pm else 0.0
-    scale = params.n2 * params.r_l
-    s = sigmoid(w / scale) if w >= scale else 0.0
-    return s if w_state == lan else 1.0 - s
-
-
 def _marginal(a, b, s):
     """P(child = water) for independent parents with water probabilities
     ``a`` and ``b``: the child copies agreeing parents and, when they
@@ -75,7 +51,10 @@ def _marginal(a, b, s):
 
 def fuse_pm(p_pan, p_ms, w, p_shadow, params: FusionParams):
     """Marginal water probability of the PAN+MS stage, treating the two
-    sources as independent binary variables (``cpd_pm`` summed out)."""
+    sources as independent binary variables.  Where they disagree the
+    intermediate node follows MS with probability
+    ``sigmoid((w / (n1 * r_ms) + p_shadow) / 2)`` for a segment of size ``w``
+    meters and shadow proportion ``p_shadow``."""
     s = sigmoid((w / (params.n1 * params.r_ms) + p_shadow) / 2.0)
     return _marginal(p_pan, p_ms, s)
 
@@ -87,7 +66,9 @@ def landsat_active(w, params: FusionParams):
 
 
 def fuse_w(p_pm, p_lan, w, params: FusionParams):
-    """Marginal water probability of the final stage (``cpd_w`` summed out)."""
+    """Marginal water probability of the final stage.  Where the PAN+MS node
+    and Landsat disagree the final node follows Landsat with probability
+    ``sigmoid(w / (n2 * r_l))``, and never below that scale."""
     scale = params.n2 * params.r_l
     s = np.where(landsat_active(w, params), sigmoid(w / scale), 0.0)[()]
     return _marginal(p_pm, p_lan, s)

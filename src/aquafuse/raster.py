@@ -1,9 +1,12 @@
-"""Georeferenced raster grids with bit-exact flat-file I/O.
+"""Georeferenced raster grids, and the two bit-exact file formats that every
+artifact one stage hands to another is written in: a flat raster for a
+pixel grid, a structured ``.npy`` table for anything with rows (segments,
+classes, training sites).
 
-On-disk format ("flat raster"): two files sharing a stem.  ``<stem>.hdr``
-is text with one ``key = value`` per line; ``<stem>.bin`` holds raw
-little-endian IEEE-754 float32 samples, row-major within each band, bands
-stored sequentially (BSQ).  Header keys::
+Flat raster: two files sharing a stem.  ``<stem>.hdr`` is text with one
+``key = value`` per line; ``<stem>.bin`` holds raw little-endian IEEE-754
+float32 samples, row-major within each band, bands stored sequentially
+(BSQ).  Header keys::
 
     samples     image width in pixels
     lines       image height in pixels
@@ -16,6 +19,11 @@ stored sequentially (BSQ).  Header keys::
     nodata      optional sentinel value
 
 The column index increases eastward (+x), the row index southward (-y).
+
+Table: one ``.npy`` file (NumPy's own header plus raw records) holding
+a 1-D structured array, read without pickle and only as exactly the dtype
+the reader expects.  A file of any other content is a RasterError, as a
+damaged raster is.
 """
 
 from __future__ import annotations
@@ -240,6 +248,24 @@ def read_mask(path) -> BinaryMask:
     if raster.bands != 1:
         raise RasterError(f"mask file has {raster.bands} bands, expected 1")
     return BinaryMask(raster.geometry, raster.data[0].astype(np.uint8))
+
+
+def write_table(table: np.ndarray, path) -> None:
+    """Write a 1-D structured array as one ``.npy`` file."""
+    np.save(path, table, allow_pickle=False)
+
+
+def read_table(path, dtype) -> np.ndarray:
+    """Read a table written by :func:`write_table`; a file that is not a 1-D
+    array of exactly ``dtype`` is a RasterError."""
+    with open(path, "rb") as fh:
+        try:
+            table = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise RasterError(f"{path}: not a table ({exc})") from exc
+    if table.dtype != dtype or table.ndim != 1:
+        raise RasterError(f"{path}: not a table of this layout")
+    return table
 
 
 def resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowError, ShadowGeometry, shift_or
+from .shadow import ShadowError, ShadowGeometry, shift_or, sweep_offsets
 from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
@@ -256,35 +256,6 @@ def _parse_feature(parts) -> Feature:
     return Feature(kind, shape, tuple(numbers), width, height)
 
 
-def format_scene(spec: SceneSpec) -> str:
-    lines = [
-        f"extent {spec.extent[0]:g} {spec.extent[1]:g}",
-        f"sun {spec.sun.sun_elevation_deg:g} {spec.sun.sun_azimuth_deg:g}",
-        f"shadow_factor {spec.shadow_factor:g}",
-        f"shadow_factor_nir {spec.shadow_factor_nir:g}",
-        f"seed {spec.seed}",
-        f"train_per_class {spec.train_per_class}",
-    ]
-    for sensor in sorted(spec.noise):
-        lines.append(f"noise {sensor} {spec.noise[sensor]:g}")
-    for cls in sorted(spec.textures):
-        sigma, cell = spec.textures[cls]
-        lines.append(f"texture {cls} {sigma:g} {cell:g}")
-    for cls in SURFACE_CLASSES:
-        if cls in spec.spectra:
-            bands = " ".join(f"{b}={v:g}" for b, v in sorted(spec.spectra[cls].items()))
-            lines.append(f"spectrum {cls} {bands}")
-    for f in spec.features:
-        coords = " ".join(f"{v:g}" for v in f.params)
-        suffix = ""
-        if f.width:
-            suffix += f" width {f.width:g}"
-        if f.height:
-            suffix += f" height {f.height:g}"
-        lines.append(f"feature {f.kind} {f.shape} {coords}{suffix}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # rasterization at the supersample grid
 
@@ -382,11 +353,7 @@ def _cast_shadows(spec: SceneSpec, level, heights, objects) -> np.ndarray:
         step = SUPERSAMPLE_M / slope if slope > 0 else h
         n_steps = int(math.ceil(h / step)) + 1
         sweep = np.minimum(step * np.arange(n_steps), h)
-        sweeps.append(sorted({
-            (int(math.floor(b * hh / SUPERSAMPLE_M + 0.5)),
-             int(math.floor(a * hh / SUPERSAMPLE_M + 0.5)))
-            for hh in sweep
-        }))
+        sweeps.append(sweep_offsets(a, b, sweep, SUPERSAMPLE_M))
     shadow = np.zeros(level.shape, dtype=bool)
     for lvl, rows, cols in objects:
         footprint = level[rows, cols] == lvl

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .raster import BinaryMask, RasterGrid
+from .raster import BinaryMask, RasterError, RasterGrid, read_table, write_table
 from .spectral import CLASS_ORDER
 
 # profile family: (shape, size); each contributes an opening and a closing band
@@ -27,10 +27,6 @@ KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
 
 class SegmentationError(Exception):
     pass
-
-
-class SegmentTableError(Exception):
-    """A segment table file that is not a table of this program's layout."""
 
 
 # One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
@@ -312,21 +308,16 @@ def segment_water_mask(segmap: SegmentMap, water_flags) -> BinaryMask:
 
 
 def save_segment_stats(segmap: SegmentMap, path) -> None:
-    """Write the segment table as one ``.npy`` file."""
-    np.save(path, segmap.records, allow_pickle=False)
+    """Write the segment table as one ``.npy`` table."""
+    write_table(segmap.records, path)
 
 
 def load_segment_stats(path, labels: np.ndarray, geometry) -> SegmentMap:
     """Read a table written by ``save_segment_stats`` for the segment raster
-    ``labels``; a file of another layout or length is a SegmentTableError."""
+    ``labels``; a file of another layout or length is a RasterError."""
     labels = np.asarray(labels, dtype=np.int32)
-    try:
-        table = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise SegmentTableError(f"{path}: not a segment table ({exc})") from exc
+    table = read_table(path, SEGMENT_DTYPE)
     n = int(labels.max()) + 1
-    if not isinstance(table, np.ndarray) or table.dtype != SEGMENT_DTYPE:
-        raise SegmentTableError(f"{path}: not a segment table of this layout")
     if table.shape != (n,):
-        raise SegmentTableError(f"{path}: {table.shape} rows for {n} segments")
+        raise RasterError(f"{path}: {table.shape} rows for {n} segments")
     return SegmentMap(labels, table.view(np.recarray), geometry)

@@ -107,7 +107,6 @@ def building_intensity_map(impervious_mask: BinaryMask, params: IntensityParams)
                       (ratio.data[0] > params.ratio_threshold).astype(np.uint8))
 
 
-OBJECT_KIND_NONE = 0
 OBJECT_KIND_HIGH_BUILDING = 1
 OBJECT_KIND_LOW_BUILDING = 2
 OBJECT_KIND_TREE = 3
@@ -121,6 +120,16 @@ def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int, origin=(0,
     c0, c1 = max(left, 0), min(left + mask.shape[1], acc.shape[1])
     if r0 < r1 and c0 < c1:
         acc[r0:r1, c0:c1] |= mask[r0 - top:r1 - top, c0 - left:c1 - left]
+
+
+def sweep_offsets(a: float, b: float, heights, pixel: float) -> list:
+    """Sorted distinct (row, col) pixel shifts of the shadow cast from each of
+    ``heights`` (m), for the offset coefficients ``(a, b)`` of
+    ``ShadowGeometry.offset_coefficients`` on pixels of ``pixel`` meters."""
+    heights = np.asarray(heights, dtype=np.float64)
+    rows = np.floor(b * heights / pixel + 0.5).astype(int).tolist()
+    cols = np.floor(a * heights / pixel + 0.5).astype(int).tolist()
+    return sorted(set(zip(rows, cols)))
 
 
 def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
@@ -152,11 +161,7 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
         n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
         heights = h_min + step * np.arange(n_steps)
         heights = np.minimum(heights, h_max)
-        offsets = {
-            (int(np.floor(b * hh / r + 0.5)), int(np.floor(a * hh / r + 0.5)))
-            for hh in heights
-        }
-        for drow, dcol in sorted(offsets):
+        for drow, dcol in sweep_offsets(a, b, heights, r):
             shift_or(out, mask, drow, dcol)
     return BinaryMask(grid, out.astype(np.uint8))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .raster import GridGeometry, RasterGrid, RasterError, resample_nearest
+from .raster import RasterError, RasterGrid, read_table, resample_nearest, write_table
 
 CLASS_ORDER = ("vegetation", "soil", "impervious", "water")
 
@@ -20,10 +20,6 @@ COVARIANCE_EPSILON = 1e-4
 
 class SpectralError(Exception):
     pass
-
-
-class ClassifierFileError(Exception):
-    """A classifier file with a missing or malformed entry."""
 
 
 def class_sort_key(label):
@@ -117,6 +113,8 @@ def fit_classifier(spectra, labels, priors=None) -> ClassifierModel:
         raise SpectralError("spectra must be (n, d) with one label per row")
     if not np.isfinite(spectra).all():
         raise SpectralError("training spectra must be finite")
+    if not labels.size:
+        raise SpectralError("no training samples")
     classes = tuple(sorted(set(labels.tolist()), key=class_sort_key))
     d = spectra.shape[1]
     means = np.zeros((len(classes), d))
@@ -181,39 +179,30 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     return prob_raster, class_map
 
 
+def classifier_dtype(d: int) -> np.dtype:
+    """One row per class of a model over ``d`` bands."""
+    return np.dtype([("cls", "<U10"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d)),
+                     ("prior", "<f8")])
+
+
 def save_classifier(model: ClassifierModel, path) -> None:
-    """Text serialization: one `key = values` line per model field."""
-    lines = [f"classes = {', '.join(str(c) for c in model.classes)}"]
-    for i, cls in enumerate(model.classes):
-        lines.append(f"mean {cls} = " + " ".join(repr(float(v)) for v in model.means[i]))
-        lines.append(f"cov {cls} = " + " ".join(repr(float(v)) for v in model.covs[i].ravel()))
-        lines.append(f"prior {cls} = {float(model.priors[i])!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the model as one ``.npy`` table of :func:`classifier_dtype` rows."""
+    table = np.zeros(len(model.classes), dtype=classifier_dtype(model.means.shape[1]))
+    table["cls"] = model.classes
+    table["mean"] = model.means
+    table["cov"] = model.covs
+    table["prior"] = model.priors
+    write_table(table, path)
 
 
-def load_classifier(path) -> ClassifierModel:
-    """Read a model written by :func:`save_classifier`."""
-    entries = {}
-    with open(path) as fh:
-        for line in fh:
-            if "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
-    try:
-        classes = tuple(c.strip() for c in entries["classes"].split(","))
-        means = np.array([[float(v) for v in entries[f"mean {c}"].split()] for c in classes])
-        d = means.shape[1]
-        covs = np.array([
-            [float(v) for v in entries[f"cov {c}"].split()] for c in classes
-        ]).reshape(len(classes), d, d)
-        priors = np.array([float(entries[f"prior {c}"]) for c in classes])
-    except KeyError as exc:
-        raise ClassifierFileError(f"classifier file {path} misses {exc}") from exc
-    except ValueError as exc:
-        raise ClassifierFileError(f"classifier file {path} is malformed: {exc}") from exc
-    return ClassifierModel(classes, means, covs, priors)
+def load_classifier(path, d: int) -> ClassifierModel:
+    """Read a ``d``-band model written by :func:`save_classifier`; a file of
+    another layout or band count, or with no class, is a RasterError."""
+    table = read_table(path, classifier_dtype(d))
+    if not table.size:
+        raise RasterError(f"{path}: classifier has no classes")
+    return ClassifierModel(tuple(table["cls"].tolist()), table["mean"], table["cov"],
+                           table["prior"])
 
 
 # ---------------------------------------------------------------------------

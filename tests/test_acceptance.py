@@ -18,11 +18,12 @@ import aquafuse.segmentation as segmentation
 from aquafuse import cli
 from aquafuse.config import PipelineConfig
 from aquafuse.evaluate import ConfusionMatrix, accuracy_metrics
-from aquafuse.fusion import FusionParams, cpd_pm, cpd_w, fuse_pm, fuse_w
+from aquafuse.fusion import FusionParams, fuse_pm, fuse_w
 from aquafuse.raster import GridGeometry, RasterGrid, read_mask, read_raster, write_raster
 from aquafuse.segmentation import kmeans_segment, morphological_profiles
 from aquafuse.shadow import ShadowGeometry
 from aquafuse.spectral import landsat_water_index
+from test_fusion import cpd_pm, cpd_w
 
 
 def report_metrics(out, stem):

@@ -1,6 +1,6 @@
 import filecmp
-import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from aquafuse import cli
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
 from aquafuse.raster import read_mask
+from aquafuse.spectral import load_classifier, save_classifier
 
 
 class TestConfig:
@@ -135,23 +136,33 @@ class TestExitCodes:
         capsys.readouterr()
 
 
+def _keep_three_bands(path):
+    """Rewrite the 4-band classifier as a model of its first three bands."""
+    model = load_classifier(path, 4)
+    save_classifier(replace(model, means=model.means[:, :3], covs=model.covs[:, :3, :3]), path)
+
+
+def _add_site(path, cls, x, y):
+    sites = np.load(path)
+    np.save(path, np.concatenate([sites, np.array([(cls, x, y)], dtype=sites.dtype)]))
+
+
 class TestPipelineArtifacts:
     def test_expected_artifacts_exist(self, pipeline_dir):
+        """run-all leaves exactly these files: none missing, none renamed or
+        stray."""
         stems = ["pan", "ms", "truth", "class_truth", "shadow_truth",
                  "ms_prob", "ms_class", "ms_water", "landsat_wi", "landsat_water",
                  "pca_fused", "pca_prob", "pca_water", "pan_water", "segments",
                  "object_kinds", "potential_shadow", "pgm_prob", "pgm_water",
                  "water_final"]
         stems += [f"landsat_d{d:03d}" for d in (16, 74, 135, 192, 230, 288, 340)]
-        for stem in stems:
-            assert (pipeline_dir / f"{stem}.hdr").exists(), stem
-            assert (pipeline_dir / f"{stem}.bin").exists(), stem
-        for name in ["config.txt", "scene.txt", "train_sites.txt", "classifier.txt",
+        expected = [f"{stem}.{ext}" for stem in stems for ext in ("hdr", "bin")]
+        expected += ["config.txt", "scene.txt", "train_sites.npy", "classifier.npy",
                      "t_pan.txt", "kmeans.txt", "segment_table.npy", "fuse.txt",
-                     "postclass.txt"]:
-            assert (pipeline_dir / name).exists(), name
-        for stem in cli.PREDICTION_STEMS:
-            assert (pipeline_dir / f"report_{stem}.txt").exists(), stem
+                     "postclass.txt"]
+        expected += [f"report_{stem}.txt" for stem in cli.PREDICTION_STEMS]
+        assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted(expected)
 
     def test_kmeans_summary(self, pipeline_dir):
         fields = dict(line.split(" = ") for line in
@@ -247,18 +258,27 @@ class TestPipelineArtifacts:
             np.save(path, np.load(path)["w"])
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
 
-    @pytest.mark.parametrize("stage,name,damage", [
-        ("classify-ms", "classifier.txt",
-         lambda text: re.sub(r"(?m)^mean water = .*$", "mean water = abc", text)),
-        ("train", "train_sites.txt", lambda text: text + "water 1.0\n"),
-        ("train", "train_sites.txt", lambda text: text + "water 1000.0 1000.0\n"),
-    ], ids=["classifier-bad-value", "sites-short-line", "sites-outside-raster"])
-    def test_damaged_text_artifact_is_io_error(self, pipeline_dir, tmp_path, stage, name, damage):
+    @pytest.mark.parametrize("stage,name,damage,message", [
+        ("classify-ms", "classifier.npy", lambda p: p.write_bytes(p.read_bytes()[:-100]),
+         "classifier.npy: not a table"),
+        ("classify-ms", "classifier.npy", _keep_three_bands,
+         "classifier.npy: not a table"),
+        ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[:0]),
+         "classifier.npy: classifier has no"),
+        ("train", "train_sites.npy",
+         lambda p: np.save(p, np.load(p)[["cls", "x"]].astype([("cls", "<U10"), ("x", "<f8")])),
+         "train_sites.npy: not a table"),
+        ("train", "train_sites.npy", lambda p: _add_site(p, "water", 1000.0, 1000.0),
+         "water 1000.0 1000.0 lies outside"),
+    ], ids=["classifier-truncated", "classifier-other-band-count", "classifier-no-class",
+            "sites-without-y", "sites-outside-raster"])
+    def test_damaged_table_artifact_is_io_error(self, pipeline_dir, tmp_path, capsys,
+                                                stage, name, damage, message):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        path = out / name
-        path.write_text(damage(path.read_text()))
+        damage(out / name)
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+        assert message in capsys.readouterr().err
 
     def test_reports_have_machine_line(self, pipeline_dir):
         for stem in cli.PREDICTION_STEMS:

@@ -5,18 +5,39 @@ import numpy as np
 import pytest
 
 from aquafuse.fusion import (
-    STATES,
-    WATER,
     FusionError,
     FusionParams,
-    cpd_pm,
-    cpd_w,
     decide,
     fuse_all_segments,
     fuse_pm,
     fuse_w,
     sigmoid,
 )
+
+# The model's conditional tables written out state by state: the oracle that
+# the closed-form marginals in aquafuse.fusion are checked against.
+WATER = True
+NON_WATER = False
+STATES = (NON_WATER, WATER)
+
+
+def cpd_pm(pm, pan, ms, w: float, p_shadow: float, params: FusionParams) -> float:
+    """P(intermediate state | PAN state, MS state) for a segment of size
+    ``w`` meters with shadow proportion ``p_shadow``."""
+    if pan == ms:
+        return 1.0 if pm == pan else 0.0
+    s = sigmoid((w / (params.n1 * params.r_ms) + p_shadow) / 2.0)
+    return s if pm == ms else 1.0 - s
+
+
+def cpd_w(w_state, pm, lan, w: float, params: FusionParams) -> float:
+    """P(final state | intermediate state, Landsat state); the Landsat branch
+    is gated off for segments below the Landsat detectability scale."""
+    if pm == lan:
+        return 1.0 if w_state == pm else 0.0
+    scale = params.n2 * params.r_l
+    s = sigmoid(w / scale) if w >= scale else 0.0
+    return s if w_state == lan else 1.0 - s
 
 
 def joint_marginal(p_pan, p_ms, p_lan, w, p_shadow, params):

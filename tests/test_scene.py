@@ -27,7 +27,6 @@ from aquafuse.scene import (
     _pick_train_sites,
     _supersample_axes,
     default_scene,
-    format_scene,
     generate_scene,
     parse_scene,
 )
@@ -150,18 +149,6 @@ class TestParser:
                          if not line.startswith("spectrum asphalt"))
         with pytest.raises(SceneError):
             parse_scene(text)
-
-    def test_format_parse_round_trip(self):
-        spec = parse_scene(DEFAULT_SCENE_TEXT)
-        again = parse_scene(format_scene(spec))
-        assert again.extent == spec.extent
-        assert again.sun == spec.sun
-        assert again.shadow_factor == spec.shadow_factor
-        assert again.shadow_factor_nir == spec.shadow_factor_nir
-        assert again.noise == spec.noise
-        assert again.textures == spec.textures
-        assert again.spectra == spec.spectra
-        assert again.features == spec.features
 
     def test_fixture_is_the_default_scene(self):
         """The benchmark renders the fixture file, the CLI the constant."""

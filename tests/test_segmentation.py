@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aquafuse import segmentation
-from aquafuse.raster import GridGeometry, RasterGrid, read_raster
+from aquafuse.raster import GridGeometry, RasterError, RasterGrid, read_raster
 from aquafuse.segmentation import (
     KMEANS_MAX_ITER,
     KMEANS_SUBSAMPLE,
@@ -10,7 +10,6 @@ from aquafuse.segmentation import (
     SE_FAMILY,
     SegmentationError,
     SegmentMap,
-    SegmentTableError,
     kmeans_segment,
     load_segment_stats,
     morphological_profiles,
@@ -431,6 +430,6 @@ class TestSegmentTableFile:
     def test_other_length_rejected(self, tmp_path):
         segmap = self._segmap()
         save_segment_stats(segmap, tmp_path / "t.npy")
-        with pytest.raises(SegmentTableError):
+        with pytest.raises(RasterError):
             load_segment_stats(tmp_path / "t.npy", np.zeros((2, 3), dtype=np.int32),
                                segmap.geometry)

@@ -19,6 +19,7 @@ from aquafuse.shadow import (
     potential_shadow_mask,
     segment_shadow_proportion,
     shift_or,
+    sweep_offsets,
     tree_grass_split,
 )
 from aquafuse.spectral import CLASS_ORDER
@@ -218,6 +219,20 @@ class TestShiftOr:
                 want[rr, cc] = True
         shift_or(acc, mask, drow, dcol, origin=origin)
         assert np.array_equal(acc, want)
+
+
+class TestSweepOffsets:
+    @pytest.mark.parametrize("elevation,azimuth", [(45.0, 135.0), (35.0, 120.0),
+                                                   (45.0, 300.0), (90.0, 0.0)])
+    @pytest.mark.parametrize("pixel", [0.1, 0.8])
+    def test_matches_per_height_rounding(self, elevation, azimuth, pixel):
+        """One rounded-half-up (row, col) shift per height, duplicates
+        dropped, in sorted order."""
+        a, b = ShadowGeometry(elevation, azimuth).offset_coefficients()
+        heights = np.minimum(3.0 + 0.07 * np.arange(400), 30.0)
+        want = sorted({(math.floor(b * h / pixel + 0.5), math.floor(a * h / pixel + 0.5))
+                       for h in heights})
+        assert sweep_offsets(a, b, heights, pixel) == want
 
 
 class TestSegmentShadowProportion:
