@@ -16,9 +16,14 @@ low-reflectance field that only the Landsat SWIR bands reject.
 Usage:  python demos/fusion_behavior.py
 """
 
+from aquafuse.config import PipelineConfig
 from aquafuse.fusion import FusionParams, fuse_pm, fuse_w
 
-params = FusionParams()
+# the pipeline's defaults, on the bundled scene's 3.2 m MS and 30 m Landsat
+# pixels (the pipeline reads both sizes from the raster headers)
+cfg = PipelineConfig()
+params = FusionParams(n1=cfg.n1, n2=cfg.n2, r_ms=3.2, r_l=30.0,
+                      decision_threshold=cfg.decision_threshold)
 
 print("case 1: thin river -- PAN says water (0.95), MS says probably not (0.40)")
 print(f"{'size w (m)':>12} {'fused p':>9} {'decision':>9}")

@@ -31,8 +31,6 @@ from .segmentation import (
     segment_table,
 )
 from .shadow import (
-    HeightRanges,
-    IntensityParams,
     ShadowGeometry,
     building_intensity_map,
     classify_segments_majority,
@@ -41,7 +39,7 @@ from .shadow import (
     tree_grass_split,
 )
 from .fusion import FusionParams, decide, fuse_all_segments, fuse_pm, fuse_w, sigmoid
-from .postclass import PostClassParams, relabel_shadow_segments
+from .postclass import relabel_shadow_segments
 from .evaluate import (
     AccuracyReport,
     ConfusionMatrix,

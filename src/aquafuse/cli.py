@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, PipelineConfig, format_config, load_config, stage_params
+from .config import ConfigError, PipelineConfig, format_config, load_config
 from .evaluate import EvalError, confusion_matrix, format_report, stratified_sample
-from .fusion import FusionError, fuse_all_segments, landsat_active
-from .postclass import PostClassError, relabel_shadow_segments
+from .fusion import FusionParams, fuse_all_segments, landsat_active
+from .postclass import relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
@@ -216,12 +216,11 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     if not scene_path.exists():
         raise ArtifactError(f"missing artifact {scene_path} (run synth first)")
     sun = parse_scene(scene_path.read_text()).sun
-    params = stage_params(cfg)
     segmap = _load_segments(out)
     tree_flags = segmap.records.label == "tree"
     imp_flags = segmap.records.label == "impervious"
     imp_mask = BinaryMask(segmap.geometry, imp_flags[segmap.labels].astype(np.uint8))
-    intensity = building_intensity_map(imp_mask, params.intensity)
+    intensity = building_intensity_map(imp_mask, cfg.intensity_window, cfg.intensity_ratio)
 
     kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
     kinds[tree_flags[segmap.labels]] = OBJECT_KIND_TREE
@@ -231,16 +230,20 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     _write(out, "object_kinds",
            RasterGrid(segmap.geometry, kinds.astype(np.float32)[np.newaxis], ["kind"]))
 
-    shadow_mask = potential_shadow_mask(kinds, sun, params.heights, segmap.geometry)
+    heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
+               OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
+               OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
+    shadow_mask = potential_shadow_mask(kinds, sun, heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
     segment_shadow_proportion(segmap, shadow_mask)
     save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
 def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
-    params = replace(stage_params(cfg).fusion,
-                     r_ms=_load_raster(out, "ms").geometry.pixel_size,
-                     r_l=_load_raster(out, "landsat_wi").geometry.pixel_size)
+    params = FusionParams(n1=cfg.n1, n2=cfg.n2,
+                          r_ms=_load_raster(out, "ms").geometry.pixel_size,
+                          r_l=_load_raster(out, "landsat_wi").geometry.pixel_size,
+                          decision_threshold=cfg.decision_threshold)
     segmap = _load_segments(out)
     table = segmap.records
     table.p_w, table.water = fuse_all_segments(segmap, params)
@@ -257,7 +260,7 @@ def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
         raise ArtifactError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
     segmap = _load_segments(out)
     water = segmap.records.water
-    final = relabel_shadow_segments(water, segmap, stage_params(cfg).postclass)
+    final = relabel_shadow_segments(water, segmap, cfg.shadow_relabel_threshold)
     (out / "postclass.txt").write_text(f"relabeled = {int((water & ~final).sum())}\n")
     _write_mask(out, "water_final", segment_water_mask(segmap, final))
 
@@ -344,9 +347,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()
         if args.seed is not None:
-            cfg.seed = args.seed
-        if cfg.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+            cfg = replace(cfg, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(format_config(cfg))
@@ -364,8 +365,7 @@ def main(argv=None) -> int:
     except (ArtifactError, RasterError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SpectralError, SegmentationError, ShadowError, FusionError,
-            PostClassError, EvalError) as exc:
+    except (SpectralError, SegmentationError, ShadowError, EvalError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
-
-from .fusion import FusionError, FusionParams
-from .postclass import PostClassError, PostClassParams
-from .shadow import HeightRanges, IntensityParams, ShadowError
 
 
 class ConfigError(Exception):
@@ -18,15 +13,17 @@ class ConfigError(Exception):
 _AUTO = ("auto", "")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of the pipeline, with library defaults.
+    """Every tunable of the pipeline: the one place that holds its default
+    and its range rule (``RULES``, checked whenever a config is made, from a
+    file, in code or by ``dataclasses.replace``).  The library functions take
+    plain values and have no defaults of their own.
 
-    ``t_pan``, ``t_tree`` and ``sweep_step_m`` accept the string ``auto`` in
-    the file form, meaning "derive from the data" (stored here as None).
-    Facts of the scene are not tunables: the shadow stage reads the sun from
-    the scene, and fusion reads the MS and Landsat resolutions from the
-    rasters.
+    ``t_pan`` and ``t_tree`` accept the string ``auto`` in the file form,
+    meaning "derive from the data" (stored here as None).  Facts of the scene
+    are not tunables: the shadow stage reads the sun from the scene, and
+    fusion reads the MS and Landsat resolutions from the rasters.
     """
 
     # scene / orchestration
@@ -47,7 +44,6 @@ class PipelineConfig:
     height_low_max: float = 50.0
     height_tree_min: float = 3.0
     height_tree_max: float = 50.0
-    sweep_step_m: float | None = None
 
     # fusion
     n1: int = 2
@@ -63,31 +59,34 @@ class PipelineConfig:
     eval_soil: int = 100
     eval_impervious: int = 100
 
+    def __post_init__(self):
+        for key, rule, words in RULES:
+            value = getattr(self, key)
+            if value is not None and not rule(value, self):
+                raise ConfigError(f"{key} must be {words}, got {value}")
 
-class StageParams(NamedTuple):
-    intensity: IntensityParams
-    heights: HeightRanges
-    fusion: FusionParams        # at the library's default MS and Landsat resolutions
-    postclass: PostClassParams
+
+def _unit(value, cfg):
+    return 0.0 < value < 1.0
 
 
-def stage_params(cfg: PipelineConfig) -> StageParams:
-    """The stage parameter objects built from ``cfg``; a value their own range
-    checks refuse is a ConfigError."""
-    try:
-        return StageParams(
-            IntensityParams(cfg.intensity_window, cfg.intensity_ratio),
-            HeightRanges(
-                high_intensity_building=(cfg.height_high_min, cfg.height_high_max),
-                low_intensity_building=(cfg.height_low_min, cfg.height_low_max),
-                tree=(cfg.height_tree_min, cfg.height_tree_max),
-                sweep_step=cfg.sweep_step_m,
-            ),
-            FusionParams(n1=cfg.n1, n2=cfg.n2, decision_threshold=cfg.decision_threshold),
-            PostClassParams(shadow_relabel_threshold=cfg.shadow_relabel_threshold),
-        )
-    except (ShadowError, FusionError, PostClassError) as exc:
-        raise ConfigError(str(exc)) from exc
+# (key, rule on its value and the whole config, the rule in words); every
+# number must also be finite
+RULES = [(f.name, lambda v, c: math.isfinite(v), "finite")
+         for f in fields(PipelineConfig) if f.type != "str"] + [
+    ("seed", lambda v, c: v >= 0, ">= 0"),
+    ("kmeans_k", lambda v, c: v >= 1, ">= 1"),
+    ("intensity_window", lambda v, c: v >= 1 and v % 2 == 1, "odd and >= 1"),
+    ("intensity_ratio", _unit, "in (0, 1)"),
+    ("height_high_min", lambda v, c: 0 < v <= c.height_high_max, "in (0, height_high_max]"),
+    ("height_low_min", lambda v, c: 0 < v <= c.height_low_max, "in (0, height_low_max]"),
+    ("height_tree_min", lambda v, c: 0 < v <= c.height_tree_max, "in (0, height_tree_max]"),
+    ("n1", lambda v, c: v >= 1, ">= 1"),
+    ("n2", lambda v, c: v >= 1, ">= 1"),
+    ("decision_threshold", _unit, "in (0, 1)"),
+    ("shadow_relabel_threshold", _unit, "in (0, 1)"),
+] + [(f.name, lambda v, c: v >= 0, ">= 0")
+     for f in fields(PipelineConfig) if f.name.startswith("eval_")]
 
 
 def _coerce(typ: str, text: str):
@@ -97,18 +96,15 @@ def _coerce(typ: str, text: str):
     if typ == "int":
         return int(text)
     if typ.startswith("float"):
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"{value} is not finite")
-        return value
+        return float(text)
     return text.strip()
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse `key = value` lines; '#' comments; unknown keys are rejected, and
-    so is a value a stage would refuse, before any stage runs."""
-    cfg = PipelineConfig()
-    known = {f.name: f for f in fields(PipelineConfig)}
+    so is a value outside its rule, before any stage runs."""
+    known = {f.name: f.type for f in fields(PipelineConfig)}
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -119,15 +115,10 @@ def parse_config(text: str) -> PipelineConfig:
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _coerce(known[key].type, value))
+            values[key] = _coerce(known[key], value)
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
-    minimums = {"kmeans_k": 1} | {k: 0 for k in known if k.startswith("eval_")}
-    for key, low in minimums.items():
-        if getattr(cfg, key) < low:
-            raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
-    stage_params(cfg)
-    return cfg
+    return PipelineConfig(**values)
 
 
 def load_config(path) -> PipelineConfig:

@@ -14,25 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-class FusionError(Exception):
-    pass
-
 
 @dataclass
 class FusionParams:
-    n1: int = 2
-    n2: int = 1
-    r_ms: float = 3.2
-    r_l: float = 30.0
-    decision_threshold: float = 0.5
+    """The fusion model's numbers: the size multipliers ``n1`` and ``n2``, the
+    MS and Landsat pixel sizes ``r_ms`` and ``r_l`` (m), and the decision
+    threshold on the fused probability."""
 
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise FusionError("n1 and n2 must be positive integers")
-        if self.r_ms <= 0 or self.r_l <= 0:
-            raise FusionError("resolutions must be positive")
-        if not (0.0 < self.decision_threshold < 1.0):
-            raise FusionError("decision threshold must be in (0, 1)")
+    n1: int
+    n2: int
+    r_ms: float
+    r_l: float
+    decision_threshold: float
 
 
 def sigmoid(t):

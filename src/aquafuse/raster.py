@@ -16,7 +16,6 @@ float32 samples, row-major within each band, bands stored sequentially
     pixel_size  square pixel size in meters
     ulx, uly    map coordinates (m) of the upper-left corner of pixel (0, 0)
     band_names  comma-separated labels
-    nodata      optional sentinel value
 
 The column index increases eastward (+x), the row index southward (-y).
 
@@ -28,12 +27,10 @@ damaged raster is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-DEFAULT_NODATA = -9999.0
 
 
 class RasterError(Exception):
@@ -86,7 +83,6 @@ class RasterGrid:
     geometry: GridGeometry
     data: np.ndarray  # (bands, height, width) float32
     band_names: list[str] = field(default_factory=list)
-    nodata: float | None = None
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float32)
@@ -104,14 +100,8 @@ class RasterGrid:
             self.band_names = [f"band_{i + 1}" for i in range(arr.shape[0])]
         if len(self.band_names) != arr.shape[0]:
             raise RasterError("band_names length does not match band count")
-        finite = np.isfinite(arr)
-        if self.nodata is None:
-            if not finite.all():
-                raise RasterError("non-finite sample without a declared nodata value")
-        else:
-            bad = ~finite & (arr != np.float32(self.nodata))
-            if bad.any():
-                raise RasterError("non-finite sample that is not the nodata value")
+        if not np.isfinite(arr).all():
+            raise RasterError("non-finite sample")
 
     @property
     def bands(self):
@@ -124,12 +114,6 @@ class RasterGrid:
         except ValueError:
             raise RasterError(f"no band named {name!r}; have {self.band_names}") from None
         return self.data[idx]
-
-    def valid_mask(self):
-        """True where a pixel has no nodata sample in any band."""
-        if self.nodata is None:
-            return np.ones(self.data.shape[1:], dtype=bool)
-        return ~(self.data == np.float32(self.nodata)).any(axis=0)
 
 
 @dataclass
@@ -164,7 +148,7 @@ def _format_number(v):
 
 _HEADER_KEYS = (
     "samples", "lines", "bands", "data_type", "interleave",
-    "pixel_size", "ulx", "uly", "band_names", "nodata",
+    "pixel_size", "ulx", "uly", "band_names",
 )
 
 
@@ -183,8 +167,6 @@ def write_raster(raster: RasterGrid, path) -> None:
         f"uly = {_format_number(g.origin_y)}",
         f"band_names = {','.join(raster.band_names)}",
     ]
-    if raster.nodata is not None:
-        lines.append(f"nodata = {_format_number(raster.nodata)}")
     stem.with_suffix(".hdr").write_text("\n".join(lines) + "\n")
     payload = np.ascontiguousarray(raster.data, dtype="<f4").tobytes()
     stem.with_suffix(".bin").write_bytes(payload)
@@ -230,7 +212,6 @@ def read_raster(path) -> RasterGrid:
     if fields.get("interleave") != "bsq":
         raise RasterError(f"{hdr_path}: unsupported interleave {fields.get('interleave')!r}")
     band_names = [n.strip() for n in fields.get("band_names", "").split(",") if n.strip()]
-    nodata = float(fields["nodata"]) if "nodata" in fields else None
 
     geometry = GridGeometry(width, height, pixel_size, ulx, uly)
     raw = bin_path.read_bytes()
@@ -240,7 +221,7 @@ def read_raster(path) -> RasterGrid:
             f"{bin_path}: expected {expected} bytes for {width}x{height}x{bands}, got {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(bands, height, width).copy()
-    return RasterGrid(geometry, data, band_names, nodata)
+    return RasterGrid(geometry, data, band_names)
 
 
 def read_mask(path) -> BinaryMask:
@@ -272,26 +253,18 @@ def resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
     """Nearest-neighbor resampling of ``src`` onto ``target``.
 
     Each target pixel takes the sample of the source pixel containing the
-    target pixel center; centers outside the source extent become nodata.
+    target pixel center; a center outside the source extent is a RasterError.
     """
     tx, _ = target.pixel_center(0, np.arange(target.width))
     _, ty = target.pixel_center(np.arange(target.height), 0)
     src_col = np.floor((tx - src.geometry.origin_x) / src.geometry.pixel_size).astype(np.int64)
     src_row = np.floor((src.geometry.origin_y - ty) / src.geometry.pixel_size).astype(np.int64)
-    col_ok = (src_col >= 0) & (src_col < src.geometry.width)
-    row_ok = (src_row >= 0) & (src_row < src.geometry.height)
-
-    nodata = src.nodata
-    if nodata is None and not (col_ok.all() and row_ok.all()):
-        nodata = DEFAULT_NODATA
-    out = np.full((src.bands, target.height, target.width),
-                  0.0 if nodata is None else nodata, dtype=np.float32)
-    rsel = np.flatnonzero(row_ok)
-    csel = np.flatnonzero(col_ok)
-    if rsel.size and csel.size:
-        block = src.data[:, src_row[rsel][:, None], src_col[csel][None, :]]
-        out[:, rsel[:, None], csel[None, :]] = block
-    return RasterGrid(target, out, list(src.band_names), nodata)
+    if not ((0 <= src_col) & (src_col < src.geometry.width)).all() \
+            or not ((0 <= src_row) & (src_row < src.geometry.height)).all():
+        raise RasterError(f"target extent {target.extent} is not inside the source "
+                          f"extent {src.geometry.extent}")
+    out = src.data[:, src_row[:, None], src_col[None, :]]
+    return RasterGrid(target, out, list(src.band_names))
 
 
 def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:

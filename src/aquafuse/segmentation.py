@@ -206,13 +206,11 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
     return remap[flat].reshape(h, w)
 
 
-def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int = 8) -> SegmentMap:
-    """Cluster (PAN, MPs) feature vectors and split clusters into 4-connected
-    segments.  The result depends on the images alone."""
+def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
+    """Cluster (PAN, MPs) feature vectors into ``k >= 1`` clusters and split
+    them into 4-connected segments.  The result depends on the images alone."""
     if pan.geometry != mps.geometry:
         raise SegmentationError("PAN and profile rasters must share one grid")
-    if k < 1:
-        raise SegmentationError(f"k must be >= 1, got {k}")
     h, w = pan.geometry.height, pan.geometry.width
     features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
     features = _standardize(features)

@@ -41,35 +41,6 @@ class ShadowGeometry:
         return a, b
 
 
-@dataclass
-class HeightRanges:
-    """Height sweep ranges (meters) per object kind."""
-
-    high_intensity_building: tuple = (3.0, 300.0)
-    low_intensity_building: tuple = (3.0, 50.0)
-    tree: tuple = (3.0, 50.0)
-    sweep_step: float | None = None  # None: one mark per pixel along the ray
-
-    def __post_init__(self):
-        for lo, hi in (self.high_intensity_building, self.low_intensity_building, self.tree):
-            if not (0 < lo <= hi):
-                raise ShadowError(f"invalid height range [{lo}, {hi}]")
-        if self.sweep_step is not None and not (self.sweep_step > 0):
-            raise ShadowError("sweep_step must be > 0")
-
-
-@dataclass
-class IntensityParams:
-    window: int = 101
-    ratio_threshold: float = 0.30
-
-    def __post_init__(self):
-        if self.window < 1 or self.window % 2 == 0:
-            raise ShadowError("intensity window must be odd")
-        if not (0.0 < self.ratio_threshold < 1.0):
-            raise ShadowError("ratio threshold must be in (0, 1)")
-
-
 def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
     """Label each segment with its maximum-vote class from the MS class map.
 
@@ -82,9 +53,9 @@ def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
     return segmap.records.label
 
 
-def tree_grass_split(segmap: SegmentMap, t_tree: float | None = None) -> np.ndarray:
+def tree_grass_split(segmap: SegmentMap, t_tree: float | None) -> np.ndarray:
     """Relabel vegetation segments as tree (profile deviation strictly above
-    the threshold) or grass.  With no threshold given, one is derived by Otsu
+    ``t_tree``) or grass.  With ``t_tree`` None, one is derived by Otsu
     from the vegetation segments' values."""
     labels = segmap.records.label
     veg = labels == "vegetation"
@@ -100,11 +71,13 @@ def tree_grass_split(segmap: SegmentMap, t_tree: float | None = None) -> np.ndar
     return labels
 
 
-def building_intensity_map(impervious_mask: BinaryMask, params: IntensityParams) -> BinaryMask:
-    """1 where the local impervious-area ratio exceeds the threshold."""
-    ratio = window_ratio(impervious_mask, params.window)
+def building_intensity_map(impervious_mask: BinaryMask, window: int,
+                           ratio_threshold: float) -> BinaryMask:
+    """1 where the impervious-area ratio of the centered ``window`` x
+    ``window`` neighbourhood strictly exceeds ``ratio_threshold``."""
+    ratio = window_ratio(impervious_mask, window)
     return BinaryMask(impervious_mask.geometry,
-                      (ratio.data[0] > params.ratio_threshold).astype(np.uint8))
+                      (ratio.data[0] > ratio_threshold).astype(np.uint8))
 
 
 OBJECT_KIND_HIGH_BUILDING = 1
@@ -133,35 +106,27 @@ def sweep_offsets(a: float, b: float, heights, pixel: float) -> list:
 
 
 def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
-                          ranges: HeightRanges, grid) -> BinaryMask:
+                          heights: dict, grid) -> BinaryMask:
     """Union of projected shadow pixels over each object kind's height range.
 
-    ``object_kind_map`` holds OBJECT_KIND_* codes on the PAN grid ``grid``.
-    Out-of-bounds projections are dropped.
+    ``object_kind_map`` holds OBJECT_KIND_* codes on the PAN grid ``grid``;
+    ``heights`` maps each kind that casts a shadow to its ``(h_min, h_max)``
+    in meters.  Each height step of the sweep moves the shadow by at most
+    one pixel.  Out-of-bounds projections are dropped.
     """
     r = grid.pixel_size
     a, b = geom.offset_coefficients()
-    h, w = object_kind_map.shape
-    step_bound = r / max(abs(a), abs(b), 1.0)
-    step = ranges.sweep_step
-    if step is None:
-        step = r * math.tan(math.radians(min(geom.sun_elevation_deg, 89.0)))
-    step = min(step, step_bound)
+    step = min(r * math.tan(math.radians(min(geom.sun_elevation_deg, 89.0))),
+               r / max(abs(a), abs(b), 1.0))
 
-    out = np.zeros((h, w), dtype=bool)
-    kind_ranges = {
-        OBJECT_KIND_HIGH_BUILDING: ranges.high_intensity_building,
-        OBJECT_KIND_LOW_BUILDING: ranges.low_intensity_building,
-        OBJECT_KIND_TREE: ranges.tree,
-    }
-    for kind, (h_min, h_max) in kind_ranges.items():
+    out = np.zeros(object_kind_map.shape, dtype=bool)
+    for kind, (h_min, h_max) in heights.items():
         mask = object_kind_map == kind
         if not mask.any():
             continue
         n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
-        heights = h_min + step * np.arange(n_steps)
-        heights = np.minimum(heights, h_max)
-        for drow, dcol in sweep_offsets(a, b, heights, r):
+        sweep = np.minimum(h_min + step * np.arange(n_steps), h_max)
+        for drow, dcol in sweep_offsets(a, b, sweep, r):
             shift_or(out, mask, drow, dcol)
     return BinaryMask(grid, out.astype(np.uint8))
 

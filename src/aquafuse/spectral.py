@@ -3,7 +3,7 @@ multi-date SWIR/visible water index."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -50,12 +50,9 @@ def pca_fit(raster: RasterGrid) -> PcaModel:
     """Fit a full PCA basis to the pixel spectra of a multi-band raster."""
     if raster.bands < 2:
         raise SpectralError("PCA needs at least 2 bands")
-    spectra = raster.data.reshape(raster.bands, -1).T[raster.valid_mask().ravel()]
+    spectra = raster.data.reshape(raster.bands, -1).T.astype(np.float64, order="C")
     if spectra.shape[0] < raster.bands:
-        raise SpectralError(
-            f"PCA needs at least {raster.bands} valid pixels, got {spectra.shape[0]}"
-        )
-    spectra = spectra.astype(np.float64)
+        raise SpectralError(f"PCA needs at least {raster.bands} pixels, got {spectra.shape[0]}")
     mean = spectra.mean(axis=0)
     centered = spectra - mean
     cov = centered.T @ centered / (spectra.shape[0] - 1)
@@ -197,10 +194,21 @@ def save_classifier(model: ClassifierModel, path) -> None:
 
 def load_classifier(path, d: int) -> ClassifierModel:
     """Read a ``d``-band model written by :func:`save_classifier`; a file of
-    another layout or band count, or with no class, is a RasterError."""
+    another layout or band count, with no class, or with numbers the model
+    cannot use (not finite, a prior <= 0, a covariance that is not positive
+    definite) is a RasterError."""
     table = read_table(path, classifier_dtype(d))
     if not table.size:
         raise RasterError(f"{path}: classifier has no classes")
+    for name in ("mean", "cov", "prior"):
+        if not np.isfinite(table[name]).all():
+            raise RasterError(f"{path}: classifier {name} is not finite")
+    if not (table["prior"] > 0).all():
+        raise RasterError(f"{path}: classifier prior is not > 0")
+    try:
+        np.linalg.cholesky(table["cov"])
+    except np.linalg.LinAlgError:
+        raise RasterError(f"{path}: classifier cov is not positive definite") from None
     return ClassifierModel(tuple(table["cls"].tolist()), table["mean"], table["cov"],
                            table["prior"])
 

@@ -23,7 +23,7 @@ from aquafuse.raster import GridGeometry, RasterGrid, read_mask, read_raster, wr
 from aquafuse.segmentation import kmeans_segment, morphological_profiles
 from aquafuse.shadow import ShadowGeometry
 from aquafuse.spectral import landsat_water_index
-from test_fusion import cpd_pm, cpd_w
+from test_fusion import PARAMS, cpd_pm, cpd_w
 
 
 def report_metrics(out, stem):
@@ -112,7 +112,7 @@ class TestFusionModel:
         return total
 
     def test_matches_joint_enumeration(self):
-        params = FusionParams()
+        params = PARAMS
         rng = np.random.default_rng(42)
         for _ in range(10_000):
             p_pan, p_ms, p_lan, p_shadow = rng.random(4)
@@ -122,7 +122,7 @@ class TestFusionModel:
             assert staged == pytest.approx(oracle, abs=1e-12)
 
     def test_cpd_rows_sum_to_one_exactly(self):
-        params = FusionParams()
+        params = PARAMS
         rng = np.random.default_rng(7)
         for _ in range(200):
             w = 0.1 + rng.random() * 499.9
@@ -135,7 +135,7 @@ class TestFusionModel:
                             + cpd_w(True, first, second, w, params)) == 1.0
 
     def test_consensus_fixed_point(self):
-        params = FusionParams()
+        params = PARAMS
         for p in np.linspace(0.0, 1.0, 101):
             for w in (0.5, 5.0, 29.9, 30.0, 300.0):
                 assert fuse_pm(p, p, w, 0.5, params) == pytest.approx(p, abs=1e-12)
@@ -143,7 +143,7 @@ class TestFusionModel:
 
     def test_worked_values(self):
         # frozen by direct enumeration of the two-state joint distribution
-        params = FusionParams(n1=2, n2=1, r_ms=3.2, r_l=30.0)
+        params = FusionParams(n1=2, n2=1, r_ms=3.2, r_l=30.0, decision_threshold=0.5)
         assert fuse_pm(0.9, 0.1, 3.2, 0.0, params) == pytest.approx(0.450258799291, abs=1e-6)
         assert fuse_w(0.9, 0.1, 60.0, params) == pytest.approx(0.195362337618, abs=1e-6)
         # below the Landsat scale the first-stage probability passes through
@@ -433,11 +433,10 @@ class TestDeterminismAndFormat:
         geometry = GridGeometry(width=17, height=9, pixel_size=3.2,
                                 origin_x=12.8, origin_y=640.0)
         data = rng.standard_normal((3, 9, 17)).astype(np.float32)
-        raster = RasterGrid(geometry, data, ["a", "b", "c"], nodata=-9999.0)
+        raster = RasterGrid(geometry, data, ["a", "b", "c"])
         write_raster(raster, tmp_path / "trip.hdr")
         back = read_raster(tmp_path / "trip.hdr")
         assert back.geometry == raster.geometry
         assert back.band_names == raster.band_names
-        assert back.nodata == raster.nodata
         assert np.array_equal(back.data, raster.data)
         assert back.data.dtype == np.float32

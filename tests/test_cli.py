@@ -27,10 +27,9 @@ class TestConfig:
         assert cfg.t_pan == 0.11
 
     def test_auto_keyword(self):
-        cfg = parse_config("t_pan = auto\nt_tree = auto\nsweep_step_m = auto\n")
+        cfg = parse_config("t_pan = auto\nt_tree = auto\n")
         assert cfg.t_pan is None
         assert cfg.t_tree is None
-        assert cfg.sweep_step_m is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -47,6 +46,12 @@ class TestConfig:
     def test_format_parse_round_trip(self):
         cfg = PipelineConfig(seed=4, t_pan=0.2, kmeans_k=6, scene="x.txt")
         assert parse_config(format_config(cfg)) == cfg
+
+    def test_rules_hold_for_a_config_built_in_code(self):
+        with pytest.raises(ConfigError, match="n1 must be >= 1"):
+            PipelineConfig(n1=0)
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            replace(PipelineConfig(), seed=-1)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -103,13 +108,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", [
         "n1 = 0",
+        "n2 = 0",
         "decision_threshold = 1.5",
+        "decision_threshold = 0",
         "intensity_window = 100",
+        "intensity_ratio = 1",
         "shadow_relabel_threshold = 0",
+        "height_high_max = 2",
+        "height_low_min = 0",
         "height_tree_min = 60",
         "t_pan = nan",
         "intensity_ratio = inf",
         "eval_water = -1",
+        "eval_vegetation = -1",
+        "eval_soil = -1",
+        "eval_impervious = -1",
         "kmeans_k = 0",
         "seed = -1",
         # facts of the scene, not tunables
@@ -121,6 +134,8 @@ class TestExitCodes:
         "boundary_band_px = 4",
         "unmix_window_px = 33",
         "water_fraction_threshold = 0.5",
+        # the shadow sweep step is derived from the sun and the pixel size
+        "sweep_step_m = auto",
     ])
     def test_rejected_config_value_stops_before_any_stage(self, tmp_path, line):
         cfg = tmp_path / "p.cfg"
@@ -140,6 +155,14 @@ def _keep_three_bands(path):
     """Rewrite the 4-band classifier as a model of its first three bands."""
     model = load_classifier(path, 4)
     save_classifier(replace(model, means=model.means[:, :3], covs=model.covs[:, :3, :3]), path)
+
+
+def _edit_classifier(path, **columns):
+    """Overwrite whole columns of the classifier table, keeping its layout."""
+    table = np.load(path)
+    for name, fn in columns.items():
+        table[name] = fn(table[name])
+    np.save(path, table)
 
 
 def _add_site(path, cls, x, y):
@@ -265,13 +288,21 @@ class TestPipelineArtifacts:
          "classifier.npy: not a table"),
         ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[:0]),
          "classifier.npy: classifier has no"),
+        ("classify-ms", "classifier.npy", lambda p: _edit_classifier(p, cov=np.negative),
+         "classifier.npy: classifier cov is not positive definite"),
+        ("classify-ms", "classifier.npy",
+         lambda p: _edit_classifier(p, mean=lambda m: np.where(m == m.max(), np.nan, m)),
+         "classifier.npy: classifier mean is not finite"),
+        ("classify-ms", "classifier.npy", lambda p: _edit_classifier(p, prior=lambda q: q - 0.5),
+         "classifier.npy: classifier prior is not > 0"),
         ("train", "train_sites.npy",
          lambda p: np.save(p, np.load(p)[["cls", "x"]].astype([("cls", "<U10"), ("x", "<f8")])),
          "train_sites.npy: not a table"),
         ("train", "train_sites.npy", lambda p: _add_site(p, "water", 1000.0, 1000.0),
          "water 1000.0 1000.0 lies outside"),
     ], ids=["classifier-truncated", "classifier-other-band-count", "classifier-no-class",
-            "sites-without-y", "sites-outside-raster"])
+            "classifier-cov-not-positive-definite", "classifier-nan-mean",
+            "classifier-negative-prior", "sites-without-y", "sites-outside-raster"])
     def test_damaged_table_artifact_is_io_error(self, pipeline_dir, tmp_path, capsys,
                                                 stage, name, damage, message):
         out = tmp_path / "out"
@@ -279,6 +310,25 @@ class TestPipelineArtifacts:
         damage(out / name)
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,line,artifact", [
+        ("segment", "kmeans_k = 4", "kmeans.txt"),
+        ("shadow", "intensity_window = 11", "potential_shadow.bin"),
+        ("shadow", "intensity_ratio = 0.05", "potential_shadow.bin"),
+        ("shadow", "height_tree_max = 10", "potential_shadow.bin"),
+        ("fuse", "n1 = 1", "fuse.txt"),
+        ("fuse", "n2 = 2", "fuse.txt"),
+        ("fuse", "decision_threshold = 0.9", "fuse.txt"),
+        ("postclass", "shadow_relabel_threshold = 0.3", "postclass.txt"),
+    ])
+    def test_tunable_reaches_its_stage(self, pipeline_dir, tmp_path, stage, line, artifact):
+        """Re-running one stage with one non-default key changes its output."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / artifact).read_bytes() != (pipeline_dir / artifact).read_bytes()
 
     def test_reports_have_machine_line(self, pipeline_dir):
         for stem in cli.PREDICTION_STEMS:

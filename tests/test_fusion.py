@@ -1,11 +1,9 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from aquafuse.fusion import (
-    FusionError,
     FusionParams,
     decide,
     fuse_all_segments,
@@ -13,6 +11,9 @@ from aquafuse.fusion import (
     fuse_w,
     sigmoid,
 )
+
+# the model at n1 = 2, n2 = 1 on 3.2 m MS and 30 m Landsat pixels
+PARAMS = FusionParams(n1=2, n2=1, r_ms=3.2, r_l=30.0, decision_threshold=0.5)
 
 # The model's conditional tables written out state by state: the oracle that
 # the closed-form marginals in aquafuse.fusion are checked against.
@@ -69,7 +70,7 @@ class TestSigmoid:
 
 class TestConditionalTables:
     def test_rows_normalize(self):
-        params = FusionParams()
+        params = PARAMS
         for pan in STATES:
             for ms in STATES:
                 row = sum(cpd_pm(pm, pan, ms, 12.0, 0.3, params) for pm in STATES)
@@ -80,14 +81,14 @@ class TestConditionalTables:
                 assert row == pytest.approx(1.0)
 
     def test_agreement_is_deterministic(self):
-        params = FusionParams()
+        params = PARAMS
         assert cpd_pm(WATER, WATER, WATER, 5.0, 0.9, params) == 1.0
         assert cpd_pm(WATER, False, False, 5.0, 0.9, params) == 0.0
         assert cpd_w(WATER, WATER, WATER, 5.0, params) == 1.0
         assert cpd_w(False, WATER, WATER, 5.0, params) == 0.0
 
     def test_disagreement_favors_ms_with_size_and_shadow(self):
-        params = FusionParams()
+        params = PARAMS
         base = cpd_pm(WATER, False, WATER, 3.2, 0.0, params)
         bigger = cpd_pm(WATER, False, WATER, 32.0, 0.0, params)
         shadowed = cpd_pm(WATER, False, WATER, 3.2, 1.0, params)
@@ -96,34 +97,34 @@ class TestConditionalTables:
         assert base > 0.5  # the MS vote always carries at least half the weight
 
     def test_landsat_gated_below_scale(self):
-        params = FusionParams()
+        params = PARAMS
         assert cpd_w(WATER, False, WATER, 29.999, params) == 0.0
         assert cpd_w(WATER, False, WATER, 30.0, params) == pytest.approx(sigmoid(1.0))
 
 
 class TestFuseMarginals:
     def test_reference_values(self):
-        params = FusionParams()
+        params = PARAMS
         assert fuse_pm(0.9, 0.1, 3.2, 0.0, params) == pytest.approx(
             0.450258799291, abs=1e-9)
         assert fuse_w(0.9, 0.1, 60.0, params) == pytest.approx(
             0.195362337618, abs=1e-9)
 
     def test_small_segment_ignores_landsat(self):
-        params = FusionParams()
+        params = PARAMS
         for p_pm in (0.0, 0.3, 0.9, 1.0):
             for p_lan in (0.0, 0.5, 1.0):
                 assert fuse_w(p_pm, p_lan, 15.0, params) == pytest.approx(p_pm)
 
     def test_certain_agreement_passes_through(self):
-        params = FusionParams()
+        params = PARAMS
         assert fuse_pm(1.0, 1.0, 7.0, 0.2, params) == pytest.approx(1.0)
         assert fuse_pm(0.0, 0.0, 7.0, 0.2, params) == pytest.approx(0.0)
         assert fuse_w(1.0, 1.0, 100.0, params) == pytest.approx(1.0)
         assert fuse_w(0.0, 0.0, 100.0, params) == pytest.approx(0.0)
 
     def test_matches_full_joint_enumeration(self):
-        params = FusionParams()
+        params = PARAMS
         rng = np.random.default_rng(11)
         for _ in range(200):
             p_pan, p_ms, p_lan, p_shadow = rng.random(4)
@@ -134,7 +135,7 @@ class TestFuseMarginals:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_results_are_probabilities(self):
-        params = FusionParams()
+        params = PARAMS
         rng = np.random.default_rng(12)
         for _ in range(100):
             p_pan, p_ms, p_lan, p_shadow = rng.random(4)
@@ -145,7 +146,7 @@ class TestFuseMarginals:
 
 class TestDecision:
     def test_strict_threshold(self):
-        params = FusionParams()
+        params = PARAMS
         assert not decide(0.5, params)
         assert decide(0.5 + 1e-12, params)
         assert not decide(0.2, params)
@@ -154,7 +155,7 @@ class TestDecision:
         from aquafuse.raster import GridGeometry
         from aquafuse.segmentation import SegmentMap, segment_table
 
-        params = FusionParams()
+        params = PARAMS
         recs = segment_table(3)
         recs.p_pan = [1.0, 0.0, 0.9]
         recs.p_ms = [1.0, 0.0, 0.1]
@@ -167,12 +168,3 @@ class TestDecision:
         assert p_w[0] == pytest.approx(1.0)
         assert p_w[2] == pytest.approx(fuse_pm(0.9, 0.1, 3.2, 0.0, params))
 
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(FusionError):
-            FusionParams(n1=0)
-        with pytest.raises(FusionError):
-            FusionParams(r_l=-1.0)
-        with pytest.raises(FusionError):
-            FusionParams(decision_threshold=1.0)

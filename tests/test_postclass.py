@@ -1,11 +1,6 @@
 import numpy as np
-import pytest
 
-from aquafuse.postclass import (
-    PostClassError,
-    PostClassParams,
-    relabel_shadow_segments,
-)
+from aquafuse.postclass import relabel_shadow_segments
 from aquafuse.raster import GridGeometry
 from aquafuse.segmentation import SegmentMap, segment_table
 
@@ -21,22 +16,15 @@ def segmap_of(p_shadows):
 class TestShadowRelabel:
     def test_strictly_above_threshold_flips(self):
         segmap = segmap_of([0.0, 0.85, 0.86, 1.0])
-        out = relabel_shadow_segments([True, True, True, True], segmap,
-                                      PostClassParams())
+        out = relabel_shadow_segments([True, True, True, True], segmap, 0.85)
         assert out.tolist() == [True, True, False, False]
 
     def test_non_water_untouched(self):
         segmap = segmap_of([1.0, 1.0])
-        out = relabel_shadow_segments([False, False], segmap, PostClassParams())
+        out = relabel_shadow_segments([False, False], segmap, 0.85)
         assert out.tolist() == [False, False]
 
     def test_custom_threshold(self):
         segmap = segmap_of([0.5, 0.6])
-        params = PostClassParams(shadow_relabel_threshold=0.55)
-        assert relabel_shadow_segments([True, True], segmap, params).tolist() == [True, False]
+        assert relabel_shadow_segments([True, True], segmap, 0.55).tolist() == [True, False]
 
-
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(PostClassError):
-            PostClassParams(shadow_relabel_threshold=1.5)

@@ -135,14 +135,13 @@ class TestResample:
                 )
                 assert out.data[0, tr, tc] == src.data[0, best[0], best[1]]
 
-    def test_outside_extent_is_nodata(self):
+    def test_outside_extent_rejected(self):
         geom = GridGeometry(2, 2, 1.0, origin_x=0.0, origin_y=2.0)
         src = RasterGrid(geom, np.ones((1, 2, 2), dtype=np.float32), ["b"])
-        target = GridGeometry(4, 4, 1.0, origin_x=0.0, origin_y=4.0)
-        out = resample_nearest(src, target)
-        assert out.nodata is not None
-        assert (out.data[0, :2, :] == out.nodata).all()
-        assert (out.data[0, 2:, :2] == 1.0).all()
+        for target in (GridGeometry(4, 4, 1.0, origin_x=0.0, origin_y=4.0),
+                       GridGeometry(2, 2, 1.0, origin_x=0.5, origin_y=2.0)):
+            with pytest.raises(RasterError, match="not inside the source"):
+                resample_nearest(src, target)
 
     def test_idempotent_on_same_geometry(self):
         raster = make_raster(width=5, height=5, pixel_size=2.0)

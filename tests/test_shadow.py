@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from aquafuse.raster import BinaryMask, GridGeometry
+from aquafuse.raster import BinaryMask, GridGeometry, RasterError
 from aquafuse.segmentation import SegmentMap, segment_table
 from aquafuse.shadow import (
     OBJECT_KIND_HIGH_BUILDING,
     OBJECT_KIND_LOW_BUILDING,
     OBJECT_KIND_TREE,
-    HeightRanges,
-    IntensityParams,
     ShadowError,
     ShadowGeometry,
     building_intensity_map,
@@ -95,47 +93,46 @@ class TestTreeGrassSplit:
 
     def test_non_vegetation_untouched(self):
         segmap = segmap_with(label=["water", "soil"])
-        assert tree_grass_split(segmap).tolist() == ["water", "soil"]
+        assert tree_grass_split(segmap, None).tolist() == ["water", "soil"]
 
     def test_derived_threshold_separates_modes(self):
         segmap = segmap_with(label=["vegetation"] * 6,
                              mp_std=[0.01, 0.02, 0.015, 0.8, 0.9, 0.85])
-        out = tree_grass_split(segmap)
+        out = tree_grass_split(segmap, None)
         assert out.tolist() == ["grass", "grass", "grass", "tree", "tree", "tree"]
 
     def test_constant_deviation_means_all_grass(self):
         segmap = segmap_with(label=["vegetation"] * 4, mp_std=[0.3] * 4)
-        assert tree_grass_split(segmap).tolist() == ["grass"] * 4
+        assert tree_grass_split(segmap, None).tolist() == ["grass"] * 4
 
 
 class TestBuildingIntensity:
     def test_saturated_neighborhood(self):
         geom = GridGeometry(9, 9, 1.0)
         mask = BinaryMask(geom, np.ones((9, 9), dtype=np.uint8))
-        out = building_intensity_map(mask, IntensityParams(window=3))
+        out = building_intensity_map(mask, 3, 0.30)
         assert (out.bits == 1).all()
 
     def test_isolated_pixel_below_default_ratio(self):
         geom = GridGeometry(9, 9, 1.0)
         bits = np.zeros((9, 9), dtype=np.uint8)
         bits[4, 4] = 1
-        out = building_intensity_map(BinaryMask(geom, bits), IntensityParams(window=3))
+        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.30)
         assert (out.bits == 0).all()  # best ratio is 1/9 < 0.30
 
     def test_threshold_is_strict(self):
         geom = GridGeometry(3, 3, 1.0)
         bits = np.zeros((3, 3), dtype=np.uint8)
         bits[0, 0] = 1  # corner window of a 3x3 filter covers 4 pixels: ratio 1/4
-        params = IntensityParams(window=3, ratio_threshold=0.25)
-        out = building_intensity_map(BinaryMask(geom, bits), params)
+        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.25)
         assert out.bits[0, 0] == 0
-        params = IntensityParams(window=3, ratio_threshold=0.24)
-        out = building_intensity_map(BinaryMask(geom, bits), params)
+        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.24)
         assert out.bits[0, 0] == 1
 
     def test_even_window_rejected(self):
-        with pytest.raises(ShadowError):
-            IntensityParams(window=100)
+        mask = BinaryMask(GridGeometry(9, 9, 1.0), np.ones((9, 9), dtype=np.uint8))
+        with pytest.raises(RasterError, match="odd"):
+            building_intensity_map(mask, 100, 0.30)
 
 
 class TestPotentialShadowMask:
@@ -147,7 +144,7 @@ class TestPotentialShadowMask:
         kinds = np.zeros((10, 10), dtype=np.int32)
         kinds[3, 4] = OBJECT_KIND_TREE
         mask = potential_shadow_mask(kinds, ShadowGeometry(90.0, 0.0),
-                                     HeightRanges(), grid)
+                                     {OBJECT_KIND_TREE: (3.0, 50.0)}, grid)
         assert mask.bits.sum() == 1
         assert mask.bits[3, 4] == 1
 
@@ -156,8 +153,8 @@ class TestPotentialShadowMask:
         grid = self._grid(20)
         kinds = np.zeros((20, 20), dtype=np.int32)
         kinds[15, 10] = OBJECT_KIND_HIGH_BUILDING
-        ranges = HeightRanges(high_intensity_building=(3.0, 5.0))
-        mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0), ranges, grid)
+        mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
+                                     {OBJECT_KIND_HIGH_BUILDING: (3.0, 5.0)}, grid)
         expected = np.zeros((20, 20), dtype=np.uint8)
         expected[12, 10] = expected[11, 10] = expected[10, 10] = 1
         assert np.array_equal(mask.bits, expected)
@@ -167,7 +164,7 @@ class TestPotentialShadowMask:
         kinds = np.zeros((6, 6), dtype=np.int32)
         kinds[0, 3] = OBJECT_KIND_TREE  # northern border, shadow cast north
         mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
-                                     HeightRanges(tree=(3.0, 50.0)), grid)
+                                     {OBJECT_KIND_TREE: (3.0, 50.0)}, grid)
         assert mask.bits.sum() == 0
 
     def test_diagonal_ray_has_no_gaps(self):
@@ -175,7 +172,7 @@ class TestPotentialShadowMask:
         kinds = np.zeros((120, 120), dtype=np.int32)
         kinds[100, 10] = OBJECT_KIND_TREE
         geom = ShadowGeometry(20.0, 225.0)  # long shadow to the north-east
-        mask = potential_shadow_mask(kinds, geom, HeightRanges(tree=(3.0, 40.0)), grid)
+        mask = potential_shadow_mask(kinds, geom, {OBJECT_KIND_TREE: (3.0, 40.0)}, grid)
         assert mask.bits.sum() > 30
         _, n = ndimage.label(mask.bits, structure=np.ones((3, 3), dtype=bool))
         assert n == 1
@@ -186,9 +183,8 @@ class TestPotentialShadowMask:
         kinds[70, 10] = OBJECT_KIND_HIGH_BUILDING
         kinds[70, 40] = OBJECT_KIND_LOW_BUILDING
         geom = ShadowGeometry(45.0, 180.0)
-        ranges = HeightRanges(high_intensity_building=(3.0, 60.0),
-                              low_intensity_building=(3.0, 20.0))
-        mask = potential_shadow_mask(kinds, geom, ranges, grid)
+        heights = {OBJECT_KIND_HIGH_BUILDING: (3.0, 60.0), OBJECT_KIND_LOW_BUILDING: (3.0, 20.0)}
+        mask = potential_shadow_mask(kinds, geom, heights, grid)
         high_len = mask.bits[:, 10].sum()
         low_len = mask.bits[:, 40].sum()
         assert high_len == 58  # rows 10..67 for heights 3..60
@@ -200,7 +196,7 @@ class TestPotentialShadowMask:
         kinds = np.zeros((30, 30), dtype=np.int32)
         kinds[20, 15] = OBJECT_KIND_TREE
         mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
-                                     HeightRanges(tree=(4.0, 10.0)), grid)
+                                     {OBJECT_KIND_TREE: (4.0, 10.0)}, grid)
         rows = np.flatnonzero(mask.bits[:, 15])
         assert rows.tolist() == [15, 16, 17, 18]  # offsets -2..-5
 
