@@ -184,9 +184,9 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     ms_class = _load_raster(out, "ms_class")
     landsat_wi = _load_raster(out, "landsat_wi")
 
-    p_ms_up = resample_nearest(ms_prob, pan.geometry)
-    p_ms_field = RasterGrid(pan.geometry, p_ms_up.data[list(p_ms_up.band_names).index("p_water")][np.newaxis],
-                            ["p_water"])
+    p_ms_field = resample_nearest(
+        RasterGrid(ms_prob.geometry, ms_prob.band("p_water")[np.newaxis], ["p_water"]),
+        pan.geometry)
     class_up = resample_nearest(ms_class, pan.geometry)
     p_lan_up = resample_nearest(landsat_wi, pan.geometry)
 
@@ -272,12 +272,15 @@ PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
 def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
     truth = _load_mask(out, "truth")
     class_truth = _load_raster(out, "class_truth")
-    names = np.array(CLASS_ORDER)[class_truth.data[0].astype(int)]
-    counts = {"water": cfg.eval_water, "vegetation": cfg.eval_vegetation,
-              "soil": cfg.eval_soil, "impervious": cfg.eval_impervious}
-    counts = {cls: n for cls, n in counts.items() if n > 0}
-    samples = stratified_sample(names, counts, seed=cfg.seed)
-    truth_bits = truth.bits.astype(bool)
+    if class_truth.geometry != truth.geometry:
+        raise RasterError(f"{out / 'class_truth.hdr'}: grid differs from the truth mask")
+    codes = class_truth.data[0]
+    if not np.isin(codes, np.arange(len(CLASS_ORDER))).all():
+        raise RasterError(f"{out / 'class_truth.hdr'}: class codes must be whole numbers "
+                          f"in 0..{len(CLASS_ORDER) - 1}")
+    samples = stratified_sample(codes, [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER],
+                                seed=cfg.seed)
+    reference = truth.bits.ravel()[samples]
 
     found = False
     for stem in PREDICTION_STEMS:
@@ -287,9 +290,7 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
         pred = read_raster(out / f"{stem}.hdr")
         if pred.geometry != truth.geometry:
             pred = resample_nearest(pred, truth.geometry)
-        pred_bits = pred.data[0] > 0.5
-        predicted = [bool(pred_bits[r, c]) for r, c, _ in samples]
-        reference = [bool(truth_bits[r, c]) for r, c, _ in samples]
+        predicted = pred.data[0].ravel()[samples] > 0.5
         report = format_report(confusion_matrix(predicted, reference), title=stem)
         (out / f"report_{stem}.txt").write_text(report + "\n")
     if not found:

@@ -101,8 +101,8 @@ def _coerce(typ: str, text: str):
 
 
 def parse_config(text: str) -> PipelineConfig:
-    """Parse `key = value` lines; '#' comments; unknown keys are rejected, and
-    so is a value outside its rule, before any stage runs."""
+    """Parse `key = value` lines; '#' comments; an unknown or repeated key is
+    rejected, and so is a value outside its rule, before any stage runs."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -114,6 +114,8 @@ def parse_config(text: str) -> PipelineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"config line {lineno}: key {key!r} given twice")
         try:
             values[key] = _coerce(known[key], value)
         except ValueError as exc:

@@ -8,45 +8,34 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .spectral import class_sort_key
+from .spectral import CLASS_ORDER
 
 
 class EvalError(Exception):
     pass
 
 
-def stratified_sample(class_labels: np.ndarray, counts: dict, seed: int):
-    """Sample pixel positions per class, without replacement.
+def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
+    """Flat pixel indices drawn per class, without replacement.
 
-    ``class_labels`` is a (h, w) array of class names (or codes); ``counts``
-    maps class to requested sample size.  Deterministic for a fixed seed:
-    classes are visited in the fixed class order and positions drawn with
-    numpy's seeded PCG64 generator.
+    ``codes`` is a class-code raster (indices into CLASS_ORDER) and
+    ``counts`` holds one sample size per CLASS_ORDER class; a zero count is
+    skipped.  Deterministic for a fixed seed: classes are visited in
+    CLASS_ORDER and positions drawn with numpy's seeded PCG64 generator.
     """
-    class_labels = np.asarray(class_labels)
-    flat = class_labels.ravel()
+    if len(counts) != len(CLASS_ORDER):
+        raise EvalError(f"need one sample count per class of {CLASS_ORDER}, got {len(counts)}")
+    flat = np.asarray(codes).ravel()
     rng = np.random.default_rng(seed)
-    samples = []
-    for cls in sorted(counts, key=class_sort_key):
-        want = counts[cls]
-        pool = np.flatnonzero(flat == cls)
+    chosen = [np.empty(0, dtype=np.intp)]
+    for code, (cls, want) in enumerate(zip(CLASS_ORDER, counts)):
+        if want == 0:
+            continue
+        pool = np.flatnonzero(flat == code)
         if pool.size < want:
-            raise EvalError(
-                f"stratum {cls!r} has {pool.size} pixels, cannot sample {want}"
-            )
-        chosen = rng.choice(pool, size=want, replace=False)
-        for idx in chosen:
-            row, col = divmod(int(idx), class_labels.shape[1])
-            samples.append((row, col, cls))
-    return samples
-
-
-def _is_water(label):
-    if isinstance(label, (bool, np.bool_)):
-        return bool(label)
-    if isinstance(label, (int, np.integer, float, np.floating)):
-        return bool(label)
-    return label == "water"
+            raise EvalError(f"stratum {cls!r} has {pool.size} pixels, cannot sample {want}")
+        chosen.append(rng.choice(pool, size=want, replace=False))
+    return np.concatenate(chosen)
 
 
 @dataclass
@@ -61,16 +50,13 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(predicted, reference) -> ConfusionMatrix:
-    """Tally predicted-vs-reference water labels; any non-water class label
-    (vegetation, soil, impervious, ...) aggregates into non-water."""
-    if len(predicted) != len(reference):
-        raise EvalError(
-            f"label list lengths differ: {len(predicted)} vs {len(reference)}"
-        )
-    counts = np.zeros((2, 2), dtype=np.int64)
-    for p, r in zip(predicted, reference):
-        counts[int(_is_water(p)), int(_is_water(r))] += 1
-    return ConfusionMatrix(counts)
+    """Tally two bool arrays of water flags, predicted against reference."""
+    predicted = np.asarray(predicted, dtype=bool)
+    reference = np.asarray(reference, dtype=bool)
+    if predicted.shape != reference.shape:
+        raise EvalError(f"flag arrays differ in shape: {predicted.shape} vs {reference.shape}")
+    counts = np.bincount(2 * predicted.ravel() + reference.ravel(), minlength=4)
+    return ConfusionMatrix(counts.reshape(2, 2))
 
 
 @dataclass

@@ -87,7 +87,7 @@ class SceneSpec:
     shadow_factor: float = 0.35       # PAN and visible bands
     shadow_factor_nir: float = 0.8    # NIR and SWIR bands (diffuse skylight)
     seed: int = 7
-    noise: dict = field(default_factory=lambda: {"pan": 0.02, "ms": 0.025, "landsat": 0.0})
+    noise: dict = field(default_factory=dict)  # sensor -> noise sigma
     # class -> band -> mean reflectance (bands named across all sensors)
     spectra: dict = field(default_factory=dict)
     # class -> (sigma, cell size m) multiplicative brightness texture
@@ -127,6 +127,8 @@ class SceneSpec:
                 raise SceneError(f"unknown noise sensor {sensor!r}")
             if sigma < 0:
                 raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
+        if self.train_per_class < 2:  # the classifier fits each class from 2 sites or more
+            raise SceneError(f"train_per_class must be >= 2, got {self.train_per_class}")
         for factor in (self.shadow_factor, self.shadow_factor_nir):
             if not (0.0 < factor <= 1.0):
                 raise SceneError("shadow factors must be in (0, 1]")
@@ -174,12 +176,15 @@ class SceneBundle:
 #   train_per_class <n>
 #
 # '#' starts a comment; features paint in file order over a soil background.
+# Every directive but `feature` is given at most once, and `noise`, `texture`
+# and `spectrum` at most once per sensor or class.
+
+NAMED_DIRECTIVES = ("noise", "texture", "spectrum")
+
 
 def parse_scene(text: str) -> SceneSpec:
     spec = SceneSpec()
-    spec.spectra = {}
-    spec.textures = {}
-    spec.noise = {}
+    given = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -187,6 +192,11 @@ def parse_scene(text: str) -> SceneSpec:
         parts = line.split()
         key = parts[0]
         try:
+            if key != "feature":
+                entry = " ".join(parts[:2]) if key in NAMED_DIRECTIVES else key
+                if entry in given:
+                    raise SceneError(f"{entry!r} given twice")
+                given.add(entry)
             if key == "extent":
                 spec.extent = (float(parts[1]), float(parts[2]))
             elif key == "sun":
@@ -213,7 +223,7 @@ def parse_scene(text: str) -> SceneSpec:
                 spec.features.append(_parse_feature(parts[1:]))
             else:
                 raise SceneError(f"unknown directive {key!r}")
-        except (IndexError, ValueError, ShadowError) as exc:
+        except (IndexError, ValueError, ShadowError, SceneError) as exc:
             raise SceneError(f"scene line {lineno}: {raw.strip()!r}: {exc}") from exc
     return spec.validate()
 

@@ -22,14 +22,6 @@ class SpectralError(Exception):
     pass
 
 
-def class_sort_key(label):
-    """Fixed ordering: the canonical classes first, then alphabetical."""
-    try:
-        return (0, CLASS_ORDER.index(label), label)
-    except ValueError:
-        return (1, 0, label)
-
-
 # ---------------------------------------------------------------------------
 # PCA
 
@@ -96,14 +88,17 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
 
 @dataclass
 class ClassifierModel:
-    classes: tuple
+    """One Gaussian per CLASS_ORDER class, in that order."""
+
     means: np.ndarray   # (C, d)
     covs: np.ndarray    # (C, d, d), symmetric positive-definite
     priors: np.ndarray  # (C,), sums to 1
 
 
-def fit_classifier(spectra, labels, priors=None) -> ClassifierModel:
-    """Per-class Gaussian fit (sample mean, regularized sample covariance)."""
+def fit_classifier(spectra, labels) -> ClassifierModel:
+    """Per-class Gaussian fit (sample mean, regularized sample covariance) of
+    every CLASS_ORDER class, with a uniform prior.  A label outside
+    CLASS_ORDER, or a class with fewer than 2 samples, is an error."""
     spectra = np.asarray(spectra, dtype=np.float64)
     labels = np.asarray(labels)
     if spectra.ndim != 2 or spectra.shape[0] != labels.shape[0]:
@@ -112,11 +107,13 @@ def fit_classifier(spectra, labels, priors=None) -> ClassifierModel:
         raise SpectralError("training spectra must be finite")
     if not labels.size:
         raise SpectralError("no training samples")
-    classes = tuple(sorted(set(labels.tolist()), key=class_sort_key))
+    unknown = labels[~np.isin(labels, CLASS_ORDER)]
+    if unknown.size:
+        raise SpectralError(f"training label {str(unknown[0])!r} is not one of {CLASS_ORDER}")
     d = spectra.shape[1]
-    means = np.zeros((len(classes), d))
-    covs = np.zeros((len(classes), d, d))
-    for i, cls in enumerate(classes):
+    means = np.zeros((len(CLASS_ORDER), d))
+    covs = np.zeros((len(CLASS_ORDER), d, d))
+    for i, cls in enumerate(CLASS_ORDER):
         rows = spectra[labels == cls]
         if rows.shape[0] < 2:
             raise SpectralError(f"class {cls!r} has {rows.shape[0]} samples, need >= 2")
@@ -127,18 +124,13 @@ def fit_classifier(spectra, labels, priors=None) -> ClassifierModel:
         if scale <= 0:
             scale = 1.0  # zero scatter: fall back to a plain epsilon floor
         covs[i] = cov + COVARIANCE_EPSILON * scale * np.eye(d)
-    if priors is None:
-        pri = np.full(len(classes), 1.0 / len(classes))
-    else:
-        pri = np.array([priors[c] for c in classes], dtype=np.float64)
-        pri = pri / pri.sum()
-    return ClassifierModel(classes, means, covs, pri)
+    return ClassifierModel(means, covs, np.full(len(CLASS_ORDER), 1.0 / len(CLASS_ORDER)))
 
 
 def _log_densities(model: ClassifierModel, spectra: np.ndarray) -> np.ndarray:
     n, d = spectra.shape
-    out = np.empty((len(model.classes), n))
-    for i in range(len(model.classes)):
+    out = np.empty((len(CLASS_ORDER), n))
+    for i in range(len(CLASS_ORDER)):
         chol = np.linalg.cholesky(model.covs[i])
         z = np.linalg.solve(chol, (spectra - model.means[i]).T)
         maha = np.sum(z * z, axis=0)
@@ -150,9 +142,9 @@ def _log_densities(model: ClassifierModel, spectra: np.ndarray) -> np.ndarray:
 def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     """Per-pixel class posteriors and the argmax class map.
 
-    Returns ``(probabilities, class_map)``: one probability band per class
-    (normalized to sum to 1), and a single-band raster of class indices into
-    ``model.classes``.
+    Returns ``(probabilities, class_map)``: one probability band ``p_<class>``
+    per CLASS_ORDER class (normalized to sum to 1), and a single-band raster
+    of class indices into CLASS_ORDER.
     """
     if raster.bands != model.means.shape[1]:
         raise SpectralError(
@@ -165,8 +157,8 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     h, w = raster.geometry.height, raster.geometry.width
     prob_raster = RasterGrid(
         raster.geometry,
-        probs.reshape(len(model.classes), h, w).astype(np.float32),
-        [f"p_{c}" for c in model.classes],
+        probs.reshape(len(CLASS_ORDER), h, w).astype(np.float32),
+        [f"p_{c}" for c in CLASS_ORDER],
     )
     class_map = RasterGrid(
         raster.geometry,
@@ -183,9 +175,10 @@ def classifier_dtype(d: int) -> np.dtype:
 
 
 def save_classifier(model: ClassifierModel, path) -> None:
-    """Write the model as one ``.npy`` table of :func:`classifier_dtype` rows."""
-    table = np.zeros(len(model.classes), dtype=classifier_dtype(model.means.shape[1]))
-    table["cls"] = model.classes
+    """Write the model as one ``.npy`` table of :func:`classifier_dtype` rows,
+    one per CLASS_ORDER class in that order."""
+    table = np.zeros(len(CLASS_ORDER), dtype=classifier_dtype(model.means.shape[1]))
+    table["cls"] = CLASS_ORDER
     table["mean"] = model.means
     table["cov"] = model.covs
     table["prior"] = model.priors
@@ -194,12 +187,13 @@ def save_classifier(model: ClassifierModel, path) -> None:
 
 def load_classifier(path, d: int) -> ClassifierModel:
     """Read a ``d``-band model written by :func:`save_classifier`; a file of
-    another layout or band count, with no class, or with numbers the model
-    cannot use (not finite, a prior <= 0, a covariance that is not positive
-    definite) is a RasterError."""
+    another layout or band count, with classes other than CLASS_ORDER in that
+    order, or with numbers the model cannot use (not finite, a prior <= 0, a
+    covariance that is not positive definite) is a RasterError."""
     table = read_table(path, classifier_dtype(d))
-    if not table.size:
-        raise RasterError(f"{path}: classifier has no classes")
+    classes = tuple(table["cls"].tolist())
+    if classes != CLASS_ORDER:
+        raise RasterError(f"{path}: classifier classes {classes} are not {CLASS_ORDER}")
     for name in ("mean", "cov", "prior"):
         if not np.isfinite(table[name]).all():
             raise RasterError(f"{path}: classifier {name} is not finite")
@@ -209,8 +203,7 @@ def load_classifier(path, d: int) -> ClassifierModel:
         np.linalg.cholesky(table["cov"])
     except np.linalg.LinAlgError:
         raise RasterError(f"{path}: classifier cov is not positive definite") from None
-    return ClassifierModel(tuple(table["cls"].tolist()), table["mean"], table["cov"],
-                           table["prior"])
+    return ClassifierModel(table["mean"], table["cov"], table["prior"])
 
 
 # ---------------------------------------------------------------------------

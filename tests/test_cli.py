@@ -7,7 +7,7 @@ import pytest
 
 from aquafuse import cli
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
-from aquafuse.raster import read_mask
+from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
 from aquafuse.spectral import load_classifier, save_classifier
 
 
@@ -38,6 +38,10 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed = lots\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 3: key 'kmeans_k' given twice"):
+            parse_config("kmeans_k = 4\nseed = 1\nkmeans_k = 12\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
@@ -96,6 +100,10 @@ class TestExitCodes:
         "texture grass 0.1 0",
         "noise landsaat 0.01",
         "sun 0 180",
+        # valid lines that repeat a setting the scene already gives
+        "sun 45 300",
+        "extent 480 480",
+        "noise pan 0.01",
     ])
     def test_invalid_scene_line_is_config_error(self, tmp_path, line):
         scene = tmp_path / "scene.txt"
@@ -125,6 +133,7 @@ class TestExitCodes:
         "eval_impervious = -1",
         "kmeans_k = 0",
         "seed = -1",
+        "kmeans_k = 4\nkmeans_k = 12",
         # facts of the scene, not tunables
         "sun_elevation_deg = 35",
         "sun_azimuth_deg = 120",
@@ -287,7 +296,10 @@ class TestPipelineArtifacts:
         ("classify-ms", "classifier.npy", _keep_three_bands,
          "classifier.npy: not a table"),
         ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[:0]),
-         "classifier.npy: classifier has no"),
+         "classifier.npy: classifier classes () are not"),
+        ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[::-1]),
+         "classifier.npy: classifier classes ('water', 'impervious', 'soil', 'vegetation') "
+         "are not"),
         ("classify-ms", "classifier.npy", lambda p: _edit_classifier(p, cov=np.negative),
          "classifier.npy: classifier cov is not positive definite"),
         ("classify-ms", "classifier.npy",
@@ -301,6 +313,7 @@ class TestPipelineArtifacts:
         ("train", "train_sites.npy", lambda p: _add_site(p, "water", 1000.0, 1000.0),
          "water 1000.0 1000.0 lies outside"),
     ], ids=["classifier-truncated", "classifier-other-band-count", "classifier-no-class",
+            "classifier-rows-reversed",
             "classifier-cov-not-positive-definite", "classifier-nan-mean",
             "classifier-negative-prior", "sites-without-y", "sites-outside-raster"])
     def test_damaged_table_artifact_is_io_error(self, pipeline_dir, tmp_path, capsys,
@@ -310,6 +323,45 @@ class TestPipelineArtifacts:
         damage(out / name)
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
         assert message in capsys.readouterr().err
+
+    def test_training_class_without_sites_is_compute_error(self, pipeline_dir, tmp_path,
+                                                           capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        sites = np.load(out / "train_sites.npy")
+        np.save(out / "train_sites.npy", sites[sites["cls"] != "impervious"])
+        assert cli.main(["train", "--out", str(out)]) == cli.EXIT_COMPUTE
+        assert "class 'impervious' has 0 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("code", [7.0, -1.0, 1.5])
+    def test_class_truth_code_outside_class_order_is_io_error(self, pipeline_dir, tmp_path,
+                                                               capsys, code):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        class_truth = read_raster(out / "class_truth.hdr")
+        class_truth.data[0, 5, 5] = code
+        write_raster(class_truth, out / "class_truth.hdr")
+        assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
+        assert "class codes must be whole numbers in 0..3" in capsys.readouterr().err
+
+    def test_class_truth_on_another_grid_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        class_truth = read_raster(out / "class_truth.hdr")
+        geometry = replace(class_truth.geometry, height=class_truth.geometry.height - 1)
+        write_raster(RasterGrid(geometry, class_truth.data[:, :-1], class_truth.band_names),
+                     out / "class_truth.hdr")
+        assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
+        assert "grid differs from the truth mask" in capsys.readouterr().err
+
+    def test_ms_prob_without_water_band_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        ms_prob = read_raster(out / "ms_prob.hdr")
+        write_raster(RasterGrid(ms_prob.geometry, ms_prob.data[:3], ms_prob.band_names[:3]),
+                     out / "ms_prob.hdr")
+        assert cli.main(["segment", "--out", str(out)]) == cli.EXIT_IO
+        assert "no band named 'p_water'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage,line,artifact", [
         ("segment", "kmeans_k = 4", "kmeans.txt"),

@@ -13,59 +13,51 @@ from aquafuse.evaluate import (
 
 
 class TestStratifiedSample:
-    def _labels(self):
+    def _codes(self):
+        # vegetation, soil and water codes; no impervious pixel
         rng = np.random.default_rng(0)
-        return rng.choice(["vegetation", "soil", "water"], size=(30, 30))
+        return rng.choice([0, 1, 3], size=(30, 30))
 
     def test_counts_and_membership(self):
-        labels = self._labels()
-        samples = stratified_sample(labels, {"water": 20, "soil": 10}, seed=1)
-        assert len(samples) == 30
-        per_class = {}
-        for row, col, cls in samples:
-            assert labels[row, col] == cls
-            per_class[cls] = per_class.get(cls, 0) + 1
-        assert per_class == {"water": 20, "soil": 10}
+        codes = self._codes()
+        samples = stratified_sample(codes, [0, 10, 0, 20], seed=1)
+        assert samples.shape == (30,)
+        assert np.bincount(codes.ravel()[samples], minlength=4).tolist() == [0, 10, 0, 20]
 
     def test_no_repeats_within_stratum(self):
-        labels = self._labels()
-        samples = stratified_sample(labels, {"water": 50}, seed=2)
-        positions = [(r, c) for r, c, _ in samples]
-        assert len(set(positions)) == 50
+        samples = stratified_sample(self._codes(), [0, 0, 0, 50], seed=2)
+        assert np.unique(samples).size == 50
 
     def test_deterministic_and_seed_sensitive(self):
-        labels = self._labels()
-        counts = {"vegetation": 5, "water": 5}
-        a = stratified_sample(labels, counts, seed=3)
-        b = stratified_sample(labels, counts, seed=3)
-        c = stratified_sample(labels, counts, seed=4)
-        assert a == b
-        assert a != c
+        codes = self._codes()
+        counts = [5, 0, 0, 5]
+        a = stratified_sample(codes, counts, seed=3)
+        b = stratified_sample(codes, counts, seed=3)
+        c = stratified_sample(codes, counts, seed=4)
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_classes_emitted_in_fixed_order(self):
-        labels = self._labels()
-        samples = stratified_sample(labels, {"water": 3, "vegetation": 3, "soil": 3},
-                                    seed=0)
-        assert [cls for _, _, cls in samples] == (
-            ["vegetation"] * 3 + ["soil"] * 3 + ["water"] * 3)
+        codes = self._codes()
+        samples = stratified_sample(codes, [3, 3, 0, 3], seed=0)
+        assert codes.ravel()[samples].tolist() == [0] * 3 + [1] * 3 + [3] * 3
 
     def test_overdraw_rejected(self):
-        labels = np.array([["water", "soil"]])
-        with pytest.raises(EvalError):
-            stratified_sample(labels, {"water": 2}, seed=0)
+        with pytest.raises(EvalError, match="'water' has 1 pixels"):
+            stratified_sample(np.array([[3, 1]]), [0, 0, 0, 2], seed=0)
+
+    def test_one_count_per_class(self):
+        with pytest.raises(EvalError, match="one sample count per class"):
+            stratified_sample(self._codes(), [5, 5], seed=0)
 
 
 class TestConfusionMatrix:
     def test_counts_layout(self):
-        predicted = ["water", "water", "soil", "vegetation"]
-        reference = ["water", "soil", "water", "impervious"]
+        predicted = np.array([True, True, False, False])
+        reference = np.array([True, False, True, False])
         m = confusion_matrix(predicted, reference)
         assert m.counts.tolist() == [[1, 1], [1, 1]]
         assert m.total == 4
-
-    def test_boolean_and_string_labels_mix(self):
-        m = confusion_matrix([True, False, 1, 0], ["water", "soil", "water", "water"])
-        assert m.counts.tolist() == [[1, 1], [0, 2]]
 
     def test_length_mismatch(self):
         with pytest.raises(EvalError):

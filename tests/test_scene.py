@@ -102,7 +102,8 @@ class TestParser:
         assert building.height == 20.0
 
     def test_comments_and_blank_lines(self):
-        spec = parse_scene("# leading comment\n\n" + SIMPLE_SCENE + "\nseed 9 # trailing\n")
+        text = SIMPLE_SCENE.replace("seed 3", "seed 9 # trailing")
+        spec = parse_scene("# leading comment\n\n" + text + "\n\n")
         assert spec.seed == 9
 
     def test_unknown_directive(self):
@@ -116,7 +117,7 @@ class TestParser:
     @pytest.mark.parametrize("line", [
         "texture lake 0.1 3.2",          # a feature alias, not a surface class
         "spectrum lake pan=0.05",
-        "spectrum asphalt pan=0.06",     # replaces asphalt's spectrum, bands go missing
+        "spectrum asphalt pan=0.06",     # a second asphalt spectrum
         "noise landsaat 0.01",
         "texture grass -0.1 3.2",
         "texture grass nan 3.2",
@@ -130,6 +131,41 @@ class TestParser:
     def test_invalid_line_rejected(self, line):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\n" + line)
+
+    @pytest.mark.parametrize("count", [1, 0, -1])
+    def test_too_few_training_sites_rejected(self, count):
+        with pytest.raises(SceneError, match="train_per_class must be >= 2"):
+            parse_scene(SIMPLE_SCENE.replace("train_per_class 5", f"train_per_class {count}"))
+
+    def test_sun_outside_range_rejected(self):
+        with pytest.raises(SceneError, match="line 2"):
+            parse_scene(SIMPLE_SCENE.replace("sun 45 180", "sun 0 180"))
+
+    @pytest.mark.parametrize("line", [
+        "extent 480 480",
+        "sun 30 90",
+        "shadow_factor 0.4",
+        "shadow_factor_nir 0.6",
+        "seed 4",
+        "train_per_class 6",
+        "noise ms 0.01",
+        spectrum_line("water", (0.05, 0.06, 0.06, 0.05, 0.04, 0.02, 0.01, 0.008)),
+    ])
+    def test_repeated_directive_rejected(self, line):
+        text = SIMPLE_SCENE + "\n" + line
+        with pytest.raises(SceneError, match=f"line {text.count(chr(10)) + 1}: .* given twice"):
+            parse_scene(text)
+
+    def test_texture_repeated_for_a_class_rejected(self):
+        text = SIMPLE_SCENE + "\ntexture grass 0.08 3.2\ntexture tree 0.2 0.8"
+        parse_scene(text)
+        with pytest.raises(SceneError, match="'texture grass' given twice"):
+            parse_scene(text + "\ntexture grass 0.1 1.6")
+
+    def test_repeated_feature_allowed(self):
+        line = "feature asphalt rect 160 60 180 80"
+        assert parse_scene(SIMPLE_SCENE + "\n" + line).features[-1] \
+            == parse_scene(SIMPLE_SCENE).features[-1]
 
     def test_tree_needs_height(self):
         with pytest.raises(SceneError):

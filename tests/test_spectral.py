@@ -3,6 +3,7 @@ import pytest
 
 from aquafuse.raster import GridGeometry, RasterGrid, resample_nearest
 from aquafuse.spectral import (
+    CLASS_ORDER,
     SpectralError,
     classify_probabilities,
     fit_classifier,
@@ -21,6 +22,14 @@ def raster_from_spectra(spectra, width, height, names=None, pixel_size=1.0):
     data = spectra.T.reshape(bands, height, width)
     geom = GridGeometry(width, height, pixel_size, origin_y=height * pixel_size)
     return RasterGrid(geom, data, names or [f"b{i}" for i in range(bands)])
+
+
+def four_classes(centres, rng, n, scale=1.0):
+    """n normal samples around each centre, labelled in CLASS_ORDER."""
+    centres = np.asarray(centres, dtype=np.float64)
+    spectra = np.vstack([c + rng.normal(scale=scale, size=(n, centres.shape[1]))
+                         for c in centres])
+    return spectra, np.repeat(CLASS_ORDER, n)
 
 
 class TestPcaFit:
@@ -117,25 +126,21 @@ class TestClassifier:
     def test_fitted_means_near_truth(self):
         rng = np.random.default_rng(0)
         n = 400
-        a = rng.normal(size=(n, 2)) + [0.0, 0.0]
-        b = rng.normal(size=(n, 2)) + [10.0, 10.0]
-        spectra = np.vstack([a, b])
-        labels = np.array(["soil"] * n + ["water"] * n)
+        centres = [[0.0, 0.0], [10.0, 10.0], [20.0, 0.0], [0.0, 20.0]]
+        spectra, labels = four_classes(centres, rng, n)
         model = fit_classifier(spectra, labels)
         tol = 3.0 / np.sqrt(n)
-        assert np.abs(model.means[model.classes.index("soil")]).max() < tol
-        assert np.abs(model.means[model.classes.index("water")] - 10.0).max() < tol
+        assert np.abs(model.means - centres).max() < tol
 
     def test_duplicate_samples_covariance_floor(self):
-        spectra = np.tile([1.0, 2.0, 3.0], (5, 1))
-        labels = np.array(["water"] * 5)
-        model = fit_classifier(spectra, labels)
-        assert np.allclose(model.covs[0], 1e-4 * np.eye(3))
+        spectra = np.repeat(np.arange(4.0)[:, None] + [1.0, 2.0, 3.0], 5, axis=0)
+        model = fit_classifier(spectra, np.repeat(CLASS_ORDER, 5))
+        assert np.allclose(model.covs, 1e-4 * np.eye(3))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
         spectra = rng.normal(size=(40, 3))
-        labels = np.array(["soil", "water"] * 20)
+        labels = np.array(list(CLASS_ORDER) * 10)
         model_a = fit_classifier(spectra, labels)
         perm = rng.permutation(40)
         model_b = fit_classifier(spectra[perm], labels[perm])
@@ -147,28 +152,45 @@ class TestClassifier:
             fit_classifier(np.array([[1.0], [2.0], [3.0]]),
                            np.array(["water", "water", "soil"]))
 
+    @pytest.mark.parametrize("drop", [0, 1, 2, 3])
+    def test_missing_class_is_named(self, drop):
+        rng = np.random.default_rng(6)
+        spectra, labels = four_classes(np.eye(4), rng, 5)
+        keep = (labels != CLASS_ORDER[drop]) | (np.arange(labels.size) % 5 == 0)
+        with pytest.raises(SpectralError, match=f"'{CLASS_ORDER[drop]}' has 1 samples"):
+            fit_classifier(spectra[keep], labels[keep])
+        keep = labels != CLASS_ORDER[drop]
+        with pytest.raises(SpectralError, match=f"'{CLASS_ORDER[drop]}' has 0 samples"):
+            fit_classifier(spectra[keep], labels[keep])
+
+    def test_unknown_label_is_named(self):
+        rng = np.random.default_rng(7)
+        spectra, labels = four_classes(np.eye(4), rng, 5)
+        labels = labels.astype("<U10")
+        labels[7] = "grass"
+        with pytest.raises(SpectralError, match="'grass' is not one of"):
+            fit_classifier(spectra, labels)
+
     def test_posterior_at_class_mean(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(scale=0.5, size=(200, 2))
-        b = rng.normal(scale=0.5, size=(200, 2)) + [50.0, 0.0]
-        model = fit_classifier(np.vstack([a, b]),
-                               np.array(["soil"] * 200 + ["water"] * 200))
+        centres = [[0.0, 50.0], [0.0, 0.0], [50.0, 50.0], [50.0, 0.0]]
+        model = fit_classifier(*four_classes(centres, rng, 200, scale=0.5))
         probe = raster_from_spectra(np.array([[0.0, 0.0], [50.0, 0.0]]), 2, 1)
         probs, class_map = classify_probabilities(model, probe)
-        i_soil = model.classes.index("soil")
-        i_water = model.classes.index("water")
+        assert probs.band_names == ["p_vegetation", "p_soil", "p_impervious", "p_water"]
+        i_soil = CLASS_ORDER.index("soil")
+        i_water = CLASS_ORDER.index("water")
         assert probs.data[i_soil, 0, 0] > 0.99
         assert probs.data[i_water, 0, 1] > 0.99
         assert class_map.data[0, 0, 0] == i_soil
 
     def test_equidistant_pixel_is_half(self):
-        mean_a = np.zeros(2)
-        mean_b = np.array([4.0, 0.0])
         rng = np.random.default_rng(3)
         noise = rng.normal(scale=0.3, size=(300, 2))
-        spectra = np.vstack([mean_a + noise, mean_b + noise])
-        labels = np.array(["soil"] * 300 + ["water"] * 300)
-        model = fit_classifier(spectra, labels)
+        # soil and water 4 apart, the other two classes far away
+        centres = [[-100.0, 100.0], [0.0, 0.0], [100.0, 100.0], [4.0, 0.0]]
+        spectra = np.vstack([np.asarray(c) + noise for c in centres])
+        model = fit_classifier(spectra, np.repeat(CLASS_ORDER, 300))
         probe = raster_from_spectra(np.array([[2.0, 0.0]]), 1, 1)
         probs, _ = classify_probabilities(model, probe)
         # shared scatter makes the midpoint nearly symmetric
@@ -177,12 +199,11 @@ class TestClassifier:
     def test_file_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
         spectra = rng.normal(size=(60, 4)) * [1e-3, 1.0, 7.0, 1e5]
-        labels = np.array(["soil", "water", "vegetation"] * 20)
-        model = fit_classifier(spectra, labels, priors={"soil": 0.1, "water": 0.6,
-                                                        "vegetation": 0.3})
+        labels = np.array(["soil", "water", "vegetation", "impervious"] * 15)
+        model = fit_classifier(spectra, labels)
         save_classifier(model, tmp_path / "c.npy")
+        assert np.load(tmp_path / "c.npy")["cls"].tolist() == list(CLASS_ORDER)
         loaded = load_classifier(tmp_path / "c.npy", 4)
-        assert loaded.classes == model.classes == ("vegetation", "soil", "water")
         for name in ("means", "covs", "priors"):
             want, got = getattr(model, name), getattr(loaded, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -195,7 +216,7 @@ class TestClassifier:
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(4)
         spectra = rng.normal(size=(60, 3))
-        labels = np.array(["soil", "water", "vegetation"] * 20)
+        labels = np.array(list(CLASS_ORDER) * 15)
         model = fit_classifier(spectra, labels)
         probe = raster_from_spectra(rng.normal(size=(24, 3)), 6, 4)
         probs, _ = classify_probabilities(model, probe)
