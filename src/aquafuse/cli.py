@@ -4,8 +4,7 @@ Every subcommand reads and writes named artifacts inside one output
 directory, so `run-all` is exactly the composition of the individual steps:
 
     synth        scene rasters + truth + training sites
-    train        Gaussian classifier fitted to the MS training sites
-    classify-ms  per-pixel class posteriors + MS-only water map
+    classify-ms  MS classifier posteriors, class map + MS-only water map
     water-index  multi-date Landsat water index + its water map
     pca-fuse     PCA-sharpened baseline + its classifier water map
     segment      morphology, K-Means segments, per-segment statistics
@@ -38,8 +37,7 @@ from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT
                      ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
 from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
-                       landsat_water_index, load_classifier, otsu_threshold, pca_fuse,
-                       save_classifier)
+                       landsat_water_index, otsu_threshold, pca_fuse)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -107,6 +105,13 @@ def _sample_spectra(raster: RasterGrid, sites):
     return np.ascontiguousarray(spectra), sites["cls"]
 
 
+def _classify(raster: RasterGrid, out: Path):
+    """Fit the Gaussian classifier to the spectra of ``raster`` under the
+    training sites and apply it to every pixel: ``(probabilities, class_map)``."""
+    spectra, labels = _sample_spectra(raster, _load_sites(out))
+    return classify_probabilities(fit_classifier(spectra, labels), raster)
+
+
 SEGMENT_TABLE = "segment_table.npy"
 
 
@@ -140,17 +145,9 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     write_table(np.array(bundle.train_sites, dtype=SITE_DTYPE), out / "train_sites.npy")
 
 
-def cmd_train(cfg: PipelineConfig, out: Path) -> None:
-    ms = _load_raster(out, "ms")
-    spectra, labels = _sample_spectra(ms, _load_sites(out))
-    model = fit_classifier(spectra, labels)
-    save_classifier(model, out / "classifier.npy")
-
-
 def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
     ms = _load_raster(out, "ms")
-    model = load_classifier(out / "classifier.npy", ms.bands)
-    probs, class_map = classify_probabilities(model, ms)
+    probs, class_map = _classify(ms, out)
     _write(out, "ms_prob", probs)
     _write(out, "ms_class", class_map)
     p_water = probs.band("p_water")
@@ -170,9 +167,7 @@ def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
     pan = _load_raster(out, "pan")
     fused = pca_fuse(ms, pan)
     _write(out, "pca_fused", fused)
-    spectra, labels = _sample_spectra(fused, _load_sites(out))
-    model = fit_classifier(spectra, labels)
-    probs, _ = classify_probabilities(model, fused)
+    probs, _ = _classify(fused, out)
     _write(out, "pca_prob", probs)
     p_water = probs.band("p_water")
     _write_mask(out, "pca_water", BinaryMask(pan.geometry, (p_water > 0.5).astype(np.uint8)))
@@ -299,7 +294,6 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
 
 RUN_ALL_ORDER = (
     ("synth", cmd_synth),
-    ("train", cmd_train),
     ("classify-ms", cmd_classify_ms),
     ("water-index", cmd_water_index),
     ("pca-fuse", cmd_pca_fuse),
@@ -336,10 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_command(name: str, cfg: PipelineConfig, out: Path) -> None:
-    COMMANDS[name](cfg, out)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -352,14 +342,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(format_config(cfg))
-    except (ConfigError, SceneError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        run_command(args.command, cfg, out)
+        COMMANDS[args.command](cfg, out)
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -39,6 +39,8 @@ LANDSAT_PIXEL_M = 30.0
 PAN_BANDS = ("pan",)
 MS_BANDS = ("blue", "green", "red", "nir")
 LANDSAT_BANDS = ("coastal", "blue", "green", "red", "nir", "swir1", "swir2")
+# every band a `spectrum` line gives, once each
+SPECTRUM_BANDS = tuple(dict.fromkeys(PAN_BANDS + MS_BANDS + LANDSAT_BANDS))
 
 # rendered surface classes, in painting precedence order (codes are indices)
 SURFACE_CLASSES = ("soil", "grass", "tree", "impervious", "asphalt", "dark_field", "water")
@@ -109,7 +111,7 @@ class SceneSpec:
         for cls in SURFACE_CLASSES:
             if cls not in self.spectra:
                 raise SceneError(f"spectral library misses class {cls!r}")
-            for band in set(PAN_BANDS) | set(MS_BANDS) | set(LANDSAT_BANDS):
+            for band in SPECTRUM_BANDS:
                 if band not in self.spectra[cls]:
                     raise SceneError(f"class {cls!r} misses band {band!r}")
         for cls in self.spectra:
@@ -177,7 +179,8 @@ class SceneBundle:
 #
 # '#' starts a comment; features paint in file order over a soil background.
 # Every directive but `feature` is given at most once, and `noise`, `texture`
-# and `spectrum` at most once per sensor or class.
+# and `spectrum` at most once per sensor or class.  A `spectrum` line gives
+# each of its bands at most once, and only bands of SPECTRUM_BANDS.
 
 NAMED_DIRECTIVES = ("noise", "texture", "spectrum")
 
@@ -217,6 +220,10 @@ def parse_scene(text: str) -> SceneSpec:
                 bands = {}
                 for item in parts[2:]:
                     band, value = item.split("=")
+                    if band not in SPECTRUM_BANDS:
+                        raise SceneError(f"unknown band {band!r}")
+                    if band in bands:
+                        raise SceneError(f"band {band!r} given twice")
                     bands[band] = float(value)
                 spec.spectra[parts[1]] = bands
             elif key == "feature":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .raster import RasterError, RasterGrid, read_table, resample_nearest, write_table
+from .raster import RasterGrid, resample_nearest
 
 CLASS_ORDER = ("vegetation", "soil", "impervious", "water")
 
@@ -88,17 +88,17 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
 
 @dataclass
 class ClassifierModel:
-    """One Gaussian per CLASS_ORDER class, in that order."""
+    """One Gaussian per CLASS_ORDER class, in that order, under a uniform
+    prior over the classes."""
 
     means: np.ndarray   # (C, d)
     covs: np.ndarray    # (C, d, d), symmetric positive-definite
-    priors: np.ndarray  # (C,), sums to 1
 
 
 def fit_classifier(spectra, labels) -> ClassifierModel:
     """Per-class Gaussian fit (sample mean, regularized sample covariance) of
-    every CLASS_ORDER class, with a uniform prior.  A label outside
-    CLASS_ORDER, or a class with fewer than 2 samples, is an error."""
+    every CLASS_ORDER class.  A label outside CLASS_ORDER, or a class with
+    fewer than 2 samples, is an error."""
     spectra = np.asarray(spectra, dtype=np.float64)
     labels = np.asarray(labels)
     if spectra.ndim != 2 or spectra.shape[0] != labels.shape[0]:
@@ -124,7 +124,7 @@ def fit_classifier(spectra, labels) -> ClassifierModel:
         if scale <= 0:
             scale = 1.0  # zero scatter: fall back to a plain epsilon floor
         covs[i] = cov + COVARIANCE_EPSILON * scale * np.eye(d)
-    return ClassifierModel(means, covs, np.full(len(CLASS_ORDER), 1.0 / len(CLASS_ORDER)))
+    return ClassifierModel(means, covs)
 
 
 def _log_densities(model: ClassifierModel, spectra: np.ndarray) -> np.ndarray:
@@ -140,7 +140,7 @@ def _log_densities(model: ClassifierModel, spectra: np.ndarray) -> np.ndarray:
 
 
 def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
-    """Per-pixel class posteriors and the argmax class map.
+    """Per-pixel class posteriors under a uniform prior, and the argmax class map.
 
     Returns ``(probabilities, class_map)``: one probability band ``p_<class>``
     per CLASS_ORDER class (normalized to sum to 1), and a single-band raster
@@ -151,7 +151,7 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
             f"raster has {raster.bands} bands but the model expects {model.means.shape[1]}"
         )
     spectra = raster.data.reshape(raster.bands, -1).T.astype(np.float64)
-    logpost = _log_densities(model, spectra) + np.log(model.priors)[:, None]
+    logpost = _log_densities(model, spectra)
     logpost -= logsumexp(logpost, axis=0, keepdims=True)
     probs = np.exp(logpost)
     h, w = raster.geometry.height, raster.geometry.width
@@ -166,44 +166,6 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
         ["class_index"],
     )
     return prob_raster, class_map
-
-
-def classifier_dtype(d: int) -> np.dtype:
-    """One row per class of a model over ``d`` bands."""
-    return np.dtype([("cls", "<U10"), ("mean", "<f8", (d,)), ("cov", "<f8", (d, d)),
-                     ("prior", "<f8")])
-
-
-def save_classifier(model: ClassifierModel, path) -> None:
-    """Write the model as one ``.npy`` table of :func:`classifier_dtype` rows,
-    one per CLASS_ORDER class in that order."""
-    table = np.zeros(len(CLASS_ORDER), dtype=classifier_dtype(model.means.shape[1]))
-    table["cls"] = CLASS_ORDER
-    table["mean"] = model.means
-    table["cov"] = model.covs
-    table["prior"] = model.priors
-    write_table(table, path)
-
-
-def load_classifier(path, d: int) -> ClassifierModel:
-    """Read a ``d``-band model written by :func:`save_classifier`; a file of
-    another layout or band count, with classes other than CLASS_ORDER in that
-    order, or with numbers the model cannot use (not finite, a prior <= 0, a
-    covariance that is not positive definite) is a RasterError."""
-    table = read_table(path, classifier_dtype(d))
-    classes = tuple(table["cls"].tolist())
-    if classes != CLASS_ORDER:
-        raise RasterError(f"{path}: classifier classes {classes} are not {CLASS_ORDER}")
-    for name in ("mean", "cov", "prior"):
-        if not np.isfinite(table[name]).all():
-            raise RasterError(f"{path}: classifier {name} is not finite")
-    if not (table["prior"] > 0).all():
-        raise RasterError(f"{path}: classifier prior is not > 0")
-    try:
-        np.linalg.cholesky(table["cov"])
-    except np.linalg.LinAlgError:
-        raise RasterError(f"{path}: classifier cov is not positive definite") from None
-    return ClassifierModel(table["mean"], table["cov"], table["prior"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from aquafuse import cli
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
 from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
-from aquafuse.spectral import load_classifier, save_classifier
 
 
 class TestConfig:
@@ -78,7 +77,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_missing_artifact_is_io_error(self, tmp_path):
-        assert cli.main(["train", "--out", str(tmp_path)]) == cli.EXIT_IO
+        assert cli.main(["classify-ms", "--out", str(tmp_path)]) == cli.EXIT_IO
 
     def test_missing_scene_file_is_io_error(self, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -112,6 +111,19 @@ class TestExitCodes:
         cfg.write_text(f"scene = {scene}\n")
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "pan.bin").exists()
+
+    def test_unknown_spectrum_band_is_config_error(self, tmp_path, capsys):
+        """The band list of a spectrum line is checked, not only its class:
+        every class already has its one spectrum line, so the bad band is
+        written into the water line."""
+        scene = tmp_path / "scene.txt"
+        scene.write_text(cli.DEFAULT_SCENE_TEXT.replace("swir2=0.008", "swir2=0.008 swir3=0.9"))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "unknown band 'swir3'" in capsys.readouterr().err
         assert not (tmp_path / "pan.bin").exists()
 
     @pytest.mark.parametrize("line", [
@@ -160,20 +172,6 @@ class TestExitCodes:
         capsys.readouterr()
 
 
-def _keep_three_bands(path):
-    """Rewrite the 4-band classifier as a model of its first three bands."""
-    model = load_classifier(path, 4)
-    save_classifier(replace(model, means=model.means[:, :3], covs=model.covs[:, :3, :3]), path)
-
-
-def _edit_classifier(path, **columns):
-    """Overwrite whole columns of the classifier table, keeping its layout."""
-    table = np.load(path)
-    for name, fn in columns.items():
-        table[name] = fn(table[name])
-    np.save(path, table)
-
-
 def _add_site(path, cls, x, y):
     sites = np.load(path)
     np.save(path, np.concatenate([sites, np.array([(cls, x, y)], dtype=sites.dtype)]))
@@ -190,7 +188,7 @@ class TestPipelineArtifacts:
                  "water_final"]
         stems += [f"landsat_d{d:03d}" for d in (16, 74, 135, 192, 230, 288, 340)]
         expected = [f"{stem}.{ext}" for stem in stems for ext in ("hdr", "bin")]
-        expected += ["config.txt", "scene.txt", "train_sites.npy", "classifier.npy",
+        expected += ["config.txt", "scene.txt", "train_sites.npy",
                      "t_pan.txt", "kmeans.txt", "segment_table.npy", "fuse.txt",
                      "postclass.txt"]
         expected += [f"report_{stem}.txt" for stem in cli.PREDICTION_STEMS]
@@ -290,48 +288,35 @@ class TestPipelineArtifacts:
             np.save(path, np.load(path)["w"])
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
 
-    @pytest.mark.parametrize("stage,name,damage,message", [
-        ("classify-ms", "classifier.npy", lambda p: p.write_bytes(p.read_bytes()[:-100]),
-         "classifier.npy: not a table"),
-        ("classify-ms", "classifier.npy", _keep_three_bands,
-         "classifier.npy: not a table"),
-        ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[:0]),
-         "classifier.npy: classifier classes () are not"),
-        ("classify-ms", "classifier.npy", lambda p: np.save(p, np.load(p)[::-1]),
-         "classifier.npy: classifier classes ('water', 'impervious', 'soil', 'vegetation') "
-         "are not"),
-        ("classify-ms", "classifier.npy", lambda p: _edit_classifier(p, cov=np.negative),
-         "classifier.npy: classifier cov is not positive definite"),
-        ("classify-ms", "classifier.npy",
-         lambda p: _edit_classifier(p, mean=lambda m: np.where(m == m.max(), np.nan, m)),
-         "classifier.npy: classifier mean is not finite"),
-        ("classify-ms", "classifier.npy", lambda p: _edit_classifier(p, prior=lambda q: q - 0.5),
-         "classifier.npy: classifier prior is not > 0"),
-        ("train", "train_sites.npy",
-         lambda p: np.save(p, np.load(p)[["cls", "x"]].astype([("cls", "<U10"), ("x", "<f8")])),
+    @pytest.mark.parametrize("damage,message", [
+        (lambda p: np.save(p, np.load(p)[["cls", "x"]].astype([("cls", "<U10"), ("x", "<f8")])),
          "train_sites.npy: not a table"),
-        ("train", "train_sites.npy", lambda p: _add_site(p, "water", 1000.0, 1000.0),
-         "water 1000.0 1000.0 lies outside"),
-    ], ids=["classifier-truncated", "classifier-other-band-count", "classifier-no-class",
-            "classifier-rows-reversed",
-            "classifier-cov-not-positive-definite", "classifier-nan-mean",
-            "classifier-negative-prior", "sites-without-y", "sites-outside-raster"])
+        (lambda p: _add_site(p, "water", 1000.0, 1000.0), "water 1000.0 1000.0 lies outside"),
+    ], ids=["sites-without-y", "sites-outside-raster"])
     def test_damaged_table_artifact_is_io_error(self, pipeline_dir, tmp_path, capsys,
-                                                stage, name, damage, message):
+                                                damage, message):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        damage(out / name)
-        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+        damage(out / "train_sites.npy")
+        assert cli.main(["classify-ms", "--out", str(out)]) == cli.EXIT_IO
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["classify-ms", "pca-fuse"])
     def test_training_class_without_sites_is_compute_error(self, pipeline_dir, tmp_path,
-                                                           capsys):
+                                                           capsys, stage):
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
         sites = np.load(out / "train_sites.npy")
         np.save(out / "train_sites.npy", sites[sites["cls"] != "impervious"])
-        assert cli.main(["train", "--out", str(out)]) == cli.EXIT_COMPUTE
+        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_COMPUTE
         assert "class 'impervious' has 0 samples" in capsys.readouterr().err
+
+    def test_classify_ms_straight_after_synth(self, tmp_path):
+        """classify-ms fits its classifier itself: synth is all it needs."""
+        assert cli.main(["synth", "--out", str(tmp_path)]) == 0
+        assert cli.main(["classify-ms", "--out", str(tmp_path)]) == 0
+        assert read_raster(tmp_path / "ms_prob.hdr").band_names == [
+            "p_vegetation", "p_soil", "p_impervious", "p_water"]
 
     @pytest.mark.parametrize("code", [7.0, -1.0, 1.5])
     def test_class_truth_code_outside_class_order_is_io_error(self, pipeline_dir, tmp_path,

@@ -132,6 +132,17 @@ class TestParser:
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\n" + line)
 
+    @pytest.mark.parametrize("extra,message", [
+        ("swir3=0.9", "unknown band 'swir3'"),    # a band no sensor has
+        ("pan=0.5", "band 'pan' given twice"),
+    ])
+    def test_spectrum_band_rejected(self, extra, message):
+        """Every class has its one spectrum line, so the bad band goes into
+        the water line itself, which the error names."""
+        water = spectrum_line("water", (0.05, 0.06, 0.06, 0.05, 0.04, 0.02, 0.01, 0.008))
+        with pytest.raises(SceneError, match=rf"scene line \d+: 'spectrum water .*{message}"):
+            parse_scene(SIMPLE_SCENE.replace(water, f"{water} {extra}"))
+
     @pytest.mark.parametrize("count", [1, 0, -1])
     def test_too_few_training_sites_rejected(self, count):
         with pytest.raises(SceneError, match="train_per_class must be >= 2"):

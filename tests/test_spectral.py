@@ -8,11 +8,9 @@ from aquafuse.spectral import (
     classify_probabilities,
     fit_classifier,
     landsat_water_index,
-    load_classifier,
     otsu_threshold,
     pca_fit,
     pca_fuse,
-    save_classifier,
 )
 
 
@@ -195,19 +193,6 @@ class TestClassifier:
         probs, _ = classify_probabilities(model, probe)
         # shared scatter makes the midpoint nearly symmetric
         assert probs.data[:, 0, 0].max() < 0.6
-
-    def test_file_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(5)
-        spectra = rng.normal(size=(60, 4)) * [1e-3, 1.0, 7.0, 1e5]
-        labels = np.array(["soil", "water", "vegetation", "impervious"] * 15)
-        model = fit_classifier(spectra, labels)
-        save_classifier(model, tmp_path / "c.npy")
-        assert np.load(tmp_path / "c.npy")["cls"].tolist() == list(CLASS_ORDER)
-        loaded = load_classifier(tmp_path / "c.npy", 4)
-        for name in ("means", "covs", "priors"):
-            want, got = getattr(model, name), getattr(loaded, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
-            assert got.tobytes() == want.tobytes(), name
 
     def test_no_training_samples(self):
         with pytest.raises(SpectralError, match="no training samples"):
