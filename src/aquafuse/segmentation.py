@@ -23,6 +23,8 @@ SE_FAMILY = (
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 100
 KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
+KMEANS_BLOCK = 1 << 12   # rows per block of k-means distances
+KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see _lloyd
 
 
 class SegmentationError(Exception):
@@ -118,9 +120,10 @@ def _standardize(features: np.ndarray) -> np.ndarray:
 
 
 def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances ``f2 - 2 f.c + c2`` of every row to every centre, in
-    one (n, k) array.  Scaling the product by -2 is exact and addition
-    commutes, so the bits are those of ``(f2 - (2 * features) @ centers.T) + c2``."""
+    """Squared distances ``f2 - 2 f.c + c2`` of every row of ``features`` to
+    every centre, in one (rows, k) array.  Scaling the product by -2 is exact
+    and addition commutes, so the bits are those of
+    ``(f2 - (2 * features) @ centers.T) + c2``."""
     d2 = features @ centers.T
     d2 *= -2.0
     d2 += f2[:, None]
@@ -140,6 +143,85 @@ def _farthest_point_centers(sample: np.ndarray, k: int) -> np.ndarray:
     return centers
 
 
+def _nearest_two(features, f2, centers, rows=None):
+    """The nearest and second-nearest centres of ``rows`` (an index array, or
+    None for every row), KMEANS_BLOCK rows at a time, so that no (n, k) array
+    is made.  Yields ``(block, nearest, best, second)``: the block's rows (a
+    slice or an index array), the index of each row's smallest
+    ``_sq_distances`` value (the lowest on a tie), that value, and the
+    smallest value at any other centre (inf for one centre).
+
+    Each value is bit-equal to that of one product over all rows: BLAS's gemm
+    computes a row alike in every product of two or more rows.  But numpy
+    multiplies a single row by gemv, which rounds otherwise, so a lone row of
+    a longer product is multiplied as two copies of itself."""
+    count = len(features) if rows is None else len(rows)
+    for start in range(0, count, KMEANS_BLOCK):
+        block = slice(start, start + KMEANS_BLOCK)
+        if rows is not None:
+            block = rows[block]
+        x, x2 = features[block], f2[block]
+        if len(x) == 1 and len(features) > 1:
+            d2 = _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:1]
+        else:
+            d2 = _sq_distances(x, x2, centers)
+        # one column at a time: argmin and min over rows of k values are slow;
+        # a strict < keeps the lowest index on a tie, as argmin does
+        nearest = np.zeros(len(d2), dtype=np.intp)
+        best = d2[:, 0].copy()
+        second = np.full(len(d2), np.inf)
+        for c in range(1, len(centers)):
+            value = d2[:, c]
+            np.minimum(second, np.maximum(best, value), out=second)
+            np.copyto(nearest, c, where=value < best)
+            np.minimum(best, value, out=best)
+        yield block, nearest, best, second
+
+
+def _nearest(features, f2, centers):
+    """Every row's nearest centre and its ``_sq_distances`` value."""
+    assign = np.empty(len(features), dtype=np.intp)
+    best = np.empty(len(features))
+    for block, nearest, value, _ in _nearest_two(features, f2, centers):
+        assign[block] = nearest
+        best[block] = value
+    return assign, best
+
+
+def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower):
+    """Assign ``rows`` (None for every row) to their nearest centres and set
+    their bounds of ``_lloyd`` from the computed squared distances."""
+    for block, nearest, best, second in _nearest_two(features, f2, centers, rows):
+        tau = KMEANS_SLACK * (f2[block] + norm2)
+        assign[block] = nearest
+        upper[block] = np.sqrt(best + tau)
+        lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
+
+
+def _unsettled_rows(assign, upper, lower, f2, norm2, old, new):
+    """Move the bounds of ``_lloyd`` with the centres from ``old`` to ``new``
+    and return the rows whose bounds no longer prove their centre."""
+    up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
+    move = np.sqrt(np.sum((new - old) ** 2, axis=1)) * up
+    upper += move[assign]
+    upper *= up
+    lower -= np.max(move)
+    lower *= down
+    gaps = np.sqrt(np.sum((new[:, None] - new) ** 2, axis=2))
+    np.fill_diagonal(gaps, np.inf)
+    half = 0.5 * down * np.min(gaps, axis=1)
+    # upper**2 + 2 tau against max(half, lower)**2, in two row-length arrays
+    lhs = f2 + norm2
+    lhs *= 2.0 * KMEANS_SLACK
+    lhs += upper * upper
+    rhs = half[assign]
+    np.maximum(rhs, lower, out=rhs)
+    rhs *= rhs
+    settled = lhs < rhs
+    del lhs, rhs
+    return np.flatnonzero(~settled)
+
+
 def _lloyd(features: np.ndarray, centers: np.ndarray):
     """Lloyd's k-means from ``centers``, until no centre coordinate moves by
     KMEANS_TOL or more, for at most KMEANS_MAX_ITER passes.
@@ -147,12 +229,56 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     Returns ``(assign, centers, iterations, objective)``: the objective is the
     sum of the squared distances of every row to its nearest final centre.
     ``features`` should be F-contiguous, so that each column is contiguous.
+
+    Each pass assigns every row to the centre of its smallest
+    ``_sq_distances`` value, and each centre becomes the mean of its rows,
+    summed in row order.  The first pass, the labelling at the final centres
+    and an empty cluster's search for the farthest row compute every
+    distance.  In between, most rows keep their centre, and Hamerly's bounds
+    prove it without their distances.  Row i keeps ``upper[i]``, at least
+    its distance to its own centre a, and ``lower[i]``, at most its distance
+    to any other centre.  When the centres move, ``upper`` grows by a's move
+    and ``lower`` shrinks by the largest move (the triangle inequality).  A
+    row keeps a unseen if ``upper**2 + 2 tau < max(half[a], lower)**2``,
+    where ``half[a]`` is half the distance from a to its nearest other
+    centre; the other rows get their distances computed and their bounds
+    reset.
+
+    Why the labels are those of a full computation, bit for bit.  The
+    computed value e_c of ``f2 - 2 f.c + c2`` differs from the exact squared
+    distance d_c**2 by at most (2 dims + 4) unit roundoffs (2**-53) of
+    f2 + |c|**2.  ``tau = KMEANS_SLACK * (f2 + norm2)`` is 8192 of them,
+    of a sum at least as large: ``norm2`` is the largest |c|**2 of any
+    centre so far.  So the bounds set from computed values, ``sqrt(e_a + tau)``
+    and ``sqrt(max(e_b - tau, 0))`` with e_b the second smallest, bound the
+    exact distances.  Moves are rounded up and half-distances down by a
+    factor 1 +- KMEANS_SLACK, and so is each bound after its update, so the
+    bounds hold after any number of passes.  A row that passes the test has
+    d_a**2 + 2 tau < d_c**2, hence e_a < e_c, for every other centre c.  The
+    test is strict, so a row that ties is always recomputed and goes to the
+    lowest index, as argmin does.  The rounding of the square roots and of
+    the test itself is a few unit roundoffs of values below 2 (f2 + norm2):
+    with the error above, all of it stays inside the slack for fewer than
+    1000 columns.
     """
+    n = len(features)
     k, dims = centers.shape
-    f2 = np.sum(features ** 2, axis=1)
+    f2 = np.empty(n)  # in blocks, so that no (n, dims) array of squares is made
+    for start in range(0, n, KMEANS_BLOCK):
+        block = slice(start, start + KMEANS_BLOCK)
+        f2[block] = np.sum(features[block] ** 2, axis=1)
+    assign = np.empty(n, dtype=np.intp)
+    upper = np.empty(n)
+    lower = np.empty(n)
+    norm2 = 0.0
+    previous = None
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        d2 = _sq_distances(features, f2, centers)
-        assign = np.argmin(d2, axis=1)
+        norm2 = max(norm2, float(np.max(np.sum(centers ** 2, axis=1))))
+        # the first pass computes every row, a later one the unsettled rows
+        rows = None if previous is None else _unsettled_rows(
+            assign, upper, lower, f2, norm2, previous, centers)
+        _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower)
+        del rows  # so that the next pass's bound test does not overlap it
         counts = np.bincount(assign, minlength=k)
         # per-centre sums in pixel order, as features[assign == c].sum(axis=0)
         sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
@@ -160,14 +286,15 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():
-            new_centers[empty] = features[int(np.argmax(np.min(d2, axis=1)))]
-        del d2  # so that the next pass's (n, k) distances do not overlap it
+            farthest = np.argmax(_nearest(features, f2, centers)[1])
+            new_centers[empty] = features[int(farthest)]
         movement = np.max(np.abs(new_centers - centers))
-        centers = new_centers
+        previous, centers = centers, new_centers
         if movement < KMEANS_TOL:
             break
-    d2 = _sq_distances(features, f2, centers)
-    return np.argmin(d2, axis=1), centers, iterations, float(np.min(d2, axis=1).sum())
+    del upper, lower
+    assign, best = _nearest(features, f2, centers)
+    return assign, centers, iterations, float(best.sum())
 
 
 def _kmeans(features: np.ndarray, k: int):

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aquafuse import segmentation
+from aquafuse.config import PipelineConfig
 from aquafuse.raster import GridGeometry, RasterError, RasterGrid, read_raster
 from aquafuse.segmentation import (
+    KMEANS_BLOCK,
     KMEANS_MAX_ITER,
     KMEANS_SUBSAMPLE,
     KMEANS_TOL,
@@ -275,6 +279,123 @@ class TestKmeansOracle:
         assert iterations == 1
         assert np.unique(assign).size == k
         assert kmeans_segment(pan, morphological_profiles(pan), k=k).kmeans_iterations == 1
+
+    # The cases below reach the paths that _lloyd's bounds add.
+
+    def assert_lloyd_matches_reference(self, features, start):
+        assign, centers, iterations, objective = segmentation._lloyd(features, start)
+        ref_assign, ref_centers = reference_lloyd(features, start)
+        assert np.array_equal(assign, ref_assign)
+        assert np.array_equal(centers, ref_centers)
+        return assign, centers, iterations, objective
+
+    def test_cluster_empties_after_the_first_pass(self, monkeypatch):
+        # the middle centre takes 3 and 5 in the first pass and moves to 4;
+        # the outer centres move to 2.2 and 5.8, 0.8 from those rows, so the
+        # middle cluster empties and takes the farthest row
+        features = np.asfortranarray(np.array([2.2] * 5 + [3.0, 5.0] + [5.8] * 5)[:, None])
+        start = np.array([[0.5], [7.5], [4.0]])
+        monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", 1)
+        assert segmentation._lloyd(features, start)[1][2, 0] == 4.0
+        monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", 2)
+        assert segmentation._lloyd(features, start)[1][2, 0] == 5.0
+        monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", KMEANS_MAX_ITER)
+        self.assert_lloyd_matches_reference(features, start)
+
+    def test_rows_tied_between_two_centres(self):
+        # the first pass gives the row at 6 to the centre at 7 and moves the
+        # centres to 2 and 10; the row is then exactly 4 from both, so the
+        # second pass must look at it and give it to the lower index
+        features = np.asfortranarray([[1.0], [3.0], [6.0], [14.0]])
+        start = np.array([[1.0], [7.0]])
+        assign, centers, _, _ = self.assert_lloyd_matches_reference(features, start)
+        assert assign.tolist() == [0, 0, 0, 1]
+        assert centers.tolist() == [[10.0 / 3.0], [14.0]]
+
+    def test_rows_at_zero_distance_from_a_centre(self):
+        # two copies each of three far points, whose mean is the point
+        # itself, and a blob near the origin: from the second pass on the
+        # copies sit at distance zero, where the computed squared distance
+        # may round below zero
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(3, 11)) * 4
+        features = np.asfortranarray(np.concatenate(
+            [np.repeat(points, 2, axis=0), rng.normal(size=(20, 11)) * 0.5]))
+        start = np.vstack([points + 0.3, np.zeros(11)])
+        _, centers, _, _ = self.assert_lloyd_matches_reference(features, start)
+        assert np.array_equal(centers[:3], points)
+
+    def test_far_outlier_row(self):
+        # one row a million units out: its own rounding slack is large, and
+        # as part of a cluster it makes every row's slack large
+        rng = np.random.default_rng(2)
+        blobs = np.concatenate([rng.normal(c, 0.7, size=(100, 4)) for c in (0.0, 3.0, 6.0)])
+        features = np.asfortranarray(np.vstack([blobs, [[1e6, -1e6, 1e6, 5e5]]]))
+        self.assert_matches_reference(features, 3)
+        self.assert_lloyd_matches_reference(features, blobs[[0, 150, 299]])
+
+    def test_rows_far_from_the_origin(self):
+        # rows 1e7 out with unit spread: the expansion form rounds by about
+        # 0.1 in squared distance, as much as many gaps between centres, so
+        # skipping a row is exact only with the slack
+        rng = np.random.default_rng(5)
+        features = np.asfortranarray(rng.normal(size=(200, 3)) + 1e7)
+        self.assert_lloyd_matches_reference(features, features[:4].copy())
+
+    def test_single_cluster_over_several_blocks(self):
+        features = np.asfortranarray(
+            np.random.default_rng(3).normal(size=(3 * KMEANS_BLOCK + 5, 11)))
+        assign, _, _, _ = self.assert_matches_reference(features, 1)
+        assert (assign == 0).all()
+
+    def test_fixture_objective_is_the_references(self, pipeline_dir):
+        """The objective is the sum over rows of the smallest expansion-form
+        squared distance at the reference's final centres, computed here, so
+        that the check holds for any BLAS build."""
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        features = standardized_features(pan)
+        _, centers = reference_kmeans(features, PipelineConfig().kmeans_k)
+        d2 = (np.sum(features ** 2, axis=1)[:, None]
+              - 2.0 * features @ centers.T
+              + np.sum(centers ** 2, axis=1)[None, :])
+        segmap = kmeans_segment(pan, morphological_profiles(pan),
+                                k=PipelineConfig().kmeans_k)
+        assert segmap.kmeans_objective == float(np.min(d2, axis=1).sum())
+
+
+def test_row_blocks_give_the_values_of_one_product():
+    """Every row gets from _nearest_two the values that one product over all
+    rows gives it, in a block of consecutive rows, of picked rows or alone."""
+    rng = np.random.default_rng(6)
+    features = np.asfortranarray(rng.normal(size=(2 * KMEANS_BLOCK + 3, 11)))
+    centers = rng.normal(size=(8, 11))
+    f2 = np.sum(features ** 2, axis=1)
+    d2 = segmentation._sq_distances(features, f2, centers)
+    two = np.sort(d2, axis=1)[:, :2]
+    for rows in [None, np.arange(5, 3 * KMEANS_BLOCK // 2, 3)] + [np.array([i]) for i in range(8)]:
+        for block, nearest, best, second in segmentation._nearest_two(
+                features, f2, centers, rows):
+            assert np.array_equal(nearest, np.argmin(d2[block], axis=1))
+            assert np.array_equal(best, two[block, 0])
+            assert np.array_equal(second, two[block, 1])
+
+
+def test_lloyd_holds_no_rows_by_centres_array():
+    """One _lloyd call on 2**17 rows of 11 columns and 8 centres never holds
+    an (n, k) float array: its traced peak stays below n * k * 8 bytes."""
+    n, k = 1 << 17, 8
+    rng = np.random.default_rng(4)
+    modes = rng.normal(scale=2.0, size=(k, 11))
+    features = np.asfortranarray(modes[rng.integers(k, size=n)] + rng.normal(size=(n, 11)))
+    start = segmentation._farthest_point_centers(features[::KMEANS_SUBSAMPLE], k)
+    tracemalloc.start()
+    try:
+        _, _, iterations, _ = segmentation._lloyd(features, start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert iterations > 2
+    assert peak < n * k * 8
 
 
 def constant_field(geom, value, name):
