@@ -31,11 +31,11 @@ from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster
                      read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
 from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats,
-                           morphological_profiles, pan_water_probability, paint_segments,
-                           save_segment_stats, segment_stats, segment_water_mask)
+                           morphological_profiles, paint_segments, save_segment_stats,
+                           segment_stats, segment_water_mask)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      ShadowError, building_intensity_map, classify_segments_majority,
-                     potential_shadow_mask, segment_shadow_proportion, tree_grass_split)
+                     potential_shadow_mask, tree_grass_split)
 from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
                        landsat_water_index, otsu_threshold, pca_fuse)
 
@@ -116,9 +116,7 @@ SEGMENT_TABLE = "segment_table.npy"
 
 
 def _load_segments(out: Path):
-    labels = _load_raster(out, "segments")
-    return load_segment_stats(out / SEGMENT_TABLE,
-                              labels.data[0].astype(np.int32), labels.geometry)
+    return load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +194,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
         f"iterations = {segmap.kmeans_iterations}\n"
         f"objective = {segmap.kmeans_objective!r}\n"
         f"segments = {segmap.count}\n")
-    segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up)
-    pan_water_probability(segmap, pan, t_pan)
+    segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up, t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)
 
@@ -230,7 +227,7 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
                OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
     shadow_mask = potential_shadow_mask(kinds, sun, heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
-    segment_shadow_proportion(segmap, shadow_mask)
+    segmap.records.p_shadow = segmap.mean(shadow_mask.bits)
     save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 

@@ -97,7 +97,7 @@ def _shown(value, unit=""):
     return "n/a" if value is None else f"{value}{unit}"
 
 
-def format_report(m: ConfusionMatrix, title="classification") -> str:
+def format_report(m: ConfusionMatrix, title: str) -> str:
     """Text table mirroring the usual confusion-matrix layout, plus one
     machine-readable line ``pa=...,ua=...,oa=...``.  An undefined accuracy
     reads ``n/a``."""

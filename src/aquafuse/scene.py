@@ -99,6 +99,13 @@ class SceneSpec:
     train_per_class: int = 60
 
     def validate(self):
+        numbers = [*self.extent, self.sun.sun_elevation_deg, self.sun.sun_azimuth_deg,
+                   self.shadow_factor, self.shadow_factor_nir, *self.noise.values(),
+                   *(v for pair in self.textures.values() for v in pair),
+                   *(v for bands in self.spectra.values() for v in bands.values()),
+                   *(v for f in self.features for v in f.params + (f.width, f.height))]
+        if not all(map(math.isfinite, numbers)):
+            raise SceneError("scene numbers must be finite")
         ex, ey = self.extent
         if ex <= 0 or ey <= 0:
             raise SceneError("extent must be positive")
@@ -143,8 +150,6 @@ class SceneSpec:
                 raise SceneError("feature height must be >= 0")
             if f.shape == "line" and f.width <= 0:
                 raise SceneError("line feature needs a positive width")
-            if not all(map(math.isfinite, f.params + (f.width, f.height))):
-                raise SceneError("feature numbers must be finite")
         return self
 
 
@@ -180,9 +185,20 @@ class SceneBundle:
 # '#' starts a comment; features paint in file order over a soil background.
 # Every directive but `feature` is given at most once, and `noise`, `texture`
 # and `spectrum` at most once per sensor or class.  A `spectrum` line gives
-# each of its bands at most once, and only bands of SPECTRUM_BANDS.
+# each of its bands at most once, and only bands of SPECTRUM_BANDS.  A
+# `feature` gives `height` and `width` at most once.  Numbers are finite, and
+# the other directives take exactly the operands shown.
 
 NAMED_DIRECTIVES = ("noise", "texture", "spectrum")
+OPERAND_COUNTS = {"extent": 2, "sun": 2, "shadow_factor": 1, "shadow_factor_nir": 1,
+                  "seed": 1, "train_per_class": 1, "noise": 2, "texture": 3}
+
+
+def _number(word: str) -> float:
+    value = float(word)
+    if not math.isfinite(value):
+        raise SceneError(f"{word!r} is not a finite number")
+    return value
 
 
 def parse_scene(text: str) -> SceneSpec:
@@ -200,22 +216,25 @@ def parse_scene(text: str) -> SceneSpec:
                 if entry in given:
                     raise SceneError(f"{entry!r} given twice")
                 given.add(entry)
+            if key in OPERAND_COUNTS and len(parts) != OPERAND_COUNTS[key] + 1:
+                raise SceneError(f"{key!r} takes {OPERAND_COUNTS[key]} operand(s), "
+                                 f"got {len(parts) - 1}")
             if key == "extent":
-                spec.extent = (float(parts[1]), float(parts[2]))
+                spec.extent = (_number(parts[1]), _number(parts[2]))
             elif key == "sun":
-                spec.sun = ShadowGeometry(float(parts[1]), float(parts[2]))
+                spec.sun = ShadowGeometry(_number(parts[1]), _number(parts[2]))
             elif key == "shadow_factor":
-                spec.shadow_factor = float(parts[1])
+                spec.shadow_factor = _number(parts[1])
             elif key == "shadow_factor_nir":
-                spec.shadow_factor_nir = float(parts[1])
+                spec.shadow_factor_nir = _number(parts[1])
             elif key == "seed":
                 spec.seed = int(parts[1])
             elif key == "train_per_class":
                 spec.train_per_class = int(parts[1])
             elif key == "noise":
-                spec.noise[parts[1]] = float(parts[2])
+                spec.noise[parts[1]] = _number(parts[2])
             elif key == "texture":
-                spec.textures[parts[1]] = (float(parts[2]), float(parts[3]))
+                spec.textures[parts[1]] = (_number(parts[2]), _number(parts[3]))
             elif key == "spectrum":
                 bands = {}
                 for item in parts[2:]:
@@ -224,7 +243,7 @@ def parse_scene(text: str) -> SceneSpec:
                         raise SceneError(f"unknown band {band!r}")
                     if band in bands:
                         raise SceneError(f"band {band!r} given twice")
-                    bands[band] = float(value)
+                    bands[band] = _number(value)
                 spec.spectra[parts[1]] = bands
             elif key == "feature":
                 spec.features.append(_parse_feature(parts[1:]))
@@ -247,18 +266,16 @@ def _parse_feature(parts) -> Feature:
     kind, shape = parts[0], parts[1]
     kind = FEATURE_KIND_ALIASES.get(kind, kind)
     rest = parts[2:]
-    width = height = 0.0
-    numbers = []
+    named, numbers = {}, []
     i = 0
     while i < len(rest):
-        if rest[i] == "height":
-            height = float(rest[i + 1])
-            i += 2
-        elif rest[i] == "width":
-            width = float(rest[i + 1])
+        if rest[i] in ("height", "width"):
+            if rest[i] in named:
+                raise SceneError(f"{rest[i]!r} given twice")
+            named[rest[i]] = _number(rest[i + 1])
             i += 2
         else:
-            numbers.append(float(rest[i]))
+            numbers.append(_number(rest[i]))
             i += 1
     if shape == "rect" and len(numbers) != 4:
         raise SceneError("rect needs x0 y0 x1 y1")
@@ -270,7 +287,7 @@ def _parse_feature(parts) -> Feature:
         raise SceneError("poly needs at least 3 x y pairs")
     if shape not in ("rect", "disk", "line", "poly"):
         raise SceneError(f"unknown shape {shape!r}")
-    return Feature(kind, shape, tuple(numbers), width, height)
+    return Feature(kind, shape, tuple(numbers), **named)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ from scipy import ndimage
 from .raster import BinaryMask, RasterError, RasterGrid, read_table, write_table
 from .spectral import CLASS_ORDER
 
-# profile family: (shape, size); each contributes an opening and a closing band
+# profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
+# contributes an opening and a closing band
 SE_FAMILY = (
-    ("hline", 4),
-    ("vline", 4),
-    ("square", 4),
-    ("square", 6),
-    ("square", 8),
+    ("hline4", (1, 4)),
+    ("vline4", (4, 1)),
+    ("square4", (4, 4)),
+    ("square6", (6, 6)),
+    ("square8", (8, 8)),
 )
 
 KMEANS_TOL = 1e-6
@@ -70,22 +71,10 @@ class SegmentMap:
     def count(self):
         return len(self.records)
 
-
-def structuring_element(shape: str, size: int) -> np.ndarray:
-    if size < 2:
-        raise SegmentationError(f"structuring element size must be >= 2, got {size}")
-    if shape == "hline":
-        return np.ones((1, size), dtype=bool)
-    if shape == "vline":
-        return np.ones((size, 1), dtype=bool)
-    if shape == "square":
-        return np.ones((size, size), dtype=bool)
-    raise SegmentationError(f"unknown structuring element shape {shape!r}")
-
-
-def _origin_for(footprint: np.ndarray):
-    # even-sized axes anchor at the top-left of the central 2x2
-    return tuple(-1 if n % 2 == 0 and n > 1 else 0 for n in footprint.shape)
+    def mean(self, values) -> np.ndarray:
+        """Per-segment mean of ``values``, one value per pixel of ``labels``."""
+        sums = np.bincount(self.labels.ravel(), weights=np.ravel(values), minlength=self.count)
+        return sums / self.records.pixel_count
 
 
 def morphological_profiles(pan: RasterGrid) -> RasterGrid:
@@ -97,15 +86,13 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     if pan.bands != 1:
         raise SegmentationError("morphological profiles expect a single-band raster")
     image = pan.data[0]
-    bands = []
-    names = []
-    for shape, size in SE_FAMILY:
-        fp = structuring_element(shape, size)
-        origin = _origin_for(fp)
-        opened = ndimage.grey_opening(image, footprint=fp, mode="nearest", origin=origin)
-        closed = ndimage.grey_closing(image, footprint=fp, mode="nearest", origin=origin)
-        bands.extend([opened, closed])
-        names.extend([f"open_{shape}{size}", f"close_{shape}{size}"])
+    bands, names = [], []
+    for suffix, size in SE_FAMILY:
+        # an even side anchors at the first of its two central pixels
+        origin = tuple(-1 if n % 2 == 0 else 0 for n in size)
+        for op, fn in (("open", ndimage.grey_opening), ("close", ndimage.grey_closing)):
+            bands.append(fn(image, size=size, mode="nearest", origin=origin))
+            names.append(f"{op}_{suffix}")
     return RasterGrid(pan.geometry, np.stack(bands).astype(np.float32), names)
 
 
@@ -343,10 +330,8 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     features = _standardize(features)
     assign, _, iterations, objective = _kmeans(features, k)
     labels = _connected_segments(assign.reshape(h, w))
-    n_segments = int(labels.max()) + 1
-    counts = np.bincount(labels.ravel(), minlength=n_segments)
-    records = segment_table(n_segments)
-    records.pixel_count = counts
+    records = segment_table(int(labels.max()) + 1)
+    records.pixel_count = np.bincount(labels.ravel())
     return SegmentMap(labels, records, pan.geometry, iterations, objective)
 
 
@@ -362,15 +347,11 @@ def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
     return per
 
 
-def _segment_means(labels_flat, values_flat, counts):
-    sums = np.bincount(labels_flat, weights=values_flat, minlength=counts.size)
-    return sums / counts
-
-
 def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
                   p_ms_field: RasterGrid, p_lan_field: RasterGrid,
-                  ms_class_map: RasterGrid) -> SegmentMap:
-    """Fill every per-segment statistic except the shadow proportion.
+                  ms_class_map: RasterGrid, t_pan: float) -> SegmentMap:
+    """Fill every per-segment statistic except the shadow proportion;
+    ``p_pan`` is the share of PAN pixels strictly darker than ``t_pan``.
 
     All rasters must already live on the PAN grid; ``ms_class_map`` holds
     indices into ``CLASS_ORDER``.
@@ -378,50 +359,26 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     for r in (pan, mps, p_ms_field, p_lan_field, ms_class_map):
         if r.geometry != segmap.geometry:
             raise SegmentationError("all rasters must live on the segment grid")
-    labels = segmap.labels
-    flat = labels.ravel()
-    n = segmap.count
-    counts = np.bincount(flat, minlength=n)
-    perimeter = _perimeter_edges(labels, n)
-    r_pan = segmap.geometry.pixel_size
-
-    p_ms = _segment_means(flat, p_ms_field.data[0].ravel().astype(np.float64), counts)
-    p_lan = _segment_means(flat, p_lan_field.data[0].ravel().astype(np.float64), counts)
-    mp_std_px = mps.data.astype(np.float64).std(axis=0, ddof=0)
-    mp_std = _segment_means(flat, mp_std_px.ravel(), counts)
-
     n_classes = len(CLASS_ORDER)
     class_idx = ms_class_map.data[0].ravel().astype(np.int64)
     if class_idx.min() < 0 or class_idx.max() >= n_classes:
         raise SegmentationError("class map holds an index outside CLASS_ORDER")
     table = segmap.records
-    table.votes = np.bincount(flat * n_classes + class_idx,
-                              minlength=n * n_classes).reshape(n, n_classes)
-    table.pixel_count = counts
-    table.area_m2 = counts * r_pan * r_pan
-    table.perimeter_px = perimeter
-    table.w = 4.0 * table.area_m2 / (perimeter * r_pan)
-    table.p_ms = p_ms
-    table.p_lan = p_lan
-    table.mp_std = mp_std
-    return segmap
-
-
-def pan_water_probability(segmap: SegmentMap, pan: RasterGrid, t_pan: float) -> SegmentMap:
-    """Per segment, the fraction of PAN pixels darker than the threshold."""
-    if not np.isfinite(t_pan):
-        raise SegmentationError("t_pan must be finite")
-    flat = segmap.labels.ravel()
     n = segmap.count
-    counts = np.bincount(flat, minlength=n)
-    if (counts == 0).any():
-        raise SegmentationError("segment with no pixels")
-    dark = np.bincount(flat[pan.data[0].ravel() < t_pan], minlength=n)
-    segmap.records.p_pan = dark / counts
+    table.votes = np.bincount(segmap.labels.ravel() * n_classes + class_idx,
+                              minlength=n * n_classes).reshape(n, n_classes)
+    r_pan = segmap.geometry.pixel_size
+    table.area_m2 = table.pixel_count * r_pan * r_pan
+    table.perimeter_px = _perimeter_edges(segmap.labels, n)
+    table.w = 4.0 * table.area_m2 / (table.perimeter_px * r_pan)
+    table.p_pan = segmap.mean(pan.data[0] < t_pan)
+    table.p_ms = segmap.mean(p_ms_field.data[0])
+    table.p_lan = segmap.mean(p_lan_field.data[0])
+    table.mp_std = segmap.mean(mps.data.std(axis=0, dtype=np.float64))
     return segmap
 
 
-def paint_segments(segmap: SegmentMap, values, band_name="value") -> RasterGrid:
+def paint_segments(segmap: SegmentMap, values, band_name) -> RasterGrid:
     """Raster whose pixels carry their segment's value."""
     values = np.asarray(values, dtype=np.float32)
     return RasterGrid(segmap.geometry, values[segmap.labels][np.newaxis], [band_name])
@@ -437,12 +394,18 @@ def save_segment_stats(segmap: SegmentMap, path) -> None:
     write_table(segmap.records, path)
 
 
-def load_segment_stats(path, labels: np.ndarray, geometry) -> SegmentMap:
-    """Read a table written by ``save_segment_stats`` for the segment raster
-    ``labels``; a file of another layout or length is a RasterError."""
-    labels = np.asarray(labels, dtype=np.int32)
-    table = read_table(path, SEGMENT_DTYPE)
-    n = int(labels.max()) + 1
-    if table.shape != (n,):
-        raise RasterError(f"{path}: {table.shape} rows for {n} segments")
-    return SegmentMap(labels, table.view(np.recarray), geometry)
+def load_segment_stats(path, segments: RasterGrid) -> SegmentMap:
+    """Read a table written by ``save_segment_stats`` for the ``segments``
+    raster, whose ids must be 0..n-1 for n rows, each on its ``pixel_count``
+    > 0 pixels; anything else, or a file of another layout, is a RasterError."""
+    table = read_table(path, SEGMENT_DTYPE).view(np.recarray)
+    ids = segments.data[0]
+    if not ((ids >= 0) & (ids < len(table)) & (ids == np.floor(ids))).all():
+        raise RasterError(f"{path}: segment ids must be whole numbers "
+                          f"in 0..{len(table) - 1}")
+    labels = ids.astype(np.int32)
+    counts = np.bincount(labels.ravel(), minlength=len(table))
+    if not (counts.all() and np.array_equal(counts, table.pixel_count)):
+        raise RasterError(f"{path}: pixel_count must be the nonzero pixel count "
+                          f"of each id in the segments raster")
+    return SegmentMap(labels, table, segments.geometry)

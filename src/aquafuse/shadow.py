@@ -129,13 +129,3 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
         for drow, dcol in sweep_offsets(a, b, sweep, r):
             shift_or(out, mask, drow, dcol)
     return BinaryMask(grid, out.astype(np.uint8))
-
-
-def segment_shadow_proportion(segmap: SegmentMap, shadow_mask: BinaryMask) -> SegmentMap:
-    """Fill each segment's shadow proportion from the potential shadow mask."""
-    flat = segmap.labels.ravel()
-    n = segmap.count
-    counts = np.bincount(flat, minlength=n)
-    hits = np.bincount(flat[shadow_mask.bits.ravel() == 1], minlength=n)
-    segmap.records.p_shadow = hits / np.maximum(counts, 1)
-    return segmap

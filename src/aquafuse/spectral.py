@@ -14,6 +14,7 @@ CLASS_ORDER = ("vegetation", "soil", "impervious", "water")
 
 VISIBLE_BANDS = ("blue", "green", "red")
 SWIR_BANDS = ("swir1", "swir2")
+OTSU_BINS = 256  # histogram bins of otsu_threshold
 
 COVARIANCE_EPSILON = 1e-4
 
@@ -171,11 +172,11 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
 # ---------------------------------------------------------------------------
 # Landsat time-series water index
 
-def landsat_water_index(stack, visible_bands=VISIBLE_BANDS, swir_bands=SWIR_BANDS) -> RasterGrid:
+def landsat_water_index(stack) -> RasterGrid:
     """Fraction of dates on which max(visible) strictly exceeds max(SWIR).
 
-    Per date the pixel scores 1 if the brightest visible band is above the
-    brightest SWIR band, else 0; the output is the mean score over the stack,
+    Per date the pixel scores 1 if the brightest of VISIBLE_BANDS is above the
+    brightest of SWIR_BANDS, else 0; the output is the mean score over the stack,
     so values are k/M for a stack of M dates.
     """
     if not stack:
@@ -185,8 +186,8 @@ def landsat_water_index(stack, visible_bands=VISIBLE_BANDS, swir_bands=SWIR_BAND
     for raster in stack:
         if raster.geometry != geometry:
             raise SpectralError("all rasters in the stack must share one grid")
-        vis = np.max([raster.band(b) for b in visible_bands], axis=0)
-        swir = np.max([raster.band(b) for b in swir_bands], axis=0)
+        vis = np.max([raster.band(b) for b in VISIBLE_BANDS], axis=0)
+        swir = np.max([raster.band(b) for b in SWIR_BANDS], axis=0)
         total += (vis > swir)
     total /= len(stack)
     return RasterGrid(geometry, total.astype(np.float32)[np.newaxis], ["p_water"])
@@ -195,7 +196,7 @@ def landsat_water_index(stack, visible_bands=VISIBLE_BANDS, swir_bands=SWIR_BAND
 # ---------------------------------------------------------------------------
 # Otsu threshold
 
-def otsu_threshold(values, bins=256) -> float:
+def otsu_threshold(values) -> float:
     """Histogram threshold maximizing between-class variance.
 
     Ties pick the smallest maximizing bin; the returned threshold is that
@@ -205,7 +206,7 @@ def otsu_threshold(values, bins=256) -> float:
     values = values[np.isfinite(values)]
     if values.size < 2 or values.min() == values.max():
         raise SpectralError("otsu_threshold needs at least 2 distinct values")
-    counts, edges = np.histogram(values, bins=bins, range=(values.min(), values.max()))
+    counts, edges = np.histogram(values, bins=OTSU_BINS, range=(values.min(), values.max()))
     # between-class variance over bin indices (same maximizer as over bin
     # centers, which are affine in the index), compared in exact integer
     # arithmetic so plateau ties deterministically resolve to the smallest bin
@@ -215,7 +216,7 @@ def otsu_threshold(values, bins=256) -> float:
     best = None
     best_num = best_den = 0
     w0 = s0 = 0
-    for t in range(bins - 1):
+    for t in range(OTSU_BINS - 1):
         w0 += counts[t]
         s0 += t * counts[t]
         w1 = total - w0

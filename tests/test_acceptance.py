@@ -34,9 +34,8 @@ def report_metrics(out, stem):
 
 def load_pipeline(out):
     """Segments + per-segment fusion results of a finished pipeline run."""
-    labels = read_raster(out / "segments.hdr")
-    segmap = segmentation.load_segment_stats(
-        out / "segment_table.npy", labels.data[0].astype(np.int32), labels.geometry)
+    segmap = segmentation.load_segment_stats(out / "segment_table.npy",
+                                             read_raster(out / "segments.hdr"))
     return segmap, segmap.records.p_w, segmap.records.water
 
 

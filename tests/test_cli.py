@@ -103,6 +103,7 @@ class TestExitCodes:
         "sun 45 300",
         "extent 480 480",
         "noise pan 0.01",
+        "feature tree disk 30 22 7 height 14 height 40",
     ])
     def test_invalid_scene_line_is_config_error(self, tmp_path, line):
         scene = tmp_path / "scene.txt"
@@ -111,6 +112,42 @@ class TestExitCodes:
         cfg.write_text(f"scene = {scene}\n")
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "pan.bin").exists()
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("extent 240 240", "extent nan 240", "'nan' is not a finite number"),
+        ("extent 240 240", "extent inf 240", "'inf' is not a finite number"),
+        ("noise pan 0.004", "noise pan nan", "'nan' is not a finite number"),
+        ("noise pan 0.004", "noise pan inf", "'inf' is not a finite number"),
+        ("sun 50 180", "sun 50 nan", "'nan' is not a finite number"),
+        ("spectrum water    pan=0.05", "spectrum water    pan=nan",
+         "'nan' is not a finite number"),
+        ("texture grass 0.08 3.2", "texture grass inf 3.2", "'inf' is not a finite number"),
+        ("extent 240 240", "extent 240 240 480", "'extent' takes 2 operand(s), got 3"),
+        ("sun 50 180", "sun 50 180 9", "'sun' takes 2 operand(s), got 3"),
+        ("seed 7", "seed 7 8", "'seed' takes 1 operand(s), got 2"),
+        ("noise pan 0.004", "noise pan 0.004 0.5", "'noise' takes 2 operand(s), got 3"),
+        ("texture grass 0.08 3.2", "texture grass 0.08 3.2 99",
+         "'texture' takes 3 operand(s), got 4"),
+        ("train_per_class 60", "train_per_class 60 2",
+         "'train_per_class' takes 1 operand(s), got 2"),
+        ("feature tree disk 30 22 7 height 14", "feature tree disk 30 22 7 height 14 height 40",
+         "'height' given twice"),
+    ])
+    def test_scene_line_in_place_is_config_error(self, tmp_path, capsys, old, new, reason):
+        """A non-finite number or an extra operand, in place of the scene's
+        own line of that directive (so that the repeat rule does not stop it
+        first), stops synth and names the line and the reason."""
+        text = cli.DEFAULT_SCENE_TEXT.replace(old, new)
+        scene = tmp_path / "scene.txt"
+        scene.write_text(text)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        lineno, line = next((n, line) for n, line in enumerate(text.splitlines(), 1)
+                            if new in line)
+        assert f"scene line {lineno}: {line!r}: {reason}" in capsys.readouterr().err
         assert not (tmp_path / "pan.bin").exists()
 
     def test_unknown_spectrum_band_is_config_error(self, tmp_path, capsys):
@@ -287,6 +324,29 @@ class TestPipelineArtifacts:
         else:
             np.save(path, np.load(path)["w"])
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("stage", ["shadow", "fuse", "postclass"])
+    @pytest.mark.parametrize("damage", ["negative-id", "fractional-id", "empty-id",
+                                        "pixel-count-off"])
+    def test_segments_raster_out_of_step_with_table_is_io_error(
+            self, pipeline_dir, tmp_path, capsys, stage, damage):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        segments = read_raster(out / "segments.hdr")
+        ids = segments.data[0]
+        if damage == "negative-id":
+            ids[0, 0] = -1
+        elif damage == "fractional-id":
+            ids[0, 0] += 0.5
+        elif damage == "empty-id":
+            ids[ids == 1] = 0
+        else:
+            table = np.load(out / "segment_table.npy")
+            table["pixel_count"][0] += 1
+            np.save(out / "segment_table.npy", table)
+        write_raster(segments, out / "segments.hdr")
+        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+        assert "segment_table.npy" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage,message", [
         (lambda p: np.save(p, np.load(p)[["cls", "x"]].astype([("cls", "<U10"), ("x", "<f8")])),

@@ -30,7 +30,7 @@ from aquafuse.scene import (
     generate_scene,
     parse_scene,
 )
-from aquafuse.shadow import shift_or
+from aquafuse.shadow import ShadowGeometry, shift_or
 from aquafuse.spectral import landsat_water_index
 
 ALL_BANDS = ("pan",) + tuple(LANDSAT_BANDS)
@@ -127,10 +127,26 @@ class TestParser:
         "feature lake rect 0 0 inf 10",
         "feature building rect 0 0 10 10 height nan",
         "sun 0 180",                     # elevation outside (0, 90]
+        "texture grass inf 3.2",
+        "texture grass 0.08 3.2 99",
+        "feature tree disk 30 22 7 height 14 height 40",
     ])
     def test_invalid_line_rejected(self, line):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\n" + line)
+
+    @pytest.mark.parametrize("field,value", [
+        ("extent", (math.nan, 240.0)),
+        ("shadow_factor", math.inf),
+        ("noise", {"pan": math.nan}),
+        ("textures", {"grass": (math.inf, 3.2)}),
+        ("sun", ShadowGeometry(50.0, math.nan)),
+    ])
+    def test_spec_built_in_code_must_be_finite(self, field, value):
+        spec = parse_scene(DEFAULT_SCENE_TEXT)
+        setattr(spec, field, value)
+        with pytest.raises(SceneError, match="finite"):
+            spec.validate()
 
     @pytest.mark.parametrize("extra,message", [
         ("swir3=0.9", "unknown band 'swir3'"),    # a band no sensor has

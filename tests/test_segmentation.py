@@ -17,12 +17,10 @@ from aquafuse.segmentation import (
     kmeans_segment,
     load_segment_stats,
     morphological_profiles,
-    pan_water_probability,
     paint_segments,
     save_segment_stats,
     segment_stats,
     segment_table,
-    structuring_element,
 )
 from aquafuse.spectral import CLASS_ORDER
 
@@ -123,12 +121,12 @@ class TestMorphologicalProfiles:
         rng = np.random.default_rng(0)
         img = rng.random((9, 9)).astype(np.float32)
         mps = morphological_profiles(pan_raster(img))
-        for i, (shape, size) in enumerate(SE_FAMILY):
-            fp = structuring_element(shape, size)
+        for i, (suffix, size) in enumerate(SE_FAMILY):
+            fp = np.ones(size, bool)
             anchor = tuple(n // 2 - 1 if n % 2 == 0 and n > 1 else n // 2
                            for n in fp.shape)
-            assert np.allclose(mps.data[2 * i], brute_morph(img, fp, anchor, "open")), (shape, size)
-            assert np.allclose(mps.data[2 * i + 1], brute_morph(img, fp, anchor, "close")), (shape, size)
+            assert np.allclose(mps.data[2 * i], brute_morph(img, fp, anchor, "open")), suffix
+            assert np.allclose(mps.data[2 * i + 1], brute_morph(img, fp, anchor, "close")), suffix
 
     def test_order_and_idempotence(self):
         rng = np.random.default_rng(1)
@@ -410,8 +408,9 @@ class TestSegmentStats:
         labels = np.asarray(labels, dtype=np.int32)
         h, w = labels.shape
         geom = GridGeometry(w, h, pixel_size, origin_y=h * pixel_size)
-        n = labels.max() + 1
-        return SegmentMap(labels, segment_table(n), geom), geom
+        table = segment_table(labels.max() + 1)
+        table.pixel_count = np.bincount(labels.ravel())
+        return SegmentMap(labels, table, geom), geom
 
     def test_constant_probability_mean(self):
         labels = np.zeros((4, 4), dtype=np.int32)
@@ -421,7 +420,7 @@ class TestSegmentStats:
         stats = segment_stats(segmap, pan, mps,
                               constant_field(geom, 0.7, "p"),
                               constant_field(geom, 0.2, "p"),
-                              constant_field(geom, 3.0, "class_index"))
+                              constant_field(geom, 3.0, "class_index"), 0.5)
         assert stats.records[0].p_ms == pytest.approx(0.7)
         assert stats.records[0].p_lan == pytest.approx(0.2)
         assert stats.records.votes[0, CLASS_ORDER.index("water")] == 16
@@ -432,7 +431,7 @@ class TestSegmentStats:
         classes = np.array([[0, 3, 3], [1, 3, 1]], dtype=np.float32)
         f = constant_field(geom, 0.0, "p")
         stats = segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 3), np.float32)),
-                              f, f, RasterGrid(geom, classes[np.newaxis]))
+                              f, f, RasterGrid(geom, classes[np.newaxis]), 0.5)
         expected = np.zeros((3, len(CLASS_ORDER)), dtype=np.int64)
         for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
             expected[segment, cls] += 1
@@ -445,7 +444,7 @@ class TestSegmentStats:
         f = constant_field(geom, 0.0, "p")
         with pytest.raises(SegmentationError):
             segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 2), np.float32)),
-                          f, f, constant_field(geom, bad, "class_index"))
+                          f, f, constant_field(geom, bad, "class_index"), 0.5)
 
     def test_ribbon_hydraulic_diameter(self):
         labels = np.ones((7, 104), dtype=np.int32)
@@ -455,7 +454,7 @@ class TestSegmentStats:
         mps = RasterGrid(geom, np.zeros((10, 7, 104), dtype=np.float32))
         f = constant_field(geom, 0.0, "p")
         stats = segment_stats(segmap, pan, mps, f, f,
-                              constant_field(geom, 0.0, "class_index"))
+                              constant_field(geom, 0.0, "class_index"), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 300
         assert rec.perimeter_px == 206
@@ -469,7 +468,7 @@ class TestSegmentStats:
         mps = RasterGrid(geom, np.zeros((10, 44, 44), dtype=np.float32))
         f = constant_field(geom, 0.0, "p")
         stats = segment_stats(segmap, pan, mps, f, f,
-                              constant_field(geom, 0.0, "class_index"))
+                              constant_field(geom, 0.0, "class_index"), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 1600
         assert rec.perimeter_px == 160
@@ -484,7 +483,7 @@ class TestSegmentStats:
         mps = RasterGrid(geom, mp_data)
         f = constant_field(geom, 0.0, "p")
         stats = segment_stats(segmap, pan, mps, f, f,
-                              constant_field(geom, 0.0, "class_index"))
+                              constant_field(geom, 0.0, "class_index"), 0.5)
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
 
@@ -492,11 +491,12 @@ class TestSegmentStats:
 class TestPanWaterProbability:
     def _simple(self, values, t):
         pan = pan_raster(values)
-        from aquafuse.segmentation import SegmentMap, segment_table
-
         labels = np.zeros_like(pan.data[0], dtype=np.int32)
         segmap = SegmentMap(labels, segment_table(1), pan.geometry)
-        return pan_water_probability(segmap, pan, t).records[0].p_pan
+        segmap.records.pixel_count = labels.size
+        f = constant_field(pan.geometry, 0.0, "p")
+        mps = RasterGrid(pan.geometry, np.zeros((10,) + labels.shape, np.float32))
+        return segment_stats(segmap, pan, mps, f, f, f, t).records[0].p_pan
 
     def test_all_below(self):
         assert self._simple(np.zeros((10, 10)), 1.0) == 1.0
@@ -522,7 +522,7 @@ def test_paint_segments():
     geom = GridGeometry(2, 2, 1.0)
     labels = np.array([[0, 0], [1, 1]], dtype=np.int32)
     segmap = SegmentMap(labels, segment_table(2), geom)
-    out = paint_segments(segmap, [0.25, 0.75])
+    out = paint_segments(segmap, [0.25, 0.75], "value")
     assert np.array_equal(out.data[0], [[0.25, 0.25], [0.75, 0.75]])
 
 
@@ -540,11 +540,16 @@ class TestSegmentTableFile:
         table.water = [True, False, True]
         return SegmentMap(labels, table, GridGeometry(3, 2, 0.8))
 
+    @staticmethod
+    def _raster(segmap, ids):
+        return RasterGrid(segmap.geometry, np.asarray(ids, np.float32)[np.newaxis], ["segment"])
+
     def test_round_trip(self, tmp_path):
         segmap = self._segmap()
         save_segment_stats(segmap, tmp_path / "t.npy")
-        loaded = load_segment_stats(tmp_path / "t.npy", segmap.labels, segmap.geometry)
+        loaded = load_segment_stats(tmp_path / "t.npy", self._raster(segmap, segmap.labels))
         assert loaded.count == 3
+        assert np.array_equal(loaded.labels, segmap.labels)
         for name in segmap.records.dtype.names:
             assert np.array_equal(loaded.records[name], segmap.records[name]), name
 
@@ -552,5 +557,17 @@ class TestSegmentTableFile:
         segmap = self._segmap()
         save_segment_stats(segmap, tmp_path / "t.npy")
         with pytest.raises(RasterError):
-            load_segment_stats(tmp_path / "t.npy", np.zeros((2, 3), dtype=np.int32),
-                               segmap.geometry)
+            load_segment_stats(tmp_path / "t.npy", self._raster(segmap, np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("ids,message", [
+        ([[0, 0, 1], [2, 2, -1]], "whole numbers in 0..2"),
+        ([[0, 0, 1], [2, 2, 3]], "whole numbers in 0..2"),
+        ([[0, 0, 1], [2, 2, 1.5]], "whole numbers in 0..2"),
+        ([[0, 0, 1], [2, 1, 1]], "pixel_count"),   # 1 and 3 pixels, not 2 and 2
+        ([[0, 0, 0], [2, 2, 0]], "pixel_count"),   # id 1 has no pixels
+    ], ids=["negative", "past-the-table", "fractional", "miscounted", "empty-id"])
+    def test_damaged_segments_raster_rejected(self, tmp_path, ids, message):
+        segmap = self._segmap()
+        save_segment_stats(segmap, tmp_path / "t.npy")
+        with pytest.raises(RasterError, match=message):
+            load_segment_stats(tmp_path / "t.npy", self._raster(segmap, ids))

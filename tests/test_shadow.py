@@ -15,7 +15,6 @@ from aquafuse.shadow import (
     building_intensity_map,
     classify_segments_majority,
     potential_shadow_mask,
-    segment_shadow_proportion,
     shift_or,
     sweep_offsets,
     tree_grass_split,
@@ -236,7 +235,8 @@ class TestSegmentShadowProportion:
         labels = np.array([[0, 0, 1, 1]], dtype=np.int32)
         geom = GridGeometry(4, 1, 1.0)
         segmap = SegmentMap(labels, segment_table(2), geom)
+        segmap.records.pixel_count = [2, 2]
         bits = np.array([[1, 0, 1, 1]], dtype=np.uint8)
-        out = segment_shadow_proportion(segmap, BinaryMask(geom, bits))
-        assert out.records[0].p_shadow == pytest.approx(0.5)
-        assert out.records[1].p_shadow == pytest.approx(1.0)
+        p_shadow = segmap.mean(BinaryMask(geom, bits).bits)
+        assert p_shadow[0] == pytest.approx(0.5)
+        assert p_shadow[1] == pytest.approx(1.0)
