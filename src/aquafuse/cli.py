@@ -32,7 +32,7 @@ from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
 from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats,
                            morphological_profiles, paint_segments, save_segment_stats,
-                           segment_stats, segment_water_mask)
+                           segment_stats)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      ShadowError, building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, tree_grass_split)
@@ -45,25 +45,11 @@ EXIT_IO = 3
 EXIT_COMPUTE = 4
 
 
-class ArtifactError(Exception):
-    """A required input artifact is missing or unreadable."""
-
-
 # ---------------------------------------------------------------------------
-# artifact helpers
+# artifact helpers; a missing input is reported by the reader that opens it
 
 def _load_raster(out: Path, stem: str) -> RasterGrid:
-    path = out / f"{stem}.hdr"
-    if not path.exists():
-        raise ArtifactError(f"missing artifact {path} (run the producing step first)")
-    return read_raster(path)
-
-
-def _load_mask(out: Path, stem: str) -> BinaryMask:
-    path = out / f"{stem}.hdr"
-    if not path.exists():
-        raise ArtifactError(f"missing artifact {path} (run the producing step first)")
-    return read_mask(path)
+    return read_raster(out / f"{stem}.hdr")
 
 
 def _write(out: Path, stem: str, raster: RasterGrid) -> None:
@@ -77,19 +63,12 @@ def _write_mask(out: Path, stem: str, mask: BinaryMask) -> None:
 def _landsat_stems(out: Path):
     stems = sorted(p.stem for p in out.glob("landsat_d*.hdr"))
     if not stems:
-        raise ArtifactError(f"no landsat_d*.hdr artifacts in {out}")
+        raise RasterError(f"no landsat_d*.hdr artifacts in {out}")
     return stems
 
 
 # one row per training site: its stratum and map coordinates (m)
 SITE_DTYPE = np.dtype([("cls", "<U10"), ("x", "<f8"), ("y", "<f8")])
-
-
-def _load_sites(out: Path):
-    path = out / "train_sites.npy"
-    if not path.exists():
-        raise ArtifactError(f"missing artifact {path} (run synth first)")
-    return read_table(path, SITE_DTYPE)
 
 
 def _sample_spectra(raster: RasterGrid, sites):
@@ -100,7 +79,7 @@ def _sample_spectra(raster: RasterGrid, sites):
                 & (-0.5 <= col) & (col < geometry.width - 0.5))
     if outside.any():
         cls, x, y = sites[np.argmax(outside)].tolist()
-        raise ArtifactError(f"training site {cls} {x!r} {y!r} lies outside the raster")
+        raise RasterError(f"training site {cls} {x!r} {y!r} lies outside the raster")
     spectra = raster.data[:, row.astype(int), col.astype(int)].T
     return np.ascontiguousarray(spectra), sites["cls"]
 
@@ -108,7 +87,7 @@ def _sample_spectra(raster: RasterGrid, sites):
 def _classify(raster: RasterGrid, out: Path):
     """Fit the Gaussian classifier to the spectra of ``raster`` under the
     training sites and apply it to every pixel: ``(probabilities, class_map)``."""
-    spectra, labels = _sample_spectra(raster, _load_sites(out))
+    spectra, labels = _sample_spectra(raster, read_table(out / "train_sites.npy", SITE_DTYPE))
     return classify_probabilities(fit_classifier(spectra, labels), raster)
 
 
@@ -123,13 +102,7 @@ def _load_segments(out: Path):
 # subcommands
 
 def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
-    if cfg.scene:
-        scene_path = Path(cfg.scene)
-        if not scene_path.exists():
-            raise ArtifactError(f"scene file {scene_path} not found")
-        text = scene_path.read_text()
-    else:
-        text = DEFAULT_SCENE_TEXT
+    text = Path(cfg.scene).read_text() if cfg.scene else DEFAULT_SCENE_TEXT
     spec = parse_scene(text)
     bundle = generate_scene(spec)
     (out / "scene.txt").write_text(text)
@@ -204,19 +177,15 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
-    scene_path = out / "scene.txt"
-    if not scene_path.exists():
-        raise ArtifactError(f"missing artifact {scene_path} (run synth first)")
-    sun = parse_scene(scene_path.read_text()).sun
+    sun = parse_scene((out / "scene.txt").read_text()).sun
     segmap = _load_segments(out)
-    tree_flags = segmap.records.label == "tree"
-    imp_flags = segmap.records.label == "impervious"
-    imp_mask = BinaryMask(segmap.geometry, imp_flags[segmap.labels].astype(np.uint8))
-    intensity = building_intensity_map(imp_mask, cfg.intensity_window, cfg.intensity_ratio)
+    tree_px = (segmap.records.label == "tree")[segmap.labels]
+    imp_px = (segmap.records.label == "impervious")[segmap.labels]
+    intensity = building_intensity_map(BinaryMask(segmap.geometry, imp_px),
+                                       cfg.intensity_window, cfg.intensity_ratio)
 
     kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
-    kinds[tree_flags[segmap.labels]] = OBJECT_KIND_TREE
-    imp_px = imp_flags[segmap.labels]
+    kinds[tree_px] = OBJECT_KIND_TREE
     kinds[imp_px & (intensity.bits == 1)] = OBJECT_KIND_HIGH_BUILDING
     kinds[imp_px & (intensity.bits == 0)] = OBJECT_KIND_LOW_BUILDING
     _write(out, "object_kinds",
@@ -244,17 +213,17 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
         f"water_segments = {int(table.water.sum())}\n")
     save_segment_stats(segmap, out / SEGMENT_TABLE)
     _write(out, "pgm_prob", paint_segments(segmap, table.p_w, band_name="p_water"))
-    _write_mask(out, "pgm_water", segment_water_mask(segmap, table.water))
+    _write(out, "pgm_water", paint_segments(segmap, table.water, "pgm_water"))
 
 
 def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
     if not (out / "pgm_water.hdr").exists():
-        raise ArtifactError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
+        raise RasterError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
     segmap = _load_segments(out)
     water = segmap.records.water
     final = relabel_shadow_segments(water, segmap, cfg.shadow_relabel_threshold)
     (out / "postclass.txt").write_text(f"relabeled = {int((water & ~final).sum())}\n")
-    _write_mask(out, "water_final", segment_water_mask(segmap, final))
+    _write(out, "water_final", paint_segments(segmap, final, "water_final"))
 
 
 PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
@@ -262,7 +231,7 @@ PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
 
 
 def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
-    truth = _load_mask(out, "truth")
+    truth = read_mask(out / "truth.hdr")
     class_truth = _load_raster(out, "class_truth")
     if class_truth.geometry != truth.geometry:
         raise RasterError(f"{out / 'class_truth.hdr'}: grid differs from the truth mask")
@@ -286,7 +255,7 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
         report = format_report(confusion_matrix(predicted, reference), title=stem)
         (out / f"report_{stem}.txt").write_text(report + "\n")
     if not found:
-        raise ArtifactError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
+        raise RasterError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
 
 
 RUN_ALL_ORDER = (
@@ -343,7 +312,7 @@ def main(argv=None) -> int:
     except (ConfigError, SceneError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ArtifactError, RasterError, OSError) as exc:
+    except (RasterError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (SpectralError, SegmentationError, ShadowError, EvalError) as exc:

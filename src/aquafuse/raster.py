@@ -34,7 +34,7 @@ import numpy as np
 
 
 class RasterError(Exception):
-    """Invalid raster data, geometry, or file contents."""
+    """Invalid raster data or geometry, or a missing or damaged artifact file."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class BinaryMask:
             raise RasterError("mask values must be 0 or 1")
         self.bits = arr.astype(np.uint8)
 
-    def as_raster(self, name="mask"):
+    def as_raster(self, name):
         return RasterGrid(self.geometry, self.bits.astype(np.float32)[np.newaxis], [name])
 
 
@@ -225,10 +225,14 @@ def read_raster(path) -> RasterGrid:
 
 
 def read_mask(path) -> BinaryMask:
+    """Read a one-band raster whose samples are all exactly 0.0 or 1.0."""
     raster = read_raster(path)
     if raster.bands != 1:
-        raise RasterError(f"mask file has {raster.bands} bands, expected 1")
-    return BinaryMask(raster.geometry, raster.data[0].astype(np.uint8))
+        raise RasterError(f"{path}: mask file has {raster.bands} bands, expected 1")
+    try:
+        return BinaryMask(raster.geometry, raster.data[0])
+    except RasterError as exc:
+        raise RasterError(f"{path}: {exc}") from None
 
 
 def write_table(table: np.ndarray, path) -> None:

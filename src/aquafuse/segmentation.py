@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .raster import BinaryMask, RasterError, RasterGrid, read_table, write_table
+from .raster import RasterError, RasterGrid, read_table, write_table
 from .spectral import CLASS_ORDER
 
 # profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
@@ -382,11 +382,6 @@ def paint_segments(segmap: SegmentMap, values, band_name) -> RasterGrid:
     """Raster whose pixels carry their segment's value."""
     values = np.asarray(values, dtype=np.float32)
     return RasterGrid(segmap.geometry, values[segmap.labels][np.newaxis], [band_name])
-
-
-def segment_water_mask(segmap: SegmentMap, water_flags) -> BinaryMask:
-    flags = np.asarray(water_flags, dtype=np.uint8)
-    return BinaryMask(segmap.geometry, flags[segmap.labels])
 
 
 def save_segment_stats(segmap: SegmentMap, path) -> None:

@@ -76,14 +76,29 @@ class TestExitCodes:
         assert cli.main(["frobnicate"]) == cli.EXIT_CONFIG
         capsys.readouterr()
 
-    def test_missing_artifact_is_io_error(self, tmp_path):
-        assert cli.main(["classify-ms", "--out", str(tmp_path)]) == cli.EXIT_IO
+    @pytest.mark.parametrize("stage,lacks", [
+        ("classify-ms", "ms.hdr"),
+        ("water-index", "landsat_d"),
+        ("pca-fuse", "ms.hdr"),
+        ("segment", "pan.hdr"),
+        ("shadow", "scene.txt"),
+        ("fuse", "ms.hdr"),
+        ("postclass", "pgm_water.hdr"),
+        ("evaluate", "truth.hdr"),
+    ])
+    def test_missing_artifact_is_io_error(self, tmp_path, capsys, stage, lacks):
+        """Every stage run on an empty directory stops at its first input and
+        names it."""
+        assert cli.main([stage, "--out", str(tmp_path)]) == cli.EXIT_IO
+        assert lacks in capsys.readouterr().err
 
-    def test_missing_scene_file_is_io_error(self, tmp_path):
+    def test_missing_scene_file_is_io_error(self, tmp_path, capsys):
+        scene = tmp_path / "absent_scene.txt"
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("scene = /does/not/exist.txt\n")
+        cfg.write_text(f"scene = {scene}\n")
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_IO
+        assert str(scene) in capsys.readouterr().err
 
     def test_bad_scene_content_is_config_error(self, tmp_path):
         scene = tmp_path / "scene.txt"
@@ -95,10 +110,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", [
         "texture lake 0.1 3.2",
-        "texture grass -0.1 3.2",
-        "texture grass 0.1 0",
         "noise landsaat 0.01",
-        "sun 0 180",
         # valid lines that repeat a setting the scene already gives
         "sun 45 300",
         "extent 480 480",
@@ -114,7 +126,27 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "pan.bin").exists()
 
+    @pytest.mark.parametrize("new,message", [
+        ("texture grass -0.1 3.2", "texture sigma for 'grass' must be >= 0"),
+        ("texture grass 0.1 0", "texture cell for 'grass' must be a positive size"),
+    ])
+    def test_texture_out_of_range_in_place_is_config_error(self, tmp_path, capsys,
+                                                           new, message):
+        """A texture outside its range, in place of the scene's own grass
+        line, stops synth on the range rule and not on the repeat rule.  The
+        rule is checked on the whole spec after the line loop, so it names no
+        line."""
+        scene = tmp_path / "scene.txt"
+        scene.write_text(cli.DEFAULT_SCENE_TEXT.replace("texture grass 0.08 3.2", new))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        assert cli.main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pan.bin").exists()
+
     @pytest.mark.parametrize("old,new,reason", [
+        ("sun 50 180", "sun 0 180", "sun elevation must be in (0, 90], got 0.0"),
         ("extent 240 240", "extent nan 240", "'nan' is not a finite number"),
         ("extent 240 240", "extent inf 240", "'inf' is not a finite number"),
         ("noise pan 0.004", "noise pan nan", "'nan' is not a finite number"),
@@ -135,9 +167,10 @@ class TestExitCodes:
          "'height' given twice"),
     ])
     def test_scene_line_in_place_is_config_error(self, tmp_path, capsys, old, new, reason):
-        """A non-finite number or an extra operand, in place of the scene's
-        own line of that directive (so that the repeat rule does not stop it
-        first), stops synth and names the line and the reason."""
+        """A value out of range, a non-finite number or an extra operand, in
+        place of the scene's own line of that directive (so that the repeat
+        rule does not stop it first), stops synth and names the line and the
+        reason."""
         text = cli.DEFAULT_SCENE_TEXT.replace(old, new)
         scene = tmp_path / "scene.txt"
         scene.write_text(text)
@@ -306,6 +339,26 @@ class TestPipelineArtifacts:
         shutil.copytree(pipeline_dir, out)
         (out / "scene.txt").unlink()
         assert cli.main(["shadow", "--out", str(out)]) == cli.EXIT_IO
+
+    def test_raster_without_data_file_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        (out / "ms.bin").unlink()
+        assert cli.main(["classify-ms", "--out", str(out)]) == cli.EXIT_IO
+        assert str(out / "ms.bin") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.7, 1.9])
+    def test_truth_sample_other_than_0_or_1_is_io_error(self, pipeline_dir, tmp_path,
+                                                        capsys, value):
+        """A damaged truth mask stops evaluate; it is not cast to 0/1 and
+        scored against."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        truth = read_raster(out / "truth.hdr")
+        truth.data[0, 5, 5] = value
+        write_raster(truth, out / "truth.hdr")
+        assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
+        assert "truth.hdr: mask values must be 0 or 1" in capsys.readouterr().err
 
     def test_postclass_before_fuse_is_io_error(self, pipeline_dir, tmp_path):
         out = tmp_path / "out"

@@ -6,6 +6,7 @@ from aquafuse.raster import (
     GridGeometry,
     RasterError,
     RasterGrid,
+    read_mask,
     read_raster,
     resample_nearest,
     window_ratio,
@@ -99,6 +100,29 @@ class TestIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(RasterError, match="missing"):
             read_raster(tmp_path / "nope")
+
+    def test_mask_round_trip(self, tmp_path):
+        bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+        mask = BinaryMask(GridGeometry(3, 2, 1.0), bits)
+        write_raster(mask.as_raster("m"), tmp_path / "m")
+        back = read_mask(tmp_path / "m.hdr")
+        assert back.bits.dtype == np.uint8
+        assert np.array_equal(back.bits, bits)
+
+    @pytest.mark.parametrize("value", [0.7, 1.9, 2.0, -1.0])
+    def test_mask_sample_other_than_0_or_1_rejected(self, tmp_path, value):
+        """The samples are checked as floats: 0.7 is not cast to 0, nor 1.9
+        to 1."""
+        data = np.zeros((1, 2, 3), dtype=np.float32)
+        data[0, 1, 2] = value
+        write_raster(RasterGrid(GridGeometry(3, 2, 1.0), data, ["m"]), tmp_path / "m")
+        with pytest.raises(RasterError, match=r"m\.hdr: mask values must be 0 or 1"):
+            read_mask(tmp_path / "m.hdr")
+
+    def test_mask_with_two_bands_rejected(self, tmp_path):
+        write_raster(make_raster(bands=2), tmp_path / "m")
+        with pytest.raises(RasterError, match=r"m\.hdr: mask file has 2 bands"):
+            read_mask(tmp_path / "m.hdr")
 
     def test_nonfinite_rejected_without_nodata(self):
         geom = GridGeometry(2, 1, 1.0)

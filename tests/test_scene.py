@@ -126,7 +126,6 @@ class TestParser:
         "texture grass 0.1 inf",
         "feature lake rect 0 0 inf 10",
         "feature building rect 0 0 10 10 height nan",
-        "sun 0 180",                     # elevation outside (0, 90]
         "texture grass inf 3.2",
         "texture grass 0.08 3.2 99",
         "feature tree disk 30 22 7 height 14 height 40",
