@@ -165,6 +165,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k)
     (out / "kmeans.txt").write_text(
         f"iterations = {segmap.kmeans_iterations}\n"
+        f"converged = {str(segmap.kmeans_converged).lower()}\n"
         f"objective = {segmap.kmeans_objective!r}\n"
         f"segments = {segmap.count}\n")
     segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up, t_pan)

@@ -82,6 +82,24 @@ class Feature:
     height: float = 0.0
 
 
+# the rules of one texture or noise line, checked on that line by parse_scene
+# and again by SceneSpec.validate, for a spec built in code
+def _check_texture(cls, sigma, cell_m):
+    if cls not in SURFACE_CLASSES:
+        raise SceneError(f"unknown texture class {cls!r}")
+    if not sigma >= 0:
+        raise SceneError(f"texture sigma for {cls!r} must be >= 0")
+    if not 0 < cell_m < math.inf:
+        raise SceneError(f"texture cell for {cls!r} must be a positive size")
+
+
+def _check_noise(sensor, sigma):
+    if sensor not in NOISE_SENSORS:
+        raise SceneError(f"unknown noise sensor {sensor!r}")
+    if sigma < 0:
+        raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
+
+
 @dataclass
 class SceneSpec:
     extent: tuple = (240.0, 240.0)
@@ -125,17 +143,9 @@ class SceneSpec:
             if cls not in SURFACE_CLASSES:
                 raise SceneError(f"unknown spectrum class {cls!r}")
         for cls, (sigma, cell_m) in self.textures.items():
-            if cls not in SURFACE_CLASSES:
-                raise SceneError(f"unknown texture class {cls!r}")
-            if not sigma >= 0:
-                raise SceneError(f"texture sigma for {cls!r} must be >= 0")
-            if not 0 < cell_m < math.inf:
-                raise SceneError(f"texture cell for {cls!r} must be a positive size")
+            _check_texture(cls, sigma, cell_m)
         for sensor, sigma in self.noise.items():
-            if sensor not in NOISE_SENSORS:
-                raise SceneError(f"unknown noise sensor {sensor!r}")
-            if sigma < 0:
-                raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
+            _check_noise(sensor, sigma)
         if self.train_per_class < 2:  # the classifier fits each class from 2 sites or more
             raise SceneError(f"train_per_class must be >= 2, got {self.train_per_class}")
         for factor in (self.shadow_factor, self.shadow_factor_nir):
@@ -233,8 +243,10 @@ def parse_scene(text: str) -> SceneSpec:
                 spec.train_per_class = int(parts[1])
             elif key == "noise":
                 spec.noise[parts[1]] = _number(parts[2])
+                _check_noise(parts[1], spec.noise[parts[1]])
             elif key == "texture":
                 spec.textures[parts[1]] = (_number(parts[2]), _number(parts[3]))
+                _check_texture(parts[1], *spec.textures[parts[1]])
             elif key == "spectrum":
                 bands = {}
                 for item in parts[2:]:

@@ -62,10 +62,11 @@ class SegmentMap:
     labels: np.ndarray               # (h, w) int32 segment ids, 0..S-1
     records: np.recarray             # segment_table rows, indexed by id
     geometry: object
-    # Lloyd iterations and final objective of the k-means fit that made
-    # ``labels``; None for a map read back from disk
+    # Lloyd iterations, final objective and convergence of the k-means fit
+    # that made ``labels``; None for a map read back from disk
     kmeans_iterations: int | None = None
     kmeans_objective: float | None = None
+    kmeans_converged: bool | None = None
 
     @property
     def count(self):
@@ -104,6 +105,26 @@ def _standardize(features: np.ndarray) -> np.ndarray:
     features -= mean
     features /= std
     return features
+
+
+def _round_to_quantum(features: np.ndarray) -> float:
+    """Round ``features`` in place, toward zero, to whole multiples of the
+    power of two ``q = 2**(ceil(log2(n * max|x|)) - 52)`` for its n rows, and
+    return q (0 for all-zero features, which stay as they are).
+
+    Then n * max|x| / q <= 2**52, so every sum of rows, in any order and at
+    every partial step, is a whole number of q below 2**53 in magnitude:
+    exact in float64.  Rounding toward zero grows no |x|, so the result's
+    quantum, or that of any subset of its rows, is q or smaller, and
+    rounding it again is a no-op."""
+    top = max(float(np.max(features, initial=0.0)), -float(np.min(features, initial=0.0)))
+    if top == 0.0:
+        return 0.0
+    q = 2.0 ** (int(np.ceil(np.log2(len(features) * top))) - 52)
+    features /= q
+    np.trunc(features, out=features)
+    features *= q
+    return q
 
 
 def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -175,11 +196,20 @@ def _nearest(features, f2, centers):
     return assign, best
 
 
-def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower):
+def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums):
     """Assign ``rows`` (None for every row) to their nearest centres and set
-    their bounds of ``_lloyd`` from the computed squared distances."""
+    their bounds of ``_lloyd`` from the computed squared distances.  Given
+    ``sums`` (and ``rows`` as an index array), each row whose centre changes
+    also moves from its old centre's row sum in ``sums`` to its new one."""
     for block, nearest, best, second in _nearest_two(features, f2, centers, rows):
         tau = KMEANS_SLACK * (f2[block] + norm2)
+        if sums is not None:
+            old = assign[block]
+            moved = old != nearest
+            if moved.any():
+                x = features[block[moved]]
+                np.subtract.at(sums, old[moved], x)
+                np.add.at(sums, nearest[moved], x)
         assign[block] = nearest
         upper[block] = np.sqrt(best + tau)
         lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
@@ -213,23 +243,29 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     """Lloyd's k-means from ``centers``, until no centre coordinate moves by
     KMEANS_TOL or more, for at most KMEANS_MAX_ITER passes.
 
-    Returns ``(assign, centers, iterations, objective)``: the objective is the
-    sum of the squared distances of every row to its nearest final centre.
-    ``features`` should be F-contiguous, so that each column is contiguous.
+    Returns ``(assign, centers, iterations, objective, converged)``: the
+    objective is the sum of the squared distances of every row to its
+    nearest final centre, and ``converged`` tells whether the last pass
+    moved every centre coordinate by less than KMEANS_TOL.  ``features``
+    should be F-contiguous, so that each column is contiguous, and rounded
+    by ``_round_to_quantum``, as ``_kmeans`` rounds them.
 
     Each pass assigns every row to the centre of its smallest
-    ``_sq_distances`` value, and each centre becomes the mean of its rows,
-    summed in row order.  The first pass, the labelling at the final centres
-    and an empty cluster's search for the farthest row compute every
-    distance.  In between, most rows keep their centre, and Hamerly's bounds
-    prove it without their distances.  Row i keeps ``upper[i]``, at least
-    its distance to its own centre a, and ``lower[i]``, at most its distance
-    to any other centre.  When the centres move, ``upper`` grows by a's move
-    and ``lower`` shrinks by the largest move (the triangle inequality).  A
-    row keeps a unseen if ``upper**2 + 2 tau < max(half[a], lower)**2``,
-    where ``half[a]`` is half the distance from a to its nearest other
-    centre; the other rows get their distances computed and their bounds
-    reset.
+    ``_sq_distances`` value, and each centre becomes the mean of its rows.
+    The rounding makes every sum of rows exact, so the first pass sums each
+    centre's rows in full and a later pass moves only the rows that change
+    centre from one sum to the other: the sums, and so the centres, are bit
+    for bit those of full sums in any order.  The first pass, the labelling
+    at the final centres and an empty cluster's search for the farthest row
+    compute every distance.  In between, most rows keep their centre, and
+    Hamerly's bounds prove it without their distances.  Row i keeps
+    ``upper[i]``, at least its distance to its own centre a, and
+    ``lower[i]``, at most its distance to any other centre.  When the
+    centres move, ``upper`` grows by a's move and ``lower`` shrinks by the
+    largest move (the triangle inequality).  A row keeps a unseen if
+    ``upper**2 + 2 tau < max(half[a], lower)**2``, where ``half[a]`` is half
+    the distance from a to its nearest other centre; the other rows get
+    their distances computed and their bounds reset.
 
     Why the labels are those of a full computation, bit for bit.  The
     computed value e_c of ``f2 - 2 f.c + c2`` differs from the exact squared
@@ -261,15 +297,15 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     previous = None
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         norm2 = max(norm2, float(np.max(np.sum(centers ** 2, axis=1))))
-        # the first pass computes every row, a later one the unsettled rows
-        rows = None if previous is None else _unsettled_rows(
-            assign, upper, lower, f2, norm2, previous, centers)
-        _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower)
-        del rows  # so that the next pass's bound test does not overlap it
+        if previous is None:  # the first pass computes and sums every row
+            _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, None)
+            sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
+                             for j in range(dims)], axis=1)
+        else:  # a later pass computes the unsettled rows and moves their sums
+            rows = _unsettled_rows(assign, upper, lower, f2, norm2, previous, centers)
+            _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums)
+            del rows  # so that the next pass's bound test does not overlap it
         counts = np.bincount(assign, minlength=k)
-        # per-centre sums in pixel order, as features[assign == c].sum(axis=0)
-        sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
-                         for j in range(dims)], axis=1)
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():
@@ -281,20 +317,23 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
             break
     del upper, lower
     assign, best = _nearest(features, f2, centers)
-    return assign, centers, iterations, float(best.sum())
+    return assign, centers, iterations, float(best.sum()), bool(movement < KMEANS_TOL)
 
 
 def _kmeans(features: np.ndarray, k: int):
     """k-means that depends on ``features`` alone: Lloyd on every
     KMEANS_SUBSAMPLE-th row from farthest-point centres, then Lloyd on all
     rows from the centres that reaches.  A subsample of fewer than ``k`` rows
-    is replaced by all rows.  Returns what ``_lloyd`` returns for the full
-    pass, so ``iterations`` counts full-data passes."""
+    is replaced by all rows.  ``features`` are first rounded in place by
+    ``_round_to_quantum``; the subsample's sums are then exact as well, as
+    it has fewer rows on the same quantum.  Returns what ``_lloyd`` returns
+    for the full pass, so ``iterations`` counts full-data passes."""
+    _round_to_quantum(features)
     sample = features[::KMEANS_SUBSAMPLE]
     if len(sample) < k:
         sample = features
     sample = np.asfortranarray(sample)
-    _, centers, _, _ = _lloyd(sample, _farthest_point_centers(sample, k))
+    centers = _lloyd(sample, _farthest_point_centers(sample, k))[1]
     return _lloyd(features, centers)
 
 
@@ -328,11 +367,11 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     h, w = pan.geometry.height, pan.geometry.width
     features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
     features = _standardize(features)
-    assign, _, iterations, objective = _kmeans(features, k)
+    assign, _, iterations, objective, converged = _kmeans(features, k)
     labels = _connected_segments(assign.reshape(h, w))
     records = segment_table(int(labels.max()) + 1)
     records.pixel_count = np.bincount(labels.ravel())
-    return SegmentMap(labels, records, pan.geometry, iterations, objective)
+    return SegmentMap(labels, records, pan.geometry, iterations, objective, converged)
 
 
 def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:

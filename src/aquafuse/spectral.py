@@ -17,6 +17,7 @@ SWIR_BANDS = ("swir1", "swir2")
 OTSU_BINS = 256  # histogram bins of otsu_threshold
 
 COVARIANCE_EPSILON = 1e-4
+CLASSIFY_BLOCK = 1 << 16  # pixels per block of classify_probabilities
 
 
 class SpectralError(Exception):
@@ -128,44 +129,46 @@ def fit_classifier(spectra, labels) -> ClassifierModel:
     return ClassifierModel(means, covs)
 
 
-def _log_densities(model: ClassifierModel, spectra: np.ndarray) -> np.ndarray:
-    n, d = spectra.shape
-    out = np.empty((len(CLASS_ORDER), n))
-    for i in range(len(CLASS_ORDER)):
-        chol = np.linalg.cholesky(model.covs[i])
-        z = np.linalg.solve(chol, (spectra - model.means[i]).T)
-        maha = np.sum(z * z, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[i] = -0.5 * (maha + logdet + d * np.log(2.0 * np.pi))
-    return out
-
-
 def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     """Per-pixel class posteriors under a uniform prior, and the argmax class map.
 
     Returns ``(probabilities, class_map)``: one probability band ``p_<class>``
     per CLASS_ORDER class (normalized to sum to 1), and a single-band raster
     of class indices into CLASS_ORDER.
+
+    Each class's Cholesky factor L is inverted once.  Then, CLASSIFY_BLOCK
+    pixels at a time, the squared Mahalanobis distance is |L^-1 (x - mean)|^2,
+    the log-posteriors are normalized by their logsumexp, and the float64
+    posteriors give the class (the first on a tie) before they are stored as
+    float32, where more pixels tie.
     """
     if raster.bands != model.means.shape[1]:
         raise SpectralError(
             f"raster has {raster.bands} bands but the model expects {model.means.shape[1]}"
         )
-    spectra = raster.data.reshape(raster.bands, -1).T.astype(np.float64)
-    logpost = _log_densities(model, spectra)
-    logpost -= logsumexp(logpost, axis=0, keepdims=True)
-    probs = np.exp(logpost)
+    d = raster.bands
+    spectra = raster.data.reshape(d, -1)
+    n = spectra.shape[1]
+    chols = np.linalg.cholesky(model.covs)
+    inverses = np.linalg.inv(chols)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    probs = np.empty((len(CLASS_ORDER), n), dtype=np.float32)
+    classes = np.empty(n, dtype=np.float32)
+    for start in range(0, n, CLASSIFY_BLOCK):
+        block = slice(start, start + CLASSIFY_BLOCK)
+        x = spectra[:, block].astype(np.float64)
+        logpost = np.empty((len(CLASS_ORDER), x.shape[1]))
+        for i in range(len(CLASS_ORDER)):
+            z = inverses[i] @ (x - model.means[i][:, None])
+            logpost[i] = -0.5 * (np.sum(z * z, axis=0) + logdets[i] + d * np.log(2.0 * np.pi))
+        logpost -= logsumexp(logpost, axis=0, keepdims=True)
+        posterior = np.exp(logpost)
+        probs[:, block] = posterior
+        classes[block] = np.argmax(posterior, axis=0)
     h, w = raster.geometry.height, raster.geometry.width
-    prob_raster = RasterGrid(
-        raster.geometry,
-        probs.reshape(len(CLASS_ORDER), h, w).astype(np.float32),
-        [f"p_{c}" for c in CLASS_ORDER],
-    )
-    class_map = RasterGrid(
-        raster.geometry,
-        np.argmax(probs, axis=0).reshape(h, w).astype(np.float32)[np.newaxis],
-        ["class_index"],
-    )
+    prob_raster = RasterGrid(raster.geometry, probs.reshape(len(CLASS_ORDER), h, w),
+                             [f"p_{c}" for c in CLASS_ORDER])
+    class_map = RasterGrid(raster.geometry, classes.reshape(1, h, w), ["class_index"])
     return prob_raster, class_map
 
 

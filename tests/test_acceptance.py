@@ -338,7 +338,7 @@ class TestMorphologyAndClustering:
             previous = None
             for max_iter in range(1, 13):
                 monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", max_iter)
-                assign, centers, _, _ = segmentation._lloyd(features, start)
+                assign, centers = segmentation._lloyd(features, start)[:2]
                 value = objective(features, assign, centers)
                 if previous is not None:
                     assert value <= previous + 1e-9

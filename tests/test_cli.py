@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aquafuse import cli
+from aquafuse import cli, segmentation
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
 from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
 
@@ -126,23 +126,28 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "pan.bin").exists()
 
-    @pytest.mark.parametrize("new,message", [
-        ("texture grass -0.1 3.2", "texture sigma for 'grass' must be >= 0"),
-        ("texture grass 0.1 0", "texture cell for 'grass' must be a positive size"),
+    @pytest.mark.parametrize("old,new,message", [
+        ("texture grass 0.08 3.2", "texture grass -0.1 3.2",
+         "texture sigma for 'grass' must be >= 0"),
+        ("texture grass 0.08 3.2", "texture grass 0.1 0",
+         "texture cell for 'grass' must be a positive size"),
+        ("noise pan 0.004", "noise pan -0.1", "noise sigma for 'pan' must be >= 0"),
     ])
     def test_texture_out_of_range_in_place_is_config_error(self, tmp_path, capsys,
-                                                           new, message):
-        """A texture outside its range, in place of the scene's own grass
-        line, stops synth on the range rule and not on the repeat rule.  The
-        rule is checked on the whole spec after the line loop, so it names no
-        line."""
+                                                           old, new, message):
+        """A texture or noise value outside its range, in place of the
+        scene's own line, stops synth on the range rule and not on the repeat
+        rule.  The rule is checked on the line itself, so the error names the
+        line, as every other scene-line error does."""
+        text = cli.DEFAULT_SCENE_TEXT.replace(old, new)
         scene = tmp_path / "scene.txt"
-        scene.write_text(cli.DEFAULT_SCENE_TEXT.replace("texture grass 0.08 3.2", new))
+        scene.write_text(text)
         cfg = tmp_path / "p.cfg"
         cfg.write_text(f"scene = {scene}\n")
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        lineno = text.splitlines().index(new) + 1
+        assert f"scene line {lineno}: {new!r}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "pan.bin").exists()
 
     @pytest.mark.parametrize("old,new,reason", [
@@ -267,10 +272,23 @@ class TestPipelineArtifacts:
     def test_kmeans_summary(self, pipeline_dir):
         fields = dict(line.split(" = ") for line in
                       (pipeline_dir / "kmeans.txt").read_text().splitlines())
-        assert sorted(fields) == ["iterations", "objective", "segments"]
+        assert sorted(fields) == ["converged", "iterations", "objective", "segments"]
         assert fields["iterations"] == "18"
+        assert fields["converged"] == "true"
         assert fields["segments"] == "1281"
         assert float(fields["objective"]) > 0.0
+
+    def test_kmeans_summary_at_the_pass_cap(self, pipeline_dir, tmp_path, monkeypatch):
+        """A fit that KMEANS_MAX_ITER stops while its centres still move says
+        so: one pass from the subsample's centres does not converge."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", 1)
+        assert cli.main(["segment", "--out", str(out)]) == 0
+        fields = dict(line.split(" = ") for line in
+                      (out / "kmeans.txt").read_text().splitlines())
+        assert fields["iterations"] == "1"
+        assert fields["converged"] == "false"
 
     def test_fuse_summary(self, pipeline_dir):
         assert (pipeline_dir / "fuse.txt").read_text() == (

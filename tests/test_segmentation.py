@@ -219,7 +219,8 @@ class TestKmeansOracle:
     """_kmeans gives the reference's labels and centres bit for bit."""
 
     def assert_matches_reference(self, features, k):
-        assign, centers, iterations, objective = segmentation._kmeans(features, k)
+        segmentation._round_to_quantum(features)  # as _kmeans rounds them
+        assign, centers, iterations, objective, _ = segmentation._kmeans(features, k)
         ref_assign, ref_centers = reference_kmeans(features, k)
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(centers, ref_centers)
@@ -246,20 +247,32 @@ class TestKmeansOracle:
 
     def test_empty_cluster_takes_farthest_point(self):
         # three centres for two distinct points: the farthest-point start
-        # repeats one, so one cluster is always empty, and rounding in the
-        # distances moves it off the point it sat on
-        points = np.random.default_rng(0).normal(size=(2, 2))
-        features = np.asfortranarray(points[[0, 0, 0, 1, 1]])
-        start = segmentation._farthest_point_centers(features, 3)
-        assert len(np.unique(start, axis=0)) == 2
-        assign, centers, iterations, objective = segmentation._lloyd(features, start)
-        ref_assign, ref_centers = reference_lloyd(features, start)
-        assert np.array_equal(assign, ref_assign)
-        assert np.array_equal(centers, ref_centers)
-        assert sorted(np.bincount(assign, minlength=3)) == [0, 2, 3]
-        assert iterations > 1
-        assert abs(objective) < 1e-12
-        self.assert_matches_reference(features, 3)
+        # repeats row 0's point as centre 2, so one cluster is always empty.
+        # It takes the row whose computed distance to its own point, zero but
+        # for rounding, is largest.  Where that is a copy of the other point,
+        # the centre moves there and a second pass follows.  Which copy
+        # rounds largest follows the BLAS's dot product, so eight pairs of
+        # points are tried, and at least one must move
+        moved = []
+        for seed in range(8):
+            points = np.random.default_rng(seed).normal(size=(2, 2))
+            features = np.asfortranarray(points[[0, 0, 0, 1, 1]])
+            segmentation._round_to_quantum(features)
+            start = segmentation._farthest_point_centers(features, 3)
+            assert len(np.unique(start, axis=0)) == 2
+            assert np.array_equal(start[2], features[0])
+            assign, centers, iterations, objective, _ = segmentation._lloyd(features, start)
+            ref_assign, ref_centers = reference_lloyd(features, start)
+            assert np.array_equal(assign, ref_assign)
+            assert np.array_equal(centers, ref_centers)
+            assert sorted(np.bincount(assign, minlength=3)) == [0, 2, 3]
+            assert abs(objective) < 1e-12
+            moved.append(not np.array_equal(centers[2], start[2]))
+            if moved[-1]:
+                assert np.array_equal(centers[2], features[3])
+            assert iterations == (2 if moved[-1] else 1)
+            self.assert_matches_reference(features, 3)
+        assert any(moved)
 
     @pytest.mark.parametrize("shape,k", [((8, 8), 8), ((5, 1), 3)],
                              ids=["8x8-k8", "5x1-k3"])
@@ -268,10 +281,11 @@ class TestKmeansOracle:
         start is then taken from every row, so it has k distinct rows."""
         pan = pan_raster(np.random.default_rng(5).random(shape))
         features = standardized_features(pan)
+        segmentation._round_to_quantum(features)
         assert len(features[::KMEANS_SUBSAMPLE]) < k
         start = segmentation._farthest_point_centers(features, k)
         assert len(np.unique(start, axis=0)) == k
-        _, seeded, _, _ = segmentation._lloyd(features, start)
+        seeded = segmentation._lloyd(features, start)[1]
         assign, centers, iterations, _ = self.assert_matches_reference(features, k)
         assert np.array_equal(centers, seeded)
         assert iterations == 1
@@ -281,7 +295,8 @@ class TestKmeansOracle:
     # The cases below reach the paths that _lloyd's bounds add.
 
     def assert_lloyd_matches_reference(self, features, start):
-        assign, centers, iterations, objective = segmentation._lloyd(features, start)
+        segmentation._round_to_quantum(features)  # as _kmeans rounds them
+        assign, centers, iterations, objective, _ = segmentation._lloyd(features, start)
         ref_assign, ref_centers = reference_lloyd(features, start)
         assert np.array_equal(assign, ref_assign)
         assert np.array_equal(centers, ref_centers)
@@ -289,9 +304,12 @@ class TestKmeansOracle:
 
     def test_cluster_empties_after_the_first_pass(self, monkeypatch):
         # the middle centre takes 3 and 5 in the first pass and moves to 4;
-        # the outer centres move to 2.2 and 5.8, 0.8 from those rows, so the
-        # middle cluster empties and takes the farthest row
-        features = np.asfortranarray(np.array([2.2] * 5 + [3.0, 5.0] + [5.8] * 5)[:, None])
+        # the outer centres move to 2.125 and 5.9375, 0.875 and 0.9375 from
+        # those rows, so the middle cluster empties and takes the farthest
+        # row, 5.  Every value is a whole multiple of the features' quantum,
+        # 2**-45, so the values need no rounding.
+        features = np.asfortranarray(
+            np.array([2.125] * 5 + [3.0, 5.0] + [5.9375] * 5)[:, None])
         start = np.array([[0.5], [7.5], [4.0]])
         monkeypatch.setattr(segmentation, "KMEANS_MAX_ITER", 1)
         assert segmentation._lloyd(features, start)[1][2, 0] == 4.0
@@ -320,8 +338,10 @@ class TestKmeansOracle:
         features = np.asfortranarray(np.concatenate(
             [np.repeat(points, 2, axis=0), rng.normal(size=(20, 11)) * 0.5]))
         start = np.vstack([points + 0.3, np.zeros(11)])
+        segmentation._round_to_quantum(features)
+        rounded_points = features[[0, 2, 4]]
         _, centers, _, _ = self.assert_lloyd_matches_reference(features, start)
-        assert np.array_equal(centers[:3], points)
+        assert np.array_equal(centers[:3], rounded_points)
 
     def test_far_outlier_row(self):
         # one row a million units out: its own rounding slack is large, and
@@ -349,9 +369,11 @@ class TestKmeansOracle:
     def test_fixture_objective_is_the_references(self, pipeline_dir):
         """The objective is the sum over rows of the smallest expansion-form
         squared distance at the reference's final centres, computed here, so
-        that the check holds for any BLAS build."""
+        that the check holds for any BLAS build.  The features are rounded
+        as kmeans_segment rounds them."""
         pan = read_raster(pipeline_dir / "pan.hdr")
         features = standardized_features(pan)
+        segmentation._round_to_quantum(features)
         _, centers = reference_kmeans(features, PipelineConfig().kmeans_k)
         d2 = (np.sum(features ** 2, axis=1)[:, None]
               - 2.0 * features @ centers.T
@@ -359,6 +381,99 @@ class TestKmeansOracle:
         segmap = kmeans_segment(pan, morphological_profiles(pan),
                                 k=PipelineConfig().kmeans_k)
         assert segmap.kmeans_objective == float(np.min(d2, axis=1).sum())
+
+
+def far_rows(case):
+    """F-ordered rows that test the exact sums far from unit scale: three
+    blobs and one row a million units out, or rows 1e7 out."""
+    if case == "outlier":
+        rng = np.random.default_rng(2)
+        blobs = np.concatenate([rng.normal(c, 0.7, size=(100, 4)) for c in (0.0, 3.0, 6.0)])
+        return np.asfortranarray(np.vstack([blobs, [[1e6, -1e6, 1e6, 5e5]]]))
+    return np.asfortranarray(np.random.default_rng(5).normal(size=(200, 3)) + 1e7)
+
+
+class TestExactSums:
+    """_round_to_quantum makes every sum of rows exact, so the centre sums
+    that _lloyd moves row by row equal full sums over the current labels."""
+
+    def assert_rounded_once_for_all(self, features):
+        q = segmentation._round_to_quantum(features)
+        top = np.max(np.abs(features))
+        assert len(features) * top / q < 2.0 ** 53
+        assert np.array_equal(np.trunc(features / q), features / q)
+        again = features.copy()
+        assert segmentation._round_to_quantum(again) <= q
+        assert np.array_equal(again, features)
+        return q
+
+    @pytest.mark.parametrize("case", ["outlier", "far"])
+    def test_rounding_is_idempotent(self, case):
+        self.assert_rounded_once_for_all(far_rows(case))
+
+    def test_rounding_that_a_nearest_multiple_would_undo(self):
+        # 6 rows, q = 2**-50: the top row is 750599937895082.625 q, below
+        # 2**52 q / 6.  Its nearest multiple, 750599937895083 q, would lift
+        # 6 * max|x| over 2**52 q and so double q on the next call; toward
+        # zero, the rounding stays put
+        features = np.zeros((6, 1))
+        features[0] = 750599937895082.625 * 2.0 ** -50
+        assert self.assert_rounded_once_for_all(features) == 2.0 ** -50
+        assert features[0, 0] == 750599937895082 * 2.0 ** -50
+
+    def test_zero_features_stay(self):
+        features = np.zeros((4, 2))
+        assert segmentation._round_to_quantum(features) == 0.0
+        assert not features.any()
+
+    def test_fixture_subsample_keeps_the_full_rounding(self, pipeline_dir):
+        features = standardized_features(read_raster(pipeline_dir / "pan.hdr"))
+        q = self.assert_rounded_once_for_all(features)
+        sample = np.asfortranarray(features[::KMEANS_SUBSAMPLE])
+        rounded = sample.copy()
+        assert segmentation._round_to_quantum(sample) <= q
+        assert np.array_equal(sample, rounded)
+
+    @pytest.fixture
+    def moved_rows(self, monkeypatch):
+        """Wrap _reset_bounds: after each pass that moves the sums, they
+        must equal full bincount sums over the labels.  Yields the list of
+        rows that change centre, one count per such pass."""
+        reset, moved = segmentation._reset_bounds, []
+
+        def checked(features, f2, centers, norm2, rows, assign, upper, lower, sums):
+            before = assign.copy()
+            reset(features, f2, centers, norm2, rows, assign, upper, lower, sums)
+            if sums is not None:
+                full = np.stack([np.bincount(assign, weights=features[:, j],
+                                             minlength=len(centers))
+                                 for j in range(features.shape[1])], axis=1)
+                assert np.array_equal(sums, full)
+                moved.append(int(np.count_nonzero(before != assign)))
+
+        monkeypatch.setattr(segmentation, "_reset_bounds", checked)
+        return moved
+
+    def test_fixture_sums(self, pipeline_dir, moved_rows):
+        features = standardized_features(read_raster(pipeline_dir / "pan.hdr"))
+        segmentation._kmeans(features, PipelineConfig().kmeans_k)
+        assert sum(moved_rows) > 0
+
+    @pytest.mark.parametrize("case", ["outlier", "far"])
+    def test_far_rows_sums(self, case, moved_rows):
+        features = far_rows(case)
+        segmentation._round_to_quantum(features)
+        segmentation._lloyd(features, features[[0, 150, 299]] if case == "outlier"
+                            else features[:4].copy())
+        segmentation._kmeans(features, 3)
+        assert sum(moved_rows) > 0
+
+    def test_sums_of_a_cluster_that_empties(self, moved_rows):
+        features = np.asfortranarray(
+            np.array([2.125] * 5 + [3.0, 5.0] + [5.9375] * 5)[:, None])
+        _, centers, _, _, _ = segmentation._lloyd(features, np.array([[0.5], [7.5], [4.0]]))
+        assert centers[2, 0] == 5.0  # the emptied cluster took the farthest row
+        assert moved_rows[0] == 2
 
 
 def test_row_blocks_give_the_values_of_one_product():
@@ -388,7 +503,7 @@ def test_lloyd_holds_no_rows_by_centres_array():
     start = segmentation._farthest_point_centers(features[::KMEANS_SUBSAMPLE], k)
     tracemalloc.start()
     try:
-        _, _, iterations, _ = segmentation._lloyd(features, start)
+        iterations = segmentation._lloyd(features, start)[2]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

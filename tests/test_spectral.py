@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from aquafuse.raster import GridGeometry, RasterGrid, resample_nearest
+from aquafuse import cli, spectral
+from aquafuse.raster import GridGeometry, RasterGrid, read_raster, read_table, resample_nearest
 from aquafuse.spectral import (
     CLASS_ORDER,
+    CLASSIFY_BLOCK,
+    ClassifierModel,
     SpectralError,
     classify_probabilities,
     fit_classifier,
@@ -28,6 +34,31 @@ def four_classes(centres, rng, n, scale=1.0):
     spectra = np.vstack([c + rng.normal(scale=scale, size=(n, centres.shape[1]))
                          for c in centres])
     return spectra, np.repeat(CLASS_ORDER, n)
+
+
+def reference_classify(model, raster):
+    """classify_probabilities as first written: one LU solve per class over
+    every pixel at once, in (C, n) float64 arrays.  Returns the float32
+    posteriors, (C, n), and the class indices, (n,)."""
+    spectra = raster.data.reshape(raster.bands, -1).T.astype(np.float64)
+    d = spectra.shape[1]
+    logpost = np.empty((len(CLASS_ORDER), len(spectra)))
+    for i in range(len(CLASS_ORDER)):
+        chol = np.linalg.cholesky(model.covs[i])
+        z = np.linalg.solve(chol, (spectra - model.means[i]).T)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        logpost[i] = -0.5 * (np.sum(z * z, axis=0) + logdet + d * np.log(2.0 * np.pi))
+    logpost -= logsumexp(logpost, axis=0, keepdims=True)
+    probs = np.exp(logpost)
+    return probs.astype(np.float32), np.argmax(probs, axis=0)
+
+
+def assert_classifies_as_reference(model, raster):
+    probs, class_map = classify_probabilities(model, raster)
+    ref_probs, ref_classes = reference_classify(model, raster)
+    assert probs.data.dtype == class_map.data.dtype == np.float32
+    assert np.array_equal(probs.data.reshape(len(CLASS_ORDER), -1), ref_probs)
+    assert np.array_equal(class_map.data.ravel(), ref_classes)
 
 
 class TestPcaFit:
@@ -207,6 +238,62 @@ class TestClassifier:
         probs, _ = classify_probabilities(model, probe)
         sums = probs.data.sum(axis=0)
         assert np.abs(sums - 1.0).max() < 1e-6
+
+
+class TestBlockedClassifier:
+    """classify_probabilities, in blocks of pixels through the inverse
+    Cholesky factors, gives the float32 posteriors and the classes of the LU
+    solve over all pixels, bit for bit.
+
+    Unlike the k-means sums, this identity is not exact by construction: the
+    two paths give different float64 log-densities, and only their float32
+    posteriors and classes agree.  So the ``array_equal`` checks below hold
+    for these inputs with the BLAS and LAPACK in use, not for any build."""
+
+    @pytest.mark.parametrize("stem", ["ms", "pca_fused"])
+    def test_fixture_rasters(self, pipeline_dir, stem):
+        raster = read_raster(pipeline_dir / f"{stem}.hdr")
+        sites = read_table(pipeline_dir / "train_sites.npy", cli.SITE_DTYPE)
+        model = fit_classifier(*cli._sample_spectra(raster, sites))
+        assert_classifies_as_reference(model, raster)
+
+    def test_three_blocks_and_one_pixel(self):
+        rng = np.random.default_rng(8)
+        model = fit_classifier(*four_classes(rng.normal(size=(4, 4)), rng, 50))
+        n = 3 * CLASSIFY_BLOCK + 1
+        assert_classifies_as_reference(
+            model, raster_from_spectra(rng.normal(scale=2.0, size=(n, 4)), n, 1))
+
+    def test_class_from_float64_posteriors(self):
+        """Soil and water means 2**-10 apart, and a pixel 2**-34 past their
+        midpoint, towards water: their posteriors differ by about 1e-14, so
+        both store as 0.5 in float32, and the pixel is still water."""
+        means = np.array([[-100.0, 100.0], [0.0, 0.0], [100.0, 100.0], [2.0 ** -10, 0.0]])
+        model = ClassifierModel(means, np.repeat(np.eye(2)[np.newaxis], 4, axis=0))
+        probe = raster_from_spectra([[2.0 ** -11 + 2.0 ** -34, 0.0]], 1, 1)
+        probs, class_map = classify_probabilities(model, probe)
+        soil, water = CLASS_ORDER.index("soil"), CLASS_ORDER.index("water")
+        assert probs.data[soil, 0, 0] == probs.data[water, 0, 0] == np.float32(0.5)
+        assert class_map.data[0, 0, 0] == water
+        assert_classifies_as_reference(model, probe)
+
+    def test_holds_no_classes_by_pixels_float64_array(self, monkeypatch):
+        """With blocks of 2**12 pixels, 2**18 pixels of 4 bands are classified
+        with a traced peak below one (C, n) float64 array: the float32
+        outputs take 5/8 of that, and a block's work the rest.  At the
+        default block size, a block's work alone is about 20 MiB."""
+        monkeypatch.setattr(spectral, "CLASSIFY_BLOCK", 1 << 12)
+        rng = np.random.default_rng(9)
+        model = fit_classifier(*four_classes(rng.normal(size=(4, 4)), rng, 50))
+        n = 1 << 18
+        raster = raster_from_spectra(rng.normal(scale=2.0, size=(n, 4)), n >> 9, 1 << 9)
+        tracemalloc.start()
+        try:
+            classify_probabilities(model, raster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < len(CLASS_ORDER) * n * 8
 
 
 class TestWaterIndex:
