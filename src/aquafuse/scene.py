@@ -3,13 +3,13 @@
 Renders a vector scene description (lakes, rivers, buildings, trees, dark
 fields on a grass/soil background) into co-registered PAN, MS and multi-date
 Landsat rasters plus ground-truth masks.  The geometry is painted, and the
-sun's shadows cast, on a 0.1 m supersample grid.  One pass then counts the
-supersamples of each (surface class, lit/shadow) pair per cell.  Cells are
-cut at every edge of a 0.8, 3.2 or 30 m sensor pixel and of a texture cell,
-so every sensor pixel is a block of whole cells and a class's texture
-brightness is constant inside a cell.  A pixel is the mean of its
-supersamples' reflectances: the sum over its cells and pairs of count times
-the float32 reflectance, divided by its supersample count.
+sun's shadows cast, on a 0.1 m supersample grid, and the supersamples of each
+(surface class, lit/shadow) pair are counted per cell.  Cells are cut at
+every edge of a 0.8, 3.2 or 30 m sensor pixel and of a texture cell, so every
+sensor pixel is a block of whole cells and a class's texture brightness is
+constant inside a cell.  A pixel is the mean of its supersamples'
+reflectances: the sum over its cells and pairs of count times the float32
+reflectance, divided by its supersample count.
 
 Those sums are exact.  Each term is a whole multiple of one power of two (the
 last-place unit of the band's smallest float32 reflectance), and a 30 m
@@ -18,6 +18,16 @@ largest reflectance is under about 5000 times its smallest non-zero one.  So the
 rasters equal the per-supersample block means bit for bit, whatever the
 order of summation.  Everything is seeded, so the same scene file always
 produces bit-identical rasters.
+
+The supersample grid is never held whole: painting, shadows and counting go
+one 30 m row strip at a time, so no supersample array is larger than a
+strip, whose size grows with the scene's width alone.  A shadow may fall
+strips away from its object, so each object keeps, in small arrays over its
+own box, its footprint and the pixels of flat ground there.  Those come from
+the box's final heights, painted from every feature that meets the box in
+file order: a later feature may cover part of the object, and another object
+of the same height inside the box is part of the footprint, just as on a
+whole grid.
 """
 
 from __future__ import annotations
@@ -363,54 +373,6 @@ def _feature_box(f: Feature, xs: np.ndarray, ys: np.ndarray):
     return slice(int(r0), int(r1)), slice(int(c0), int(c1))
 
 
-def _object_height(f: Feature) -> np.float32:
-    """Height of the solid object a feature paints (0 for flat surfaces)."""
-    return np.float32(f.height if f.kind in ("impervious", "tree") else 0.0)
-
-
-def _paint(spec: SceneSpec, xs, ys):
-    """Supersampled surface-class codes, the object-height level of every
-    pixel (0 for flat ground, else 1 + index into ``heights``), the sorted
-    object heights and the (level, rows, cols) box of every object feature."""
-    heights = sorted({h for h in map(_object_height, spec.features) if h > 0})
-    classes = np.full((ys.size, xs.size), SURFACE_CLASSES.index("soil"), dtype=np.int8)
-    level = np.zeros((ys.size, xs.size), dtype=np.min_scalar_type(len(heights)))
-    objects = []
-    for f in spec.features:
-        rows, cols = _feature_box(f, xs, ys)
-        mask = _feature_mask(f, xs[cols], ys[rows])
-        h = _object_height(f)
-        lvl = heights.index(h) + 1 if h > 0 else 0
-        classes[rows, cols][mask] = SURFACE_CLASSES.index(f.kind)
-        level[rows, cols][mask] = lvl
-        if lvl:
-            objects.append((lvl, rows, cols))
-    return classes, level, heights, objects
-
-
-def _cast_shadows(spec: SceneSpec, level, heights, objects) -> np.ndarray:
-    """Shadow mask at the supersample grid: sweep each object height from the
-    ground up, shifting the object's footprint, inside its box, by the
-    sun-projection offset."""
-    a, b = spec.sun.offset_coefficients()  # meters east / south per meter height
-    slope = max(abs(a), abs(b))
-    sweeps = []  # per height level, the sorted (row, col) offsets
-    for h in heights:
-        step = SUPERSAMPLE_M / slope if slope > 0 else h
-        n_steps = int(math.ceil(h / step)) + 1
-        sweep = np.minimum(step * np.arange(n_steps), h)
-        sweeps.append(sweep_offsets(a, b, sweep, SUPERSAMPLE_M))
-    shadow = np.zeros(level.shape, dtype=bool)
-    for lvl, rows, cols in objects:
-        footprint = level[rows, cols] == lvl
-        for drow, dcol in sweeps[lvl - 1]:
-            shift_or(shadow, footprint, drow, dcol, origin=(rows.start, cols.start))
-    # objects are lit surfaces, not shadows of themselves
-    for _, rows, cols in objects:
-        shadow[rows, cols] &= level[rows, cols] == 0
-    return shadow
-
-
 def _texture_factor(cell_m: float) -> int:
     return max(1, int(round(cell_m / SUPERSAMPLE_M)))
 
@@ -427,14 +389,69 @@ def _cell_edges(spec: SceneSpec, n: int) -> np.ndarray:
     return np.unique(np.concatenate([np.arange(0, n + 1, s) for s in steps]))
 
 
+def _object_height(f: Feature) -> np.float32:
+    """Height of the solid object a feature paints (0 for flat surfaces)."""
+    return np.float32(f.height if f.kind in ("impervious", "tree") else 0.0)
+
+
+def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
+    """``(footprint, ground, rows, cols, offsets, drows)`` of every object
+    feature: inside its box ``(rows, cols)``, the pixels whose final height is
+    its own and the pixels of flat ground; then the sorted (row, col) shadow
+    offsets of its height sweep, and their rows as an array.
+
+    A pixel's final height is that of the last feature painted over it, so a
+    box's heights are painted from every feature that meets the box, in file
+    order: another object of the same height in the box is part of the
+    footprint, and a later flat feature clears the pixels it covers."""
+    levels = list(map(_object_height, spec.features))
+    heights = sorted({h for h in levels if h > 0})
+    levels = [heights.index(h) + 1 if h > 0 else 0 for h in levels]
+    a, b = spec.sun.offset_coefficients()  # meters east / south per meter height
+    slope = max(abs(a), abs(b))
+    sweeps = []  # per height level, the sorted (row, col) offsets
+    for h in heights:
+        step = SUPERSAMPLE_M / slope if slope > 0 else h
+        n_steps = int(math.ceil(h / step)) + 1
+        sweep = np.minimum(step * np.arange(n_steps), h)
+        sweeps.append(sweep_offsets(a, b, sweep, SUPERSAMPLE_M))
+    objects = []
+    for lvl, (rows, cols) in zip(levels, boxes):
+        if not lvl:
+            continue
+        box_level = np.zeros((ys[rows].size, xs[cols].size),
+                             dtype=np.min_scalar_type(len(heights)))
+        for f, f_lvl, (f_rows, f_cols) in zip(spec.features, levels, boxes):
+            r0, r1 = max(rows.start, f_rows.start), min(rows.stop, f_rows.stop)
+            c0, c1 = max(cols.start, f_cols.start), min(cols.stop, f_cols.stop)
+            if r0 < r1 and c0 < c1:
+                mask = _feature_mask(f, xs[c0:c1], ys[r0:r1])
+                box_level[r0 - rows.start:r1 - rows.start,
+                          c0 - cols.start:c1 - cols.start][mask] = f_lvl
+        offsets = sweeps[lvl - 1]
+        drows = np.array([drow for drow, _ in offsets])
+        objects.append((box_level == lvl, box_level == 0, rows, cols, offsets, drows))
+    return objects
+
+
 N_PAIRS = 2 * len(SURFACE_CLASSES)  # (surface class, lit/shadow) pairs
 
 
-def _count_pairs(classes: np.ndarray, shadow: np.ndarray, edges) -> np.ndarray:
+def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
     """``counts[2 * code + shadowed, i, j]``: supersamples of each (class,
-    lit/shadow) pair in cell (i, j), counted one Landsat row at a time."""
+    lit/shadow) pair in cell (i, j).
+
+    No supersample array of the whole grid is made.  One 30 m Landsat row of
+    supersamples at a time, the strip is painted from every feature whose box
+    meets it, in file order; its shadows are ORed in from every object whose
+    sweep reaches it; the pixels that hold objects are cleared of shadow; and
+    its pairs are counted.  Each step gives every pixel of the strip what it
+    gives that pixel on the whole grid, so the counts are the same."""
+    boxes = [_feature_box(f, xs, ys) for f in spec.features]
+    codes = [SURFACE_CLASSES.index(f.kind) for f in spec.features]
+    objects = _objects(spec, xs, ys, boxes)
     row_edges, col_edges = edges
-    h, w = classes.shape
+    h, w = ys.size, xs.size
     row_cell = np.searchsorted(row_edges, np.arange(h), side="right") - 1
     col_cell = np.searchsorted(col_edges, np.arange(w), side="right") - 1
     wc = col_edges.size - 1
@@ -442,20 +459,30 @@ def _count_pairs(classes: np.ndarray, shadow: np.ndarray, edges) -> np.ndarray:
     counts = np.empty((N_PAIRS, row_edges.size - 1, wc), dtype=np.uint8)
     strip = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # starts on a cell edge
     for r in range(0, h, strip):
-        cells = row_cell[r:r + strip]
+        stop = min(r + strip, h)
+        classes = np.full((stop - r, w), SURFACE_CLASSES.index("soil"), dtype=np.int8)
+        for f, code, (rows, cols) in zip(spec.features, codes, boxes):
+            r0, r1 = max(rows.start, r), min(rows.stop, stop)
+            if r0 < r1:
+                classes[r0 - r:r1 - r, cols][_feature_mask(f, xs[cols], ys[r0:r1])] = code
+        shadow = np.zeros(classes.shape, dtype=bool)
+        for footprint, _, rows, cols, offsets, drows in objects:
+            # only the offsets that move the box's rows onto the strip's
+            lo, hi = np.searchsorted(drows, (r - rows.stop + 1, stop - rows.start))
+            for drow, dcol in offsets[lo:hi]:
+                shift_or(shadow, footprint, drow, dcol, origin=(rows.start - r, cols.start))
+        # objects are lit surfaces, not shadows of themselves
+        for _, ground, rows, cols, _, _ in objects:
+            r0, r1 = max(rows.start, r), min(rows.stop, stop)
+            if r0 < r1:
+                shadow[r0 - r:r1 - r, cols] &= ground[r0 - rows.start:r1 - rows.start]
+        cells = row_cell[r:stop]
         index = ((cells - cells[0]) * (wc * N_PAIRS))[:, np.newaxis] + col_part
-        index += 2 * classes[r:r + strip]
-        index += shadow[r:r + strip]
+        index += 2 * classes
+        index += shadow
         n = np.bincount(index.ravel(), minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
         counts[:, cells[0]:cells[-1] + 1] = n.reshape(-1, wc, N_PAIRS).transpose(2, 0, 1)
     return counts
-
-
-def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
-    """Paint, cast shadows and count; the supersample grids die on return."""
-    classes, level, heights, objects = _paint(spec, xs, ys)
-    shadow = _cast_shadows(spec, level, heights, objects)
-    return _count_pairs(classes, shadow, edges)
 
 
 def _pixel_sums(cells: np.ndarray, edges, pixel_m: float, dtype=None) -> np.ndarray:
@@ -582,15 +609,20 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     landsat = _render(spec, counts, edges, brightness, LANDSAT_BANDS, LANDSAT_PIXEL_M,
                       "landsat", 3, dates=len(spec.landsat_days))
 
-    # supersample counts per PAN pixel: [class code, shadowed, row, col]
-    pan_counts = _pixel_sums(counts, edges, PAN_PIXEL_M, dtype=np.uint16)
-    pan_counts = pan_counts.reshape(len(SURFACE_CLASSES), 2, *pan_counts.shape[1:])
+    # supersamples per PAN pixel of each class code, then of shadow; a cell
+    # or a PAN pixel holds at most 64, so uint8 holds every sum
+    n_classes = len(SURFACE_CLASSES)
+    planes = np.empty((n_classes + 1, *counts.shape[1:]), dtype=np.uint8)
+    np.add(counts[0::2], counts[1::2], out=planes[:n_classes])
+    np.sum(counts[1::2], axis=0, dtype=np.uint8, out=planes[n_classes])
+    pan_counts = _pixel_sums(planes, edges, PAN_PIXEL_M, dtype=np.uint8)
+    class_counts = pan_counts[:n_classes]
     half = int(round(PAN_PIXEL_M / SUPERSAMPLE_M)) ** 2 / 2
     water_codes = [SURFACE_CLASSES.index(c) for c in WATER_CLASSES]
-    truth_bits = pan_counts[water_codes].sum(axis=(0, 1)) > half
-    shadow_bits = pan_counts[:, 1].sum(axis=0) > half
+    truth_bits = class_counts[water_codes].sum(axis=0) > half
+    shadow_bits = pan_counts[n_classes] > half
     # majority class per PAN pixel; argmax keeps the smallest code on ties
-    majority = np.argmax(pan_counts.sum(axis=1), axis=0).astype(np.int8)
+    majority = np.argmax(class_counts, axis=0).astype(np.int8)
     stratum_of_code = np.array(
         [CLASS_ORDER.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES], dtype=np.int8
     )

@@ -87,23 +87,27 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     if pan.bands != 1:
         raise SegmentationError("morphological profiles expect a single-band raster")
     image = pan.data[0]
-    bands, names = [], []
+    bands = np.empty((2 * len(SE_FAMILY), *image.shape), dtype=np.float32)
+    names = []
     for suffix, size in SE_FAMILY:
         # an even side anchors at the first of its two central pixels
         origin = tuple(-1 if n % 2 == 0 else 0 for n in size)
         for op, fn in (("open", ndimage.grey_opening), ("close", ndimage.grey_closing)):
-            bands.append(fn(image, size=size, mode="nearest", origin=origin))
+            fn(image, size=size, mode="nearest", origin=origin, output=bands[len(names)])
             names.append(f"{op}_{suffix}")
-    return RasterGrid(pan.geometry, np.stack(bands).astype(np.float32), names)
+    return RasterGrid(pan.geometry, bands, names)
 
 
 def _standardize(features: np.ndarray) -> np.ndarray:
-    """Standardize the columns of ``features`` in place; returns it."""
-    mean = features.mean(axis=0)
-    std = features.std(axis=0)
-    std[std == 0] = 1.0
-    features -= mean
-    features /= std
+    """Standardize the columns of ``features`` in place, one at a time, so
+    that no temporary larger than a column is made; returns it.  Each column
+    should be contiguous (``features`` F-ordered): its mean and deviation are
+    then the same reductions over the same contiguous run as those of
+    ``features.mean(axis=0)`` and ``features.std(axis=0)``."""
+    for column in features.T:
+        mean, std = column.mean(), column.std()
+        column -= mean
+        column /= std if std != 0 else 1.0
     return features
 
 
@@ -365,8 +369,10 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     if pan.geometry != mps.geometry:
         raise SegmentationError("PAN and profile rasters must share one grid")
     h, w = pan.geometry.height, pan.geometry.width
-    features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
-    features = _standardize(features)
+    features = np.empty((h * w, pan.bands + mps.bands), order="F")  # each column contiguous
+    for column, band in zip(features.T, (*pan.data, *mps.data)):
+        column[:] = band.ravel()
+    _standardize(features)
     assign, _, iterations, objective, converged = _kmeans(features, k)
     labels = _connected_segments(assign.reshape(h, w))
     records = segment_table(int(labels.max()) + 1)

@@ -142,6 +142,18 @@ class TestMorphologicalProfiles:
             again = morphological_profiles(pan_raster(closed))
             assert np.array_equal(again.data[2 * i + 1], closed)
 
+    def test_fixture_peak_allocation(self, pipeline_dir):
+        """Each opening and closing is written into the one (10, h, w) output
+        array: the traced peak on the fixture stays below 1.5 times it."""
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        tracemalloc.start()
+        try:
+            mps = morphological_profiles(pan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * mps.data.nbytes
+
     def test_multiband_rejected(self):
         geom = GridGeometry(4, 4, 1.0)
         raster = RasterGrid(geom, np.zeros((2, 4, 4), dtype=np.float32))
@@ -197,6 +209,20 @@ class TestKmeansSegment:
         assert counts.sum() == 10 * 14
         assert np.array_equal(segmap.records.pixel_count, counts)
 
+    def test_fixture_peak_allocation(self, pipeline_dir):
+        """The features are filled and standardized in place in one (n, 11)
+        float64 array: the traced peak on the fixture stays below 1.8 times
+        that array."""
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        mps = morphological_profiles(pan)
+        tracemalloc.start()
+        try:
+            kmeans_segment(pan, mps, PipelineConfig().kmeans_k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * pan.data.size * 11 * 8
+
     def test_ids_in_raster_scan_order(self):
         rng = np.random.default_rng(4)
         pan = pan_raster(rng.random((10, 10)))
@@ -213,6 +239,20 @@ def standardized_features(pan):
     h, w = pan.geometry.height, pan.geometry.width
     features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
     return segmentation._standardize(features)
+
+
+def test_standardize_gives_the_whole_array_formula():
+    """Standardizing one contiguous column at a time gives the bits of the
+    column means and deviations taken over the whole F-ordered array; a
+    constant column is only centred."""
+    rng = np.random.default_rng(8)
+    features = np.asfortranarray(rng.normal(3.0, 2.0, size=(50021, 11)))
+    features[:, 4] = 1.5
+    std = features.std(axis=0)
+    want = (features - features.mean(axis=0)) / np.where(std == 0, 1.0, std)
+    got = segmentation._standardize(features)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, 4], np.zeros(len(got)))
 
 
 class TestKmeansOracle:
