@@ -288,3 +288,35 @@ def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
     counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
     ratio = (sums / counts).astype(np.float32)
     return RasterGrid(mask.geometry, ratio[np.newaxis], ["ratio"])
+
+
+def window_reduce(values: np.ndarray, length: int, op, axis: int = 0) -> np.ndarray:
+    """Reduce every run of ``length`` consecutive samples of ``values`` along
+    ``axis`` with ``op`` (``np.minimum``, ``np.maximum`` or ``np.logical_or``):
+    sample i of the result is ``op`` over samples i to i + length - 1, so the
+    axis shrinks by ``length - 1``.  For ``length`` 1 it is ``values`` itself.
+
+    By doubling (M. van Herk, Pattern Recognit. Lett. 13, 1992; J. Gil and
+    M. Werman, IEEE PAMI 15, 1993): after k steps each sample covers 2**k
+    samples, and one last step joins two overlapping spans into ``length``,
+    so it takes floor(log2 length) + 1 whole-array operations at most.  Each
+    ``op`` returns one of its operands and gives the same for a sample taken
+    twice, so the result is that of ``op`` over each window in any order."""
+    n = values.shape[axis]
+    if not 1 <= length <= n:
+        raise RasterError(f"window of {length} samples on an axis of {n}")
+
+    def part(a, start, size):
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, start + size)
+        return a[tuple(index)]
+
+    out, span = values, 1
+    while 2 * span <= length:
+        size = out.shape[axis] - span
+        out = op(part(out, 0, size), part(out, span, size))
+        span *= 2
+    if span < length:
+        size = n - length + 1
+        out = op(part(out, 0, size), part(out, length - span, size))
+    return out

@@ -23,11 +23,14 @@ The supersample grid is never held whole: painting, shadows and counting go
 one 30 m row strip at a time, so no supersample array is larger than a
 strip, whose size grows with the scene's width alone.  A shadow may fall
 strips away from its object, so each object keeps, in small arrays over its
-own box, its footprint and the pixels of flat ground there.  Those come from
-the box's final heights, painted from every feature that meets the box in
-file order: a later feature may cover part of the object, and another object
-of the same height inside the box is part of the footprint, just as on a
-whole grid.
+own box, the pixels of flat ground there, and its cast shadow: the union of
+its footprint shifted by every offset of its height sweep, built once and
+by doubling (``shadow.sweep_union``), over the box that holds every shift.
+Each strip ORs in one slice of each cast.  The footprint and the ground come
+from the box's final heights, painted from every feature that meets the box
+in file order: a later feature may cover part of the object, and another
+object of the same height inside the box is part of the footprint, just as
+on a whole grid.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowError, ShadowGeometry, shift_or, sweep_offsets
+from .shadow import ShadowError, ShadowGeometry, shift_or, sweep_offsets, sweep_union
 from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
@@ -92,7 +95,7 @@ class Feature:
     height: float = 0.0
 
 
-# the rules of one texture or noise line, checked on that line by parse_scene
+# the rules of one texture, noise or feature line, checked on that line by parse_scene
 # and again by SceneSpec.validate, for a spec built in code
 def _check_texture(cls, sigma, cell_m):
     if cls not in SURFACE_CLASSES:
@@ -108,6 +111,19 @@ def _check_noise(sensor, sigma):
         raise SceneError(f"unknown noise sensor {sensor!r}")
     if sigma < 0:
         raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
+
+
+def _check_feature(f):
+    if f.kind not in SURFACE_CLASSES:
+        raise SceneError(f"unknown feature class {f.kind!r}")
+    if f.kind == "tree" and f.height <= 0:
+        raise SceneError("tree feature needs a positive height")
+    if f.height < 0:
+        raise SceneError("feature height must be >= 0")
+    if f.shape == "line" and f.width <= 0:
+        raise SceneError("line feature needs a positive width")
+    if f.shape == "disk" and f.params[2] < 0:
+        raise SceneError(f"disk radius must be >= 0, got {f.params[2]}")
 
 
 @dataclass
@@ -162,14 +178,7 @@ class SceneSpec:
             if not (0.0 < factor <= 1.0):
                 raise SceneError("shadow factors must be in (0, 1]")
         for f in self.features:
-            if f.kind not in SURFACE_CLASSES:
-                raise SceneError(f"unknown feature class {f.kind!r}")
-            if f.kind == "tree" and f.height <= 0:
-                raise SceneError("tree feature needs a positive height")
-            if f.height < 0:
-                raise SceneError("feature height must be >= 0")
-            if f.shape == "line" and f.width <= 0:
-                raise SceneError("line feature needs a positive width")
+            _check_feature(f)
         return self
 
 
@@ -309,7 +318,9 @@ def _parse_feature(parts) -> Feature:
         raise SceneError("poly needs at least 3 x y pairs")
     if shape not in ("rect", "disk", "line", "poly"):
         raise SceneError(f"unknown shape {shape!r}")
-    return Feature(kind, shape, tuple(numbers), **named)
+    feature = Feature(kind, shape, tuple(numbers), **named)
+    _check_feature(feature)
+    return feature
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +406,11 @@ def _object_height(f: Feature) -> np.float32:
 
 
 def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
-    """``(footprint, ground, rows, cols, offsets, drows)`` of every object
-    feature: inside its box ``(rows, cols)``, the pixels whose final height is
-    its own and the pixels of flat ground; then the sorted (row, col) shadow
-    offsets of its height sweep, and their rows as an array.
+    """``(ground, rows, cols, cast, top, left)`` of every object feature:
+    inside its box ``(rows, cols)``, the pixels of flat ground; then its cast
+    shadow, the ``sweep_union`` of its footprint (the box's pixels whose
+    final height is its own) over the offsets of its height sweep, whose
+    top-left pixel is at (top, left) on the supersample grid.
 
     A pixel's final height is that of the last feature painted over it, so a
     box's heights are painted from every feature that meets the box, in file
@@ -428,9 +440,9 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
                 mask = _feature_mask(f, xs[c0:c1], ys[r0:r1])
                 box_level[r0 - rows.start:r1 - rows.start,
                           c0 - cols.start:c1 - cols.start][mask] = f_lvl
-        offsets = sweeps[lvl - 1]
-        drows = np.array([drow for drow, _ in offsets])
-        objects.append((box_level == lvl, box_level == 0, rows, cols, offsets, drows))
+        cast, top, left = sweep_union(box_level == lvl, sweeps[lvl - 1])
+        objects.append((box_level == 0, rows, cols, cast,
+                        rows.start + top, cols.start + left))
     return objects
 
 
@@ -442,13 +454,15 @@ def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
     lit/shadow) pair in cell (i, j).
 
     No supersample array of the whole grid is made.  One 30 m Landsat row of
-    supersamples at a time, the strip is painted from every feature whose box
-    meets it, in file order; its shadows are ORed in from every object whose
-    sweep reaches it; the pixels that hold objects are cleared of shadow; and
-    its pairs are counted.  Each step gives every pixel of the strip what it
-    gives that pixel on the whole grid, so the counts are the same."""
+    supersamples at a time, the strip is painted with each feature's lit pair
+    code, from every feature whose box meets it, in file order; the slice of
+    each object's cast shadow (built once, by ``_objects``) that falls on it
+    is ORed in; the pixels that hold objects are cleared of shadow; the
+    shadow bit is ORed into the pair codes; and the pairs are counted.  Each
+    step gives every pixel of the strip what it gives that pixel on the whole
+    grid, so the counts are the same."""
     boxes = [_feature_box(f, xs, ys) for f in spec.features]
-    codes = [SURFACE_CLASSES.index(f.kind) for f in spec.features]
+    codes = [2 * SURFACE_CLASSES.index(f.kind) for f in spec.features]  # lit pair
     objects = _objects(spec, xs, ys, boxes)
     row_edges, col_edges = edges
     h, w = ys.size, xs.size
@@ -460,26 +474,23 @@ def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
     strip = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # starts on a cell edge
     for r in range(0, h, strip):
         stop = min(r + strip, h)
-        classes = np.full((stop - r, w), SURFACE_CLASSES.index("soil"), dtype=np.int8)
+        classes = np.full((stop - r, w), 2 * SURFACE_CLASSES.index("soil"), dtype=np.int8)
         for f, code, (rows, cols) in zip(spec.features, codes, boxes):
             r0, r1 = max(rows.start, r), min(rows.stop, stop)
             if r0 < r1:
                 classes[r0 - r:r1 - r, cols][_feature_mask(f, xs[cols], ys[r0:r1])] = code
         shadow = np.zeros(classes.shape, dtype=bool)
-        for footprint, _, rows, cols, offsets, drows in objects:
-            # only the offsets that move the box's rows onto the strip's
-            lo, hi = np.searchsorted(drows, (r - rows.stop + 1, stop - rows.start))
-            for drow, dcol in offsets[lo:hi]:
-                shift_or(shadow, footprint, drow, dcol, origin=(rows.start - r, cols.start))
+        for _, _, _, cast, top, left in objects:
+            shift_or(shadow, cast, top - r, left)
         # objects are lit surfaces, not shadows of themselves
-        for _, ground, rows, cols, _, _ in objects:
+        for ground, rows, cols, _, _, _ in objects:
             r0, r1 = max(rows.start, r), min(rows.stop, stop)
             if r0 < r1:
                 shadow[r0 - r:r1 - r, cols] &= ground[r0 - rows.start:r1 - rows.start]
+        classes |= shadow  # the pair code: 2 * class code + shadowed
         cells = row_cell[r:stop]
         index = ((cells - cells[0]) * (wc * N_PAIRS))[:, np.newaxis] + col_part
-        index += 2 * classes
-        index += shadow
+        index += classes
         n = np.bincount(index.ravel(), minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
         counts[:, cells[0]:cells[-1] + 1] = n.reshape(-1, wc, N_PAIRS).transpose(2, 0, 1)
     return counts

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .raster import RasterError, RasterGrid, read_table, write_table
+from .raster import RasterError, RasterGrid, read_table, window_reduce, write_table
 from .spectral import CLASS_ORDER
 
 # profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
@@ -82,7 +82,11 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     """10-band stack of grayscale openings and closings of the PAN image.
 
     Band order: opening then closing for each element of ``SE_FAMILY``.
-    Borders are edge-replicated.
+    Borders are edge-replicated.  Each band equals scipy's
+    ``grey_opening``/``grey_closing`` with ``mode="nearest"`` and an even side
+    anchored at the first of its two central pixels (origin -1), bit for bit:
+    an erosion or dilation is a minimum or maximum over the same windows,
+    which is exact in any order.
     """
     if pan.bands != 1:
         raise SegmentationError("morphological profiles expect a single-band raster")
@@ -90,12 +94,28 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     bands = np.empty((2 * len(SE_FAMILY), *image.shape), dtype=np.float32)
     names = []
     for suffix, size in SE_FAMILY:
-        # an even side anchors at the first of its two central pixels
-        origin = tuple(-1 if n % 2 == 0 else 0 for n in size)
-        for op, fn in (("open", ndimage.grey_opening), ("close", ndimage.grey_closing)):
-            fn(image, size=size, mode="nearest", origin=origin, output=bands[len(names)])
+        for op, first, then in (("open", np.minimum, np.maximum),
+                                ("close", np.maximum, np.minimum)):
+            bands[len(names)] = _rank_filter(_rank_filter(image, size, first), size, then)
             names.append(f"{op}_{suffix}")
     return RasterGrid(pan.geometry, bands, names)
+
+
+def _rank_filter(image: np.ndarray, size, op) -> np.ndarray:
+    """Erosion (``op`` np.minimum) or dilation (np.maximum) of ``image`` by an
+    all-ones rectangle of ``size``, edge-replicated, one axis at a time.
+
+    scipy's window rule: the erosion window of a side n starts (n - 1) // 2
+    pixels before the pixel; the dilation's is reflected, so it starts n // 2
+    before (``grey_dilation`` negates the origin and an even side then
+    subtracts 1)."""
+    for axis, n in enumerate(size):
+        if n > 1:
+            before = (n - 1) // 2 if op is np.minimum else n // 2
+            pad = [(0, 0), (0, 0)]
+            pad[axis] = (before, n - 1 - before)
+            image = window_reduce(np.pad(image, pad, mode="edge"), n, op, axis)
+    return image
 
 
 def _standardize(features: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, window_ratio
+from .raster import BinaryMask, window_ratio, window_reduce
 from .segmentation import SegmentMap
 from .spectral import CLASS_ORDER, SpectralError, otsu_threshold
 
@@ -105,6 +105,45 @@ def sweep_offsets(a: float, b: float, heights, pixel: float) -> list:
     return sorted(set(zip(rows, cols)))
 
 
+def _runs(offsets: np.ndarray, axis: int) -> tuple:
+    """``(firsts, lengths)`` of the runs of (row, col) ``offsets`` that share
+    the other coordinate and step by one along ``axis`` (0 rows, 1 columns)."""
+    offsets = offsets[np.lexsort((offsets[:, axis], offsets[:, 1 - axis]))]
+    step = np.diff(offsets, axis=0)
+    starts = np.flatnonzero(np.r_[True, (step[:, 1 - axis] != 0) | (step[:, axis] != 1)])
+    return offsets[starts], np.diff(np.r_[starts, len(offsets)])
+
+
+def sweep_union(mask: np.ndarray, offsets) -> tuple:
+    """``(union, top, left)``: the union of boolean ``mask`` shifted by every
+    (row, col) of ``offsets``, over the box that holds every shift, whose
+    top-left pixel is ``mask``'s shifted by (top, left).
+
+    The offsets are split into runs along rows or along columns, whichever
+    gives fewer, and each run of L shifts is ORed by doubling
+    (``window_reduce``) in about log2 L whole-array operations.  A union does
+    not depend on the order of its terms, so it equals ``shift_or`` of every
+    offset."""
+    offsets = np.array(offsets, dtype=int).reshape(-1, 2)
+    top, left = offsets.min(axis=0).tolist()
+    bottom, right = offsets.max(axis=0).tolist()
+    union = np.zeros((mask.shape[0] + bottom - top, mask.shape[1] + right - left), dtype=bool)
+    runs = [_runs(offsets, axis) for axis in (0, 1)]
+    axis = int(len(runs[1][1]) < len(runs[0][1]))
+    firsts, lengths = runs[axis]
+    for (drow, dcol), n in zip(firsts.tolist(), lengths.tolist()):
+        spread = mask
+        if n > 1:  # n - 1 empty rows (or columns) on each side, then n at a time
+            shape, inner = list(mask.shape), [slice(None), slice(None)]
+            shape[axis] += 2 * (n - 1)
+            inner[axis] = slice(n - 1, 1 - n)
+            spread = np.zeros(shape, dtype=bool)
+            spread[tuple(inner)] = mask
+            spread = window_reduce(spread, n, np.logical_or, axis)
+        shift_or(union, spread, drow - top, dcol - left)
+    return union, top, left
+
+
 def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
                           heights: dict, grid) -> BinaryMask:
     """Union of projected shadow pixels over each object kind's height range.
@@ -112,7 +151,8 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
     ``object_kind_map`` holds OBJECT_KIND_* codes on the PAN grid ``grid``;
     ``heights`` maps each kind that casts a shadow to its ``(h_min, h_max)``
     in meters.  Each height step of the sweep moves the shadow by at most
-    one pixel.  Out-of-bounds projections are dropped.
+    one pixel; each kind's shadow is one ``sweep_union`` of its pixels over
+    the sweep's offsets.  Out-of-bounds projections are dropped.
     """
     r = grid.pixel_size
     a, b = geom.offset_coefficients()
@@ -126,6 +166,6 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
             continue
         n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
         sweep = np.minimum(h_min + step * np.arange(n_steps), h_max)
-        for drow, dcol in sweep_offsets(a, b, sweep, r):
-            shift_or(out, mask, drow, dcol)
+        union, top, left = sweep_union(mask, sweep_offsets(a, b, sweep, r))
+        shift_or(out, union, top, left)
     return BinaryMask(grid, out.astype(np.uint8))

@@ -170,6 +170,8 @@ class TestExitCodes:
          "'train_per_class' takes 1 operand(s), got 2"),
         ("feature tree disk 30 22 7 height 14", "feature tree disk 30 22 7 height 14 height 40",
          "'height' given twice"),
+        ("feature tree disk 30 22 7 height 14", "feature tree disk 30 22 -5 height 14",
+         "disk radius must be >= 0, got -5.0"),
     ])
     def test_scene_line_in_place_is_config_error(self, tmp_path, capsys, old, new, reason):
         """A value out of range, a non-finite number or an extra operand, in

@@ -10,6 +10,7 @@ from aquafuse.raster import (
     read_raster,
     resample_nearest,
     window_ratio,
+    window_reduce,
     write_raster,
 )
 
@@ -208,3 +209,42 @@ class TestWindowRatio:
                 expected = bits[r0:r1, c0:c1].mean()
                 assert out[r, c] == pytest.approx(expected)
         assert (out >= 0).all() and (out <= 1).all()
+
+
+class TestWindowReduce:
+    @pytest.mark.parametrize("op", [np.minimum, np.maximum, np.logical_or])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_matches_each_window_reduced_directly(self, op, axis):
+        """Every length from 1 to the whole axis, on an axis of 19 samples
+        with ties, against ``op.reduce`` over each window."""
+        shape = [3, 4, 5]
+        shape[axis] = 19
+        values = np.random.default_rng(axis).integers(0, 4, size=shape)
+        if op is np.logical_or:
+            values = values == 0
+        values = np.moveaxis(values, axis, 0)
+        for length in range(1, 20):
+            want = np.stack([op.reduce(values[i:i + length], axis=0)
+                             for i in range(19 - length + 1)])
+            got = window_reduce(np.moveaxis(values, 0, axis), length, op, axis)
+            assert np.array_equal(np.moveaxis(got, axis, 0), want), length
+
+    def test_operation_count(self):
+        """floor(log2 length) + 1 operations at most, one per doubling and
+        one to join two overlapping spans."""
+        calls = []
+
+        def op(x, y):
+            calls.append(x.shape)
+            return np.maximum(x, y)
+
+        values = np.arange(100.0)
+        for length, count in [(1, 0), (2, 1), (3, 2), (4, 2), (7, 3), (8, 3), (9, 4), (64, 6)]:
+            calls.clear()
+            assert np.array_equal(window_reduce(values, length, op), values[length - 1:])
+            assert len(calls) == count, length
+
+    @pytest.mark.parametrize("length", [0, -1, 6])
+    def test_window_longer_than_the_axis_rejected(self, length):
+        with pytest.raises(RasterError, match="window"):
+            window_reduce(np.zeros((5, 3)), length, np.minimum)

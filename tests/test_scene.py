@@ -20,6 +20,7 @@ from aquafuse.scene import (
     SUPERSAMPLE_M,
     SURFACE_CLASSES,
     WATER_CLASSES,
+    Feature,
     SceneBundle,
     SceneError,
     SceneSpec,
@@ -197,6 +198,16 @@ class TestParser:
     def test_tree_needs_height(self):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\nfeature tree disk 10 10 3")
+
+    def test_disk_radius_must_not_be_negative(self):
+        """A negative radius is rejected on its line, and by ``validate`` for
+        a spec built in code; a radius of 0 is allowed."""
+        with pytest.raises(SceneError, match=r"scene line \d+: .*disk radius must be >= 0"):
+            parse_scene(SIMPLE_SCENE + "\nfeature tree disk 100 60 -5 height 10")
+        spec = parse_scene(SIMPLE_SCENE + "\nfeature tree disk 100 60 0 height 10")
+        spec.features.append(Feature("tree", "disk", (100.0, 60.0, -5.0), height=10.0))
+        with pytest.raises(SceneError, match="disk radius must be >= 0, got -5.0"):
+            spec.validate()
 
     def test_line_needs_width(self):
         with pytest.raises(SceneError):

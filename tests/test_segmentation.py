@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from aquafuse import segmentation
 from aquafuse.config import PipelineConfig
@@ -74,6 +75,18 @@ def reference_kmeans(features, k):
     return reference_lloyd(features, centers)
 
 
+def scipy_profiles(image):
+    """The profile stack from scipy's ``grey_opening`` and ``grey_closing``,
+    edge-replicated, an even side anchored at the first of its two central
+    pixels."""
+    bands = []
+    for _, size in SE_FAMILY:
+        origin = tuple(-1 if n % 2 == 0 else 0 for n in size)
+        for fn in (ndimage.grey_opening, ndimage.grey_closing):
+            bands.append(fn(image, size=size, mode="nearest", origin=origin))
+    return np.stack(bands)
+
+
 def brute_morph(image, fp, anchor, op):
     """Direct windowed min/max with edge replication; opening/closing use the
     reflected window for the second stage."""
@@ -125,8 +138,34 @@ class TestMorphologicalProfiles:
             fp = np.ones(size, bool)
             anchor = tuple(n // 2 - 1 if n % 2 == 0 and n > 1 else n // 2
                            for n in fp.shape)
-            assert np.allclose(mps.data[2 * i], brute_morph(img, fp, anchor, "open")), suffix
-            assert np.allclose(mps.data[2 * i + 1], brute_morph(img, fp, anchor, "close")), suffix
+            assert np.array_equal(mps.data[2 * i], brute_morph(img, fp, anchor, "open")), suffix
+            assert np.array_equal(mps.data[2 * i + 1],
+                                  brute_morph(img, fp, anchor, "close")), suffix
+
+    def test_fixture_matches_scipy(self, pipeline_dir):
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        assert np.array_equal(morphological_profiles(pan).data, scipy_profiles(pan.data[0]))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (3, 5), (2, 12), (7, 3)])
+    def test_narrower_than_the_window_matches_scipy(self, shape):
+        """Images narrower than a window side take many of its samples from
+        the replicated edge."""
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        img = rng.normal(size=shape).astype(np.float32)
+        assert np.array_equal(morphological_profiles(pan_raster(img)).data,
+                              scipy_profiles(img))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plateaus_match_scipy(self, seed):
+        """Few grey levels in blocks and lines, so that most windows hold
+        ties, and runs of equal values longer than a window."""
+        rng = np.random.default_rng(seed)
+        img = rng.integers(0, 3, size=(9, 11)).repeat(3, axis=0).repeat(2, axis=1)
+        img[rng.integers(0, img.shape[0]), :] = 5
+        img[:, rng.integers(0, img.shape[1])] = -1
+        img = img.astype(np.float32)
+        assert np.array_equal(morphological_profiles(pan_raster(img)).data,
+                              scipy_profiles(img))
 
     def test_order_and_idempotence(self):
         rng = np.random.default_rng(1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from aquafuse.raster import BinaryMask, GridGeometry, RasterError
+from aquafuse.config import PipelineConfig
+from aquafuse.raster import BinaryMask, GridGeometry, RasterError, read_raster
 from aquafuse.segmentation import SegmentMap, segment_table
 from aquafuse.shadow import (
     OBJECT_KIND_HIGH_BUILDING,
@@ -17,6 +18,7 @@ from aquafuse.shadow import (
     potential_shadow_mask,
     shift_or,
     sweep_offsets,
+    sweep_union,
     tree_grass_split,
 )
 from aquafuse.spectral import CLASS_ORDER
@@ -228,6 +230,102 @@ class TestSweepOffsets:
         want = sorted({(math.floor(b * h / pixel + 0.5), math.floor(a * h / pixel + 0.5))
                        for h in heights})
         assert sweep_offsets(a, b, heights, pixel) == want
+
+
+SUNS = [(90.0, 0.0), (50.0, 180.0), (45.0, 45.0), (30.0, 90.0), (35.0, 120.0),
+        (60.0, 240.0), (25.0, 330.0), (15.0, 10.0), (20.0, 225.0)]
+
+
+def per_offset_union(acc, mask, offsets, origin=(0, 0)):
+    """``shift_or`` of ``mask`` by every offset, one at a time."""
+    for drow, dcol in offsets:
+        shift_or(acc, mask, drow, dcol, origin=origin)
+    return acc
+
+
+class TestSweepUnion:
+    def _check(self, mask, offsets, shape=(60, 70), origin=(20, 25)):
+        """On an accumulator of ``shape`` with ``mask``'s top-left at
+        ``origin``, the union placed at (top, left) equals every offset
+        ORed in, and its box is the smallest that holds every shift."""
+        union, top, left = sweep_union(mask, offsets)
+        rows = [drow for drow, _ in offsets]
+        cols = [dcol for _, dcol in offsets]
+        assert (top, left) == (min(rows), min(cols))
+        assert union.shape == (mask.shape[0] + max(rows) - top, mask.shape[1] + max(cols) - left)
+        want = per_offset_union(np.zeros(shape, dtype=bool), mask, offsets, origin)
+        got = np.zeros(shape, dtype=bool)
+        shift_or(got, union, top, left, origin=origin)
+        assert np.array_equal(got, want)
+        return want
+
+    @pytest.mark.parametrize("elevation,azimuth", SUNS)
+    @pytest.mark.parametrize("pixel", [0.1, 0.8])
+    def test_sun_rays(self, elevation, azimuth, pixel):
+        """The offsets of a 0 to 3 m height sweep at three height steps: a
+        fine one, whose runs hold many shifts, and coarser ones with gaps."""
+        a, b = ShadowGeometry(elevation, azimuth).offset_coefficients()
+        mask = np.random.default_rng(1).random((9, 7)) < 0.4
+        for step in (0.01, 0.07, 0.3):
+            offsets = sweep_offsets(a, b, np.minimum(np.arange(0.0, 3.0 + step, step), 3.0),
+                                    pixel)
+            if elevation == 90.0:
+                assert offsets == [(0, 0)]
+            self._check(mask, offsets, shape=(120, 120), origin=(55, 55))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_arbitrary_offsets(self, seed):
+        """Any set: runs broken by gaps along both axes, single offsets and
+        repeated ones, in any order."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((5, 8)) < 0.5
+        offsets = [tuple(int(v) for v in o) for o in rng.integers(-9, 10, size=(25, 2))]
+        offsets += [(3, c) for c in range(-4, 5)] + [(r, -2) for r in range(0, 7)]
+        offsets += offsets[:3]
+        rng.shuffle(offsets)
+        self._check(mask, offsets)
+
+    def test_fully_off_the_grid(self):
+        """Every shift leaves the accumulator: nothing is ORed in, whichever
+        side it leaves by.  Shifted partly on, only the rows on it are."""
+        mask = np.ones((4, 4), dtype=bool)
+        ray = [(r, 0) for r in range(6)]
+        for origin in [(-15, 3), (30, 3), (3, -15), (3, 30)]:
+            assert not self._check(mask, ray, shape=(10, 10), origin=origin).any()
+        assert self._check(mask, ray, shape=(10, 10), origin=(-7, 3)).sum() == 4 * 2
+
+    def test_empty_mask(self):
+        union, _, _ = sweep_union(np.zeros((3, 4), dtype=bool), [(0, 0), (1, 0), (5, 2)])
+        assert union.shape == (8, 6) and not union.any()
+
+
+class TestPotentialShadowMaskOnTheFixture:
+    @pytest.mark.parametrize("elevation,azimuth", [(50.0, 180.0), (30.0, 90.0), (35.0, 120.0),
+                                                   (60.0, 240.0), (25.0, 330.0)])
+    def test_matches_per_offset_sweep(self, pipeline_dir, elevation, azimuth):
+        """The fixture's object kinds under five suns, against the sweep of
+        every height step ORed in one offset at a time."""
+        kinds_raster = read_raster(pipeline_dir / "object_kinds.hdr")
+        kinds = kinds_raster.data[0].astype(np.int32)
+        cfg = PipelineConfig()
+        heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
+                   OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
+                   OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
+        geom = ShadowGeometry(elevation, azimuth)
+        grid = kinds_raster.geometry
+        got = potential_shadow_mask(kinds, geom, heights, grid)
+
+        r = grid.pixel_size
+        a, b = geom.offset_coefficients()
+        step = min(r * math.tan(math.radians(min(elevation, 89.0))), r / max(abs(a), abs(b), 1.0))
+        want = np.zeros(kinds.shape, dtype=bool)
+        for kind, (h_min, h_max) in heights.items():
+            n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
+            sweep = np.minimum(h_min + step * np.arange(n_steps), h_max)
+            per_offset_union(want, kinds == kind, sweep_offsets(a, b, sweep, r))
+        assert set(np.unique(kinds)) >= {OBJECT_KIND_TREE, OBJECT_KIND_LOW_BUILDING}
+        assert want.any()
+        assert np.array_equal(got.bits, want)
 
 
 class TestSegmentShadowProportion:
