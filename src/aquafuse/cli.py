@@ -92,10 +92,17 @@ def _classify(raster: RasterGrid, out: Path):
 
 
 SEGMENT_TABLE = "segment_table.npy"
+# the stage that fills each table column that segment writes as NaN
+FILLED_BY = {"p_shadow": "shadow", "p_w": "fuse"}
 
 
-def _load_segments(out: Path):
-    return load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
+def _load_segments(out: Path, *needs: str):
+    segmap = load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
+    for column in needs:  # a column of ``needs`` still NaN stops the caller
+        if np.isnan(segmap.records[column]).any():
+            raise RasterError(f"{out / SEGMENT_TABLE}: {column} is not computed "
+                              f"(run {FILLED_BY[column]} first)")
+    return segmap
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +178,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up, t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)
+    segmap.records.p_shadow = segmap.records.p_w = np.nan
 
     _write(out, "segments",
            RasterGrid(pan.geometry, segmap.labels.astype(np.float32)[np.newaxis], ["segment"]))
@@ -198,6 +206,7 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     shadow_mask = potential_shadow_mask(kinds, sun, heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
     segmap.records.p_shadow = segmap.mean(shadow_mask.bits)
+    segmap.records.p_w = np.nan  # the last fuse used the shares just replaced
     save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
@@ -206,7 +215,7 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
                           r_ms=_load_raster(out, "ms").geometry.pixel_size,
                           r_l=_load_raster(out, "landsat_wi").geometry.pixel_size,
                           decision_threshold=cfg.decision_threshold)
-    segmap = _load_segments(out)
+    segmap = _load_segments(out, "p_shadow")
     table = segmap.records
     table.p_w, table.water = fuse_all_segments(segmap, params)
     (out / "fuse.txt").write_text(
@@ -218,9 +227,7 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
-    if not (out / "pgm_water.hdr").exists():
-        raise RasterError(f"missing artifact {out / 'pgm_water.hdr'} (run fuse first)")
-    segmap = _load_segments(out)
+    segmap = _load_segments(out, "p_shadow", "p_w")
     water = segmap.records.water
     final = relabel_shadow_segments(water, segmap, cfg.shadow_relabel_threshold)
     (out / "postclass.txt").write_text(f"relabeled = {int((water & ~final).sum())}\n")

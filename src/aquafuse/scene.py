@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowError, ShadowGeometry, shift_or, sweep_offsets, sweep_union
+from .shadow import ShadowError, ShadowGeometry, height_sweep, shift_or, sweep_offsets, sweep_union
 from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
@@ -424,9 +424,7 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
     sweeps = []  # per height level, the sorted (row, col) offsets
     for h in heights:
         step = SUPERSAMPLE_M / slope if slope > 0 else h
-        n_steps = int(math.ceil(h / step)) + 1
-        sweep = np.minimum(step * np.arange(n_steps), h)
-        sweeps.append(sweep_offsets(a, b, sweep, SUPERSAMPLE_M))
+        sweeps.append(sweep_offsets(a, b, height_sweep(0.0, h, step), SUPERSAMPLE_M))
     objects = []
     for lvl, (rows, cols) in zip(levels, boxes):
         if not lvl:

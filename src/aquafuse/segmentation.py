@@ -33,8 +33,8 @@ class SegmentationError(Exception):
 
 
 # One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
-# order; ``label`` is "" until classify_segments_majority sets it; ``p_w`` and
-# ``water`` are filled by the fuse stage.
+# order; ``label`` is "" until classify_segments_majority sets it; ``p_shadow``
+# and ``p_w`` are NaN until the shadow stage, then fuse, fill them.
 SEGMENT_DTYPE = np.dtype([
     ("pixel_count", "<i8"),
     ("perimeter_px", "<i8"),

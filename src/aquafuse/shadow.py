@@ -95,6 +95,12 @@ def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int, origin=(0,
         acc[r0:r1, c0:c1] |= mask[r0 - top:r1 - top, c0 - left:c1 - left]
 
 
+def height_sweep(h_min: float, h_max: float, step: float) -> np.ndarray:
+    """Heights (m) from ``h_min`` up by ``step``, the last clipped to ``h_max``."""
+    n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
+    return np.minimum(h_min + step * np.arange(n_steps), h_max)
+
+
 def sweep_offsets(a: float, b: float, heights, pixel: float) -> list:
     """Sorted distinct (row, col) pixel shifts of the shadow cast from each of
     ``heights`` (m), for the offset coefficients ``(a, b)`` of
@@ -164,8 +170,7 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
         mask = object_kind_map == kind
         if not mask.any():
             continue
-        n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
-        sweep = np.minimum(h_min + step * np.arange(n_steps), h_max)
+        sweep = height_sweep(h_min, h_max, step)
         union, top, left = sweep_union(mask, sweep_offsets(a, b, sweep, r))
         shift_or(out, union, top, left)
     return BinaryMask(grid, out.astype(np.uint8))

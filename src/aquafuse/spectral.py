@@ -27,39 +27,16 @@ class SpectralError(Exception):
 # ---------------------------------------------------------------------------
 # PCA
 
-@dataclass
-class PcaModel:
-    mean: np.ndarray                # (d,)
-    components: np.ndarray          # (d, d), rows are components
-    explained_variance: np.ndarray  # (d,), non-increasing
-
-    def transform(self, spectra):
-        return (np.asarray(spectra, dtype=np.float64) - self.mean) @ self.components.T
-
-    def inverse(self, scores):
-        return np.asarray(scores, dtype=np.float64) @ self.components + self.mean
-
-
-def pca_fit(raster: RasterGrid) -> PcaModel:
-    """Fit a full PCA basis to the pixel spectra of a multi-band raster."""
-    if raster.bands < 2:
-        raise SpectralError("PCA needs at least 2 bands")
-    spectra = raster.data.reshape(raster.bands, -1).T.astype(np.float64, order="C")
-    if spectra.shape[0] < raster.bands:
-        raise SpectralError(f"PCA needs at least {raster.bands} pixels, got {spectra.shape[0]}")
-    mean = spectra.mean(axis=0)
-    centered = spectra - mean
-    cov = centered.T @ centered / (spectra.shape[0] - 1)
-    evals, evecs = np.linalg.eigh(cov)
-    order = np.argsort(evals)[::-1]
-    evals = np.clip(evals[order], 0.0, None)
-    components = evecs[:, order].T
-    # deterministic sign: the largest-magnitude coefficient of each component is positive
-    for comp in components:
-        pivot = np.argmax(np.abs(comp))
-        if comp[pivot] < 0:
-            comp *= -1.0
-    return PcaModel(mean, components, evals)
+def pca_components(centred: np.ndarray) -> np.ndarray:
+    """(d, d) principal axes, one per row, of the centred (n, d) float64
+    spectra: the eigenvectors of their sample covariance by descending
+    eigenvalue, each signed so that its largest-magnitude coefficient is
+    positive."""
+    evals, evecs = np.linalg.eigh(centred.T @ centred / (len(centred) - 1))
+    components = evecs[:, np.argsort(evals)[::-1]].T
+    pivots = np.argmax(np.abs(components), axis=1)
+    components *= np.sign(components[np.arange(len(components)), pivots])[:, None]
+    return components
 
 
 def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
@@ -67,22 +44,34 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
 
     The MS image is duplicated onto the PAN grid, PCA-transformed, its first
     component replaced by the PAN band rescaled to the first component's mean
-    and standard deviation, and transformed back.
+    and standard deviation, and transformed back.  The spectra are copied to
+    float64 and centred once; the fused spectra overwrite that copy.
     """
     if pan.bands != 1:
         raise SpectralError("PAN raster must have exactly 1 band")
-    up = resample_nearest(ms, pan.geometry)
-    model = pca_fit(up)
-    h, w = pan.geometry.height, pan.geometry.width
-    scores = model.transform(up.data.reshape(up.bands, -1).T)
+    x = resample_nearest(ms, pan.geometry).data.reshape(ms.bands, -1).T  # (n, d)
+    n, d = x.shape
+    if d < 2:
+        raise SpectralError("PCA needs at least 2 bands")
+    if n < d:
+        raise SpectralError(f"PCA needs at least {d} pixels, got {n}")
+    x = x.astype(np.float64, order="C")
+    mean = x.mean(axis=0)
+    x -= mean
+    components = pca_components(x)
+    scores = x @ components.T
     pc1 = scores[:, 0]
     pan_values = pan.data[0].ravel().astype(np.float64)
     pan_std = pan_values.std()
     if pan_std == 0:
         raise SpectralError("PAN image has zero variance; cannot rescale to PC1")
-    scores[:, 0] = (pan_values - pan_values.mean()) * (pc1.std() / pan_std) + pc1.mean()
-    fused = model.inverse(scores).T.reshape(up.bands, h, w)
-    return RasterGrid(pan.geometry, fused.astype(np.float32), list(ms.band_names))
+    pan_values -= pan_values.mean()
+    scores[:, 0] = pan_values * (pc1.std() / pan_std) + pc1.mean()
+    np.matmul(scores, components, out=x)
+    x += mean
+    del scores, pc1, pan_values  # freed before the float32 copy is made
+    fused = x.T.astype(np.float32, order="C").reshape(d, pan.geometry.height, pan.geometry.width)
+    return RasterGrid(pan.geometry, fused, list(ms.band_names))
 
 
 # ---------------------------------------------------------------------------

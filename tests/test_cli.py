@@ -83,7 +83,7 @@ class TestExitCodes:
         ("segment", "pan.hdr"),
         ("shadow", "scene.txt"),
         ("fuse", "ms.hdr"),
-        ("postclass", "pgm_water.hdr"),
+        ("postclass", "segments.hdr"),
         ("evaluate", "truth.hdr"),
     ])
     def test_missing_artifact_is_io_error(self, tmp_path, capsys, stage, lacks):
@@ -380,11 +380,53 @@ class TestPipelineArtifacts:
         assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
         assert "truth.hdr: mask values must be 0 or 1" in capsys.readouterr().err
 
-    def test_postclass_before_fuse_is_io_error(self, pipeline_dir, tmp_path):
+    def test_postclass_before_fuse_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        """A table whose p_w fuse has not filled stops postclass."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        (out / "pgm_water.hdr").unlink()
+        table = np.load(out / "segment_table.npy")
+        table["p_w"] = np.nan
+        np.save(out / "segment_table.npy", table)
+        (out / "postclass.txt").unlink()
         assert cli.main(["postclass", "--out", str(out)]) == cli.EXIT_IO
+        assert "p_w is not computed (run fuse first)" in capsys.readouterr().err
+        assert not (out / "postclass.txt").exists()
+
+    def test_fuse_without_shadow_is_io_error(self, tmp_path, capsys):
+        """fuse straight after segment does not fuse with a shadow proportion
+        of 0: it stops before writing anything and names shadow."""
+        for stage in ("synth", "classify-ms", "water-index", "segment"):
+            assert cli.main([stage, "--out", str(tmp_path)]) == 0
+        assert cli.main(["fuse", "--out", str(tmp_path)]) == cli.EXIT_IO
+        assert "p_shadow is not computed (run shadow first)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("pgm_*")) and not (tmp_path / "fuse.txt").exists()
+
+    def test_postclass_after_segment_rerun_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        """segment run again after run-all writes a fresh table; postclass
+        does not post-classify its unfused water column, though the last
+        pgm_water map is still there."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        for path in out.glob("water_final.*"):
+            path.unlink()
+        assert cli.main(["segment", "--out", str(out)]) == 0
+        assert (out / "pgm_water.hdr").exists()
+        assert cli.main(["postclass", "--out", str(out)]) == cli.EXIT_IO
+        assert "is not computed (run shadow first)" in capsys.readouterr().err
+        assert not list(out.glob("water_final.*"))
+
+    def test_postclass_after_shadow_rerun_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        """shadow run again after run-all replaces the shadow shares that the
+        last fuse decided with; postclass waits for fuse to run again."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("height_tree_max = 10\n")
+        assert cli.main(["shadow", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["postclass", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_IO
+        assert "p_w is not computed (run fuse first)" in capsys.readouterr().err
+        assert cli.main(["fuse", "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main(["postclass", "--config", str(cfg), "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("stage", ["fuse", "postclass"])
     @pytest.mark.parametrize("damage", ["truncated", "wrong_dtype"])

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from scipy.special import logsumexp
 
 from aquafuse import cli, spectral
 from aquafuse.raster import GridGeometry, RasterGrid, read_raster, read_table, resample_nearest
+from aquafuse.scene import DEFAULT_SCENE_TEXT, generate_scene, parse_scene
 from aquafuse.spectral import (
     CLASS_ORDER,
     CLASSIFY_BLOCK,
@@ -15,7 +19,7 @@ from aquafuse.spectral import (
     fit_classifier,
     landsat_water_index,
     otsu_threshold,
-    pca_fit,
+    pca_components,
     pca_fuse,
 )
 
@@ -61,56 +65,116 @@ def assert_classifies_as_reference(model, raster):
     assert np.array_equal(class_map.data.ravel(), ref_classes)
 
 
+def reference_pca_fuse(ms, pan):
+    """pca_fuse as first written: a PCA fit to the upsampled spectra, then a
+    forward transform and an inverse one, each converting and centring its
+    own float64 copy of the pixels.  Returns the float32 (d, h, w) array."""
+    up = resample_nearest(ms, pan.geometry)
+    spectra = up.data.reshape(up.bands, -1).T.astype(np.float64, order="C")
+    mean = spectra.mean(axis=0)
+    centered = spectra - mean
+    cov = centered.T @ centered / (spectra.shape[0] - 1)
+    evals, evecs = np.linalg.eigh(cov)
+    components = evecs[:, np.argsort(evals)[::-1]].T
+    for comp in components:
+        pivot = np.argmax(np.abs(comp))
+        if comp[pivot] < 0:
+            comp *= -1.0
+    scores = (np.asarray(up.data.reshape(up.bands, -1).T, dtype=np.float64) - mean) \
+        @ components.T
+    pc1 = scores[:, 0]
+    pan_values = pan.data[0].ravel().astype(np.float64)
+    scores[:, 0] = ((pan_values - pan_values.mean()) * (pc1.std() / pan_values.std())
+                    + pc1.mean())
+    fused = np.asarray(scores, dtype=np.float64) @ components + mean
+    h, w = pan.geometry.height, pan.geometry.width
+    return fused.T.reshape(up.bands, h, w).astype(np.float32)
+
+
+def pca_of(spectra):
+    """``(centred, components, variances)`` of (n, d) spectra: the variances
+    are those of the scores on each component."""
+    centred = np.asarray(spectra, dtype=np.float64) - np.mean(spectra, axis=0)
+    components = pca_components(centred)
+    return centred, components, (centred @ components.T).var(axis=0, ddof=1)
+
+
+def load_workloads():
+    """The benchmark's workload module, which tiles the bundled scene."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tile_2x2():
+    """MS and PAN of the bundled scene tiled 2 x 2 (480 m)."""
+    text = load_workloads().tile_scene(DEFAULT_SCENE_TEXT, 2, 2)
+    bundle = generate_scene(parse_scene(text))
+    return bundle.ms, bundle.pan
+
+
 class TestPcaFit:
     def test_single_axis_variance(self):
         rng = np.random.default_rng(0)
         spectra = np.zeros((64, 2))
         spectra[:, 0] = rng.normal(size=64)
-        model = pca_fit(raster_from_spectra(spectra, 8, 8))
-        assert abs(abs(model.components[0, 0]) - 1.0) < 1e-9
-        assert abs(model.components[0, 1]) < 1e-9
-        assert model.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
+        _, components, variances = pca_of(spectra)
+        assert abs(abs(components[0, 0]) - 1.0) < 1e-9
+        assert abs(components[0, 1]) < 1e-9
+        assert variances[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_forward_inverse_identity(self):
         rng = np.random.default_rng(1)
         spectra = rng.normal(size=(100, 4))
-        model = pca_fit(raster_from_spectra(spectra, 10, 10))
-        back = model.inverse(model.transform(spectra))
+        centred, components, _ = pca_of(spectra)
+        back = (centred @ components.T) @ components + spectra.mean(axis=0)
         assert np.allclose(back, spectra, rtol=1e-4, atol=1e-8)
 
     def test_orthonormal_components(self):
         rng = np.random.default_rng(2)
         spectra = rng.normal(size=(50, 3)) @ np.diag([3.0, 1.0, 0.2])
-        model = pca_fit(raster_from_spectra(spectra, 10, 5))
-        gram = model.components @ model.components.T
+        _, components, variances = pca_of(spectra)
+        gram = components @ components.T
         assert np.allclose(gram, np.eye(3), atol=1e-6)
-        assert (np.diff(model.explained_variance) <= 1e-12).all()
+        assert (np.diff(variances) <= 1e-12).all()
+
+    def test_largest_coefficient_positive(self):
+        rng = np.random.default_rng(3)
+        spectra = rng.normal(size=(200, 4)) @ rng.normal(size=(4, 4))
+        _, components, _ = pca_of(spectra)
+        _, flipped, _ = pca_of(-spectra)
+        rows = np.arange(4)
+        assert (components[rows, np.argmax(np.abs(components), axis=1)] > 0).all()
+        assert np.allclose(flipped, components)
 
     def test_known_covariance_eigenvalues(self):
         # independent oracle: eigendecomposition of the sample covariance
         rng = np.random.default_rng(42)
         spectra = rng.normal(size=(10_000, 3)) * np.sqrt([4.0, 1.0, 0.25])
-        model = pca_fit(raster_from_spectra(spectra, 100, 100))
+        _, _, variances = pca_of(spectra)
         sample_cov = np.cov(spectra.T, ddof=1)
         expected = np.sort(np.linalg.eigvalsh(sample_cov))[::-1]
-        assert np.allclose(model.explained_variance, expected, rtol=1e-9)
-        assert np.allclose(model.explained_variance, [4.0, 1.0, 0.25], rtol=0.05)
+        assert np.allclose(variances, expected, rtol=1e-9)
+        assert np.allclose(variances, [4.0, 1.0, 0.25], rtol=0.05)
 
 
 class TestPcaFuse:
-    def _ms_pan(self, seed=0, h=8, w=8):
+    def _ms_pan(self, seed=0, h=8, w=8, bands=4):
         rng = np.random.default_rng(seed)
         ms_geom = GridGeometry(w, h, 2.0, origin_y=2.0 * h)
-        ms = RasterGrid(ms_geom, rng.normal(size=(4, h, w)).astype(np.float32),
-                        ["blue", "green", "red", "nir"])
+        ms = RasterGrid(ms_geom, rng.normal(size=(bands, h, w)).astype(np.float32),
+                        ["blue", "green", "red", "nir"][:bands])
         pan_geom = GridGeometry(2 * w, 2 * h, 1.0, origin_y=2.0 * h)
         return ms, pan_geom
 
     def test_substitution_identity(self):
         ms, pan_geom = self._ms_pan(seed=3)
         up = resample_nearest(ms, pan_geom)
-        model = pca_fit(up)
-        pc1 = model.transform(up.data.reshape(4, -1).T)[:, 0]
+        centred, components, _ = pca_of(up.data.reshape(4, -1).T)
+        pc1 = centred @ components[0]
         pan = RasterGrid(pan_geom,
                          pc1.reshape(pan_geom.height, pan_geom.width)
                          .astype(np.float32)[np.newaxis], ["pan"])
@@ -132,14 +196,14 @@ class TestPcaFuse:
         # varying PAN over constant-offset MS only moves pixels along PC1
         ms, pan_geom = self._ms_pan(seed=5)
         up = resample_nearest(ms, pan_geom)
-        model = pca_fit(up)
+        _, components, _ = pca_of(up.data.reshape(4, -1).T)
         rng = np.random.default_rng(11)
         pan = RasterGrid(pan_geom,
                          rng.normal(size=(1, pan_geom.height, pan_geom.width))
                          .astype(np.float32), ["pan"])
         fused = pca_fuse(ms, pan)
         delta = (fused.data - up.data).reshape(4, -1).T.astype(np.float64)
-        residual = delta - np.outer(delta @ model.components[0], model.components[0])
+        residual = delta - np.outer(delta @ components[0], components[0])
         assert np.abs(residual).max() < 1e-3
 
     def test_zero_variance_pan(self):
@@ -149,6 +213,52 @@ class TestPcaFuse:
                          ["pan"])
         with pytest.raises(SpectralError, match="variance"):
             pca_fuse(ms, pan)
+
+    def test_one_band_ms(self):
+        ms, pan_geom = self._ms_pan(seed=7, bands=1)
+        pan = RasterGrid(pan_geom, np.random.default_rng(8).random(
+            (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
+        with pytest.raises(SpectralError, match="at least 2 bands"):
+            pca_fuse(ms, pan)
+
+    def test_fewer_pixels_than_bands(self):
+        ms, _ = self._ms_pan(seed=9, h=1, w=1)
+        pan = RasterGrid(GridGeometry(1, 2, 1.0, origin_y=2.0),
+                         np.array([[[0.0], [1.0]]], dtype=np.float32), ["pan"])
+        with pytest.raises(SpectralError, match="at least 4 pixels, got 2"):
+            pca_fuse(ms, pan)
+
+    @pytest.mark.parametrize("bands", [2, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rasters_match_reference(self, bands, seed):
+        ms, pan_geom = self._ms_pan(seed=seed, h=11, w=13, bands=bands)
+        pan = RasterGrid(pan_geom, np.random.default_rng(seed + 10).random(
+            (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
+        assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
+
+    def test_fixture_matches_reference(self, pipeline_dir):
+        ms, pan = (read_raster(pipeline_dir / f"{stem}.hdr") for stem in ("ms", "pan"))
+        assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
+
+    def test_tile_2x2_matches_reference(self, tile_2x2):
+        ms, pan = tile_2x2
+        assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
+
+    def test_fixture_peak_allocation(self, pipeline_dir):
+        """The spectra are copied to float64 once and the fused spectra
+        overwrite that copy: with the scores, that is 4 times the float32
+        output, and the PAN band in float64 and one more column 1 more.  The
+        traced peak on the fixture stays below 6 times the output; a fit,
+        a forward and an inverse transform that each copy the pixels take
+        about 7.5 times."""
+        ms, pan = (read_raster(pipeline_dir / f"{stem}.hdr") for stem in ("ms", "pan"))
+        tracemalloc.start()
+        try:
+            fused = pca_fuse(ms, pan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * fused.data.nbytes
 
 
 class TestClassifier:
