@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import RasterError, RasterGrid, read_table, window_reduce, write_table
 from .spectral import CLASS_ORDER
@@ -25,6 +24,7 @@ KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 100
 KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
 KMEANS_BLOCK = 1 << 12   # rows per block of k-means distances
+KMEANS_TEST_BLOCK = 1 << 16  # rows per block of the k-means bound test
 KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see _lloyd
 
 
@@ -239,27 +239,30 @@ def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums
         lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
 
 
-def _unsettled_rows(assign, upper, lower, f2, norm2, old, new):
+def _unsettled_rows(assign, upper, lower, tau2, old, new):
     """Move the bounds of ``_lloyd`` with the centres from ``old`` to ``new``
-    and return the rows whose bounds no longer prove their centre."""
+    and return the rows whose bounds no longer prove their centre; ``tau2``
+    holds each row's 2 tau."""
     up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
     move = np.sqrt(np.sum((new - old) ** 2, axis=1)) * up
-    upper += move[assign]
-    upper *= up
     lower -= np.max(move)
     lower *= down
     gaps = np.sqrt(np.sum((new[:, None] - new) ** 2, axis=2))
     np.fill_diagonal(gaps, np.inf)
     half = 0.5 * down * np.min(gaps, axis=1)
-    # upper**2 + 2 tau against max(half, lower)**2, in two row-length arrays
-    lhs = f2 + norm2
-    lhs *= 2.0 * KMEANS_SLACK
-    lhs += upper * upper
-    rhs = half[assign]
-    np.maximum(rhs, lower, out=rhs)
-    rhs *= rhs
-    settled = lhs < rhs
-    del lhs, rhs
+    settled = np.empty(len(assign), dtype=bool)
+    for start in range(0, len(assign), KMEANS_TEST_BLOCK):  # no row-length temporaries
+        block = slice(start, start + KMEANS_TEST_BLOCK)
+        centre, bound = assign[block], upper[block]
+        bound += move[centre]
+        bound *= up
+        # upper**2 + 2 tau against max(half, lower)**2
+        lhs = bound * bound
+        lhs += tau2[block]
+        rhs = half[centre]
+        np.maximum(rhs, lower[block], out=rhs)
+        rhs *= rhs
+        np.less(lhs, rhs, out=settled[block])
     return np.flatnonzero(~settled)
 
 
@@ -278,8 +281,8 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     ``_sq_distances`` value, and each centre becomes the mean of its rows.
     The rounding makes every sum of rows exact, so the first pass sums each
     centre's rows in full and a later pass moves only the rows that change
-    centre from one sum to the other: the sums, and so the centres, are bit
-    for bit those of full sums in any order.  The first pass, the labelling
+    centre from one sum, and one count, to the other: the sums, and so the
+    centres, are bit for bit those of full sums in any order.  The first pass, the labelling
     at the final centres and an empty cluster's search for the farthest row
     compute every distance.  In between, most rows keep their centre, and
     Hamerly's bounds prove it without their distances.  Row i keeps
@@ -318,18 +321,26 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     upper = np.empty(n)
     lower = np.empty(n)
     norm2 = 0.0
+    tau2 = None  # 2 tau of every row, rebuilt only when norm2 grows
     previous = None
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        norm2 = max(norm2, float(np.max(np.sum(centers ** 2, axis=1))))
-        if previous is None:  # the first pass computes and sums every row
+        top = float(np.max(np.sum(centers ** 2, axis=1)))
+        if top > norm2:
+            norm2, tau2 = top, None
+        if previous is None:  # the first pass computes, sums and counts every row
             _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, None)
             sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
                              for j in range(dims)], axis=1)
-        else:  # a later pass computes the unsettled rows and moves their sums
-            rows = _unsettled_rows(assign, upper, lower, f2, norm2, previous, centers)
+            counts = np.bincount(assign, minlength=k)
+        else:  # a later pass computes the unsettled rows and moves their sums and counts
+            if tau2 is None:
+                tau2 = f2 + norm2
+                tau2 *= 2.0 * KMEANS_SLACK
+            rows = _unsettled_rows(assign, upper, lower, tau2, previous, centers)
+            counts -= np.bincount(assign[rows], minlength=k)
             _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums)
+            counts += np.bincount(assign[rows], minlength=k)
             del rows  # so that the next pass's bound test does not overlap it
-        counts = np.bincount(assign, minlength=k)
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():
@@ -339,7 +350,7 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
         previous, centers = centers, new_centers
         if movement < KMEANS_TOL:
             break
-    del upper, lower
+    del upper, lower, tau2
     assign, best = _nearest(features, f2, centers)
     return assign, centers, iterations, float(best.sum()), bool(movement < KMEANS_TOL)
 
@@ -361,26 +372,48 @@ def _kmeans(features: np.ndarray, k: int):
     return _lloyd(features, centers)
 
 
-FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
 def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
     """Split equal-cluster regions into 4-connected components with ids in
-    raster-scan order of each component's first pixel."""
+    raster-scan order of each component's first pixel.
+
+    Run-based labelling (He, Chao and Suzuki, IEEE TIP 2008): a run is a
+    maximal stretch of one cluster along a row, and runs are numbered in
+    raster order.  Each run is linked once to each equal-valued run that it
+    touches in the row above.  The links are merged in rounds, until no link
+    joins two roots: each root is hooked to the smallest root below it that
+    it is linked to, and then pointer jumping points every run at its root
+    (Shiloach and Vishkin, 1982).  A root is thus its component's smallest
+    run, whose first pixel is the component's first, so the roots in run
+    order are the ids."""
     h, w = cluster_img.shape
-    combined = np.zeros((h, w), dtype=np.int64)
-    offset = 0
-    for cluster in np.unique(cluster_img):
-        comp, n = ndimage.label(cluster_img == cluster, structure=FOUR_CONNECTED)
-        mask = comp > 0
-        combined[mask] = comp[mask] + offset
-        offset += n
-    flat = combined.ravel() - 1
-    first = np.full(offset, flat.size, dtype=np.int64)
-    np.minimum.at(first, flat, np.arange(flat.size))
-    remap = np.empty(offset, dtype=np.int32)
-    remap[np.argsort(first, kind="stable")] = np.arange(offset, dtype=np.int32)
-    return remap[flat].reshape(h, w)
+    flat = cluster_img.ravel()
+    starts = np.ones(flat.size, dtype=bool)  # a run starts at column 0 or a change
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::w] = True
+    run_of = np.cumsum(starts) - 1
+    # a pixel equal to the one above links their two runs; two runs overlap
+    # in one stretch, which begins where one of them starts, so counting only
+    # such pixels gives one link per pair
+    links = (flat[w:] == flat[:-w]) & (starts[w:] | starts[:-w])
+    below, above = run_of[w:][links], run_of[:-w][links]
+    parent = np.arange(int(run_of[-1]) + 1)
+    while True:
+        root_below, root_above = parent[below], parent[above]
+        joins = root_below != root_above
+        if not joins.any():
+            break
+        below, above = below[joins], above[joins]
+        root_below, root_above = root_below[joins], root_above[joins]
+        np.minimum.at(parent, np.maximum(root_below, root_above),
+                      np.minimum(root_below, root_above))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots = parent == np.arange(len(parent))
+    ids = (np.cumsum(roots) - 1).astype(np.int32)
+    return ids[parent][run_of].reshape(h, w)
 
 
 def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .raster import RasterGrid, resample_nearest
 
@@ -150,7 +149,7 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
         for i in range(len(CLASS_ORDER)):
             z = inverses[i] @ (x - model.means[i][:, None])
             logpost[i] = -0.5 * (np.sum(z * z, axis=0) + logdets[i] + d * np.log(2.0 * np.pi))
-        logpost -= logsumexp(logpost, axis=0, keepdims=True)
+        logpost -= _logsumexp(logpost)
         posterior = np.exp(logpost)
         probs[:, block] = posterior
         classes[block] = np.argmax(posterior, axis=0)
@@ -159,6 +158,26 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
                              [f"p_{c}" for c in CLASS_ORDER])
     class_map = RasterGrid(raster.geometry, classes.reshape(1, h, w), ["class_index"])
     return prob_raster, class_map
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=0, keepdims=True)`` for a finite
+    float64 ``a``, bit for bit: scipy 1.17's steps for real input.  The
+    entries equal to the column maximum ``top`` are taken out of the sum and
+    counted in ``ties``; the rest are shifted by ``top``, exponentiated and
+    summed (in the same layout, so in the same order), the sum ``s`` is
+    divided by ``ties`` where it is nonzero, and the result is
+    ``log1p(s) + log(ties) + top``, added in that order.  An infinite or NaN
+    entry is not handled as scipy handles it."""
+    top = np.max(a, axis=0, keepdims=True)
+    tied = a == top
+    ties = np.sum(tied, axis=0, keepdims=True, dtype=a.dtype)
+    shifted = np.subtract(a, top)
+    np.exp(shifted, out=shifted)
+    np.copyto(shifted, 0.0, where=tied)
+    s = np.sum(shifted, axis=0, keepdims=True)
+    np.divide(s, ties, out=s, where=s != 0)
+    return np.log1p(s) + np.log(ties) + top
 
 
 # ---------------------------------------------------------------------------

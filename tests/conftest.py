@@ -1,8 +1,12 @@
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from aquafuse import cli
+from aquafuse.scene import DEFAULT_SCENE_TEXT, generate_scene, parse_scene
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +25,18 @@ def pipeline_repeat(tmp_path_factory):
     start = time.perf_counter()
     assert cli.main(["run-all", "--out", str(out)]) == 0
     return out, time.perf_counter() - start
+
+
+def load_workloads():
+    """The benchmark's workload module, which tiles the bundled scene."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def tile_2x2():
+    """The rendered bundled scene tiled 2 x 2 (480 m), as a SceneBundle."""
+    return generate_scene(parse_scene(load_workloads().tile_scene(DEFAULT_SCENE_TEXT, 2, 2)))

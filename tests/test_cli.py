@@ -1,6 +1,10 @@
 import filecmp
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,3 +550,36 @@ class TestPipelineArtifacts:
         for stem in cli.PREDICTION_STEMS:
             report = (pipeline_dir / f"report_{stem}.txt").read_text()
             assert "oa=" in report and "pa=" in report and "ua=" in report
+
+
+class TestWithoutScipy:
+    """The pipeline needs numpy alone: scipy is a test dependency."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    def run_python(self, code, *args):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_import_loads_no_scipy(self):
+        done = self.run_python(
+            "import sys\n"
+            "import aquafuse.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_run_all_with_scipy_blocked(self, pipeline_dir, tmp_path):
+        """With ``sys.modules["scipy"] = None`` any scipy import fails, and
+        run-all still writes every report, byte-identical to the fixture's."""
+        out = tmp_path / "out"
+        done = self.run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from aquafuse.cli import main\n"
+            "sys.exit(main(['run-all', '--out', sys.argv[1]]))\n", str(out))
+        assert done.returncode == 0, done.stderr
+        for stem in cli.PREDICTION_STEMS:
+            report = f"report_{stem}.txt"
+            assert (out / report).read_bytes() == (pipeline_dir / report).read_bytes()

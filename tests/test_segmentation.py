@@ -75,6 +75,27 @@ def reference_kmeans(features, k):
     return reference_lloyd(features, centers)
 
 
+def reference_connected_segments(cluster_img):
+    """_connected_segments as first written: scipy's 4-connected labelling of
+    each cluster's mask in turn, then ids reordered by each component's first
+    pixel in raster-scan order."""
+    four_connected = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+    h, w = cluster_img.shape
+    combined = np.zeros((h, w), dtype=np.int64)
+    offset = 0
+    for cluster in np.unique(cluster_img):
+        comp, n = ndimage.label(cluster_img == cluster, structure=four_connected)
+        mask = comp > 0
+        combined[mask] = comp[mask] + offset
+        offset += n
+    flat = combined.ravel() - 1
+    first = np.full(offset, flat.size, dtype=np.int64)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    remap = np.empty(offset, dtype=np.int32)
+    remap[np.argsort(first, kind="stable")] = np.arange(offset, dtype=np.int32)
+    return remap[flat].reshape(h, w)
+
+
 def scipy_profiles(image):
     """The profile stack from scipy's ``grey_opening`` and ``grey_closing``,
     edge-replicated, an even side anchored at the first of its two central
@@ -553,6 +574,77 @@ class TestExactSums:
         _, centers, _, _, _ = segmentation._lloyd(features, np.array([[0.5], [7.5], [4.0]]))
         assert centers[2, 0] == 5.0  # the emptied cluster took the farthest row
         assert moved_rows[0] == 2
+
+
+def kmeans_map(pan):
+    """The k-means cluster image that kmeans_segment splits into segments."""
+    features = standardized_features(pan)
+    assign = segmentation._kmeans(features, PipelineConfig().kmeans_k)[0]
+    return assign.reshape(pan.geometry.height, pan.geometry.width)
+
+
+def comb(joined_by):
+    """Vertical teeth of cluster 1 two columns apart, the gaps between them
+    joined by the first or the last row: every tooth is its own run in
+    every row, and the gaps meet only at the joining row."""
+    img = np.ones((40, 41), dtype=np.intp)
+    img[:, ::2] = 0
+    img[0 if joined_by == "first" else -1] = 0
+    return img
+
+
+def spiral(n):
+    """Square rings of cluster 1 two pixels apart on 0, each cut just below
+    its top-left corner and joined there to the next ring inward, so that
+    the 1s wind inward as one path and the 0s wind between them."""
+    i, j = np.indices((n, n))
+    ring = np.minimum(np.minimum(i, j), np.minimum(n - 1 - i, n - 1 - j))
+    img = (ring % 2 == 0).astype(np.intp)
+    for r in range(0, (n - 1) // 2 - 1, 2):
+        img[r + 1, r] = 0
+        img[r + 2, r + 1] = 1
+    return img
+
+
+def connected_segments_images():
+    rng = np.random.default_rng(13)
+    return {
+        "random k=2": rng.integers(2, size=(57, 83)),
+        "random k=8": rng.integers(8, size=(57, 83)),
+        "constant": np.full((9, 13), 3, dtype=np.intp),
+        "one pixel": np.zeros((1, 1), dtype=np.intp),
+        "1 x n": rng.integers(2, size=(1, 40)),
+        "n x 1": rng.integers(2, size=(40, 1)),
+        "comb joined by the last row": comb("last"),
+        "comb joined by the first row": comb("first"),
+        "spiral": spiral(33),
+        "staircase": np.triu(np.ones((30, 30), dtype=np.intp)),
+        "checkerboard": np.indices((17, 19)).sum(axis=0) % 2,
+    }
+
+
+class TestConnectedSegments:
+    """The run-based labelling gives scipy's components and their ids in
+    raster-scan order of each component's first pixel, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(connected_segments_images()))
+    def test_matches_reference(self, name):
+        img = connected_segments_images()[name]
+        labels = segmentation._connected_segments(img)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, reference_connected_segments(img))
+
+    def test_fixture_kmeans_map(self, pipeline_dir):
+        img = kmeans_map(read_raster(pipeline_dir / "pan.hdr"))
+        labels = segmentation._connected_segments(img)
+        assert int(labels.max()) + 1 == 1281
+        assert np.array_equal(labels, reference_connected_segments(img))
+
+    def test_tile_2x2_kmeans_map(self, tile_2x2):
+        img = kmeans_map(tile_2x2.pan)
+        labels = segmentation._connected_segments(img)
+        assert int(labels.max()) + 1 == 5212
+        assert np.array_equal(labels, reference_connected_segments(img))
 
 
 def test_row_blocks_give_the_values_of_one_product():

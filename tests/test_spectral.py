@@ -1,7 +1,4 @@
-import importlib.util
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +6,6 @@ from scipy.special import logsumexp
 
 from aquafuse import cli, spectral
 from aquafuse.raster import GridGeometry, RasterGrid, read_raster, read_table, resample_nearest
-from aquafuse.scene import DEFAULT_SCENE_TEXT, generate_scene, parse_scene
 from aquafuse.spectral import (
     CLASS_ORDER,
     CLASSIFY_BLOCK,
@@ -97,23 +93,6 @@ def pca_of(spectra):
     centred = np.asarray(spectra, dtype=np.float64) - np.mean(spectra, axis=0)
     components = pca_components(centred)
     return centred, components, (centred @ components.T).var(axis=0, ddof=1)
-
-
-def load_workloads():
-    """The benchmark's workload module, which tiles the bundled scene."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def tile_2x2():
-    """MS and PAN of the bundled scene tiled 2 x 2 (480 m)."""
-    text = load_workloads().tile_scene(DEFAULT_SCENE_TEXT, 2, 2)
-    bundle = generate_scene(parse_scene(text))
-    return bundle.ms, bundle.pan
 
 
 class TestPcaFit:
@@ -241,7 +220,7 @@ class TestPcaFuse:
         assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
 
     def test_tile_2x2_matches_reference(self, tile_2x2):
-        ms, pan = tile_2x2
+        ms, pan = tile_2x2.ms, tile_2x2.pan
         assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
 
     def test_fixture_peak_allocation(self, pipeline_dir):
@@ -391,7 +370,7 @@ class TestBlockedClassifier:
         """With blocks of 2**12 pixels, 2**18 pixels of 4 bands are classified
         with a traced peak below one (C, n) float64 array: the float32
         outputs take 5/8 of that, and a block's work the rest.  At the
-        default block size, a block's work alone is about 20 MiB."""
+        default block size, a block's work alone is about 13 MiB."""
         monkeypatch.setattr(spectral, "CLASSIFY_BLOCK", 1 << 12)
         rng = np.random.default_rng(9)
         model = fit_classifier(*four_classes(rng.normal(size=(4, 4)), rng, 50))
@@ -404,6 +383,53 @@ class TestBlockedClassifier:
         finally:
             tracemalloc.stop()
         assert peak < len(CLASS_ORDER) * n * 8
+
+
+def logsumexp_blocks():
+    """(4, n) blocks on which the numpy logsumexp must give scipy's bits:
+    random ones, two-, three- and four-way ties of the column maximum,
+    whole numbers (which tie often) and values near -800, where exp
+    underflows without the shift."""
+    rng = np.random.default_rng(12)
+    base = rng.normal(-50.0, 20.0, size=(4, 5000))
+    blocks = {"random": base}
+    for ways in (2, 3, 4):
+        tied = base.copy()
+        tied[:ways] = base.max(axis=0) + 1.0
+        blocks[f"{ways}-way tie"] = tied
+    blocks["whole"] = rng.integers(-3, 3, size=(4, 5000)).astype(np.float64)
+    blocks["whole, wide"] = np.round(base)
+    blocks["near -800"] = rng.normal(-800.0, 5.0, size=(4, 5000))
+    blocks["at -800"] = -800.0 + rng.normal(0.0, 1e-3, size=(4, 5000))
+    blocks["one column"] = base[:, :1].copy()
+    return blocks
+
+
+class TestLogsumexp:
+    """spectral._logsumexp is scipy's logsumexp over axis 0, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(logsumexp_blocks()))
+    def test_matches_scipy(self, name):
+        block = logsumexp_blocks()[name]
+        assert np.array_equal(spectral._logsumexp(block),
+                              logsumexp(block, axis=0, keepdims=True))
+
+    @pytest.mark.parametrize("stem", ["ms", "pca_fused"])
+    def test_fixture_logposts(self, pipeline_dir, stem, monkeypatch):
+        numpy_logsumexp, blocks = spectral._logsumexp, []
+
+        def recorded(logpost):
+            blocks.append(logpost.copy())
+            return numpy_logsumexp(logpost)
+
+        monkeypatch.setattr(spectral, "_logsumexp", recorded)
+        raster = read_raster(pipeline_dir / f"{stem}.hdr")
+        sites = read_table(pipeline_dir / "train_sites.npy", cli.SITE_DTYPE)
+        classify_probabilities(fit_classifier(*cli._sample_spectra(raster, sites)), raster)
+        assert blocks
+        for logpost in blocks:
+            assert np.array_equal(numpy_logsumexp(logpost),
+                                  logsumexp(logpost, axis=0, keepdims=True))
 
 
 class TestWaterIndex:
