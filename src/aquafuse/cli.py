@@ -24,19 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, PipelineConfig, format_config, load_config
-from .evaluate import EvalError, confusion_matrix, format_report, stratified_sample
+from .evaluate import confusion_matrix, format_report, stratified_sample
 from .fusion import FusionParams, fuse_all_segments, landsat_active
 from .postclass import relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
-from .segmentation import (SegmentationError, kmeans_segment, load_segment_stats,
-                           morphological_profiles, paint_segments, save_segment_stats,
-                           segment_stats)
+from .segmentation import (kmeans_segment, load_segment_stats, morphological_profiles,
+                           paint_segments, save_segment_stats, segment_stats)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
-                     ShadowError, building_intensity_map, classify_segments_majority,
+                     building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, tree_grass_split)
-from .spectral import (CLASS_ORDER, SpectralError, classify_probabilities, fit_classifier,
+from .spectral import (CLASS_ORDER, ComputeError, classify_probabilities, fit_classifier,
                        landsat_water_index, otsu_threshold, pca_fuse)
 
 EXIT_OK = 0
@@ -50,6 +49,15 @@ EXIT_COMPUTE = 4
 
 def _load_raster(out: Path, stem: str) -> RasterGrid:
     return read_raster(out / f"{stem}.hdr")
+
+
+def _load_classes(out: Path, stem: str) -> RasterGrid:
+    """The class-code raster ``stem``, whose codes must index CLASS_ORDER."""
+    raster = _load_raster(out, stem)
+    if not np.isin(raster.data, np.arange(len(CLASS_ORDER))).all():
+        raise RasterError(f"{out / stem}.hdr: class codes must be whole numbers "
+                          f"in 0..{len(CLASS_ORDER) - 1}")
+    return raster
 
 
 def _write(out: Path, stem: str, raster: RasterGrid) -> None:
@@ -154,7 +162,7 @@ def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
 def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     pan = _load_raster(out, "pan")
     ms_prob = _load_raster(out, "ms_prob")
-    ms_class = _load_raster(out, "ms_class")
+    ms_class = _load_classes(out, "ms_class")
     landsat_wi = _load_raster(out, "landsat_wi")
 
     p_ms_field = resample_nearest(
@@ -186,7 +194,11 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
-    sun = parse_scene((out / "scene.txt").read_text()).sun
+    path = out / "scene.txt"
+    try:  # synth wrote it, so a bad line is a damaged artifact
+        sun = parse_scene(path.read_text()).sun
+    except SceneError as exc:
+        raise RasterError(f"{path}: {exc}") from None
     segmap = _load_segments(out)
     tree_px = (segmap.records.label == "tree")[segmap.labels]
     imp_px = (segmap.records.label == "impervious")[segmap.labels]
@@ -240,15 +252,11 @@ PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
 
 def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
     truth = read_mask(out / "truth.hdr")
-    class_truth = _load_raster(out, "class_truth")
+    class_truth = _load_classes(out, "class_truth")
     if class_truth.geometry != truth.geometry:
         raise RasterError(f"{out / 'class_truth.hdr'}: grid differs from the truth mask")
-    codes = class_truth.data[0]
-    if not np.isin(codes, np.arange(len(CLASS_ORDER))).all():
-        raise RasterError(f"{out / 'class_truth.hdr'}: class codes must be whole numbers "
-                          f"in 0..{len(CLASS_ORDER) - 1}")
-    samples = stratified_sample(codes, [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER],
-                                seed=cfg.seed)
+    samples = stratified_sample(class_truth.data[0],
+                                [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER], seed=cfg.seed)
     reference = truth.bits.ravel()[samples]
 
     found = False
@@ -323,7 +331,7 @@ def main(argv=None) -> int:
     except (RasterError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (SpectralError, SegmentationError, ShadowError, EvalError) as exc:
+    except ComputeError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     return EXIT_OK

@@ -8,11 +8,8 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .spectral import CLASS_ORDER
-
-
-class EvalError(Exception):
-    pass
+from .raster import RasterError
+from .spectral import CLASS_ORDER, ComputeError
 
 
 def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
@@ -24,7 +21,7 @@ def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
     CLASS_ORDER and positions drawn with numpy's seeded PCG64 generator.
     """
     if len(counts) != len(CLASS_ORDER):
-        raise EvalError(f"need one sample count per class of {CLASS_ORDER}, got {len(counts)}")
+        raise ComputeError(f"need one sample count per class of {CLASS_ORDER}, got {len(counts)}")
     flat = np.asarray(codes).ravel()
     rng = np.random.default_rng(seed)
     chosen = [np.empty(0, dtype=np.intp)]
@@ -33,7 +30,7 @@ def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
             continue
         pool = np.flatnonzero(flat == code)
         if pool.size < want:
-            raise EvalError(f"stratum {cls!r} has {pool.size} pixels, cannot sample {want}")
+            raise ComputeError(f"stratum {cls!r} has {pool.size} pixels, cannot sample {want}")
         chosen.append(rng.choice(pool, size=want, replace=False))
     return np.concatenate(chosen)
 
@@ -54,7 +51,7 @@ def confusion_matrix(predicted, reference) -> ConfusionMatrix:
     predicted = np.asarray(predicted, dtype=bool)
     reference = np.asarray(reference, dtype=bool)
     if predicted.shape != reference.shape:
-        raise EvalError(f"flag arrays differ in shape: {predicted.shape} vs {reference.shape}")
+        raise RasterError(f"flag arrays differ in shape: {predicted.shape} vs {reference.shape}")
     counts = np.bincount(2 * predicted.ravel() + reference.ravel(), minlength=4)
     return ConfusionMatrix(counts.reshape(2, 2))
 
@@ -85,7 +82,7 @@ def accuracy_metrics(m: ConfusionMatrix) -> AccuracyReport:
     water leaves UA or PA undefined (None); no samples at all is an error."""
     c = m.counts
     if m.total == 0:
-        raise EvalError("no samples to score")
+        raise ComputeError("no samples to score")
     return AccuracyReport(
         pa=_percent(c[1, 1], c[0, 1] + c[1, 1]),
         ua=_percent(c[1, 1], c[1, 0] + c[1, 1]),

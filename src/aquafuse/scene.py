@@ -22,15 +22,15 @@ produces bit-identical rasters.
 The supersample grid is never held whole: painting, shadows and counting go
 one 30 m row strip at a time, so no supersample array is larger than a
 strip, whose size grows with the scene's width alone.  A shadow may fall
-strips away from its object, so each object keeps, in small arrays over its
-own box, the pixels of flat ground there, and its cast shadow: the union of
-its footprint shifted by every offset of its height sweep, built once and
-by doubling (``shadow.sweep_union``), over the box that holds every shift.
-Each strip ORs in one slice of each cast.  The footprint and the ground come
-from the box's final heights, painted from every feature that meets the box
-in file order: a later feature may cover part of the object, and another
-object of the same height inside the box is part of the footprint, just as
-on a whole grid.
+strips away from its object, so each object keeps its cast shadow in a
+small array: the union of its footprint shifted by every offset of its
+height sweep, built once and by doubling (``shadow.sweep_union``), over the
+box that holds every shift.  Each strip ORs in one slice of each cast, and
+clears the shadow from the pixels its own painting marks as objects.  The
+footprint comes from the final heights of the object's box, painted from
+every feature that meets the box in file order: a later feature may cover
+part of the object, and another object of the same height inside the box
+is part of the footprint, just as on a whole grid.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .raster import BinaryMask, GridGeometry, RasterGrid
-from .shadow import ShadowError, ShadowGeometry, height_sweep, shift_or, sweep_offsets, sweep_union
+from .shadow import ShadowGeometry, height_sweep, shift_or, sweep_offsets, sweep_union
 from .spectral import CLASS_ORDER
 
 SUPERSAMPLE_M = 0.1
@@ -280,7 +280,7 @@ def parse_scene(text: str) -> SceneSpec:
                 spec.features.append(_parse_feature(parts[1:]))
             else:
                 raise SceneError(f"unknown directive {key!r}")
-        except (IndexError, ValueError, ShadowError, SceneError) as exc:
+        except (IndexError, ValueError, SceneError) as exc:
             raise SceneError(f"scene line {lineno}: {raw.strip()!r}: {exc}") from exc
     return spec.validate()
 
@@ -406,11 +406,10 @@ def _object_height(f: Feature) -> np.float32:
 
 
 def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
-    """``(ground, rows, cols, cast, top, left)`` of every object feature:
-    inside its box ``(rows, cols)``, the pixels of flat ground; then its cast
-    shadow, the ``sweep_union`` of its footprint (the box's pixels whose
-    final height is its own) over the offsets of its height sweep, whose
-    top-left pixel is at (top, left) on the supersample grid.
+    """``(cast, top, left)`` of every object feature: its cast shadow, the
+    ``sweep_union`` of its footprint (the pixels of its box ``(rows, cols)``
+    whose final height is its own) over the offsets of its height sweep,
+    whose top-left pixel is at (top, left) on the supersample grid.
 
     A pixel's final height is that of the last feature painted over it, so a
     box's heights are painted from every feature that meets the box, in file
@@ -439,8 +438,7 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
                 box_level[r0 - rows.start:r1 - rows.start,
                           c0 - cols.start:c1 - cols.start][mask] = f_lvl
         cast, top, left = sweep_union(box_level == lvl, sweeps[lvl - 1])
-        objects.append((box_level == 0, rows, cols, cast,
-                        rows.start + top, cols.start + left))
+        objects.append((cast, rows.start + top, cols.start + left))
     return objects
 
 
@@ -453,14 +451,17 @@ def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
 
     No supersample array of the whole grid is made.  One 30 m Landsat row of
     supersamples at a time, the strip is painted with each feature's lit pair
-    code, from every feature whose box meets it, in file order; the slice of
-    each object's cast shadow (built once, by ``_objects``) that falls on it
-    is ORed in; the pixels that hold objects are cleared of shadow; the
-    shadow bit is ORed into the pair codes; and the pairs are counted.  Each
-    step gives every pixel of the strip what it gives that pixel on the whole
-    grid, so the counts are the same."""
+    code, plus 1 for an object, from every feature whose box meets it, in
+    file order; the slice of each object's cast shadow (built once, by
+    ``_objects``) that falls on it is ORed into a shadow mask; an object
+    pixel's odd code is turned back to its lit pair, since objects are not
+    shadows of themselves, and every other pixel takes the shadow bit; and
+    the pairs are counted.  Each step gives every pixel of the strip what it
+    gives that pixel on the whole grid, so the counts are the same."""
     boxes = [_feature_box(f, xs, ys) for f in spec.features]
-    codes = [2 * SURFACE_CLASSES.index(f.kind) for f in spec.features]  # lit pair
+    # each feature's lit pair code, plus 1 to mark an object's pixels
+    codes = [2 * SURFACE_CLASSES.index(f.kind) + (_object_height(f) > 0)
+             for f in spec.features]
     objects = _objects(spec, xs, ys, boxes)
     row_edges, col_edges = edges
     h, w = ys.size, xs.size
@@ -478,14 +479,9 @@ def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
             if r0 < r1:
                 classes[r0 - r:r1 - r, cols][_feature_mask(f, xs[cols], ys[r0:r1])] = code
         shadow = np.zeros(classes.shape, dtype=bool)
-        for _, _, _, cast, top, left in objects:
+        for cast, top, left in objects:
             shift_or(shadow, cast, top - r, left)
-        # objects are lit surfaces, not shadows of themselves
-        for ground, rows, cols, _, _, _ in objects:
-            r0, r1 = max(rows.start, r), min(rows.stop, stop)
-            if r0 < r1:
-                shadow[r0 - r:r1 - r, cols] &= ground[r0 - rows.start:r1 - rows.start]
-        classes |= shadow  # the pair code: 2 * class code + shadowed
+        classes ^= (classes & 1) | shadow  # the pair code: 2 * class code + shadowed
         cells = row_cell[r:stop]
         index = ((cells - cells[0]) * (wc * N_PAIRS))[:, np.newaxis] + col_part
         index += classes

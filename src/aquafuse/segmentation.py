@@ -28,10 +28,6 @@ KMEANS_TEST_BLOCK = 1 << 16  # rows per block of the k-means bound test
 KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see _lloyd
 
 
-class SegmentationError(Exception):
-    pass
-
-
 # One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
 # order; ``label`` is "" until classify_segments_majority sets it; ``p_shadow``
 # and ``p_w`` are NaN until the shadow stage, then fuse, fill them.
@@ -89,7 +85,7 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     which is exact in any order.
     """
     if pan.bands != 1:
-        raise SegmentationError("morphological profiles expect a single-band raster")
+        raise RasterError("morphological profiles expect a single-band raster")
     image = pan.data[0]
     bands = np.empty((2 * len(SE_FAMILY), *image.shape), dtype=np.float32)
     names = []
@@ -420,7 +416,7 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     """Cluster (PAN, MPs) feature vectors into ``k >= 1`` clusters and split
     them into 4-connected segments.  The result depends on the images alone."""
     if pan.geometry != mps.geometry:
-        raise SegmentationError("PAN and profile rasters must share one grid")
+        raise RasterError("PAN and profile rasters must share one grid")
     h, w = pan.geometry.height, pan.geometry.width
     features = np.empty((h * w, pan.bands + mps.bands), order="F")  # each column contiguous
     for column, band in zip(features.T, (*pan.data, *mps.data)):
@@ -452,15 +448,13 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     ``p_pan`` is the share of PAN pixels strictly darker than ``t_pan``.
 
     All rasters must already live on the PAN grid; ``ms_class_map`` holds
-    indices into ``CLASS_ORDER``.
+    indices into ``CLASS_ORDER``, which the stage that reads it has checked.
     """
     for r in (pan, mps, p_ms_field, p_lan_field, ms_class_map):
         if r.geometry != segmap.geometry:
-            raise SegmentationError("all rasters must live on the segment grid")
+            raise RasterError("all rasters must live on the segment grid")
     n_classes = len(CLASS_ORDER)
     class_idx = ms_class_map.data[0].ravel().astype(np.int64)
-    if class_idx.min() < 0 or class_idx.max() >= n_classes:
-        raise SegmentationError("class map holds an index outside CLASS_ORDER")
     table = segmap.records
     n = segmap.count
     table.votes = np.bincount(segmap.labels.ravel() * n_classes + class_idx,

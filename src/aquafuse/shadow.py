@@ -8,13 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, window_ratio, window_reduce
+from .raster import BinaryMask, RasterError, window_ratio, window_reduce
 from .segmentation import SegmentMap
-from .spectral import CLASS_ORDER, SpectralError, otsu_threshold
-
-
-class ShadowError(Exception):
-    pass
+from .spectral import CLASS_ORDER, ComputeError, otsu_threshold
 
 
 @dataclass
@@ -26,9 +22,7 @@ class ShadowGeometry:
 
     def __post_init__(self):
         if not (0.0 < self.sun_elevation_deg <= 90.0):
-            raise ShadowError(
-                f"sun elevation must be in (0, 90], got {self.sun_elevation_deg}"
-            )
+            raise ValueError(f"sun elevation must be in (0, 90], got {self.sun_elevation_deg}")
 
     def offset_coefficients(self):
         """(a, b): column and row shadow displacement per meter of height,
@@ -48,7 +42,7 @@ def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
     water)."""
     votes = segmap.records.votes
     if (votes.sum(axis=1) == 0).any():
-        raise ShadowError("segment has no class votes; run segment_stats first")
+        raise RasterError("segment has no class votes; run segment_stats first")
     segmap.records.label = np.array(CLASS_ORDER)[votes.argmax(axis=1)]
     return segmap.records.label
 
@@ -65,7 +59,7 @@ def tree_grass_split(segmap: SegmentMap, t_tree: float | None) -> np.ndarray:
     if t_tree is None:
         try:
             t_tree = otsu_threshold(mp_std)
-        except SpectralError:
+        except ComputeError:
             t_tree = math.inf  # indistinguishable: treat everything as grass
     labels[veg] = np.where(mp_std > t_tree, "tree", "grass")
     return labels

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import RasterGrid, resample_nearest
+from .raster import RasterError, RasterGrid, resample_nearest
 
 CLASS_ORDER = ("vegetation", "soil", "impervious", "water")
 
@@ -19,8 +19,9 @@ COVARIANCE_EPSILON = 1e-4
 CLASSIFY_BLOCK = 1 << 16  # pixels per block of classify_probabilities
 
 
-class SpectralError(Exception):
-    pass
+class ComputeError(Exception):
+    """A method with no answer on valid inputs: a constant image to
+    threshold or rescale, or a training set or sample plan it cannot use."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +48,13 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     float64 and centred once; the fused spectra overwrite that copy.
     """
     if pan.bands != 1:
-        raise SpectralError("PAN raster must have exactly 1 band")
+        raise RasterError("PAN raster must have exactly 1 band")
     x = resample_nearest(ms, pan.geometry).data.reshape(ms.bands, -1).T  # (n, d)
     n, d = x.shape
     if d < 2:
-        raise SpectralError("PCA needs at least 2 bands")
+        raise RasterError("PCA needs at least 2 bands")
     if n < d:
-        raise SpectralError(f"PCA needs at least {d} pixels, got {n}")
+        raise RasterError(f"PCA needs at least {d} pixels, got {n}")
     x = x.astype(np.float64, order="C")
     mean = x.mean(axis=0)
     x -= mean
@@ -63,7 +64,7 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     pan_values = pan.data[0].ravel().astype(np.float64)
     pan_std = pan_values.std()
     if pan_std == 0:
-        raise SpectralError("PAN image has zero variance; cannot rescale to PC1")
+        raise ComputeError("PAN image has zero variance; cannot rescale to PC1")
     pan_values -= pan_values.mean()
     scores[:, 0] = pan_values * (pc1.std() / pan_std) + pc1.mean()
     np.matmul(scores, components, out=x)
@@ -92,21 +93,21 @@ def fit_classifier(spectra, labels) -> ClassifierModel:
     spectra = np.asarray(spectra, dtype=np.float64)
     labels = np.asarray(labels)
     if spectra.ndim != 2 or spectra.shape[0] != labels.shape[0]:
-        raise SpectralError("spectra must be (n, d) with one label per row")
+        raise ComputeError("spectra must be (n, d) with one label per row")
     if not np.isfinite(spectra).all():
-        raise SpectralError("training spectra must be finite")
+        raise ComputeError("training spectra must be finite")
     if not labels.size:
-        raise SpectralError("no training samples")
+        raise ComputeError("no training samples")
     unknown = labels[~np.isin(labels, CLASS_ORDER)]
     if unknown.size:
-        raise SpectralError(f"training label {str(unknown[0])!r} is not one of {CLASS_ORDER}")
+        raise ComputeError(f"training label {str(unknown[0])!r} is not one of {CLASS_ORDER}")
     d = spectra.shape[1]
     means = np.zeros((len(CLASS_ORDER), d))
     covs = np.zeros((len(CLASS_ORDER), d, d))
     for i, cls in enumerate(CLASS_ORDER):
         rows = spectra[labels == cls]
         if rows.shape[0] < 2:
-            raise SpectralError(f"class {cls!r} has {rows.shape[0]} samples, need >= 2")
+            raise ComputeError(f"class {cls!r} has {rows.shape[0]} samples, need >= 2")
         means[i] = rows.mean(axis=0)
         centered = rows - means[i]
         cov = centered.T @ centered / (rows.shape[0] - 1)
@@ -131,7 +132,7 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     float32, where more pixels tie.
     """
     if raster.bands != model.means.shape[1]:
-        raise SpectralError(
+        raise RasterError(
             f"raster has {raster.bands} bands but the model expects {model.means.shape[1]}"
         )
     d = raster.bands
@@ -191,12 +192,12 @@ def landsat_water_index(stack) -> RasterGrid:
     so values are k/M for a stack of M dates.
     """
     if not stack:
-        raise SpectralError("empty Landsat stack")
+        raise RasterError("empty Landsat stack")
     geometry = stack[0].geometry
     total = np.zeros((geometry.height, geometry.width), dtype=np.float64)
     for raster in stack:
         if raster.geometry != geometry:
-            raise SpectralError("all rasters in the stack must share one grid")
+            raise RasterError("all rasters in the stack must share one grid")
         vis = np.max([raster.band(b) for b in VISIBLE_BANDS], axis=0)
         swir = np.max([raster.band(b) for b in SWIR_BANDS], axis=0)
         total += (vis > swir)
@@ -216,7 +217,7 @@ def otsu_threshold(values) -> float:
     values = np.asarray(values, dtype=np.float64).ravel()
     values = values[np.isfinite(values)]
     if values.size < 2 or values.min() == values.max():
-        raise SpectralError("otsu_threshold needs at least 2 distinct values")
+        raise ComputeError("otsu_threshold needs at least 2 distinct values")
     counts, edges = np.histogram(values, bins=OTSU_BINS, range=(values.min(), values.max()))
     # between-class variance over bin indices (same maximizer as over bin
     # centers, which are affine in the index), compared in exact integer

@@ -1,5 +1,7 @@
 import filecmp
+import importlib
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aquafuse
 from aquafuse import cli, segmentation
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
 from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
@@ -252,10 +255,98 @@ class TestExitCodes:
         assert not (out / "pan.bin").exists()
         capsys.readouterr()
 
+    def test_four_error_classes_each_with_its_exit_code(self, tmp_path, monkeypatch, capsys):
+        """The package defines one exception class per failure kind, and main
+        maps each to its exit code, with one line on stderr."""
+        codes = {"ConfigError": cli.EXIT_CONFIG, "SceneError": cli.EXIT_CONFIG,
+                 "RasterError": cli.EXIT_IO, "ComputeError": cli.EXIT_COMPUTE}
+        found = {}
+        for info in pkgutil.iter_modules(aquafuse.__path__):
+            module = importlib.import_module(f"aquafuse.{info.name}")
+            found.update((name, value) for name, value in vars(module).items()
+                         if isinstance(value, type) and issubclass(value, Exception)
+                         and value.__module__ == module.__name__)
+        assert sorted(found) == sorted(codes)
+        for name, error in found.items():
+            def fail(cfg, out, error=error):
+                raise error("no answer")
+            monkeypatch.setitem(cli.COMMANDS, "fuse", fail)
+            assert cli.main(["fuse", "--out", str(tmp_path)]) == codes[name], name
+            assert capsys.readouterr().err.endswith(": no answer\n")
+
 
 def _add_site(path, cls, x, y):
     sites = np.load(path)
     np.save(path, np.concatenate([sites, np.array([(cls, x, y)], dtype=sites.dtype)]))
+
+
+def _edit_raster(stem, edit):
+    """A damage that rewrites the raster ``stem`` of a run as ``edit`` of it."""
+    def damage(out):
+        path = out / f"{stem}.hdr"
+        write_raster(edit(read_raster(path)), path)
+    return damage
+
+
+def _first_sample(value):
+    def edit(raster):
+        raster.data[0, 0, 0] = value
+        return raster
+    return edit
+
+
+def _two_bands(raster):
+    return RasterGrid(raster.geometry, np.concatenate([raster.data, raster.data]),
+                      [*raster.band_names, "copy"])
+
+
+def _shifted_east(raster):
+    geometry = replace(raster.geometry, origin_x=raster.geometry.origin_x + 30.0)
+    return RasterGrid(geometry, raster.data, raster.band_names)
+
+
+def _constant(raster):
+    return RasterGrid(raster.geometry, np.full_like(raster.data, 0.2), raster.band_names)
+
+
+def _sun_below_horizon(out):
+    path = out / "scene.txt"
+    path.write_text(path.read_text().replace("\nsun 50 180\n", "\nsun 95 180\n"))
+
+
+def _sites_without_impervious(out):
+    sites = np.load(out / "train_sites.npy")
+    np.save(out / "train_sites.npy", sites[sites["cls"] != "impervious"])
+
+
+# (stage, damage to a run-all tree, exit code, message on stderr): a damaged or
+# mismatched artifact is exit 3, whichever module finds it; a method with no
+# answer on valid inputs is exit 4
+BAD_INPUTS = {
+    "pan-two-bands-segment": ("segment", _edit_raster("pan", _two_bands), cli.EXIT_IO,
+                              "morphological profiles expect a single-band raster"),
+    "pan-two-bands-pca-fuse": ("pca-fuse", _edit_raster("pan", _two_bands), cli.EXIT_IO,
+                               "PAN raster must have exactly 1 band"),
+    "ms-class-7": ("segment", _edit_raster("ms_class", _first_sample(7.0)), cli.EXIT_IO,
+                   "ms_class.hdr: class codes must be whole numbers in 0..3"),
+    "ms-class-2.5": ("segment", _edit_raster("ms_class", _first_sample(2.5)), cli.EXIT_IO,
+                     "ms_class.hdr: class codes must be whole numbers in 0..3"),
+    "ms-class-minus-1": ("segment", _edit_raster("ms_class", _first_sample(-1.0)), cli.EXIT_IO,
+                         "ms_class.hdr: class codes must be whole numbers in 0..3"),
+    "landsat-shifted": ("water-index", _edit_raster("landsat_d074", _shifted_east),
+                        cli.EXIT_IO, "all rasters in the stack must share one grid"),
+    "scene-sun-95": ("shadow", _sun_below_horizon, cli.EXIT_IO,
+                     "scene.txt: scene line 4: 'sun 95 180': sun elevation must be in (0, 90]"),
+    "pan-constant-segment": ("segment", _edit_raster("pan", _constant), cli.EXIT_COMPUTE,
+                             "otsu_threshold needs at least 2 distinct values"),
+    "pan-constant-pca-fuse": ("pca-fuse", _edit_raster("pan", _constant), cli.EXIT_COMPUTE,
+                              "PAN image has zero variance"),
+    "sites-without-impervious-classify-ms": ("classify-ms", _sites_without_impervious,
+                                             cli.EXIT_COMPUTE,
+                                             "class 'impervious' has 0 samples"),
+    "sites-without-impervious-pca-fuse": ("pca-fuse", _sites_without_impervious,
+                                          cli.EXIT_COMPUTE, "class 'impervious' has 0 samples"),
+}
 
 
 class TestPipelineArtifacts:
@@ -480,15 +571,18 @@ class TestPipelineArtifacts:
         assert cli.main(["classify-ms", "--out", str(out)]) == cli.EXIT_IO
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage", ["classify-ms", "pca-fuse"])
-    def test_training_class_without_sites_is_compute_error(self, pipeline_dir, tmp_path,
-                                                           capsys, stage):
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_bad_input_exit_code(self, pipeline_dir, tmp_path, capsys, case):
+        """Each bad input stops its stage with its exit code and one line on
+        stderr that says what is wrong, and no traceback."""
+        stage, damage, code, message = BAD_INPUTS[case]
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        sites = np.load(out / "train_sites.npy")
-        np.save(out / "train_sites.npy", sites[sites["cls"] != "impervious"])
-        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_COMPUTE
-        assert "class 'impervious' has 0 samples" in capsys.readouterr().err
+        damage(out)
+        assert cli.main([stage, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
 
     def test_classify_ms_straight_after_synth(self, tmp_path):
         """classify-ms fits its classifier itself: synth is all it needs."""

@@ -4,12 +4,13 @@ import pytest
 from aquafuse.evaluate import (
     AccuracyReport,
     ConfusionMatrix,
-    EvalError,
     accuracy_metrics,
     confusion_matrix,
     format_report,
     stratified_sample,
 )
+from aquafuse.raster import RasterError
+from aquafuse.spectral import ComputeError
 
 
 class TestStratifiedSample:
@@ -43,11 +44,11 @@ class TestStratifiedSample:
         assert codes.ravel()[samples].tolist() == [0] * 3 + [1] * 3 + [3] * 3
 
     def test_overdraw_rejected(self):
-        with pytest.raises(EvalError, match="'water' has 1 pixels"):
+        with pytest.raises(ComputeError, match="'water' has 1 pixels"):
             stratified_sample(np.array([[3, 1]]), [0, 0, 0, 2], seed=0)
 
     def test_one_count_per_class(self):
-        with pytest.raises(EvalError, match="one sample count per class"):
+        with pytest.raises(ComputeError, match="one sample count per class"):
             stratified_sample(self._codes(), [5, 5], seed=0)
 
 
@@ -60,7 +61,7 @@ class TestConfusionMatrix:
         assert m.total == 4
 
     def test_length_mismatch(self):
-        with pytest.raises(EvalError):
+        with pytest.raises(RasterError):
             confusion_matrix([True], [True, False])
 
 
@@ -97,7 +98,7 @@ class TestAccuracyMetrics:
             == (None, 0.0, 62.5)
         assert accuracy_metrics(ConfusionMatrix(np.array([[5, 3], [0, 0]]))).rounded() \
             == (0.0, None, 62.5)
-        with pytest.raises(EvalError):
+        with pytest.raises(ComputeError):
             accuracy_metrics(ConfusionMatrix(np.zeros((2, 2), dtype=np.int64)))
 
 

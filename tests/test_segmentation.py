@@ -13,7 +13,6 @@ from aquafuse.segmentation import (
     KMEANS_SUBSAMPLE,
     KMEANS_TOL,
     SE_FAMILY,
-    SegmentationError,
     SegmentMap,
     kmeans_segment,
     load_segment_stats,
@@ -217,7 +216,7 @@ class TestMorphologicalProfiles:
     def test_multiband_rejected(self):
         geom = GridGeometry(4, 4, 1.0)
         raster = RasterGrid(geom, np.zeros((2, 4, 4), dtype=np.float32))
-        with pytest.raises(SegmentationError):
+        with pytest.raises(RasterError):
             morphological_profiles(raster)
 
 
@@ -722,15 +721,6 @@ class TestSegmentStats:
         for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
             expected[segment, cls] += 1
         assert np.array_equal(stats.records.votes, expected)
-
-    @pytest.mark.parametrize("bad", [-1.0, float(len(CLASS_ORDER))])
-    def test_class_index_out_of_range_rejected(self, bad):
-        labels = np.zeros((2, 2), dtype=np.int32)
-        segmap, geom = self._segmap_for(labels)
-        f = constant_field(geom, 0.0, "p")
-        with pytest.raises(SegmentationError):
-            segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 2), np.float32)),
-                          f, f, constant_field(geom, bad, "class_index"), 0.5)
 
     def test_ribbon_hydraulic_diameter(self):
         labels = np.ones((7, 104), dtype=np.int32)

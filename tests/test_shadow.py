@@ -11,7 +11,6 @@ from aquafuse.shadow import (
     OBJECT_KIND_HIGH_BUILDING,
     OBJECT_KIND_LOW_BUILDING,
     OBJECT_KIND_TREE,
-    ShadowError,
     ShadowGeometry,
     building_intensity_map,
     classify_segments_majority,
@@ -50,9 +49,9 @@ class TestShadowGeometry:
         assert ShadowGeometry(90.0, 123.0).offset_coefficients() == (0.0, -0.0)
 
     def test_invalid_elevation(self):
-        with pytest.raises(ShadowError):
+        with pytest.raises(ValueError):
             ShadowGeometry(0.0, 0.0)
-        with pytest.raises(ShadowError):
+        with pytest.raises(ValueError):
             ShadowGeometry(95.0, 0.0)
 
 
@@ -82,7 +81,7 @@ class TestMajorityVote:
         assert classify_segments_majority(segmap).tolist() == ["vegetation"]
 
     def test_missing_votes_rejected(self):
-        with pytest.raises(ShadowError):
+        with pytest.raises(RasterError):
             classify_segments_majority(segmap_with(votes=[votes()]))
 
 

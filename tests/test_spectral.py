@@ -5,12 +5,13 @@ import pytest
 from scipy.special import logsumexp
 
 from aquafuse import cli, spectral
-from aquafuse.raster import GridGeometry, RasterGrid, read_raster, read_table, resample_nearest
+from aquafuse.raster import (GridGeometry, RasterError, RasterGrid, read_raster, read_table,
+                             resample_nearest)
 from aquafuse.spectral import (
     CLASS_ORDER,
     CLASSIFY_BLOCK,
     ClassifierModel,
-    SpectralError,
+    ComputeError,
     classify_probabilities,
     fit_classifier,
     landsat_water_index,
@@ -190,21 +191,21 @@ class TestPcaFuse:
         pan = RasterGrid(pan_geom,
                          np.ones((1, pan_geom.height, pan_geom.width), dtype=np.float32),
                          ["pan"])
-        with pytest.raises(SpectralError, match="variance"):
+        with pytest.raises(ComputeError, match="variance"):
             pca_fuse(ms, pan)
 
     def test_one_band_ms(self):
         ms, pan_geom = self._ms_pan(seed=7, bands=1)
         pan = RasterGrid(pan_geom, np.random.default_rng(8).random(
             (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
-        with pytest.raises(SpectralError, match="at least 2 bands"):
+        with pytest.raises(RasterError, match="at least 2 bands"):
             pca_fuse(ms, pan)
 
     def test_fewer_pixels_than_bands(self):
         ms, _ = self._ms_pan(seed=9, h=1, w=1)
         pan = RasterGrid(GridGeometry(1, 2, 1.0, origin_y=2.0),
                          np.array([[[0.0], [1.0]]], dtype=np.float32), ["pan"])
-        with pytest.raises(SpectralError, match="at least 4 pixels, got 2"):
+        with pytest.raises(RasterError, match="at least 4 pixels, got 2"):
             pca_fuse(ms, pan)
 
     @pytest.mark.parametrize("bands", [2, 4])
@@ -266,7 +267,7 @@ class TestClassifier:
         assert np.allclose(model_a.covs, model_b.covs)
 
     def test_too_few_samples(self):
-        with pytest.raises(SpectralError, match="samples"):
+        with pytest.raises(ComputeError, match="samples"):
             fit_classifier(np.array([[1.0], [2.0], [3.0]]),
                            np.array(["water", "water", "soil"]))
 
@@ -275,10 +276,10 @@ class TestClassifier:
         rng = np.random.default_rng(6)
         spectra, labels = four_classes(np.eye(4), rng, 5)
         keep = (labels != CLASS_ORDER[drop]) | (np.arange(labels.size) % 5 == 0)
-        with pytest.raises(SpectralError, match=f"'{CLASS_ORDER[drop]}' has 1 samples"):
+        with pytest.raises(ComputeError, match=f"'{CLASS_ORDER[drop]}' has 1 samples"):
             fit_classifier(spectra[keep], labels[keep])
         keep = labels != CLASS_ORDER[drop]
-        with pytest.raises(SpectralError, match=f"'{CLASS_ORDER[drop]}' has 0 samples"):
+        with pytest.raises(ComputeError, match=f"'{CLASS_ORDER[drop]}' has 0 samples"):
             fit_classifier(spectra[keep], labels[keep])
 
     def test_unknown_label_is_named(self):
@@ -286,7 +287,7 @@ class TestClassifier:
         spectra, labels = four_classes(np.eye(4), rng, 5)
         labels = labels.astype("<U10")
         labels[7] = "grass"
-        with pytest.raises(SpectralError, match="'grass' is not one of"):
+        with pytest.raises(ComputeError, match="'grass' is not one of"):
             fit_classifier(spectra, labels)
 
     def test_posterior_at_class_mean(self):
@@ -315,7 +316,7 @@ class TestClassifier:
         assert probs.data[:, 0, 0].max() < 0.6
 
     def test_no_training_samples(self):
-        with pytest.raises(SpectralError, match="no training samples"):
+        with pytest.raises(ComputeError, match="no training samples"):
             fit_classifier(np.empty((0, 3)), np.array([], dtype="<U10"))
 
     def test_probabilities_sum_to_one(self):
@@ -483,7 +484,7 @@ class TestWaterIndex:
         assert (out <= base).all()
 
     def test_empty_stack(self):
-        with pytest.raises(SpectralError, match="empty"):
+        with pytest.raises(RasterError, match="empty"):
             landsat_water_index([])
 
 
@@ -523,5 +524,5 @@ class TestOtsu:
         assert t_scaled == pytest.approx(t * 3.0 + 5.0, rel=1e-9)
 
     def test_constant_input(self):
-        with pytest.raises(SpectralError):
+        with pytest.raises(ComputeError):
             otsu_threshold(np.full(10, 4.2))
