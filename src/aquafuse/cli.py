@@ -51,6 +51,16 @@ def _load_raster(out: Path, stem: str) -> RasterGrid:
     return read_raster(out / f"{stem}.hdr")
 
 
+def _load_pan(out: Path) -> RasterGrid:
+    """The PAN raster, which must have one band: a stage that reads it checks
+    that before it writes anything."""
+    pan = _load_raster(out, "pan")
+    if pan.bands != 1:
+        raise RasterError(f"{out / 'pan'}.hdr: PAN raster must have exactly 1 band, "
+                          f"got {pan.bands}")
+    return pan
+
+
 def _load_classes(out: Path, stem: str) -> RasterGrid:
     """The class-code raster ``stem``, whose codes must index CLASS_ORDER."""
     raster = _load_raster(out, stem)
@@ -150,7 +160,7 @@ def cmd_water_index(cfg: PipelineConfig, out: Path) -> None:
 
 def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
     ms = _load_raster(out, "ms")
-    pan = _load_raster(out, "pan")
+    pan = _load_pan(out)
     fused = pca_fuse(ms, pan)
     _write(out, "pca_fused", fused)
     probs, _ = _classify(fused, out)
@@ -160,7 +170,7 @@ def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
-    pan = _load_raster(out, "pan")
+    pan = _load_pan(out)
     ms_prob = _load_raster(out, "ms_prob")
     ms_class = _load_classes(out, "ms_class")
     landsat_wi = _load_raster(out, "landsat_wi")

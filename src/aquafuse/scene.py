@@ -14,23 +14,34 @@ reflectance, divided by its supersample count.
 Those sums are exact.  Each term is a whole multiple of one power of two (the
 last-place unit of the band's smallest float32 reflectance), and a 30 m
 pixel's total of 90000 terms stays below 2**53 such units as long as a band's
-largest reflectance is under about 5000 times its smallest non-zero one.  So the
-rasters equal the per-supersample block means bit for bit, whatever the
-order of summation.  Everything is seeded, so the same scene file always
-produces bit-identical rasters.
+largest reflectance is under about 5000 times its smallest non-zero one.  So
+every partial sum is exact too, and the rasters equal the per-supersample
+block means bit for bit, whatever the order or grouping of the summation.
+Everything is seeded, so the same scene file always produces bit-identical
+rasters.
 
-The supersample grid is never held whole: painting, shadows and counting go
-one 30 m row strip at a time, so no supersample array is larger than a
-strip, whose size grows with the scene's width alone.  A shadow may fall
-strips away from its object, so each object keeps its cast shadow in a
-small array: the union of its footprint shifted by every offset of its
-height sweep, built once and by doubling (``shadow.sweep_union``), over the
-box that holds every shift.  Each strip ORs in one slice of each cast, and
-clears the shadow from the pixels its own painting marks as objects.  The
-footprint comes from the final heights of the object's box, painted from
-every feature that meets the box in file order: a later feature may cover
-part of the object, and another object of the same height inside the box
-is part of the footprint, just as on a whole grid.
+The supersample grid is never held whole: the scene is rendered in one pass
+over 30 m row strips, so no supersample array is larger than a strip, whose
+size grows with the scene's width alone.  Each strip is painted (a rect as
+one slice, a line one 30 m column window at a time), takes its shadows, and
+is counted.  The counting reads square blocks of b x b supersamples, where b
+is the largest power of two up to 8 that divides every cell edge, so a block
+lies in one cell: a block of one pair code is counted once, its b rows read
+as one ``uint{8b}`` each, and only a mixed block is counted per supersample.
+From the strip's counts each band's cell totals are formed once and added
+straight into every sensor's float64 pixel sums, and the class and shadow
+counts into the PAN truth planes.  A pixel that straddles two strips takes a
+partial sum from each, which by the argument above changes no bit.
+
+A shadow may fall strips away from its object, so each object keeps its cast
+shadow in a small array: the union of its footprint shifted by every offset
+of its height sweep, built once and by doubling (``shadow.sweep_union``),
+over the box that holds every shift.  Each strip ORs in one slice of each
+cast, and clears the shadow from the pixels its own painting marks as
+objects.  The footprint comes from the final heights of the object's box,
+painted from every feature that meets the box in file order: a later feature
+may cover part of the object, and another object of the same height inside
+the box is part of the footprint, just as on a whole grid.
 """
 
 from __future__ import annotations
@@ -52,8 +63,9 @@ LANDSAT_PIXEL_M = 30.0
 PAN_BANDS = ("pan",)
 MS_BANDS = ("blue", "green", "red", "nir")
 LANDSAT_BANDS = ("coastal", "blue", "green", "red", "nir", "swir1", "swir2")
-# every band a `spectrum` line gives, once each
-SPECTRUM_BANDS = tuple(dict.fromkeys(PAN_BANDS + MS_BANDS + LANDSAT_BANDS))
+# every band a `spectrum` line gives, once each, in an order where each
+# sensor's bands are one run (the MS bands are four of the Landsat ones)
+SPECTRUM_BANDS = PAN_BANDS + LANDSAT_BANDS
 
 # rendered surface classes, in painting precedence order (codes are indices)
 SURFACE_CLASSES = ("soil", "grass", "tree", "impervious", "asphalt", "dark_field", "water")
@@ -384,6 +396,59 @@ def _feature_box(f: Feature, xs: np.ndarray, ys: np.ndarray):
     return slice(int(r0), int(r1)), slice(int(c0), int(c1))
 
 
+STRIP = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # supersamples per 30 m strip or window
+
+
+def _line_windows(f: Feature, r0, r1, c0, c1, xs, ys):
+    """``(r0, r1, c0, c1)`` parts of the grid's rows r0:r1 and columns c0:c1
+    that hold every pixel of the line ``f`` there: one per 30 m column
+    window, over the rows that the window's part of the line can reach."""
+    x0, y0, x1, y1 = f.params
+    reach = f.width / 2.0 + 2 * SUPERSAMPLE_M  # the pad of _feature_box
+    for c in range(c0, c1, STRIP):
+        d = min(c + STRIP, c1)
+        t0, t1 = 0.0, 1.0  # the line's points whose x is within reach of the window
+        if x1 != x0:
+            ta, tb = sorted(((xs[c] - reach - x0) / (x1 - x0),
+                             (xs[d - 1] + reach - x0) / (x1 - x0)))
+            t0, t1 = max(ta, 0.0), min(tb, 1.0)
+            if t0 > t1:
+                continue
+        ya, yb = sorted((y0 + t0 * (y1 - y0), y0 + t1 * (y1 - y0)))
+        top, bottom = np.searchsorted(-ys, (-yb - reach, -ya + reach))  # ys falls with the row
+        yield max(r0, int(top)), min(r1, int(bottom)), c, d
+
+
+def _paint(out: np.ndarray, rows: slice, cols: slice, f: Feature, box, value, xs, ys):
+    """Set to ``value`` the pixels of ``f`` in ``out``, which holds the rows
+    ``rows`` and columns ``cols`` of the supersample grid; ``box`` is ``f``'s
+    ``_feature_box``.  The pixels are those of ``_feature_mask``: a rect is
+    one slice, cut by ``searchsorted`` with the mask's own comparisons; a
+    line takes the mask over its ``_line_windows``, any other shape over its
+    box."""
+    r0, r1 = max(rows.start, box[0].start), min(rows.stop, box[0].stop)
+    c0, c1 = max(cols.start, box[1].start), min(cols.stop, box[1].stop)
+    if r0 >= r1 or c0 >= c1:
+        return
+    if f.shape == "rect":
+        x0, y0, x1, y1 = f.params
+        left, right = np.searchsorted(xs, (x0, x1))  # x0 <= gx < x1
+        top, bottom = np.searchsorted(-ys, (-y1, -y0), side="right")  # y0 <= gy < y1
+        parts = [(max(r0, int(top)), min(r1, int(bottom)), max(c0, int(left)),
+                  min(c1, int(right)))]
+    elif f.shape == "line":
+        parts = _line_windows(f, r0, r1, c0, c1, xs, ys)
+    else:
+        parts = [(r0, r1, c0, c1)]
+    for a, b, c, d in parts:
+        if a < b and c < d:
+            window = out[a - rows.start:b - rows.start, c - cols.start:d - cols.start]
+            if f.shape == "rect":
+                window[...] = value
+            else:
+                window[_feature_mask(f, xs[c:d], ys[a:b])] = value
+
+
 def _texture_factor(cell_m: float) -> int:
     return max(1, int(round(cell_m / SUPERSAMPLE_M)))
 
@@ -430,13 +495,8 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
             continue
         box_level = np.zeros((ys[rows].size, xs[cols].size),
                              dtype=np.min_scalar_type(len(heights)))
-        for f, f_lvl, (f_rows, f_cols) in zip(spec.features, levels, boxes):
-            r0, r1 = max(rows.start, f_rows.start), min(rows.stop, f_rows.stop)
-            c0, c1 = max(cols.start, f_cols.start), min(cols.stop, f_cols.stop)
-            if r0 < r1 and c0 < c1:
-                mask = _feature_mask(f, xs[c0:c1], ys[r0:r1])
-                box_level[r0 - rows.start:r1 - rows.start,
-                          c0 - cols.start:c1 - cols.start][mask] = f_lvl
+        for f, f_lvl, f_box in zip(spec.features, levels, boxes):
+            _paint(box_level, rows, cols, f, f_box, f_lvl, xs, ys)
         cast, top, left = sweep_union(box_level == lvl, sweeps[lvl - 1])
         objects.append((cast, rows.start + top, cols.start + left))
     return objects
@@ -445,19 +505,52 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
 N_PAIRS = 2 * len(SURFACE_CLASSES)  # (surface class, lit/shadow) pairs
 
 
-def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
-    """``counts[2 * code + shadowed, i, j]``: supersamples of each (class,
-    lit/shadow) pair in cell (i, j).
+def _block_side(edges) -> int:
+    """The largest power of two, up to 8, that divides every cell edge: the
+    side of the square blocks of supersamples that lie in one cell each."""
+    g = int(np.gcd.reduce(np.concatenate(edges)))
+    return min(8, g & -g)
 
-    No supersample array of the whole grid is made.  One 30 m Landsat row of
-    supersamples at a time, the strip is painted with each feature's lit pair
-    code, plus 1 for an object, from every feature whose box meets it, in
-    file order; the slice of each object's cast shadow (built once, by
-    ``_objects``) that falls on it is ORed into a shadow mask; an object
-    pixel's odd code is turned back to its lit pair, since objects are not
-    shadows of themselves, and every other pixel takes the shadow bit; and
-    the pairs are counted.  Each step gives every pixel of the strip what it
-    gives that pixel on the whole grid, so the counts are the same."""
+
+def _pair_counts(codes: np.ndarray, b: int, row_part, col_part, length: int) -> np.ndarray:
+    """``bincount`` of the pair codes ``codes`` at ``N_PAIRS`` times their cell
+    number, which is ``row_part[i] + col_part[j]`` in b x b block (i, j).  A
+    uniform block is counted once, with weight b * b: its b rows, each read as
+    one ``uint{8b}``, are equal and repeat one byte.  A mixed block is counted
+    per supersample."""
+    lead = row_part[:, np.newaxis] + col_part
+    lead += codes[::b, ::b]
+    if b == 1:
+        return np.bincount(lead.ravel(), minlength=length)
+    h, w = codes.shape
+    rows = codes.view(np.dtype(f"u{b}")).reshape(h // b, b, w // b)
+    first = rows[:, 0]
+    uniform = first == (first & 0xFF) * int.from_bytes(b"\1" * b, "little")
+    for k in range(1, b):
+        uniform &= rows[:, k] == first
+    n = np.bincount(lead[uniform], minlength=length) * (b * b)
+    bi, bj = np.nonzero(~uniform)
+    if bi.size:
+        mixed = codes.reshape(h // b, b, w // b, b)[bi, :, bj]  # (blocks, b, b)
+        n += np.bincount(((row_part[bi] + col_part[bj])[:, np.newaxis, np.newaxis]
+                          + mixed).ravel(), minlength=length)
+    return n
+
+
+def _strip_counts(spec: SceneSpec, xs, ys, edges):
+    """Per 30 m row strip of the supersample grid, ``(top, stop, first,
+    counts)``: the strip holds rows top:stop, and ``counts[i, j, 2 * code +
+    shadowed]`` is the number of supersamples of each (class, lit/shadow)
+    pair in cell (first + i, j).
+
+    The strip is painted with each feature's lit pair code, plus 1 for an
+    object, from every feature whose box meets it, in file order; the slice
+    of each object's cast shadow (built once, by ``_objects``) that falls on
+    it is ORed into a shadow mask; an object pixel's odd code is turned back
+    to its lit pair, since objects are not shadows of themselves, and every
+    other pixel takes the shadow bit; and the pairs are counted by
+    ``_pair_counts``.  Each step gives every pixel of the strip what it gives
+    that pixel on the whole grid."""
     boxes = [_feature_box(f, xs, ys) for f in spec.features]
     # each feature's lit pair code, plus 1 to mark an object's pixels
     codes = [2 * SURFACE_CLASSES.index(f.kind) + (_object_height(f) > 0)
@@ -465,89 +558,138 @@ def _surface_counts(spec: SceneSpec, xs, ys, edges) -> np.ndarray:
     objects = _objects(spec, xs, ys, boxes)
     row_edges, col_edges = edges
     h, w = ys.size, xs.size
-    row_cell = np.searchsorted(row_edges, np.arange(h), side="right") - 1
-    col_cell = np.searchsorted(col_edges, np.arange(w), side="right") - 1
+    b = _block_side(edges)
+    block_row_cell = np.searchsorted(row_edges, np.arange(0, h, b), side="right") - 1
     wc = col_edges.size - 1
-    col_part = col_cell * N_PAIRS
-    counts = np.empty((N_PAIRS, row_edges.size - 1, wc), dtype=np.uint8)
-    strip = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # starts on a cell edge
-    for r in range(0, h, strip):
-        stop = min(r + strip, h)
-        classes = np.full((stop - r, w), 2 * SURFACE_CLASSES.index("soil"), dtype=np.int8)
-        for f, code, (rows, cols) in zip(spec.features, codes, boxes):
-            r0, r1 = max(rows.start, r), min(rows.stop, stop)
-            if r0 < r1:
-                classes[r0 - r:r1 - r, cols][_feature_mask(f, xs[cols], ys[r0:r1])] = code
-        shadow = np.zeros(classes.shape, dtype=bool)
-        for cast, top, left in objects:
-            shift_or(shadow, cast, top - r, left)
-        classes ^= (classes & 1) | shadow  # the pair code: 2 * class code + shadowed
-        cells = row_cell[r:stop]
-        index = ((cells - cells[0]) * (wc * N_PAIRS))[:, np.newaxis] + col_part
-        index += classes
-        n = np.bincount(index.ravel(), minlength=(cells[-1] + 1 - cells[0]) * wc * N_PAIRS)
-        counts[:, cells[0]:cells[-1] + 1] = n.reshape(-1, wc, N_PAIRS).transpose(2, 0, 1)
-    return counts
+    col_part = (np.searchsorted(col_edges, np.arange(0, w, b), side="right") - 1) * N_PAIRS
+    for r in range(0, h, STRIP):  # a strip starts on a cell edge
+        stop = min(r + STRIP, h)
+        cells = block_row_cell[r // b:stop // b]
+        yield r, stop, cells[0], _pair_counts(
+            _strip_codes(spec, r, stop, xs, ys, codes, boxes, objects), b,
+            (cells - cells[0]) * (wc * N_PAIRS), col_part,
+            (cells[-1] + 1 - cells[0]) * wc * N_PAIRS).reshape(-1, wc, N_PAIRS)
 
 
-def _pixel_sums(cells: np.ndarray, edges, pixel_m: float, dtype=None) -> np.ndarray:
-    """Sum the cell grid in the last two axes into sensor pixels."""
-    side = int(round(pixel_m / SUPERSAMPLE_M))
-    for axis, e in ((-2, edges[0]), (-1, edges[1])):
-        starts = np.searchsorted(e, np.arange(0, e[-1], side))
-        cells = np.add.reduceat(cells, starts, axis=axis, dtype=dtype)
-    return cells
+def _strip_codes(spec: SceneSpec, r, stop, xs, ys, codes, boxes, objects) -> np.ndarray:
+    """The pair codes of rows r:stop of the supersample grid (see
+    ``_strip_counts``)."""
+    classes = np.full((stop - r, xs.size), 2 * SURFACE_CLASSES.index("soil"), dtype=np.int8)
+    for f, code, box in zip(spec.features, codes, boxes):
+        _paint(classes, slice(r, stop), slice(0, xs.size), f, box, code, xs, ys)
+    shadow = np.zeros(classes.shape, dtype=bool)
+    for cast, top, left in objects:
+        shift_or(shadow, cast, top - r, left)
+    classes ^= (classes & 1) | shadow  # the pair code: 2 * class code + shadowed
+    return classes
 
 
-def _cell_brightness(spec: SceneSpec, edges) -> list:
-    """Per class, its multiplicative brightness texture on the cell grid
-    (``None`` when untextured): constant over texture cells of the configured
-    size, clipped to stay positive."""
-    brightness = [None] * len(SURFACE_CLASSES)
+def _texture_grids(spec: SceneSpec, shape) -> list:
+    """Per class, ``(factor, grid)``: its multiplicative brightness texture
+    on a grid of ``factor``-supersample cells over a grid of ``shape``
+    supersamples, clipped to stay positive, in float32 (``None`` when the
+    class is untextured)."""
+    grids = [None] * len(SURFACE_CLASSES)
     for stream, cls in enumerate(sorted(spec.textures)):
         sigma, cell_m = spec.textures[cls]
         factor = _texture_factor(cell_m)
-        ch, cw = (-(-e[-1] // factor) for e in edges)
         rng = np.random.default_rng([spec.seed, 1000 + stream])
-        cells = np.clip(1.0 + rng.normal(0.0, sigma, size=(ch, cw)), 0.2, None)
-        rows, cols = (e[:-1] // factor for e in edges)
-        brightness[SURFACE_CLASSES.index(cls)] = cells[np.ix_(rows, cols)].astype(np.float32)
-    return brightness
+        cells = 1.0 + rng.normal(0.0, sigma, size=tuple(-(-n // factor) for n in shape))
+        grids[SURFACE_CLASSES.index(cls)] = factor, np.clip(cells, 0.2, None).astype(np.float32)
+    return grids
 
 
 NIR_GROUP = ("nir", "swir1", "swir2")
+SENSORS = ((PAN_BANDS, PAN_PIXEL_M), (MS_BANDS, MS_PIXEL_M), (LANDSAT_BANDS, LANDSAT_PIXEL_M))
 
 
-def _render(spec: SceneSpec, counts, edges, brightness, band_names, pixel_m,
-            sensor: str, sensor_id: int, dates: int = 1) -> list:
-    """One raster per date.  A pixel is the mean of its supersamples' float32
-    reflectances: per cell, count times reflectance over the pairs, summed
-    in float64 and then over the pixel's cells, exactly (see module doc)."""
-    ex, ey = spec.extent
-    width = int(round(ex / pixel_m))
-    height = int(round(ey / pixel_m))
-    side = int(round(pixel_m / SUPERSAMPLE_M))
-    geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=ey)
-    lut = np.array(
-        [[spec.spectra[cls][band] for cls in SURFACE_CLASSES] for band in band_names],
-        dtype=np.float32,
-    )
-    present = counts.reshape(N_PAIRS, -1).any(axis=1)
-    means = []
-    for bidx, band in enumerate(band_names):
-        darken = spec.shadow_factor_nir if band in NIR_GROUP else spec.shadow_factor
-        total = np.zeros(counts.shape[1:])
-        for code, bright in enumerate(brightness):
-            lit = lut[bidx, code] if bright is None else lut[bidx, code] * bright
-            for pair, reflect in ((2 * code, lit), (2 * code + 1, lit * darken)):
-                if present[pair]:
-                    total += np.multiply(counts[pair], reflect, dtype=np.float64)
-        means.append(_pixel_sums(total, edges, pixel_m) / side ** 2)
+def _reduce(cells: np.ndarray, row_starts, col_starts) -> np.ndarray:
+    """Sum the last two axes of ``cells`` over the runs that start at
+    ``row_starts`` and ``col_starts``."""
+    return np.add.reduceat(np.add.reduceat(cells, row_starts, axis=-2), col_starts, axis=-1)
+
+
+def _render(spec: SceneSpec, xs, ys, edges):
+    """Per sensor of ``SENSORS``, the sums of its pixels' supersample
+    reflectances, (bands, height, width) float64; and per PAN pixel the
+    supersamples of each class code, then of shadow, (height, width,
+    classes + 1) uint8, since a PAN pixel holds 64.
+
+    Per strip, one product of a weight matrix with the pair counts gives
+    each cell's total in every band of ``SPECTRUM_BANDS`` (count times float32
+    reflectance over the pairs, in float64), its class and shadow counts,
+    and the counts of each textured class, whose per-cell reflectances are
+    added next.  Those planes are summed over each sensor's pixels, and a
+    pixel that two strips share takes a partial sum from each.  The sums are
+    exact (see the module doc), so their order does not matter."""
+    row_edges, col_edges = edges
+    nb, n_classes = len(SPECTRUM_BANDS), len(SURFACE_CLASSES)
+    lut = np.array([[spec.spectra[cls][band] for band in SPECTRUM_BANDS]
+                    for cls in SURFACE_CLASSES], dtype=np.float32)
+    darken = np.array([spec.shadow_factor_nir if band in NIR_GROUP else spec.shadow_factor
+                       for band in SPECTRUM_BANDS], dtype=np.float32)
+    textures = _texture_grids(spec, (ys.size, xs.size))
+    textured = [code for code, tex in enumerate(textures) if tex is not None]
+    # what one supersample of each pair (column) adds to each cell plane
+    # (row): its reflectance in each band, but none for a textured class,
+    # whose reflectance varies by cell; 1 to its class and, if shadowed, to
+    # the shadow plane; and, for a textured class, 1 to its own count
+    pairs = np.arange(N_PAIRS)
+    own = nb + n_classes + 1
+    weights = np.zeros((own + 2 * len(textured), N_PAIRS))
+    weights[:nb, 0::2], weights[:nb, 1::2] = lut.T, (lut * darken).T
+    weights[nb + pairs // 2, pairs] = 1.0
+    weights[nb + n_classes, 1::2] = 1.0
+    for i, code in enumerate(textured):
+        weights[:nb, 2 * code:2 * code + 2] = 0.0
+        weights[own + 2 * i:own + 2 * i + 2, 2 * code:2 * code + 2] = np.eye(2)
+    sides = [int(round(pixel_m / SUPERSAMPLE_M)) for _, pixel_m in SENSORS]
+    col_starts = [np.searchsorted(col_edges, np.arange(0, xs.size, s)) for s in sides]
+    starts = [SPECTRUM_BANDS.index(names[0]) for names, _ in SENSORS]
+    bands = [slice(i, i + len(names)) for i, (names, _) in zip(starts, SENSORS)]
+    sums = [np.zeros((len(names), ys.size // s, xs.size // s))
+            for s, (names, _) in zip(sides, SENSORS)]
+    pan_counts = np.zeros((*sums[0].shape[1:], n_classes + 1), dtype=np.uint8)
+    for top, stop, first, counts in _strip_counts(spec, xs, ys, edges):
+        cell_rows = row_edges[first:first + counts.shape[0]]
+        planes = weights @ counts.reshape(-1, N_PAIRS).astype(np.float64).T
+        planes = planes.reshape(len(weights), *counts.shape[:2])
+        totals = planes[:nb]
+        for i, code in enumerate(textured):
+            if not planes[nb + code].any():
+                continue
+            factor, grid = textures[code]
+            bright = grid[cell_rows // factor][:, col_edges[:-1] // factor]
+            lit = lut[code][:, np.newaxis, np.newaxis] * bright
+            totals += lit * planes[own + 2 * i]
+            lit *= darken[:, np.newaxis, np.newaxis]
+            totals += lit * planes[own + 2 * i + 1]
+        # the class and shadow counts of a cell, eight uint8 lanes of one
+        # uint64, are summed at once: a PAN pixel holds 64, so no lane carries
+        lanes = planes[nb:nb + n_classes + 1].transpose(1, 2, 0).astype(np.uint8, order="C")
+        for s, cols, band, total in zip(sides, col_starts, bands, sums):
+            p0, p1 = top // s, -(-stop // s)
+            rows = np.searchsorted(cell_rows, np.maximum(np.arange(p0, p1) * s, top))
+            total[:, p0:p1] += _reduce(totals[band], rows, cols)
+            if s == sides[0]:
+                part = _reduce(lanes.view(np.uint64)[..., 0], rows, cols)
+                pan_counts[p0:p1] += part[..., np.newaxis].view(np.uint8)
+    return sums, pan_counts
+
+
+def _rasters(spec: SceneSpec, sums, band_names, pixel_m, sensor: str, sensor_id: int,
+             dates: int = 1) -> list:
+    """One raster per date: each pixel's mean reflectance, from its sum
+    (bands, height, width), plus the sensor's noise."""
+    _, height, width = sums.shape
+    geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=spec.extent[1])
+    means = sums / int(round(pixel_m / SUPERSAMPLE_M)) ** 2
     sigma = spec.noise.get(sensor, 0.0)
     rasters = []
     for date_idx in range(dates):
         bands = np.empty((len(band_names), height, width), dtype=np.float32)
-        for bidx, pixels in enumerate(means):
+        for bidx in range(len(band_names)):
+            pixels = means[bidx]
             if sigma > 0:
                 rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
                 pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
@@ -607,27 +749,20 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     spec.validate()
     xs, ys = _supersample_axes(spec)
     edges = (_cell_edges(spec, ys.size), _cell_edges(spec, xs.size))
-    counts = _surface_counts(spec, xs, ys, edges)
-    brightness = _cell_brightness(spec, edges)
-    [pan] = _render(spec, counts, edges, brightness, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
-    [ms] = _render(spec, counts, edges, brightness, MS_BANDS, MS_PIXEL_M, "ms", 2)
-    landsat = _render(spec, counts, edges, brightness, LANDSAT_BANDS, LANDSAT_PIXEL_M,
-                      "landsat", 3, dates=len(spec.landsat_days))
+    (pan_sums, ms_sums, landsat_sums), pan_counts = _render(spec, xs, ys, edges)
+    [pan] = _rasters(spec, pan_sums, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
+    [ms] = _rasters(spec, ms_sums, MS_BANDS, MS_PIXEL_M, "ms", 2)
+    landsat = _rasters(spec, landsat_sums, LANDSAT_BANDS, LANDSAT_PIXEL_M, "landsat", 3,
+                       dates=len(spec.landsat_days))
 
-    # supersamples per PAN pixel of each class code, then of shadow; a cell
-    # or a PAN pixel holds at most 64, so uint8 holds every sum
     n_classes = len(SURFACE_CLASSES)
-    planes = np.empty((n_classes + 1, *counts.shape[1:]), dtype=np.uint8)
-    np.add(counts[0::2], counts[1::2], out=planes[:n_classes])
-    np.sum(counts[1::2], axis=0, dtype=np.uint8, out=planes[n_classes])
-    pan_counts = _pixel_sums(planes, edges, PAN_PIXEL_M, dtype=np.uint8)
-    class_counts = pan_counts[:n_classes]
+    class_counts = pan_counts[..., :n_classes]
     half = int(round(PAN_PIXEL_M / SUPERSAMPLE_M)) ** 2 / 2
     water_codes = [SURFACE_CLASSES.index(c) for c in WATER_CLASSES]
-    truth_bits = class_counts[water_codes].sum(axis=0) > half
-    shadow_bits = pan_counts[n_classes] > half
+    truth_bits = class_counts[..., water_codes].sum(axis=-1) > half
+    shadow_bits = pan_counts[..., n_classes] > half
     # majority class per PAN pixel; argmax keeps the smallest code on ties
-    majority = np.argmax(class_counts, axis=0).astype(np.int8)
+    majority = np.argmax(class_counts, axis=-1).astype(np.int8)
     stratum_of_code = np.array(
         [CLASS_ORDER.index(EVAL_CLASS_OF[c]) for c in SURFACE_CLASSES], dtype=np.int8
     )

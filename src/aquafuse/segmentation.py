@@ -441,6 +441,25 @@ def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
     return per
 
 
+def _band_std(stack: np.ndarray) -> np.ndarray:
+    """``stack.std(axis=0, dtype=np.float64)`` of a (bands, h, w) stack, one
+    band at a time, so that no temporary larger than one float64 plane is
+    made.  numpy reduces axis 0 plane by plane, in this order, so the result
+    is the same bit for bit."""
+    mean = stack[0].astype(np.float64)
+    for band in stack[1:]:
+        mean += band
+    mean /= len(stack)
+    var = np.zeros_like(mean)
+    dev = np.empty_like(mean)
+    for band in stack:
+        np.subtract(band, mean, out=dev)
+        dev *= dev
+        var += dev
+    var /= len(stack)
+    return np.sqrt(var, out=var)
+
+
 def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
                   p_ms_field: RasterGrid, p_lan_field: RasterGrid,
                   ms_class_map: RasterGrid, t_pan: float) -> SegmentMap:
@@ -466,7 +485,7 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     table.p_pan = segmap.mean(pan.data[0] < t_pan)
     table.p_ms = segmap.mean(p_ms_field.data[0])
     table.p_lan = segmap.mean(p_lan_field.data[0])
-    table.mp_std = segmap.mean(mps.data.std(axis=0, dtype=np.float64))
+    table.mp_std = segmap.mean(_band_std(mps.data))
     return segmap
 
 

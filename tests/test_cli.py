@@ -324,9 +324,9 @@ def _sites_without_impervious(out):
 # answer on valid inputs is exit 4
 BAD_INPUTS = {
     "pan-two-bands-segment": ("segment", _edit_raster("pan", _two_bands), cli.EXIT_IO,
-                              "morphological profiles expect a single-band raster"),
+                              "pan.hdr: PAN raster must have exactly 1 band, got 2"),
     "pan-two-bands-pca-fuse": ("pca-fuse", _edit_raster("pan", _two_bands), cli.EXIT_IO,
-                               "PAN raster must have exactly 1 band"),
+                               "pan.hdr: PAN raster must have exactly 1 band, got 2"),
     "ms-class-7": ("segment", _edit_raster("ms_class", _first_sample(7.0)), cli.EXIT_IO,
                    "ms_class.hdr: class codes must be whole numbers in 0..3"),
     "ms-class-2.5": ("segment", _edit_raster("ms_class", _first_sample(2.5)), cli.EXIT_IO,
@@ -583,6 +583,26 @@ class TestPipelineArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert message in err
+
+    @pytest.mark.parametrize("stage", ["segment", "pca-fuse"])
+    def test_two_band_pan_stops_before_any_write(self, pipeline_dir, tmp_path, capsys, stage):
+        """A stage that reads a 2-band pan names OUT/pan.hdr and exits 3
+        before it writes any artifact: each one, t_pan.txt and pan_water.*
+        among them, keeps its bytes and its mtime.  (Every stage rewrites
+        config.txt, the effective config, before it starts.)"""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        _edit_raster("pan", _two_bands)(out)
+
+        def state():
+            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in out.iterdir() if p.name != "config.txt"}
+
+        before = state()
+        assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+        assert (f"{out / 'pan.hdr'}: PAN raster must have exactly 1 band, got 2"
+                in capsys.readouterr().err)
+        assert state() == before
 
     def test_classify_ms_straight_after_synth(self, tmp_path):
         """classify-ms fits its classifier itself: synth is all it needs."""

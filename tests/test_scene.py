@@ -24,8 +24,11 @@ from aquafuse.scene import (
     SceneBundle,
     SceneError,
     SceneSpec,
+    _block_side,
     _cell_edges,
+    _feature_box,
     _feature_mask,
+    _paint,
     _pick_train_sites,
     _supersample_axes,
     default_scene,
@@ -373,18 +376,24 @@ class TestRendering:
             generate_scene(parse_scene(text))
 
     def test_generate_peak_allocation_grows_less_than_the_area(self):
-        """No supersample array of the whole grid is made: the fixture's
-        layout stacked four times (240 x 960 m) has four times the grid, but
-        its traced peak stays below 1.5 times the fixture's."""
+        """No supersample array of the whole grid is made.  The fixture's
+        layout stacked four times (240 x 960 m) has 17.28 million more
+        supersamples, and the traced peak grows by less than one byte for
+        each: a single whole-grid int8 or bool array would add one.  Each
+        peak also stays at most 21.4 and 25.7 MiB, the peaks of the renderer
+        that held the (class, lit/shadow) counts of every cell of the grid."""
+        specs = (default_scene(), stacked(default_scene(), 4))
         peaks = []
-        for spec in (default_scene(), stacked(default_scene(), 4)):
+        for spec in specs:
             tracemalloc.start()
             try:
                 generate_scene(spec)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 1.5 * peaks[0]
+        sizes = [math.prod(round(e / SUPERSAMPLE_M) for e in spec.extent) for spec in specs]
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 1.0
+        assert peaks[0] <= 21.4 * 2 ** 20 and peaks[1] <= 25.7 * 2 ** 20
 
 
 def stacked(spec, n):
@@ -556,6 +565,69 @@ EQUIVALENCE_SCENES = {
         "feature tree disk 238 150 6 height 15",
     ]),
 }
+
+
+def test_equivalence_scenes_cover_every_block_side():
+    """The renderer counts uniform 4 x 4 and 2 x 2 blocks of supersamples
+    once, mixed ones per supersample, and every supersample when the cells'
+    edges share no factor of 2.  EQUIVALENCE_SCENES has a scene of each, so
+    test_matches_reference_renderer checks all three paths."""
+    sides = set()
+    for text in EQUIVALENCE_SCENES.values():
+        spec = parse_scene(text)
+        xs, ys = _supersample_axes(spec)
+        sides.add(_block_side((_cell_edges(spec, ys.size), _cell_edges(spec, xs.size))))
+    assert sides == {1, 2, 4}
+
+
+def _painted(f, xs, ys, rows, cols):
+    """``_paint`` of ``f`` over the part ``(rows, cols)`` of the grid."""
+    out = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+    _paint(out, rows, cols, f, _feature_box(f, xs, ys), True, xs, ys)
+    return out
+
+
+def _random_features(rng, ex, ey, n):
+    """Seeded rects and lines over an ``ex`` x ``ey`` m grid, partly outside
+    it: edges on supersample centres and between them, horizontal, vertical
+    and steep lines, and widths under one supersample."""
+    def coord(extent):
+        value = rng.uniform(-5.0, extent + 5.0)
+        if rng.random() < 0.5:  # on a supersample centre
+            value = (math.floor(value / SUPERSAMPLE_M) + 0.5) * SUPERSAMPLE_M
+        return value
+
+    for i in range(n):
+        x0, x1, y0, y1 = coord(ex), coord(ex), coord(ey), coord(ey)
+        if i % 2 == 0:
+            yield Feature("water", "rect", (min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)))
+            continue
+        kind = i // 2 % 4
+        if kind == 0:
+            y1 = y0  # horizontal
+        elif kind == 1:
+            x1 = x0  # vertical
+        elif kind == 2:
+            x1 = x0 + rng.uniform(-0.5, 0.5)  # steep
+        width = rng.choice([0.05, 0.09, rng.uniform(0.1, 4.0)])
+        yield Feature("water", "line", (x0, y0, x1, y1), width=width)
+
+
+def test_rects_and_lines_paint_their_mask():
+    """A rect painted as one slice, and a line painted through its 30 m
+    column windows, cover exactly the pixels of ``_feature_mask``, over the
+    whole grid and over any part of it."""
+    rng = np.random.default_rng(11)
+    spec = dataclasses.replace(default_scene(), extent=(36.0, 24.0))
+    xs, ys = _supersample_axes(spec)
+    for f in _random_features(rng, *spec.extent, 400):
+        whole = (slice(0, ys.size), slice(0, xs.size))
+        assert np.array_equal(_painted(f, xs, ys, *whole), _feature_mask(f, xs, ys)), f
+        r0, r1 = sorted(rng.integers(0, ys.size + 1, 2))
+        c0, c1 = sorted(rng.integers(0, xs.size + 1, 2))
+        part = (slice(int(r0), int(r1)), slice(int(c0), int(c1)))
+        want = _feature_mask(f, xs, ys)[part]
+        assert np.array_equal(_painted(f, xs, ys, *part), want), (f, part)
 
 
 def test_cells_cut_only_at_pixel_and_texture_edges():

@@ -763,6 +763,21 @@ class TestSegmentStats:
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
 
+    @pytest.mark.parametrize("case", ["random", "constant_band", "large_offset", "one_band"])
+    def test_band_std_is_numpy_std_bit_for_bit(self, case):
+        """mp_std's deviation, taken one float32 band at a time into float64
+        planes, equals ``np.std(axis=0, dtype=np.float64)`` bit for bit."""
+        rng = np.random.default_rng(["random", "constant_band", "large_offset",
+                                     "one_band"].index(case))
+        stack = rng.normal(0.0, 1.0, (1 if case == "one_band" else 10, 31, 47))
+        if case == "constant_band":
+            stack[3] = 0.375
+        if case == "large_offset":
+            stack = stack * 1e-3 + 1e5
+        stack = stack.astype(np.float32)
+        assert np.array_equal(segmentation._band_std(stack),
+                              np.std(stack, axis=0, dtype=np.float64))
+
 
 class TestPanWaterProbability:
     def _simple(self, values, t):
