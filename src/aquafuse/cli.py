@@ -174,30 +174,29 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     ms_prob = _load_raster(out, "ms_prob")
     ms_class = _load_classes(out, "ms_class")
     landsat_wi = _load_raster(out, "landsat_wi")
-
-    p_ms_field = resample_nearest(
-        RasterGrid(ms_prob.geometry, ms_prob.band("p_water")[np.newaxis], ["p_water"]),
-        pan.geometry)
-    class_up = resample_nearest(ms_class, pan.geometry)
-    p_lan_up = resample_nearest(landsat_wi, pan.geometry)
-
     t_pan = cfg.t_pan if cfg.t_pan is not None else otsu_threshold(pan.data[0])
-    (out / "t_pan.txt").write_text(f"t_pan = {t_pan!r}\n")
-    _write_mask(out, "pan_water",
-                BinaryMask(pan.geometry, (pan.data[0] < t_pan).astype(np.uint8)))
 
     mps = morphological_profiles(pan)
     segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k)
+    # resampled to the PAN grid only now, so that k-means does not hold them
+    p_ms_field = resample_nearest(
+        RasterGrid(ms_prob.geometry, ms_prob.band("p_water")[np.newaxis], ["p_water"]),
+        pan.geometry)
+    segment_stats(segmap, pan, mps, p_ms_field, resample_nearest(landsat_wi, pan.geometry),
+                  resample_nearest(ms_class, pan.geometry), t_pan)
+    classify_segments_majority(segmap)
+    tree_grass_split(segmap, t_tree=cfg.t_tree)
+    segmap.records.p_shadow = segmap.records.p_w = np.nan
+
+    # written only now, so that a stage that fails on its inputs writes nothing
+    (out / "t_pan.txt").write_text(f"t_pan = {t_pan!r}\n")
+    _write_mask(out, "pan_water",
+                BinaryMask(pan.geometry, (pan.data[0] < t_pan).astype(np.uint8)))
     (out / "kmeans.txt").write_text(
         f"iterations = {segmap.kmeans_iterations}\n"
         f"converged = {str(segmap.kmeans_converged).lower()}\n"
         f"objective = {segmap.kmeans_objective!r}\n"
         f"segments = {segmap.count}\n")
-    segment_stats(segmap, pan, mps, p_ms_field, p_lan_up, class_up, t_pan)
-    classify_segments_majority(segmap)
-    tree_grass_split(segmap, t_tree=cfg.t_tree)
-    segmap.records.p_shadow = segmap.records.p_w = np.nan
-
     _write(out, "segments",
            RasterGrid(pan.geometry, segmap.labels.astype(np.float32)[np.newaxis], ["segment"]))
     save_segment_stats(segmap, out / SEGMENT_TABLE)

@@ -396,6 +396,15 @@ def _feature_box(f: Feature, xs: np.ndarray, ys: np.ndarray):
     return slice(int(r0), int(r1)), slice(int(c0), int(c1))
 
 
+def _meeting(bounds: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Indices, in order, of the features whose ``_feature_box`` meets rows x
+    cols, from ``bounds``, each box's (row start, row stop, column start,
+    column stop): one vectorised overlap test, so that ``_paint`` is called
+    only where it may paint.  ``_paint`` paints nothing outside the box."""
+    return np.flatnonzero((bounds[:, 0] < rows.stop) & (bounds[:, 1] > rows.start)
+                          & (bounds[:, 2] < cols.stop) & (bounds[:, 3] > cols.start))
+
+
 STRIP = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # supersamples per 30 m strip or window
 
 
@@ -470,11 +479,12 @@ def _object_height(f: Feature) -> np.float32:
     return np.float32(f.height if f.kind in ("impervious", "tree") else 0.0)
 
 
-def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
+def _objects(spec: SceneSpec, xs, ys, boxes, bounds) -> list:
     """``(cast, top, left)`` of every object feature: its cast shadow, the
     ``sweep_union`` of its footprint (the pixels of its box ``(rows, cols)``
     whose final height is its own) over the offsets of its height sweep,
     whose top-left pixel is at (top, left) on the supersample grid.
+    ``bounds`` holds the boxes' bounds for ``_meeting``.
 
     A pixel's final height is that of the last feature painted over it, so a
     box's heights are painted from every feature that meets the box, in file
@@ -495,8 +505,8 @@ def _objects(spec: SceneSpec, xs, ys, boxes) -> list:
             continue
         box_level = np.zeros((ys[rows].size, xs[cols].size),
                              dtype=np.min_scalar_type(len(heights)))
-        for f, f_lvl, f_box in zip(spec.features, levels, boxes):
-            _paint(box_level, rows, cols, f, f_box, f_lvl, xs, ys)
+        for i in _meeting(bounds, rows, cols):
+            _paint(box_level, rows, cols, spec.features[i], boxes[i], levels[i], xs, ys)
         cast, top, left = sweep_union(box_level == lvl, sweeps[lvl - 1])
         objects.append((cast, rows.start + top, cols.start + left))
     return objects
@@ -552,10 +562,11 @@ def _strip_counts(spec: SceneSpec, xs, ys, edges):
     ``_pair_counts``.  Each step gives every pixel of the strip what it gives
     that pixel on the whole grid."""
     boxes = [_feature_box(f, xs, ys) for f in spec.features]
+    bounds = np.array([(r.start, r.stop, c.start, c.stop) for r, c in boxes]).reshape(-1, 4)
     # each feature's lit pair code, plus 1 to mark an object's pixels
     codes = [2 * SURFACE_CLASSES.index(f.kind) + (_object_height(f) > 0)
              for f in spec.features]
-    objects = _objects(spec, xs, ys, boxes)
+    objects = _objects(spec, xs, ys, boxes, bounds)
     row_edges, col_edges = edges
     h, w = ys.size, xs.size
     b = _block_side(edges)
@@ -566,17 +577,19 @@ def _strip_counts(spec: SceneSpec, xs, ys, edges):
         stop = min(r + STRIP, h)
         cells = block_row_cell[r // b:stop // b]
         yield r, stop, cells[0], _pair_counts(
-            _strip_codes(spec, r, stop, xs, ys, codes, boxes, objects), b,
+            _strip_codes(spec, r, stop, xs, ys, codes, boxes, bounds, objects), b,
             (cells - cells[0]) * (wc * N_PAIRS), col_part,
             (cells[-1] + 1 - cells[0]) * wc * N_PAIRS).reshape(-1, wc, N_PAIRS)
 
 
-def _strip_codes(spec: SceneSpec, r, stop, xs, ys, codes, boxes, objects) -> np.ndarray:
+def _strip_codes(spec: SceneSpec, r, stop, xs, ys, codes, boxes, bounds,
+                 objects) -> np.ndarray:
     """The pair codes of rows r:stop of the supersample grid (see
     ``_strip_counts``)."""
     classes = np.full((stop - r, xs.size), 2 * SURFACE_CLASSES.index("soil"), dtype=np.int8)
-    for f, code, box in zip(spec.features, codes, boxes):
-        _paint(classes, slice(r, stop), slice(0, xs.size), f, box, code, xs, ys)
+    rows, cols = slice(r, stop), slice(0, xs.size)
+    for i in _meeting(bounds, rows, cols):
+        _paint(classes, rows, cols, spec.features[i], boxes[i], codes[i], xs, ys)
     shadow = np.zeros(classes.shape, dtype=bool)
     for cast, top, left in objects:
         shift_or(shadow, cast, top - r, left)

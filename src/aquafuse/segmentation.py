@@ -23,7 +23,7 @@ SE_FAMILY = (
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 100
 KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
-KMEANS_BLOCK = 1 << 12   # rows per block of k-means distances
+KMEANS_BLOCK = 1 << 13   # rows per block of k-means features and distances
 KMEANS_TEST_BLOCK = 1 << 16  # rows per block of the k-means bound test
 KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see _lloyd
 
@@ -114,17 +114,19 @@ def _rank_filter(image: np.ndarray, size, op) -> np.ndarray:
     return image
 
 
-def _standardize(features: np.ndarray) -> np.ndarray:
-    """Standardize the columns of ``features`` in place, one at a time, so
-    that no temporary larger than a column is made; returns it.  Each column
-    should be contiguous (``features`` F-ordered): its mean and deviation are
-    then the same reductions over the same contiguous run as those of
-    ``features.mean(axis=0)`` and ``features.std(axis=0)``."""
-    for column in features.T:
-        mean, std = column.mean(), column.std()
-        column -= mean
-        column /= std if std != 0 else 1.0
-    return features
+def _quantum(n: int, top: float) -> float:
+    """The quantum ``2**(ceil(log2(n * top)) - 52)`` of ``_round_to_quantum``
+    for ``n`` rows whose largest |x| is ``top``; 0 for ``top`` 0."""
+    return 2.0 ** (int(np.ceil(np.log2(n * top))) - 52) if top else 0.0
+
+
+def _truncate(values: np.ndarray, q: float) -> None:
+    """Round ``values`` in place, toward zero, to whole multiples of ``q``
+    (none for q 0)."""
+    if q:
+        values /= q
+        np.trunc(values, out=values)
+        values *= q
 
 
 def _round_to_quantum(features: np.ndarray) -> float:
@@ -138,24 +140,81 @@ def _round_to_quantum(features: np.ndarray) -> float:
     quantum, or that of any subset of its rows, is q or smaller, and
     rounding it again is a no-op."""
     top = max(float(np.max(features, initial=0.0)), -float(np.min(features, initial=0.0)))
-    if top == 0.0:
-        return 0.0
-    q = 2.0 ** (int(np.ceil(np.log2(len(features) * top))) - 52)
-    features /= q
-    np.trunc(features, out=features)
-    features *= q
+    q = _quantum(len(features), top)
+    _truncate(features, q)
     return q
 
 
-def _sq_distances(features: np.ndarray, f2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances ``f2 - 2 f.c + c2`` of every row of ``features`` to
-    every centre, in one (rows, k) array.  Scaling the product by -2 is exact
-    and addition commutes, so the bits are those of
-    ``(f2 - (2 * features) @ centers.T) + c2``."""
-    d2 = features @ centers.T
+class _FeatureRows:
+    """The k-means features of ``kmeans_segment`` as a row source: one row
+    per pixel and one column per plane of (PAN, MPs), each column
+    standardized (less its mean, over its deviation, or 1 where that is 0)
+    and then rounded by ``_round_to_quantum``, but never held as one
+    (pixels, planes) matrix.  ``rows[block]``, for a slice or an index
+    array, builds the rows of ``block`` as an F-ordered float64 array from
+    the float32 planes.
+
+    The values are those of the whole matrix, F-ordered, bit for bit.  The
+    pre-pass widens one plane at a time to a contiguous float64 column, as
+    the matrix's column is, so its mean and deviation are the same
+    reductions over the same values.  A block takes each value through the
+    same elementwise steps (subtract the mean, divide by the deviation,
+    divide by q, truncate, multiply by q), each correctly rounded, so a
+    value does not depend on the block it is built in.  ``(x - mean) /
+    deviation``, rounded at each step, never falls as x grows, so the
+    largest and smallest standardized values of a column are those of the
+    plane's largest and smallest values; they give the largest |x| of the
+    matrix, and so its quantum q."""
+
+    def __init__(self, planes):
+        self.planes = [plane.ravel() for plane in planes]
+        self.means, self.scales, top = [], [], 0.0
+        for plane in self.planes:
+            column = plane.astype(np.float64)
+            mean, std = column.mean(), column.std()
+            scale = std if std != 0 else 1.0
+            self.means.append(mean)
+            self.scales.append(scale)
+            top = max(top, float((plane.max() - mean) / scale),
+                      -float((plane.min() - mean) / scale))
+        self.q = _quantum(len(self), top)
+
+    def __len__(self):
+        return len(self.planes[0])
+
+    def __getitem__(self, block):
+        count = len(range(len(self))[block]) if isinstance(block, slice) else len(block)
+        rows = np.empty((count, len(self.planes)), order="F")
+        for column, plane, mean, scale in zip(rows.T, self.planes, self.means, self.scales):
+            column[:] = plane[block]
+            column -= mean
+            column /= scale
+        _truncate(rows, self.q)
+        return rows
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, added column by column, left to right, as
+    numpy sums the rows of an F-ordered matrix in ``np.sum(x ** 2, axis=1)``.
+    (numpy would sum a C-ordered row with several accumulators, which
+    rounds otherwise.)"""
+    x2 = x[:, 0] ** 2
+    for column in x.T[1:]:
+        x2 += column ** 2
+    return x2
+
+
+def _sq_distances(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances ``x2 - 2 x.c + c2`` of every row of ``x``, whose
+    squared norms are ``x2``, to every centre, in one (k, rows) array, so
+    that each centre's distances are contiguous.  Scaling the product by -2
+    is exact and addition commutes, so the bits are those of
+    ``(x2 - (2 * x) @ centers.T) + c2``, transposed: BLAS's gemm computes
+    the dot product of a row and a centre alike in either orientation."""
+    d2 = centers @ x.T
     d2 *= -2.0
-    d2 += f2[:, None]
-    d2 += np.sum(centers ** 2, axis=1)
+    d2 += x2
+    d2 += np.sum(centers ** 2, axis=1)[:, None]
     return d2
 
 
@@ -171,66 +230,80 @@ def _farthest_point_centers(sample: np.ndarray, k: int) -> np.ndarray:
     return centers
 
 
-def _nearest_two(features, f2, centers, rows=None):
-    """The nearest and second-nearest centres of ``rows`` (an index array, or
-    None for every row), KMEANS_BLOCK rows at a time, so that no (n, k) array
-    is made.  Yields ``(block, nearest, best, second)``: the block's rows (a
-    slice or an index array), the index of each row's smallest
-    ``_sq_distances`` value (the lowest on a tie), that value, and the
-    smallest value at any other centre (inf for one centre).
-
-    Each value is bit-equal to that of one product over all rows: BLAS's gemm
-    computes a row alike in every product of two or more rows.  But numpy
-    multiplies a single row by gemv, which rounds otherwise, so a lone row of
-    a longer product is multiplied as two copies of itself."""
-    count = len(features) if rows is None else len(rows)
+def _blocks(count: int, rows=None):
+    """Blocks of KMEANS_BLOCK rows that cover ``count`` rows: slices, or,
+    given the index array ``rows`` of ``count`` rows, index arrays cut from
+    it."""
     for start in range(0, count, KMEANS_BLOCK):
         block = slice(start, start + KMEANS_BLOCK)
-        if rows is not None:
-            block = rows[block]
-        x, x2 = features[block], f2[block]
-        if len(x) == 1 and len(features) > 1:
-            d2 = _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:1]
-        else:
-            d2 = _sq_distances(x, x2, centers)
-        # one column at a time: argmin and min over rows of k values are slow;
-        # a strict < keeps the lowest index on a tie, as argmin does
-        nearest = np.zeros(len(d2), dtype=np.intp)
-        best = d2[:, 0].copy()
-        second = np.full(len(d2), np.inf)
-        for c in range(1, len(centers)):
-            value = d2[:, c]
-            np.minimum(second, np.maximum(best, value), out=second)
-            np.copyto(nearest, c, where=value < best)
-            np.minimum(best, value, out=best)
-        yield block, nearest, best, second
+        yield block if rows is None else rows[block]
+
+
+def _nearest_two(x, x2, centers, n):
+    """The nearest and second-nearest centres of the rows ``x``, whose
+    squared norms are ``x2``, of a row source of ``n`` rows: the index of
+    each row's smallest ``_sq_distances`` value (the lowest on a tie), that
+    value, and the smallest value at any other centre (inf for one centre).
+    Callers pass one of ``_blocks`` at a time, so that no (n, k) array is
+    made.
+
+    Each value is bit-equal to that of one product over all n rows: BLAS's
+    gemm computes a row alike in every product of two or more rows.  But
+    numpy multiplies a single row by gemv, which rounds otherwise, so a lone
+    row of a longer product is multiplied as two copies of itself."""
+    if len(x) == 1 and n > 1:
+        d2 = _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:, :1]
+    else:
+        d2 = _sq_distances(x, x2, centers)
+    # one centre at a time: argmin and min over k values per column are
+    # slow; a strict < keeps the lowest index on a tie, as argmin does
+    nearest = np.zeros(d2.shape[1], dtype=np.intp)
+    best = d2[0].copy()
+    second = np.full(d2.shape[1], np.inf)
+    for c in range(1, len(centers)):
+        value = d2[c]
+        np.minimum(second, np.maximum(best, value), out=second)
+        np.copyto(nearest, c, where=value < best)
+        np.minimum(best, value, out=best)
+    return nearest, best, second
 
 
 def _nearest(features, f2, centers):
     """Every row's nearest centre and its ``_sq_distances`` value."""
-    assign = np.empty(len(features), dtype=np.intp)
-    best = np.empty(len(features))
-    for block, nearest, value, _ in _nearest_two(features, f2, centers):
-        assign[block] = nearest
-        best[block] = value
+    n = len(features)
+    assign = np.empty(n, dtype=np.intp)
+    best = np.empty(n)
+    for block in _blocks(n):
+        assign[block], best[block], _ = _nearest_two(features[block], f2[block], centers, n)
     return assign, best
 
 
 def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums):
-    """Assign ``rows`` (None for every row) to their nearest centres and set
-    their bounds of ``_lloyd`` from the computed squared distances.  Given
-    ``sums`` (and ``rows`` as an index array), each row whose centre changes
-    also moves from its old centre's row sum in ``sums`` to its new one."""
-    for block, nearest, best, second in _nearest_two(features, f2, centers, rows):
-        tau = KMEANS_SLACK * (f2[block] + norm2)
-        if sums is not None:
+    """Assign ``rows`` to their nearest centres and set their bounds of
+    ``_lloyd`` from the computed squared distances, building each block of
+    rows once.  With ``rows`` None (the first pass), every row's squared
+    norm goes into ``f2`` and its features into its centre's sum in
+    ``sums``.  With an index array, each row whose centre changes moves from
+    its old centre's sum in ``sums`` to its new one."""
+    n, first = len(features), rows is None
+    for block in _blocks(n if first else len(rows), rows):
+        x = features[block]
+        if first:
+            f2[block] = _row_norms(x)
+        x2 = f2[block]
+        nearest, best, second = _nearest_two(x, x2, centers, n)
+        if first:
+            sums += np.stack([np.bincount(nearest, weights=column, minlength=len(sums))
+                              for column in x.T], axis=1)
+        else:
             old = assign[block]
             moved = old != nearest
             if moved.any():
-                x = features[block[moved]]
+                x = x[moved]
                 np.subtract.at(sums, old[moved], x)
                 np.add.at(sums, nearest[moved], x)
         assign[block] = nearest
+        tau = KMEANS_SLACK * (x2 + norm2)
         upper[block] = np.sqrt(best + tau)
         lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
 
@@ -262,33 +335,44 @@ def _unsettled_rows(assign, upper, lower, tau2, old, new):
     return np.flatnonzero(~settled)
 
 
-def _lloyd(features: np.ndarray, centers: np.ndarray):
+def _lloyd(features, centers: np.ndarray):
     """Lloyd's k-means from ``centers``, until no centre coordinate moves by
     KMEANS_TOL or more, for at most KMEANS_MAX_ITER passes.
 
     Returns ``(assign, centers, iterations, objective, converged)``: the
     objective is the sum of the squared distances of every row to its
     nearest final centre, and ``converged`` tells whether the last pass
-    moved every centre coordinate by less than KMEANS_TOL.  ``features``
-    should be F-contiguous, so that each column is contiguous, and rounded
-    by ``_round_to_quantum``, as ``_kmeans`` rounds them.
+    moved every centre coordinate by less than KMEANS_TOL.
+
+    ``features`` is a row source: ``len(features)`` rows, of which
+    ``features[block]`` gives those of a slice or an index array as a
+    float64 array, the same values in any block.  ``_FeatureRows`` builds
+    them from the image planes; a matrix is a row source too.  The rows
+    must be rounded by ``_round_to_quantum``, as ``_FeatureRows`` rounds
+    them.  Rows are read only in blocks (``_blocks``): the first pass and
+    the final labelling build each block once, a later pass only its
+    unsettled rows.  No value depends on the block a row is built in,
+    its squared norm is summed left to right (``_row_norms``) and each
+    distance is the one a product over all rows gives it, so the results
+    are those of one matrix, bit for bit.
 
     Each pass assigns every row to the centre of its smallest
     ``_sq_distances`` value, and each centre becomes the mean of its rows.
-    The rounding makes every sum of rows exact, so the first pass sums each
-    centre's rows in full and a later pass moves only the rows that change
-    centre from one sum, and one count, to the other: the sums, and so the
-    centres, are bit for bit those of full sums in any order.  The first pass, the labelling
-    at the final centres and an empty cluster's search for the farthest row
-    compute every distance.  In between, most rows keep their centre, and
-    Hamerly's bounds prove it without their distances.  Row i keeps
-    ``upper[i]``, at least its distance to its own centre a, and
-    ``lower[i]``, at most its distance to any other centre.  When the
-    centres move, ``upper`` grows by a's move and ``lower`` shrinks by the
-    largest move (the triangle inequality).  A row keeps a unseen if
-    ``upper**2 + 2 tau < max(half[a], lower)**2``, where ``half[a]`` is half
-    the distance from a to its nearest other centre; the other rows get
-    their distances computed and their bounds reset.
+    The rounding makes every sum of rows exact, so the first pass adds up
+    each centre's rows block by block and a later pass moves only the rows
+    that change centre from one sum, and one count, to the other: the sums,
+    and so the centres, are bit for bit those of full sums in any order.
+    The first pass, the labelling at the final centres and an empty
+    cluster's search for the farthest row compute every distance.  In
+    between, most rows keep their centre, and Hamerly's bounds prove it
+    without their distances.  Row i keeps ``upper[i]``, at least its
+    distance to its own centre a, and ``lower[i]``, at most its distance to
+    any other centre.  When the centres move, ``upper`` grows by a's move
+    and ``lower`` shrinks by the largest move (the triangle inequality).  A
+    row keeps a unseen if ``upper**2 + 2 tau < max(half[a], lower)**2``,
+    where ``half[a]`` is half the distance from a to its nearest other
+    centre; the other rows get their distances computed and their bounds
+    reset.
 
     Why the labels are those of a full computation, bit for bit.  The
     computed value e_c of ``f2 - 2 f.c + c2`` differs from the exact squared
@@ -307,15 +391,22 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
     with the error above, all of it stays inside the slack for fewer than
     1000 columns.
     """
+    centers, f2, iterations, converged = _lloyd_passes(features, centers)
+    assign, best = _nearest(features, f2, centers)
+    return assign, centers, iterations, float(best.sum()), converged
+
+
+def _lloyd_passes(features, centers: np.ndarray):
+    """The passes of ``_lloyd`` without its final labelling: returns
+    ``(centers, f2, iterations, converged)``, with ``f2`` each row's squared
+    norm."""
     n = len(features)
-    k, dims = centers.shape
-    f2 = np.empty(n)  # in blocks, so that no (n, dims) array of squares is made
-    for start in range(0, n, KMEANS_BLOCK):
-        block = slice(start, start + KMEANS_BLOCK)
-        f2[block] = np.sum(features[block] ** 2, axis=1)
+    k = len(centers)
+    f2 = np.empty(n)  # filled by the first pass
     assign = np.empty(n, dtype=np.intp)
     upper = np.empty(n)
     lower = np.empty(n)
+    sums = np.zeros(centers.shape)
     norm2 = 0.0
     tau2 = None  # 2 tau of every row, rebuilt only when norm2 grows
     previous = None
@@ -324,9 +415,7 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
         if top > norm2:
             norm2, tau2 = top, None
         if previous is None:  # the first pass computes, sums and counts every row
-            _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, None)
-            sums = np.stack([np.bincount(assign, weights=features[:, j], minlength=k)
-                             for j in range(dims)], axis=1)
+            _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, sums)
             counts = np.bincount(assign, minlength=k)
         else:  # a later pass computes the unsettled rows and moves their sums and counts
             if tau2 is None:
@@ -340,31 +429,31 @@ def _lloyd(features: np.ndarray, centers: np.ndarray):
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():
-            farthest = np.argmax(_nearest(features, f2, centers)[1])
-            new_centers[empty] = features[int(farthest)]
+            farthest = int(np.argmax(_nearest(features, f2, centers)[1]))
+            new_centers[empty] = features[farthest:farthest + 1]
         movement = np.max(np.abs(new_centers - centers))
         previous, centers = centers, new_centers
         if movement < KMEANS_TOL:
             break
-    del upper, lower, tau2
-    assign, best = _nearest(features, f2, centers)
-    return assign, centers, iterations, float(best.sum()), bool(movement < KMEANS_TOL)
+    return centers, f2, iterations, bool(movement < KMEANS_TOL)
 
 
-def _kmeans(features: np.ndarray, k: int):
+def _kmeans(features, k: int):
     """k-means that depends on ``features`` alone: Lloyd on every
     KMEANS_SUBSAMPLE-th row from farthest-point centres, then Lloyd on all
     rows from the centres that reaches.  A subsample of fewer than ``k`` rows
-    is replaced by all rows.  ``features`` are first rounded in place by
-    ``_round_to_quantum``; the subsample's sums are then exact as well, as
-    it has fewer rows on the same quantum.  Returns what ``_lloyd`` returns
-    for the full pass, so ``iterations`` counts full-data passes."""
-    _round_to_quantum(features)
+    is replaced by all rows.  ``features`` is a row source of ``_lloyd``,
+    rounded by ``_round_to_quantum``; the subsample's sums are then exact as
+    well, as it has fewer rows on the same quantum.  The subsample is one
+    F-ordered matrix, freed before the full pass, and only its centres are
+    kept.  Returns what ``_lloyd`` returns for the full pass, so
+    ``iterations`` counts full-data passes."""
     sample = features[::KMEANS_SUBSAMPLE]
     if len(sample) < k:
-        sample = features
+        sample = features[:]
     sample = np.asfortranarray(sample)
-    centers = _lloyd(sample, _farthest_point_centers(sample, k))[1]
+    centers = _lloyd_passes(sample, _farthest_point_centers(sample, k))[0]
+    del sample
     return _lloyd(features, centers)
 
 
@@ -414,15 +503,14 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
 
 def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     """Cluster (PAN, MPs) feature vectors into ``k >= 1`` clusters and split
-    them into 4-connected segments.  The result depends on the images alone."""
+    them into 4-connected segments.  The result depends on the images alone.
+    The feature rows are built a block at a time from the planes
+    (``_FeatureRows``), so no (pixels, bands) matrix is held."""
     if pan.geometry != mps.geometry:
         raise RasterError("PAN and profile rasters must share one grid")
     h, w = pan.geometry.height, pan.geometry.width
-    features = np.empty((h * w, pan.bands + mps.bands), order="F")  # each column contiguous
-    for column, band in zip(features.T, (*pan.data, *mps.data)):
-        column[:] = band.ravel()
-    _standardize(features)
-    assign, _, iterations, objective, converged = _kmeans(features, k)
+    assign, _, iterations, objective, converged = _kmeans(
+        _FeatureRows((*pan.data, *mps.data)), k)
     labels = _connected_segments(assign.reshape(h, w))
     records = segment_table(int(labels.max()) + 1)
     records.pixel_count = np.bincount(labels.ravel())

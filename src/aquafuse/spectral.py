@@ -17,6 +17,7 @@ OTSU_BINS = 256  # histogram bins of otsu_threshold
 
 COVARIANCE_EPSILON = 1e-4
 CLASSIFY_BLOCK = 1 << 16  # pixels per block of classify_probabilities
+PCA_BLOCK = 1 << 16  # rows per block of the pca_fuse transforms, at least 4
 
 
 class ComputeError(Exception):
@@ -45,7 +46,12 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     The MS image is duplicated onto the PAN grid, PCA-transformed, its first
     component replaced by the PAN band rescaled to the first component's mean
     and standard deviation, and transformed back.  The spectra are copied to
-    float64 and centred once; the fused spectra overwrite that copy.
+    float64 and centred once; the fused spectra overwrite that copy.  Both
+    transforms run PCA_BLOCK rows at a time, so no (n, d) array of scores is
+    held: the first keeps only the first component.  BLAS's gemm computes a
+    row alike in every product of two or more rows, so the blocks give the
+    bits of one product over all rows; numpy multiplies a lone row by gemv,
+    so no block is left with one row.
     """
     if pan.bands != 1:
         raise RasterError("PAN raster must have exactly 1 band")
@@ -59,17 +65,25 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     mean = x.mean(axis=0)
     x -= mean
     components = pca_components(x)
-    scores = x @ components.T
-    pc1 = scores[:, 0]
+    count = -(-n // PCA_BLOCK)  # blocks of n // count rows or one more, at least 2
+    edges = np.arange(count + 1) * n // count
+    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    pc1 = np.empty(n)
+    for block in blocks:
+        pc1[block] = (x[block] @ components.T)[:, 0]
     pan_values = pan.data[0].ravel().astype(np.float64)
     pan_std = pan_values.std()
     if pan_std == 0:
         raise ComputeError("PAN image has zero variance; cannot rescale to PC1")
     pan_values -= pan_values.mean()
-    scores[:, 0] = pan_values * (pc1.std() / pan_std) + pc1.mean()
-    np.matmul(scores, components, out=x)
+    scale, shift = pc1.std() / pan_std, pc1.mean()
+    del pc1
+    for block in blocks:
+        scores = x[block] @ components.T
+        scores[:, 0] = pan_values[block] * scale + shift
+        np.matmul(scores, components, out=x[block])
     x += mean
-    del scores, pc1, pan_values  # freed before the float32 copy is made
+    del scores, pan_values  # freed before the float32 copy is made
     fused = x.T.astype(np.float32, order="C").reshape(d, pan.geometry.height, pan.geometry.width)
     return RasterGrid(pan.geometry, fused, list(ms.band_names))
 

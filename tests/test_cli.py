@@ -305,6 +305,13 @@ def _shifted_east(raster):
     return RasterGrid(geometry, raster.data, raster.band_names)
 
 
+def _artifact_state(out):
+    """Bytes and mtime of every artifact in ``out`` but config.txt, which
+    every stage rewrites, the effective config, before it starts."""
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in out.iterdir() if p.name != "config.txt"}
+
+
 def _constant(raster):
     return RasterGrid(raster.geometry, np.full_like(raster.data, 0.2), raster.band_names)
 
@@ -593,16 +600,26 @@ class TestPipelineArtifacts:
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
         _edit_raster("pan", _two_bands)(out)
-
-        def state():
-            return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
-                    for p in out.iterdir() if p.name != "config.txt"}
-
-        before = state()
+        before = _artifact_state(out)
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
         assert (f"{out / 'pan.hdr'}: PAN raster must have exactly 1 band, got 2"
                 in capsys.readouterr().err)
-        assert state() == before
+        assert _artifact_state(out) == before
+
+    @pytest.mark.parametrize("stem", ["ms_prob", "ms_class", "landsat_wi"])
+    def test_segment_input_off_the_pan_grid_stops_before_any_write(
+            self, pipeline_dir, tmp_path, capsys, stem):
+        """segment resamples ms_prob, ms_class and landsat_wi to the PAN grid
+        only after k-means.  One shifted off the PAN grid still stops it with
+        exit 3 before it writes any artifact."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        _edit_raster(stem, _shifted_east)(out)
+        before = _artifact_state(out)
+        assert cli.main(["segment", "--out", str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is not inside the source extent" in err
+        assert _artifact_state(out) == before
 
     def test_classify_ms_straight_after_synth(self, tmp_path):
         """classify-ms fits its classifier itself: synth is all it needs."""

@@ -269,9 +269,9 @@ class TestKmeansSegment:
         assert np.array_equal(segmap.records.pixel_count, counts)
 
     def test_fixture_peak_allocation(self, pipeline_dir):
-        """The features are filled and standardized in place in one (n, 11)
-        float64 array: the traced peak on the fixture stays below 1.8 times
-        that array."""
+        """No (n, 11) float64 feature matrix is held: the rows are built a
+        block at a time from the planes, and the traced peak on the fixture
+        stays below the size of that matrix."""
         pan = read_raster(pipeline_dir / "pan.hdr")
         mps = morphological_profiles(pan)
         tracemalloc.start()
@@ -280,7 +280,7 @@ class TestKmeansSegment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * pan.data.size * 11 * 8
+        assert peak < 1.0 * pan.data.size * 11 * 8
 
     def test_ids_in_raster_scan_order(self):
         rng = np.random.default_rng(4)
@@ -292,26 +292,107 @@ class TestKmeansSegment:
         assert firsts == sorted(firsts)
 
 
+def standardized(planes):
+    """The (pixels, planes) F-ordered float64 matrix of ``planes``, each
+    column less its mean and over its deviation (1 where that is 0), from
+    reductions over the whole matrix."""
+    features = np.reshape(planes, (len(planes), -1)).T.astype(np.float64)
+    std = features.std(axis=0)
+    return (features - features.mean(axis=0)) / np.where(std == 0, 1.0, std)
+
+
 def standardized_features(pan):
-    """The (pixels, 11) F-ordered feature matrix that kmeans_segment clusters."""
-    mps = morphological_profiles(pan)
-    h, w = pan.geometry.height, pan.geometry.width
-    features = np.concatenate([pan.data, mps.data]).reshape(-1, h * w).T.astype(np.float64)
-    return segmentation._standardize(features)
+    """The (pixels, 11) F-ordered feature matrix that kmeans_segment
+    clusters, before its rounding."""
+    return standardized(np.concatenate([pan.data, morphological_profiles(pan).data]))
+
+
+def feature_rows(pan):
+    """The row source of the features that kmeans_segment clusters."""
+    return segmentation._FeatureRows((*pan.data, *morphological_profiles(pan).data))
+
+
+def bits(values):
+    """The bit patterns of float64 ``values``, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 def test_standardize_gives_the_whole_array_formula():
-    """Standardizing one contiguous column at a time gives the bits of the
-    column means and deviations taken over the whole F-ordered array; a
-    constant column is only centred."""
+    """The row source standardizes one contiguous column at a time with the
+    bits of the column means and deviations taken over the whole F-ordered
+    matrix; a constant column is only centred."""
     rng = np.random.default_rng(8)
-    features = np.asfortranarray(rng.normal(3.0, 2.0, size=(50021, 11)))
-    features[:, 4] = 1.5
+    planes = rng.normal(3.0, 2.0, size=(11, 50021)).astype(np.float32)
+    planes[4] = 1.5
+    features = planes.T.astype(np.float64)
     std = features.std(axis=0)
-    want = (features - features.mean(axis=0)) / np.where(std == 0, 1.0, std)
-    got = segmentation._standardize(features)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got[:, 4], np.zeros(len(got)))
+    rows = segmentation._FeatureRows(planes)
+    assert np.array_equal(bits(rows.means), bits(features.mean(axis=0)))
+    assert np.array_equal(bits(rows.scales), bits(np.where(std == 0, 1.0, std)))
+    got = rows[:]
+    assert not got[:, 4].any()
+    want = standardized(planes)
+    segmentation._round_to_quantum(want)
+    assert np.array_equal(bits(got), bits(want))
+
+
+class TestFeatureRows:
+    """Any block of rows from the row source has the bits of the same rows
+    of the rounded feature matrix, and so do their squared norms."""
+
+    def assert_blocks_match(self, planes, blocks):
+        rows = segmentation._FeatureRows(planes)
+        want = standardized(planes)
+        assert rows.q == segmentation._round_to_quantum(want)
+        want2 = np.sum(want ** 2, axis=1)
+        for block in blocks:
+            got = rows[block]
+            assert got.flags.f_contiguous
+            assert np.array_equal(bits(got), bits(want[block]))
+            assert np.array_equal(bits(segmentation._row_norms(got)), bits(want2[block]))
+        return rows, want, want2
+
+    def test_fixture_blocks(self, pipeline_dir):
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        planes = np.concatenate([pan.data, morphological_profiles(pan).data])
+        n = pan.data.size
+        picked = np.sort(np.random.default_rng(9).choice(n, 5000, replace=False))
+        rows, _, _ = self.assert_blocks_match(planes, [
+            slice(0, KMEANS_BLOCK), slice(KMEANS_BLOCK - 3, KMEANS_BLOCK + 5),
+            slice(KMEANS_BLOCK, 2 * KMEANS_BLOCK), slice(n - 5, n + KMEANS_BLOCK),
+            slice(None), slice(None, None, KMEANS_SUBSAMPLE), picked,
+            np.arange(3, n, 7), slice(n - 1, n), slice(0, 1),
+            *(np.array([i]) for i in range(5, n, n // 40)),
+            *segmentation._blocks(n), *segmentation._blocks(len(picked), picked)])
+        assert rows.q > 0
+
+    def test_constant_column(self):
+        planes = np.random.default_rng(10).random((3, 2 * KMEANS_BLOCK + 1)).astype(np.float32)
+        planes[1] = 0.75
+        rows, _, _ = self.assert_blocks_match(planes, [
+            slice(None), slice(KMEANS_BLOCK - 1, KMEANS_BLOCK + 1), np.array([7]),
+            np.arange(0, 2 * KMEANS_BLOCK + 1, 5)])
+        assert rows.scales[1] == 1.0
+        assert not rows[:][:, 1].any()
+
+    def test_all_zero_features(self):
+        planes = np.full((2, 40), 0.25, dtype=np.float32)
+        rows, _, _ = self.assert_blocks_match(planes, [slice(None), np.array([3, 9])])
+        assert rows.q == 0.0
+        assert not rows[:].any()
+
+    def test_fixture_kmeans_is_the_matrix_kmeans(self, pipeline_dir):
+        """k-means through the row source gives what it gives on the rounded
+        matrix: labels, centres, passes and objective, bit for bit."""
+        pan = read_raster(pipeline_dir / "pan.hdr")
+        k = PipelineConfig().kmeans_k
+        features = standardized_features(pan)
+        segmentation._round_to_quantum(features)
+        got = segmentation._kmeans(feature_rows(pan), k)
+        want = segmentation._kmeans(features, k)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(bits(got[1]), bits(want[1]))
+        assert got[2:] == want[2:]
 
 
 class TestKmeansOracle:
@@ -535,26 +616,28 @@ class TestExactSums:
 
     @pytest.fixture
     def moved_rows(self, monkeypatch):
-        """Wrap _reset_bounds: after each pass that moves the sums, they
-        must equal full bincount sums over the labels.  Yields the list of
-        rows that change centre, one count per such pass."""
+        """Wrap _reset_bounds: after the first pass, which sums every row
+        block by block, and after each later pass, which moves rows between
+        the sums, they must equal full bincount sums over the labels.
+        Yields the list of rows that change centre, one count per later
+        pass."""
         reset, moved = segmentation._reset_bounds, []
 
         def checked(features, f2, centers, norm2, rows, assign, upper, lower, sums):
             before = assign.copy()
             reset(features, f2, centers, norm2, rows, assign, upper, lower, sums)
-            if sums is not None:
-                full = np.stack([np.bincount(assign, weights=features[:, j],
-                                             minlength=len(centers))
-                                 for j in range(features.shape[1])], axis=1)
-                assert np.array_equal(sums, full)
+            matrix = features[:]
+            full = np.stack([np.bincount(assign, weights=column, minlength=len(centers))
+                             for column in matrix.T], axis=1)
+            assert np.array_equal(sums, full)
+            if rows is not None:
                 moved.append(int(np.count_nonzero(before != assign)))
 
         monkeypatch.setattr(segmentation, "_reset_bounds", checked)
         return moved
 
     def test_fixture_sums(self, pipeline_dir, moved_rows):
-        features = standardized_features(read_raster(pipeline_dir / "pan.hdr"))
+        features = feature_rows(read_raster(pipeline_dir / "pan.hdr"))
         segmentation._kmeans(features, PipelineConfig().kmeans_k)
         assert sum(moved_rows) > 0
 
@@ -577,8 +660,7 @@ class TestExactSums:
 
 def kmeans_map(pan):
     """The k-means cluster image that kmeans_segment splits into segments."""
-    features = standardized_features(pan)
-    assign = segmentation._kmeans(features, PipelineConfig().kmeans_k)[0]
+    assign = segmentation._kmeans(feature_rows(pan), PipelineConfig().kmeans_k)[0]
     return assign.reshape(pan.geometry.height, pan.geometry.width)
 
 
@@ -647,20 +729,27 @@ class TestConnectedSegments:
 
 
 def test_row_blocks_give_the_values_of_one_product():
-    """Every row gets from _nearest_two the values that one product over all
-    rows gives it, in a block of consecutive rows, of picked rows or alone."""
+    """Every row gets from _nearest_two the values that one (rows, k)
+    product over all rows gives it, as the reference computes them, in a
+    block of consecutive rows, of picked rows or alone; and from _row_norms
+    the squared norms of the whole matrix."""
     rng = np.random.default_rng(6)
     features = np.asfortranarray(rng.normal(size=(2 * KMEANS_BLOCK + 3, 11)))
+    n = len(features)
     centers = rng.normal(size=(8, 11))
     f2 = np.sum(features ** 2, axis=1)
-    d2 = segmentation._sq_distances(features, f2, centers)
+    d2 = (f2[:, None] - 2.0 * features @ centers.T) + np.sum(centers ** 2, axis=1)
+    assert np.array_equal(segmentation._sq_distances(features, f2, centers), d2.T)
     two = np.sort(d2, axis=1)[:, :2]
-    for rows in [None, np.arange(5, 3 * KMEANS_BLOCK // 2, 3)] + [np.array([i]) for i in range(8)]:
-        for block, nearest, best, second in segmentation._nearest_two(
-                features, f2, centers, rows):
-            assert np.array_equal(nearest, np.argmin(d2[block], axis=1))
-            assert np.array_equal(best, two[block, 0])
-            assert np.array_equal(second, two[block, 1])
+    picked = np.arange(5, 3 * KMEANS_BLOCK // 2, 3)
+    for block in [*segmentation._blocks(n), *segmentation._blocks(len(picked), picked),
+                  *(np.array([i]) for i in range(8))]:
+        x = features[block]
+        assert np.array_equal(bits(segmentation._row_norms(x)), bits(f2[block]))
+        nearest, best, second = segmentation._nearest_two(x, f2[block], centers, n)
+        assert np.array_equal(nearest, np.argmin(d2[block], axis=1))
+        assert np.array_equal(best, two[block, 0])
+        assert np.array_equal(second, two[block, 1])
 
 
 def test_lloyd_holds_no_rows_by_centres_array():

@@ -216,6 +216,17 @@ class TestPcaFuse:
             (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
         assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
 
+    @pytest.mark.parametrize("block", [4, 7, 571])
+    def test_row_blocks_match_reference(self, monkeypatch, block):
+        """Transforms in blocks of rows give the bits of one product over all
+        572 rows; with blocks of up to 571 rows the rows split 286 + 286, not
+        571 + 1."""
+        monkeypatch.setattr(spectral, "PCA_BLOCK", block)
+        ms, pan_geom = self._ms_pan(seed=12, h=11, w=13)
+        pan = RasterGrid(pan_geom, np.random.default_rng(13).random(
+            (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
+        assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
+
     def test_fixture_matches_reference(self, pipeline_dir):
         ms, pan = (read_raster(pipeline_dir / f"{stem}.hdr") for stem in ("ms", "pan"))
         assert np.array_equal(pca_fuse(ms, pan).data, reference_pca_fuse(ms, pan))
