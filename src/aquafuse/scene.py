@@ -47,7 +47,7 @@ the box is part of the footprint, just as on a whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -87,7 +87,9 @@ NOISE_SENSORS = ("pan", "ms", "landsat")
 
 
 class SceneError(Exception):
-    pass
+    def __init__(self, message, entry=None):  # entry: see SceneSpec.validate
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass
@@ -107,37 +109,6 @@ class Feature:
     height: float = 0.0
 
 
-# the rules of one texture, noise or feature line, checked on that line by parse_scene
-# and again by SceneSpec.validate, for a spec built in code
-def _check_texture(cls, sigma, cell_m):
-    if cls not in SURFACE_CLASSES:
-        raise SceneError(f"unknown texture class {cls!r}")
-    if not sigma >= 0:
-        raise SceneError(f"texture sigma for {cls!r} must be >= 0")
-    if not 0 < cell_m < math.inf:
-        raise SceneError(f"texture cell for {cls!r} must be a positive size")
-
-
-def _check_noise(sensor, sigma):
-    if sensor not in NOISE_SENSORS:
-        raise SceneError(f"unknown noise sensor {sensor!r}")
-    if sigma < 0:
-        raise SceneError(f"noise sigma for {sensor!r} must be >= 0")
-
-
-def _check_feature(f):
-    if f.kind not in SURFACE_CLASSES:
-        raise SceneError(f"unknown feature class {f.kind!r}")
-    if f.kind == "tree" and f.height <= 0:
-        raise SceneError("tree feature needs a positive height")
-    if f.height < 0:
-        raise SceneError("feature height must be >= 0")
-    if f.shape == "line" and f.width <= 0:
-        raise SceneError("line feature needs a positive width")
-    if f.shape == "disk" and f.params[2] < 0:
-        raise SceneError(f"disk radius must be >= 0, got {f.params[2]}")
-
-
 @dataclass
 class SceneSpec:
     extent: tuple = (240.0, 240.0)
@@ -155,42 +126,62 @@ class SceneSpec:
     train_per_class: int = 60
 
     def validate(self):
-        numbers = [*self.extent, self.sun.sun_elevation_deg, self.sun.sun_azimuth_deg,
-                   self.shadow_factor, self.shadow_factor_nir, *self.noise.values(),
-                   *(v for pair in self.textures.values() for v in pair),
-                   *(v for bands in self.spectra.values() for v in bands.values()),
-                   *(v for f in self.features for v in f.params + (f.width, f.height))]
-        if not all(map(math.isfinite, numbers)):
-            raise SceneError("scene numbers must be finite")
-        ex, ey = self.extent
-        if ex <= 0 or ey <= 0:
-            raise SceneError("extent must be positive")
+        """Check every rule on the scene's values, parsed or built in code.  A
+        broken rule's SceneError names its ``entry`` (``extent``, ``noise pan``,
+        ``spectrum water``, ``feature 3`` for ``features[3]``, ...), so that
+        ``parse_scene`` can name its line; a class with no spectrum names none."""
+        def check(ok, entry, message):
+            if not ok:
+                raise SceneError(message, entry)
+
+        numbers = {"extent": self.extent, "sun": astuple(self.sun),
+                   "shadow_factor": [self.shadow_factor],
+                   "shadow_factor_nir": [self.shadow_factor_nir],
+                   **{f"noise {k}": [v] for k, v in self.noise.items()},
+                   **{f"texture {k}": v for k, v in self.textures.items()},
+                   **{f"spectrum {k}": v.values() for k, v in self.spectra.items()},
+                   **{f"feature {i}": (*f.params, f.width, f.height)
+                      for i, f in enumerate(self.features)}}
+        for entry, values in numbers.items():
+            check(all(map(math.isfinite, values)), entry, f"{entry} numbers must be finite")
         for axis in self.extent:
+            check(axis > 0, "extent", "extent must be positive")
             for pixel in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M):
-                if abs(axis / pixel - round(axis / pixel)) > 1e-9:
-                    raise SceneError(
-                        f"extent {axis} must be a whole number of {pixel} m pixels"
-                    )
-        for cls in SURFACE_CLASSES:
-            if cls not in self.spectra:
-                raise SceneError(f"spectral library misses class {cls!r}")
-            for band in SPECTRUM_BANDS:
-                if band not in self.spectra[cls]:
-                    raise SceneError(f"class {cls!r} misses band {band!r}")
-        for cls in self.spectra:
-            if cls not in SURFACE_CLASSES:
-                raise SceneError(f"unknown spectrum class {cls!r}")
-        for cls, (sigma, cell_m) in self.textures.items():
-            _check_texture(cls, sigma, cell_m)
+                check(abs(axis / pixel - round(axis / pixel)) <= 1e-9, "extent",
+                      f"extent {axis} must be a whole number of {pixel} m pixels")
+        for key in ("shadow_factor", "shadow_factor_nir"):
+            value = getattr(self, key)
+            check(0.0 < value <= 1.0, key, f"{key} must be in (0, 1], got {value}")
+        check(self.seed >= 0, "seed", f"seed must be >= 0, got {self.seed}")
+        # the classifier fits each class from 2 sites or more
+        check(self.train_per_class >= 2, "train_per_class",
+              f"train_per_class must be >= 2, got {self.train_per_class}")
         for sensor, sigma in self.noise.items():
-            _check_noise(sensor, sigma)
-        if self.train_per_class < 2:  # the classifier fits each class from 2 sites or more
-            raise SceneError(f"train_per_class must be >= 2, got {self.train_per_class}")
-        for factor in (self.shadow_factor, self.shadow_factor_nir):
-            if not (0.0 < factor <= 1.0):
-                raise SceneError("shadow factors must be in (0, 1]")
-        for f in self.features:
-            _check_feature(f)
+            check(sensor in NOISE_SENSORS, f"noise {sensor}", f"unknown noise sensor {sensor!r}")
+            check(sigma >= 0, f"noise {sensor}", f"noise sigma for {sensor!r} must be >= 0")
+        for cls, (sigma, cell_m) in self.textures.items():
+            entry = f"texture {cls}"
+            check(cls in SURFACE_CLASSES, entry, f"unknown texture class {cls!r}")
+            check(sigma >= 0, entry, f"texture sigma for {cls!r} must be >= 0")
+            check(cell_m > 0, entry, f"texture cell for {cls!r} must be a positive size")
+        for cls, bands in self.spectra.items():
+            check(cls in SURFACE_CLASSES, f"spectrum {cls}", f"unknown spectrum class {cls!r}")
+            for band in SPECTRUM_BANDS:
+                check(band in bands, f"spectrum {cls}", f"class {cls!r} misses band {band!r}")
+        for cls in SURFACE_CLASSES:
+            check(cls in self.spectra, None, f"spectral library misses class {cls!r}")
+        for i, f in enumerate(self.features):
+            entry = f"feature {i}"
+            check(f.kind in SURFACE_CLASSES, entry, f"unknown feature class {f.kind!r}")
+            check(f.kind != "tree" or f.height > 0, entry, "tree feature needs a positive height")
+            check(f.height >= 0, entry, "feature height must be >= 0")
+            if f.shape == "line":
+                x0, y0, x1, y1 = f.params
+                check(f.width > 0, entry, "line feature needs a positive width")
+                check((x1 - x0) ** 2 + (y1 - y0) ** 2 > 0, entry,
+                      "line feature needs two distinct ends")
+            if f.shape == "disk":
+                check(f.params[2] >= 0, entry, f"disk radius must be >= 0, got {f.params[2]}")
         return self
 
 
@@ -228,7 +219,10 @@ class SceneBundle:
 # and `spectrum` at most once per sensor or class.  A `spectrum` line gives
 # each of its bands at most once, and only bands of SPECTRUM_BANDS.  A
 # `feature` gives `height` and `width` at most once.  Numbers are finite, and
-# the other directives take exactly the operands shown.
+# the other directives take exactly the operands shown.  The rules on the
+# values, among them `seed` >= 0 and a `line` with two distinct ends, are
+# SceneSpec.validate's.  Every error names its line, except the error of a
+# class with no `spectrum` line.
 
 NAMED_DIRECTIVES = ("noise", "texture", "spectrum")
 OPERAND_COUNTS = {"extent": 2, "sun": 2, "shadow_factor": 1, "shadow_factor_nir": 1,
@@ -242,9 +236,13 @@ def _number(word: str) -> float:
     return value
 
 
+def _on_line(lineno: int, raw: str, exc: Exception) -> SceneError:
+    return SceneError(f"scene line {lineno}: {raw.strip()!r}: {exc}")
+
+
 def parse_scene(text: str) -> SceneSpec:
     spec = SceneSpec()
-    given = set()
+    lines = {}  # entry, as SceneSpec.validate names it -> (line number, line)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -252,11 +250,13 @@ def parse_scene(text: str) -> SceneSpec:
         parts = line.split()
         key = parts[0]
         try:
-            if key != "feature":
+            if key == "feature":
+                entry = f"feature {len(spec.features)}"
+            else:
                 entry = " ".join(parts[:2]) if key in NAMED_DIRECTIVES else key
-                if entry in given:
+                if entry in lines:
                     raise SceneError(f"{entry!r} given twice")
-                given.add(entry)
+            lines[entry] = lineno, raw
             if key in OPERAND_COUNTS and len(parts) != OPERAND_COUNTS[key] + 1:
                 raise SceneError(f"{key!r} takes {OPERAND_COUNTS[key]} operand(s), "
                                  f"got {len(parts) - 1}")
@@ -274,10 +274,8 @@ def parse_scene(text: str) -> SceneSpec:
                 spec.train_per_class = int(parts[1])
             elif key == "noise":
                 spec.noise[parts[1]] = _number(parts[2])
-                _check_noise(parts[1], spec.noise[parts[1]])
             elif key == "texture":
                 spec.textures[parts[1]] = (_number(parts[2]), _number(parts[3]))
-                _check_texture(parts[1], *spec.textures[parts[1]])
             elif key == "spectrum":
                 bands = {}
                 for item in parts[2:]:
@@ -293,8 +291,13 @@ def parse_scene(text: str) -> SceneSpec:
             else:
                 raise SceneError(f"unknown directive {key!r}")
         except (IndexError, ValueError, SceneError) as exc:
-            raise SceneError(f"scene line {lineno}: {raw.strip()!r}: {exc}") from exc
-    return spec.validate()
+            raise _on_line(lineno, raw, exc) from exc
+    try:
+        return spec.validate()
+    except SceneError as exc:
+        if exc.entry not in lines:
+            raise
+        raise _on_line(*lines[exc.entry], exc) from exc
 
 
 # feature words map onto rendered surface classes
@@ -330,9 +333,7 @@ def _parse_feature(parts) -> Feature:
         raise SceneError("poly needs at least 3 x y pairs")
     if shape not in ("rect", "disk", "line", "poly"):
         raise SceneError(f"unknown shape {shape!r}")
-    feature = Feature(kind, shape, tuple(numbers), **named)
-    _check_feature(feature)
-    return feature
+    return Feature(kind, shape, tuple(numbers), **named)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +361,6 @@ def _feature_mask(f: Feature, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         x0, y0, x1, y1 = f.params
         dx, dy = x1 - x0, y1 - y0
         length2 = dx * dx + dy * dy
-        if length2 == 0:
-            raise SceneError("degenerate line feature")
         t = np.clip(((gx - x0) * dx + (gy - y0) * dy) / length2, 0.0, 1.0)
         px = x0 + t * dx
         py = y0 + t * dy

@@ -79,14 +79,14 @@ OBJECT_KIND_LOW_BUILDING = 2
 OBJECT_KIND_TREE = 3
 
 
-def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int, origin=(0, 0)):
+def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int):
     """OR ``mask`` into ``acc``, shifted by (drow, dcol) from where its top-left
-    pixel sits at ``origin`` of ``acc``.  Pixels shifted off ``acc`` are dropped."""
-    top, left = origin[0] + drow, origin[1] + dcol
-    r0, r1 = max(top, 0), min(top + mask.shape[0], acc.shape[0])
-    c0, c1 = max(left, 0), min(left + mask.shape[1], acc.shape[1])
+    pixel sits at the top-left of ``acc``.  Pixels shifted off ``acc`` are
+    dropped."""
+    r0, r1 = max(drow, 0), min(drow + mask.shape[0], acc.shape[0])
+    c0, c1 = max(dcol, 0), min(dcol + mask.shape[1], acc.shape[1])
     if r0 < r1 and c0 < c1:
-        acc[r0:r1, c0:c1] |= mask[r0 - top:r1 - top, c0 - left:c1 - left]
+        acc[r0:r1, c0:c1] |= mask[r0 - drow:r1 - drow, c0 - dcol:c1 - dcol]
 
 
 def height_sweep(h_min: float, h_max: float, step: float) -> np.ndarray:

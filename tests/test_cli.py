@@ -179,12 +179,26 @@ class TestExitCodes:
          "'height' given twice"),
         ("feature tree disk 30 22 7 height 14", "feature tree disk 30 22 -5 height 14",
          "disk radius must be >= 0, got -5.0"),
+        ("shadow_factor 0.5", "shadow_factor 1.5", "shadow_factor must be in (0, 1], got 1.5"),
+        ("shadow_factor_nir 0.55", "shadow_factor_nir 0",
+         "shadow_factor_nir must be in (0, 1], got 0.0"),
+        ("train_per_class 60", "train_per_class 1", "train_per_class must be >= 2, got 1"),
+        ("seed 7", "seed -1", "seed must be >= 0, got -1"),
+        ("extent 240 240", "extent 240 250",
+         "extent 250.0 must be a whole number of 0.8 m pixels"),
+        ("extent 240 240", "extent 0 240", "extent must be positive"),
+        ("spectrum water    pan=0.05", "spectrum foo    pan=0.05",
+         "unknown spectrum class 'foo'"),
+        ("feature river line 0 88 240 100 width 2.4", "feature river line 10 10 10 10 width 2",
+         "line feature needs two distinct ends"),
     ])
     def test_scene_line_in_place_is_config_error(self, tmp_path, capsys, old, new, reason):
         """A value out of range, a non-finite number or an extra operand, in
         place of the scene's own line of that directive (so that the repeat
-        rule does not stop it first), stops synth and names the line and the
-        reason."""
+        rule does not stop it first), stops synth with one line on stderr
+        that names the scene line and the reason, and no traceback.  A value
+        rule is checked once the whole scene is read, and still names its
+        line."""
         text = cli.DEFAULT_SCENE_TEXT.replace(old, new)
         scene = tmp_path / "scene.txt"
         scene.write_text(text)
@@ -194,7 +208,8 @@ class TestExitCodes:
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         lineno, line = next((n, line) for n, line in enumerate(text.splitlines(), 1)
                             if new in line)
-        assert f"scene line {lineno}: {line!r}: {reason}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"config error: scene line {lineno}: {line!r}: {reason}\n"
         assert not (tmp_path / "pan.bin").exists()
 
     def test_unknown_spectrum_band_is_config_error(self, tmp_path, capsys):
@@ -316,9 +331,13 @@ def _constant(raster):
     return RasterGrid(raster.geometry, np.full_like(raster.data, 0.2), raster.band_names)
 
 
-def _sun_below_horizon(out):
-    path = out / "scene.txt"
-    path.write_text(path.read_text().replace("\nsun 50 180\n", "\nsun 95 180\n"))
+def _scene_line(old, new):
+    """A damage that writes ``new`` in place of the line ``old`` of the run's
+    scene.txt."""
+    def damage(out):
+        path = out / "scene.txt"
+        path.write_text(path.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+    return damage
 
 
 def _sites_without_impervious(out):
@@ -342,8 +361,11 @@ BAD_INPUTS = {
                          "ms_class.hdr: class codes must be whole numbers in 0..3"),
     "landsat-shifted": ("water-index", _edit_raster("landsat_d074", _shifted_east),
                         cli.EXIT_IO, "all rasters in the stack must share one grid"),
-    "scene-sun-95": ("shadow", _sun_below_horizon, cli.EXIT_IO,
+    "scene-sun-95": ("shadow", _scene_line("sun 50 180", "sun 95 180"), cli.EXIT_IO,
                      "scene.txt: scene line 4: 'sun 95 180': sun elevation must be in (0, 90]"),
+    "scene-shadow-factor-1.5": ("shadow", _scene_line("shadow_factor 0.5", "shadow_factor 1.5"),
+                                cli.EXIT_IO, "scene.txt: scene line 5: 'shadow_factor 1.5': "
+                                "shadow_factor must be in (0, 1], got 1.5"),
     "pan-constant-segment": ("segment", _edit_raster("pan", _constant), cli.EXIT_COMPUTE,
                              "otsu_threshold needs at least 2 distinct values"),
     "pan-constant-pca-fuse": ("pca-fuse", _edit_raster("pan", _constant), cli.EXIT_COMPUTE,

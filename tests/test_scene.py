@@ -212,6 +212,18 @@ class TestParser:
         with pytest.raises(SceneError, match="disk radius must be >= 0, got -5.0"):
             spec.validate()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("features", [Feature("water", "line", (10.0, 10.0, 10.0, 10.0), width=2.0)],
+         "line feature needs two distinct ends"),
+    ])
+    def test_spec_built_in_code_is_validated(self, field, value, message):
+        """``validate`` holds the rules on values, so a spec built in code is
+        checked by the same rules as a parsed one, before any rendering."""
+        spec = dataclasses.replace(parse_scene(SIMPLE_SCENE), **{field: value})
+        with pytest.raises(SceneError, match=message):
+            generate_scene(spec)
+
     def test_line_needs_width(self):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\nfeature river line 0 5 10 5")
@@ -222,9 +234,11 @@ class TestParser:
             parse_scene(SIMPLE_SCENE.replace("extent 240 240", "extent 100 100"))
 
     def test_missing_spectrum_class(self):
+        """A class with no spectrum line is a rule on the whole scene, so
+        its error names no line."""
         text = "\n".join(line for line in SIMPLE_SCENE.splitlines()
                          if not line.startswith("spectrum asphalt"))
-        with pytest.raises(SceneError):
+        with pytest.raises(SceneError, match="^spectral library misses class 'asphalt'$"):
             parse_scene(text)
 
     def test_fixture_is_the_default_scene(self):

@@ -213,7 +213,7 @@ class TestShiftOr:
             rr, cc = r + origin[0] + drow, c + origin[1] + dcol
             if 0 <= rr < acc.shape[0] and 0 <= cc < acc.shape[1]:
                 want[rr, cc] = True
-        shift_or(acc, mask, drow, dcol, origin=origin)
+        shift_or(acc, mask, origin[0] + drow, origin[1] + dcol)
         assert np.array_equal(acc, want)
 
 
@@ -238,7 +238,7 @@ SUNS = [(90.0, 0.0), (50.0, 180.0), (45.0, 45.0), (30.0, 90.0), (35.0, 120.0),
 def per_offset_union(acc, mask, offsets, origin=(0, 0)):
     """``shift_or`` of ``mask`` by every offset, one at a time."""
     for drow, dcol in offsets:
-        shift_or(acc, mask, drow, dcol, origin=origin)
+        shift_or(acc, mask, origin[0] + drow, origin[1] + dcol)
     return acc
 
 
@@ -254,7 +254,7 @@ class TestSweepUnion:
         assert union.shape == (mask.shape[0] + max(rows) - top, mask.shape[1] + max(cols) - left)
         want = per_offset_union(np.zeros(shape, dtype=bool), mask, offsets, origin)
         got = np.zeros(shape, dtype=bool)
-        shift_or(got, union, top, left, origin=origin)
+        shift_or(got, union, origin[0] + top, origin[1] + left)
         assert np.array_equal(got, want)
         return want
 
