@@ -30,8 +30,9 @@ from .postclass import relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
                      read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
-from .segmentation import (kmeans_segment, load_segment_stats, morphological_profiles,
-                           paint_segments, save_segment_stats, segment_stats)
+from .segmentation import (band_std, kmeans_segment, load_segment_stats,
+                           morphological_profiles, paint_segments, save_segment_stats,
+                           segment_stats)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, tree_grass_split)
@@ -178,11 +179,13 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
 
     mps = morphological_profiles(pan)
     segmap = kmeans_segment(pan, mps, k=cfg.kmeans_k)
+    mp_std = band_std(mps.data)
+    del mps  # the ten profile bands are freed before the fields are resampled
     # resampled to the PAN grid only now, so that k-means does not hold them
     p_ms_field = resample_nearest(
         RasterGrid(ms_prob.geometry, ms_prob.band("p_water")[np.newaxis], ["p_water"]),
         pan.geometry)
-    segment_stats(segmap, pan, mps, p_ms_field, resample_nearest(landsat_wi, pan.geometry),
+    segment_stats(segmap, pan, mp_std, p_ms_field, resample_nearest(landsat_wi, pan.geometry),
                   resample_nearest(ms_class, pan.geometry), t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)

@@ -168,8 +168,9 @@ def write_raster(raster: RasterGrid, path) -> None:
         f"band_names = {','.join(raster.band_names)}",
     ]
     stem.with_suffix(".hdr").write_text("\n".join(lines) + "\n")
-    payload = np.ascontiguousarray(raster.data, dtype="<f4").tobytes()
-    stem.with_suffix(".bin").write_bytes(payload)
+    # written from the samples' own buffer when they are already little-endian
+    # float32, with no copy
+    stem.with_suffix(".bin").write_bytes(np.ascontiguousarray(raster.data, dtype="<f4"))
 
 
 def _parse_header(path: Path) -> dict:

@@ -33,11 +33,13 @@ straight into every sensor's float64 pixel sums, and the class and shadow
 counts into the PAN truth planes.  A pixel that straddles two strips takes a
 partial sum from each, which by the argument above changes no bit.
 
-A shadow may fall strips away from its object, so each object keeps its cast
-shadow in a small array: the union of its footprint shifted by every offset
-of its height sweep, built once and by doubling (``shadow.sweep_union``),
-over the box that holds every shift.  Each strip ORs in one slice of each
-cast, and clears the shadow from the pixels its own painting marks as
+A shadow may fall strips away from its object, so each object's cast shadow
+is one small array: the union of its footprint shifted by every offset of
+its height sweep, built by doubling (``shadow.sweep_union``) over the box
+that holds every shift.  A cast is built when the first strip that it
+reaches is painted and dropped once the strips pass its last row, so only
+the casts that meet a strip are held.  Each strip ORs in one slice of each
+of them, and clears the shadow from the pixels its own painting marks as
 objects.  The footprint comes from the final heights of the object's box,
 painted from every feature that meets the box in file order: a later feature
 may cover part of the object, and another object of the same height inside
@@ -80,6 +82,14 @@ EVAL_CLASS_OF = {
     "impervious": "impervious",
     "asphalt": "impervious",
     "water": "water",
+}
+
+# feature shape -> (whether a count of parameters fits it, the parameters)
+FEATURE_SHAPES = {
+    "rect": (lambda n: n == 4, "x0 y0 x1 y1"),
+    "disk": (lambda n: n == 3, "cx cy radius"),
+    "line": (lambda n: n == 4, "x0 y0 x1 y1"),
+    "poly": (lambda n: n >= 6 and n % 2 == 0, "at least 3 x y pairs"),
 }
 
 LANDSAT_DAYS = (16, 74, 135, 192, 230, 288, 340)
@@ -173,6 +183,9 @@ class SceneSpec:
         for i, f in enumerate(self.features):
             entry = f"feature {i}"
             check(f.kind in SURFACE_CLASSES, entry, f"unknown feature class {f.kind!r}")
+            check(f.shape in FEATURE_SHAPES, entry, f"unknown shape {f.shape!r}")
+            fits, needs = FEATURE_SHAPES[f.shape]
+            check(fits(len(f.params)), entry, f"{f.shape} needs {needs}")
             check(f.kind != "tree" or f.height > 0, entry, "tree feature needs a positive height")
             check(f.height >= 0, entry, "feature height must be >= 0")
             if f.shape == "line":
@@ -220,7 +233,8 @@ class SceneBundle:
 # each of its bands at most once, and only bands of SPECTRUM_BANDS.  A
 # `feature` gives `height` and `width` at most once.  Numbers are finite, and
 # the other directives take exactly the operands shown.  The rules on the
-# values, among them `seed` >= 0 and a `line` with two distinct ends, are
+# values, among them `seed` >= 0, a feature's shape and its count of
+# numbers (FEATURE_SHAPES) and a `line` with two distinct ends, are
 # SceneSpec.validate's.  Every error names its line, except the error of a
 # class with no `spectrum` line.
 
@@ -323,16 +337,6 @@ def _parse_feature(parts) -> Feature:
         else:
             numbers.append(_number(rest[i]))
             i += 1
-    if shape == "rect" and len(numbers) != 4:
-        raise SceneError("rect needs x0 y0 x1 y1")
-    if shape == "disk" and len(numbers) != 3:
-        raise SceneError("disk needs cx cy radius")
-    if shape == "line" and len(numbers) != 4:
-        raise SceneError("line needs x0 y0 x1 y1")
-    if shape == "poly" and (len(numbers) < 6 or len(numbers) % 2):
-        raise SceneError("poly needs at least 3 x y pairs")
-    if shape not in ("rect", "disk", "line", "poly"):
-        raise SceneError(f"unknown shape {shape!r}")
     return Feature(kind, shape, tuple(numbers), **named)
 
 
@@ -478,37 +482,62 @@ def _object_height(f: Feature) -> np.float32:
     return np.float32(f.height if f.kind in ("impervious", "tree") else 0.0)
 
 
-def _objects(spec: SceneSpec, xs, ys, boxes, bounds) -> list:
-    """``(cast, top, left)`` of every object feature: its cast shadow, the
+class _Casts:
+    """The cast shadows of the object features, each held only while the
+    strips that it reaches are painted.  An object's cast is the
     ``sweep_union`` of its footprint (the pixels of its box ``(rows, cols)``
-    whose final height is its own) over the offsets of its height sweep,
-    whose top-left pixel is at (top, left) on the supersample grid.
-    ``bounds`` holds the boxes' bounds for ``_meeting``.
+    whose final height is its own) over the offsets of its height sweep; it
+    covers the rows of the box shifted by the sweep's least and greatest row
+    offsets, which are known before it is built.  ``bounds`` holds the boxes'
+    bounds for ``_meeting``.
 
     A pixel's final height is that of the last feature painted over it, so a
     box's heights are painted from every feature that meets the box, in file
     order: another object of the same height in the box is part of the
     footprint, and a later flat feature clears the pixels it covers."""
-    levels = list(map(_object_height, spec.features))
-    heights = sorted({h for h in levels if h > 0})
-    levels = [heights.index(h) + 1 if h > 0 else 0 for h in levels]
-    a, b = spec.sun.offset_coefficients()  # meters east / south per meter height
-    slope = max(abs(a), abs(b))
-    sweeps = []  # per height level, the sorted (row, col) offsets
-    for h in heights:
-        step = SUPERSAMPLE_M / slope if slope > 0 else h
-        sweeps.append(sweep_offsets(a, b, height_sweep(0.0, h, step), SUPERSAMPLE_M))
-    objects = []
-    for lvl, (rows, cols) in zip(levels, boxes):
-        if not lvl:
-            continue
-        box_level = np.zeros((ys[rows].size, xs[cols].size),
-                             dtype=np.min_scalar_type(len(heights)))
-        for i in _meeting(bounds, rows, cols):
-            _paint(box_level, rows, cols, spec.features[i], boxes[i], levels[i], xs, ys)
-        cast, top, left = sweep_union(box_level == lvl, sweeps[lvl - 1])
-        objects.append((cast, rows.start + top, cols.start + left))
-    return objects
+
+    def __init__(self, spec: SceneSpec, xs, ys, boxes, bounds):
+        self.spec, self.xs, self.ys, self.boxes, self.bounds = spec, xs, ys, boxes, bounds
+        levels = list(map(_object_height, spec.features))
+        heights = sorted({h for h in levels if h > 0})
+        self.levels = [heights.index(h) + 1 if h > 0 else 0 for h in levels]
+        a, b = spec.sun.offset_coefficients()  # meters east / south per meter height
+        slope = max(abs(a), abs(b))
+        self.sweeps = []  # per height level, the sorted (row, col) offsets
+        for h in heights:
+            step = SUPERSAMPLE_M / slope if slope > 0 else h
+            self.sweeps.append(sweep_offsets(a, b, height_sweep(0.0, h, step), SUPERSAMPLE_M))
+        self.pending = []  # (first row, stop row, feature) of every cast not built yet
+        for i, (lvl, (rows, _)) in enumerate(zip(self.levels, boxes)):
+            if lvl:
+                offsets = self.sweeps[lvl - 1]  # sorted by row
+                self.pending.append((rows.start + offsets[0][0], rows.stop + offsets[-1][0], i))
+        self.pending.sort(reverse=True)  # the next to build last
+        self.held = []  # (stop row, (cast, top, left)) of every cast built and not dropped
+
+    def meeting(self, r: int, stop: int) -> list:
+        """``(cast, top, left)`` of every cast that may meet rows r:stop, as
+        the strips are painted from the top: the casts held, once those that
+        end above row r are dropped and those that start above row stop are
+        built.  A cast's top-left pixel is at (top, left) on the supersample
+        grid."""
+        self.held = [(end, cast) for end, cast in self.held if end > r]
+        while self.pending and self.pending[-1][0] < stop:
+            _, end, i = self.pending.pop()
+            if end > r:
+                self.held.append((end, self._build(i)))
+        return [cast for _, cast in self.held]
+
+    def _build(self, i: int):
+        rows, cols = self.boxes[i]
+        lvl = self.levels[i]
+        box_level = np.zeros((rows.stop - rows.start, cols.stop - cols.start),
+                             dtype=np.min_scalar_type(len(self.sweeps)))
+        for j in _meeting(self.bounds, rows, cols):
+            _paint(box_level, rows, cols, self.spec.features[j], self.boxes[j], self.levels[j],
+                   self.xs, self.ys)
+        cast, top, left = sweep_union(box_level == lvl, self.sweeps[lvl - 1])
+        return cast, rows.start + top, cols.start + left
 
 
 N_PAIRS = 2 * len(SURFACE_CLASSES)  # (surface class, lit/shadow) pairs
@@ -554,8 +583,8 @@ def _strip_counts(spec: SceneSpec, xs, ys, edges):
 
     The strip is painted with each feature's lit pair code, plus 1 for an
     object, from every feature whose box meets it, in file order; the slice
-    of each object's cast shadow (built once, by ``_objects``) that falls on
-    it is ORed into a shadow mask; an object pixel's odd code is turned back
+    of each object's cast shadow (``_Casts``) that falls on it is ORed into
+    a shadow mask; an object pixel's odd code is turned back
     to its lit pair, since objects are not shadows of themselves, and every
     other pixel takes the shadow bit; and the pairs are counted by
     ``_pair_counts``.  Each step gives every pixel of the strip what it gives
@@ -565,7 +594,7 @@ def _strip_counts(spec: SceneSpec, xs, ys, edges):
     # each feature's lit pair code, plus 1 to mark an object's pixels
     codes = [2 * SURFACE_CLASSES.index(f.kind) + (_object_height(f) > 0)
              for f in spec.features]
-    objects = _objects(spec, xs, ys, boxes, bounds)
+    casts = _Casts(spec, xs, ys, boxes, bounds)
     row_edges, col_edges = edges
     h, w = ys.size, xs.size
     b = _block_side(edges)
@@ -576,21 +605,21 @@ def _strip_counts(spec: SceneSpec, xs, ys, edges):
         stop = min(r + STRIP, h)
         cells = block_row_cell[r // b:stop // b]
         yield r, stop, cells[0], _pair_counts(
-            _strip_codes(spec, r, stop, xs, ys, codes, boxes, bounds, objects), b,
+            _strip_codes(spec, r, stop, xs, ys, codes, boxes, bounds, casts.meeting(r, stop)), b,
             (cells - cells[0]) * (wc * N_PAIRS), col_part,
             (cells[-1] + 1 - cells[0]) * wc * N_PAIRS).reshape(-1, wc, N_PAIRS)
 
 
 def _strip_codes(spec: SceneSpec, r, stop, xs, ys, codes, boxes, bounds,
-                 objects) -> np.ndarray:
+                 casts) -> np.ndarray:
     """The pair codes of rows r:stop of the supersample grid (see
-    ``_strip_counts``)."""
+    ``_strip_counts``), whose shadows are those of ``casts``."""
     classes = np.full((stop - r, xs.size), 2 * SURFACE_CLASSES.index("soil"), dtype=np.int8)
     rows, cols = slice(r, stop), slice(0, xs.size)
     for i in _meeting(bounds, rows, cols):
         _paint(classes, rows, cols, spec.features[i], boxes[i], codes[i], xs, ys)
     shadow = np.zeros(classes.shape, dtype=bool)
-    for cast, top, left in objects:
+    for cast, top, left in casts:
         shift_or(shadow, cast, top - r, left)
     classes ^= (classes & 1) | shadow  # the pair code: 2 * class code + shadowed
     return classes
@@ -686,13 +715,16 @@ def _render(spec: SceneSpec, xs, ys, edges):
             if s == sides[0]:
                 part = _reduce(lanes.view(np.uint64)[..., 0], rows, cols)
                 pan_counts[p0:p1] += part[..., np.newaxis].view(np.uint8)
+        del counts, planes, totals, lanes, part  # freed before the next strip is painted
     return sums, pan_counts
 
 
 def _rasters(spec: SceneSpec, sums, band_names, pixel_m, sensor: str, sensor_id: int,
              dates: int = 1) -> list:
     """One raster per date: each pixel's mean reflectance, from its sum
-    (bands, height, width), plus the sensor's noise."""
+    (bands, height, width), plus the sensor's noise.  A noise that takes a
+    sample out of float32's range, where the noise-free samples fit, is a
+    SceneError of its ``noise`` entry."""
     _, height, width = sums.shape
     geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=spec.extent[1])
     means = sums / int(round(pixel_m / SUPERSAMPLE_M)) ** 2
@@ -705,7 +737,12 @@ def _rasters(spec: SceneSpec, sums, band_names, pixel_m, sensor: str, sensor_id:
             if sigma > 0:
                 rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
                 pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
-            bands[bidx] = pixels
+            with np.errstate(over="ignore"):  # an infinite sample is reported below
+                bands[bidx] = pixels
+        if (sigma > 0 and not np.isfinite(bands).all()
+                and np.abs(means).max() <= np.finfo(np.float32).max):  # noise-free samples fit
+            raise SceneError(f"noise {sensor} {sigma!r} gives samples beyond the float32 range",
+                             f"noise {sensor}")
         rasters.append(RasterGrid(geom, bands, list(band_names)))
     return rasters
 

@@ -26,6 +26,7 @@ KMEANS_SUBSAMPLE = 16    # the centres are found on every 16th pixel first
 KMEANS_BLOCK = 1 << 13   # rows per block of k-means features and distances
 KMEANS_TEST_BLOCK = 1 << 16  # rows per block of the k-means bound test
 KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see _lloyd
+STD_BLOCK = 1 << 14      # pixels per block of band_std
 
 
 # One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
@@ -308,10 +309,10 @@ def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums
         lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
 
 
-def _unsettled_rows(assign, upper, lower, tau2, old, new):
+def _unsettled_rows(assign, upper, lower, f2, norm2, old, new):
     """Move the bounds of ``_lloyd`` with the centres from ``old`` to ``new``
-    and return the rows whose bounds no longer prove their centre; ``tau2``
-    holds each row's 2 tau."""
+    and return the rows whose bounds no longer prove their centre; a row's
+    2 tau is built in its test block from ``f2`` and ``norm2``."""
     up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
     move = np.sqrt(np.sum((new - old) ** 2, axis=1)) * up
     lower -= np.max(move)
@@ -326,8 +327,10 @@ def _unsettled_rows(assign, upper, lower, tau2, old, new):
         bound += move[centre]
         bound *= up
         # upper**2 + 2 tau against max(half, lower)**2
+        tau2 = f2[block] + norm2
+        tau2 *= 2.0 * KMEANS_SLACK
         lhs = bound * bound
-        lhs += tau2[block]
+        lhs += tau2
         rhs = half[centre]
         np.maximum(rhs, lower[block], out=rhs)
         rhs *= rhs
@@ -354,7 +357,10 @@ def _lloyd(features, centers: np.ndarray):
     unsettled rows.  No value depends on the block a row is built in,
     its squared norm is summed left to right (``_row_norms``) and each
     distance is the one a product over all rows gives it, so the results
-    are those of one matrix, bit for bit.
+    are those of one matrix, bit for bit.  Four arrays of one value a row
+    are held (``f2``, ``assign``, ``upper`` and ``lower``); a row's slack
+    ``2 tau`` is built in each block of the bound test from ``f2`` and
+    ``norm2``, with the same steps, so it needs no array of its own.
 
     Each pass assigns every row to the centre of its smallest
     ``_sq_distances`` value, and each centre becomes the mean of its rows.
@@ -408,20 +414,15 @@ def _lloyd_passes(features, centers: np.ndarray):
     lower = np.empty(n)
     sums = np.zeros(centers.shape)
     norm2 = 0.0
-    tau2 = None  # 2 tau of every row, rebuilt only when norm2 grows
     previous = None
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         top = float(np.max(np.sum(centers ** 2, axis=1)))
-        if top > norm2:
-            norm2, tau2 = top, None
+        norm2 = max(norm2, top)
         if previous is None:  # the first pass computes, sums and counts every row
             _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, sums)
             counts = np.bincount(assign, minlength=k)
         else:  # a later pass computes the unsettled rows and moves their sums and counts
-            if tau2 is None:
-                tau2 = f2 + norm2
-                tau2 *= 2.0 * KMEANS_SLACK
-            rows = _unsettled_rows(assign, upper, lower, tau2, previous, centers)
+            rows = _unsettled_rows(assign, upper, lower, f2, norm2, previous, centers)
             counts -= np.bincount(assign[rows], minlength=k)
             _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums)
             counts += np.bincount(assign[rows], minlength=k)
@@ -529,37 +530,47 @@ def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
     return per
 
 
-def _band_std(stack: np.ndarray) -> np.ndarray:
+def band_std(stack: np.ndarray) -> np.ndarray:
     """``stack.std(axis=0, dtype=np.float64)`` of a (bands, h, w) stack, one
-    band at a time, so that no temporary larger than one float64 plane is
-    made.  numpy reduces axis 0 plane by plane, in this order, so the result
-    is the same bit for bit."""
-    mean = stack[0].astype(np.float64)
-    for band in stack[1:]:
-        mean += band
-    mean /= len(stack)
-    var = np.zeros_like(mean)
-    dev = np.empty_like(mean)
-    for band in stack:
-        np.subtract(band, mean, out=dev)
-        dev *= dev
-        var += dev
+    band at a time and STD_BLOCK pixels at a time, so that no temporary
+    larger than one float64 block is made besides the (h, w) result.  numpy
+    reduces axis 0 plane by plane, in this order, with the same steps for
+    each element, so the result is the same bit for bit."""
+    bands = stack.reshape(len(stack), -1)
+    var = np.zeros(bands.shape[1])
+    for start in range(0, len(var), STD_BLOCK):
+        block, out = bands[:, start:start + STD_BLOCK], var[start:start + STD_BLOCK]
+        mean = block[0].astype(np.float64)
+        for band in block[1:]:
+            mean += band
+        mean /= len(block)
+        dev = np.empty_like(mean)
+        for band in block:
+            np.subtract(band, mean, out=dev)
+            dev *= dev
+            out += dev
     var /= len(stack)
-    return np.sqrt(var, out=var)
+    return np.sqrt(var, out=var).reshape(stack.shape[1:])
 
 
-def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
+def segment_stats(segmap: SegmentMap, pan: RasterGrid, mp_std: np.ndarray,
                   p_ms_field: RasterGrid, p_lan_field: RasterGrid,
                   ms_class_map: RasterGrid, t_pan: float) -> SegmentMap:
     """Fill every per-segment statistic except the shadow proportion;
-    ``p_pan`` is the share of PAN pixels strictly darker than ``t_pan``.
+    ``p_pan`` is the share of PAN pixels strictly darker than ``t_pan``, and
+    ``mp_std`` the mean of the (h, w) plane ``mp_std``, each pixel's
+    ``band_std`` over the morphological profiles.  The caller takes that
+    plane before it resamples the fields, so that the ten profile bands are
+    freed first.
 
     All rasters must already live on the PAN grid; ``ms_class_map`` holds
     indices into ``CLASS_ORDER``, which the stage that reads it has checked.
     """
-    for r in (pan, mps, p_ms_field, p_lan_field, ms_class_map):
+    for r in (pan, p_ms_field, p_lan_field, ms_class_map):
         if r.geometry != segmap.geometry:
             raise RasterError("all rasters must live on the segment grid")
+    if mp_std.shape != segmap.labels.shape:
+        raise RasterError("the mp_std plane must cover the segment grid")
     n_classes = len(CLASS_ORDER)
     class_idx = ms_class_map.data[0].ravel().astype(np.int64)
     table = segmap.records
@@ -573,7 +584,7 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mps: RasterGrid,
     table.p_pan = segmap.mean(pan.data[0] < t_pan)
     table.p_ms = segmap.mean(p_ms_field.data[0])
     table.p_lan = segmap.mean(p_lan_field.data[0])
-    table.mp_std = segmap.mean(_band_std(mps.data))
+    table.mp_std = segmap.mean(mp_std)
     return segmap
 
 

@@ -16,8 +16,8 @@ SWIR_BANDS = ("swir1", "swir2")
 OTSU_BINS = 256  # histogram bins of otsu_threshold
 
 COVARIANCE_EPSILON = 1e-4
-CLASSIFY_BLOCK = 1 << 16  # pixels per block of classify_probabilities
-PCA_BLOCK = 1 << 16  # rows per block of the pca_fuse transforms, at least 4
+CLASSIFY_BLOCK = 1 << 14  # pixels per block of classify_probabilities
+PCA_BLOCK = 1 << 14  # rows per block of the pca_fuse transforms, at least 4
 
 
 class ComputeError(Exception):
@@ -46,12 +46,15 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     The MS image is duplicated onto the PAN grid, PCA-transformed, its first
     component replaced by the PAN band rescaled to the first component's mean
     and standard deviation, and transformed back.  The spectra are copied to
-    float64 and centred once; the fused spectra overwrite that copy.  Both
-    transforms run PCA_BLOCK rows at a time, so no (n, d) array of scores is
-    held: the first keeps only the first component.  BLAS's gemm computes a
-    row alike in every product of two or more rows, so the blocks give the
-    bits of one product over all rows; numpy multiplies a lone row by gemv,
-    so no block is left with one row.
+    float64 and centred once; the fused spectra overwrite that copy, which
+    is freed once the float32 output is made.  Both transforms run
+    PCA_BLOCK rows at a time, so no (n, d) array of scores is held: the
+    first keeps only the first component, whose mean and deviation are
+    taken and which is freed before the PAN band is copied to float64.  So
+    the peak is the float64 spectra and one float32 copy.  BLAS's gemm
+    computes a row alike in every product of two or more rows, so the blocks
+    give the bits of one product over all rows; numpy multiplies a lone row
+    by gemv, so no block is left with one row.
     """
     if pan.bands != 1:
         raise RasterError("PAN raster must have exactly 1 band")
@@ -71,13 +74,14 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     pc1 = np.empty(n)
     for block in blocks:
         pc1[block] = (x[block] @ components.T)[:, 0]
+    pc1_std, shift = pc1.std(), pc1.mean()
+    del pc1  # freed before the float64 PAN copy is made
     pan_values = pan.data[0].ravel().astype(np.float64)
     pan_std = pan_values.std()
     if pan_std == 0:
         raise ComputeError("PAN image has zero variance; cannot rescale to PC1")
     pan_values -= pan_values.mean()
-    scale, shift = pc1.std() / pan_std, pc1.mean()
-    del pc1
+    scale = pc1_std / pan_std
     for block in blocks:
         scores = x[block] @ components.T
         scores[:, 0] = pan_values[block] * scale + shift
@@ -85,6 +89,7 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     x += mean
     del scores, pan_values  # freed before the float32 copy is made
     fused = x.T.astype(np.float32, order="C").reshape(d, pan.geometry.height, pan.geometry.width)
+    del x  # freed before RasterGrid checks the samples
     return RasterGrid(pan.geometry, fused, list(ms.band_names))
 
 
@@ -143,7 +148,9 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     pixels at a time, the squared Mahalanobis distance is |L^-1 (x - mean)|^2,
     the log-posteriors are normalized by their logsumexp, and the float64
     posteriors give the class (the first on a tie) before they are stored as
-    float32, where more pixels tie.
+    float32, where more pixels tie.  Besides the float32 outputs, only one
+    block's float64 work is held, about seven (classes, CLASSIFY_BLOCK)
+    arrays; a pixel's values do not depend on the block it is in.
     """
     if raster.bands != model.means.shape[1]:
         raise RasterError(

@@ -5,6 +5,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,6 +133,28 @@ class TestExitCodes:
         assert cli.main(["synth", "--config", str(cfg),
                          "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert not (tmp_path / "pan.bin").exists()
+
+    @pytest.mark.parametrize("sigma,code,stderr", [
+        ("1e308", cli.EXIT_CONFIG,
+         ["config error: noise pan 1e+308 gives samples beyond the float32 range"]),
+        ("1e30", cli.EXIT_OK, []),
+    ])
+    def test_huge_scene_noise(self, tmp_path, sigma, code, stderr):
+        """A noise whose samples leave float32's range stops synth with one
+        stderr line that names its entry, and with every warning an error,
+        numpy warns of nothing; a noise of 1e30 still renders."""
+        scene = tmp_path / "scene.txt"
+        scene.write_text(cli.DEFAULT_SCENE_TEXT.replace("noise pan 0.004", f"noise pan {sigma}"))
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"scene = {scene}\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "aquafuse.cli", "synth", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.splitlines() == stderr
 
     @pytest.mark.parametrize("old,new,message", [
         ("texture grass 0.08 3.2", "texture grass -0.1 3.2",
@@ -703,6 +726,34 @@ class TestPipelineArtifacts:
         for stem in cli.PREDICTION_STEMS:
             report = (pipeline_dir / f"report_{stem}.txt").read_text()
             assert "oa=" in report and "pa=" in report and "ua=" in report
+
+
+class TestSegmentStage:
+    def test_stats_phase_holds_no_profiles(self, pipeline_dir, tmp_path, monkeypatch):
+        """``segment`` takes the mp_std plane and frees the ten profile bands
+        before it resamples the three fields, so its traced peak inside
+        segment_stats on the fixture stays below 64 bytes a pixel: the PAN
+        band and the labels (4 each), the mp_std plane (8) and the three
+        fields (4 each) are held, and segment_stats's own work takes about
+        three int64 planes (24).  The profile bands would add 40."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        segment_stats, peaks = cli.segment_stats, []
+
+        def traced_stats(*args):
+            tracemalloc.reset_peak()
+            result = segment_stats(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return result
+
+        monkeypatch.setattr(cli, "segment_stats", traced_stats)
+        tracemalloc.start()
+        try:
+            cli.cmd_segment(PipelineConfig(), out)
+        finally:
+            tracemalloc.stop()
+        [peak] = peaks
+        assert peak < 64 * read_raster(out / "pan.hdr").data.size
 
 
 class TestWithoutScipy:

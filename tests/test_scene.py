@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -224,6 +225,23 @@ class TestParser:
         with pytest.raises(SceneError, match=message):
             generate_scene(spec)
 
+    @pytest.mark.parametrize("shape,params,message", [
+        ("square", (10.0, 10.0, 20.0, 20.0), "unknown shape 'square'"),
+        ("rect", (10.0, 10.0, 20.0), "rect needs x0 y0 x1 y1"),
+        ("disk", (10.0, 10.0, 2.0, 5.0), "disk needs cx cy radius"),
+        ("line", (10.0, 10.0), "line needs x0 y0 x1 y1"),
+        ("poly", (0.0, 0.0, 10.0, 0.0, 10.0), "poly needs at least 3 x y pairs"),
+    ])
+    def test_feature_shape_built_in_code_names_its_feature(self, shape, params, message):
+        """A feature built in code with an unknown shape, or with a count of
+        numbers its shape does not take, fails ``validate`` on its entry
+        before any rendering."""
+        spec = parse_scene(SIMPLE_SCENE)
+        spec.features.insert(1, Feature("water", shape, params, width=1.0))
+        with pytest.raises(SceneError, match=f"^{re.escape(message)}$") as info:
+            generate_scene(spec)
+        assert info.value.entry == "feature 1"
+
     def test_line_needs_width(self):
         with pytest.raises(SceneError):
             parse_scene(SIMPLE_SCENE + "\nfeature river line 0 5 10 5")
@@ -394,8 +412,11 @@ class TestRendering:
         layout stacked four times (240 x 960 m) has 17.28 million more
         supersamples, and the traced peak grows by less than one byte for
         each: a single whole-grid int8 or bool array would add one.  Each
-        peak also stays at most 21.4 and 25.7 MiB, the peaks of the renderer
-        that held the (class, lit/shadow) counts of every cell of the grid."""
+        peak also stays at most 9.6 and 17.2 MiB: 10% above 8.8 and 15.7 MiB,
+        the peaks of the renderer that frees each strip's arrays before it
+        paints the next strip and holds each cast shadow only while the
+        strips it reaches are painted.  The renderer that held them all
+        peaked at 11.6 and 17.2 MiB."""
         specs = (default_scene(), stacked(default_scene(), 4))
         peaks = []
         for spec in specs:
@@ -407,7 +428,7 @@ class TestRendering:
                 tracemalloc.stop()
         sizes = [math.prod(round(e / SUPERSAMPLE_M) for e in spec.extent) for spec in specs]
         assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < 1.0
-        assert peaks[0] <= 21.4 * 2 ** 20 and peaks[1] <= 25.7 * 2 ** 20
+        assert peaks[0] <= 9.6 * 2 ** 20 and peaks[1] <= 17.2 * 2 ** 20
 
 
 def stacked(spec, n):

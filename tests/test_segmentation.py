@@ -14,6 +14,7 @@ from aquafuse.segmentation import (
     KMEANS_TOL,
     SE_FAMILY,
     SegmentMap,
+    band_std,
     kmeans_segment,
     load_segment_stats,
     morphological_profiles,
@@ -790,8 +791,7 @@ class TestSegmentStats:
         labels = np.zeros((4, 4), dtype=np.int32)
         segmap, geom = self._segmap_for(labels)
         pan = constant_field(geom, 1.0, "pan")
-        mps = RasterGrid(geom, np.zeros((10, 4, 4), dtype=np.float32))
-        stats = segment_stats(segmap, pan, mps,
+        stats = segment_stats(segmap, pan, np.zeros((4, 4)),
                               constant_field(geom, 0.7, "p"),
                               constant_field(geom, 0.2, "p"),
                               constant_field(geom, 3.0, "class_index"), 0.5)
@@ -804,7 +804,7 @@ class TestSegmentStats:
         segmap, geom = self._segmap_for(labels)
         classes = np.array([[0, 3, 3], [1, 3, 1]], dtype=np.float32)
         f = constant_field(geom, 0.0, "p")
-        stats = segment_stats(segmap, f, RasterGrid(geom, np.zeros((10, 2, 3), np.float32)),
+        stats = segment_stats(segmap, f, np.zeros((2, 3)),
                               f, f, RasterGrid(geom, classes[np.newaxis]), 0.5)
         expected = np.zeros((3, len(CLASS_ORDER)), dtype=np.int64)
         for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
@@ -816,9 +816,8 @@ class TestSegmentStats:
         labels[2:5, 2:102] = 0
         segmap, geom = self._segmap_for(labels, pixel_size=0.8)
         pan = constant_field(geom, 1.0, "pan")
-        mps = RasterGrid(geom, np.zeros((10, 7, 104), dtype=np.float32))
         f = constant_field(geom, 0.0, "p")
-        stats = segment_stats(segmap, pan, mps, f, f,
+        stats = segment_stats(segmap, pan, np.zeros((7, 104)), f, f,
                               constant_field(geom, 0.0, "class_index"), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 300
@@ -830,9 +829,8 @@ class TestSegmentStats:
         labels[2:42, 2:42] = 0
         segmap, geom = self._segmap_for(labels, pixel_size=0.8)
         pan = constant_field(geom, 1.0, "pan")
-        mps = RasterGrid(geom, np.zeros((10, 44, 44), dtype=np.float32))
         f = constant_field(geom, 0.0, "p")
-        stats = segment_stats(segmap, pan, mps, f, f,
+        stats = segment_stats(segmap, pan, np.zeros((44, 44)), f, f,
                               constant_field(geom, 0.0, "class_index"), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 1600
@@ -845,17 +843,23 @@ class TestSegmentStats:
         pan = constant_field(geom, 1.0, "pan")
         mp_data = np.zeros((10, 2, 2), dtype=np.float32)
         mp_data[:, 0, 0] = np.arange(10)  # std 2.8722813
-        mps = RasterGrid(geom, mp_data)
         f = constant_field(geom, 0.0, "p")
-        stats = segment_stats(segmap, pan, mps, f, f,
+        stats = segment_stats(segmap, pan, band_std(mp_data), f, f,
                               constant_field(geom, 0.0, "class_index"), 0.5)
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
 
+    def test_mp_std_plane_off_the_grid_rejected(self):
+        segmap, geom = self._segmap_for(np.zeros((2, 2), dtype=np.int32))
+        f = constant_field(geom, 0.0, "p")
+        with pytest.raises(RasterError, match="mp_std"):
+            segment_stats(segmap, f, np.zeros((2, 3)), f, f, f, 0.5)
+
     @pytest.mark.parametrize("case", ["random", "constant_band", "large_offset", "one_band"])
     def test_band_std_is_numpy_std_bit_for_bit(self, case):
         """mp_std's deviation, taken one float32 band at a time into float64
-        planes, equals ``np.std(axis=0, dtype=np.float64)`` bit for bit."""
+        blocks of pixels, equals ``np.std(axis=0, dtype=np.float64)`` bit for
+        bit."""
         rng = np.random.default_rng(["random", "constant_band", "large_offset",
                                      "one_band"].index(case))
         stack = rng.normal(0.0, 1.0, (1 if case == "one_band" else 10, 31, 47))
@@ -864,8 +868,15 @@ class TestSegmentStats:
         if case == "large_offset":
             stack = stack * 1e-3 + 1e5
         stack = stack.astype(np.float32)
-        assert np.array_equal(segmentation._band_std(stack),
+        assert np.array_equal(band_std(stack),
                               np.std(stack, axis=0, dtype=np.float64))
+
+    def test_band_std_by_blocks_is_numpy_std_bit_for_bit(self, monkeypatch):
+        """In blocks of 100 pixels, the 1457 pixels take 15 blocks, the last
+        of 57, and the deviation is still numpy's bit for bit."""
+        monkeypatch.setattr(segmentation, "STD_BLOCK", 100)
+        stack = np.random.default_rng(4).normal(0.0, 1.0, (10, 31, 47)).astype(np.float32)
+        assert np.array_equal(band_std(stack), np.std(stack, axis=0, dtype=np.float64))
 
 
 class TestPanWaterProbability:
@@ -875,8 +886,7 @@ class TestPanWaterProbability:
         segmap = SegmentMap(labels, segment_table(1), pan.geometry)
         segmap.records.pixel_count = labels.size
         f = constant_field(pan.geometry, 0.0, "p")
-        mps = RasterGrid(pan.geometry, np.zeros((10,) + labels.shape, np.float32))
-        return segment_stats(segmap, pan, mps, f, f, f, t).records[0].p_pan
+        return segment_stats(segmap, pan, np.zeros(labels.shape), f, f, f, t).records[0].p_pan
 
     def test_all_below(self):
         assert self._simple(np.zeros((10, 10)), 1.0) == 1.0
