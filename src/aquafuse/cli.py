@@ -79,6 +79,17 @@ def _write_mask(out: Path, stem: str, mask: BinaryMask) -> None:
     write_raster(mask.as_raster(stem), out / f"{stem}.hdr")
 
 
+def _write_water(out: Path, stem: str, probs: RasterGrid) -> None:
+    """The water map of the pixels whose ``p_water`` exceeds 0.5."""
+    _write_mask(out, stem, BinaryMask(probs.geometry, probs.band("p_water") > 0.5))
+
+
+def _write_facts(out: Path, stem: str, **facts) -> None:
+    """``<stem>.txt``: a ``key = value`` line a fact, a bool as true/false, else its repr."""
+    (out / f"{stem}.txt").write_text("".join(
+        f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n" for k, v in facts.items()))
+
+
 def _landsat_stems(out: Path):
     stems = sorted(p.stem for p in out.glob("landsat_d*.hdr"))
     if not stems:
@@ -147,16 +158,14 @@ def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
     probs, class_map = _classify(ms, out)
     _write(out, "ms_prob", probs)
     _write(out, "ms_class", class_map)
-    p_water = probs.band("p_water")
-    _write_mask(out, "ms_water", BinaryMask(ms.geometry, (p_water > 0.5).astype(np.uint8)))
+    _write_water(out, "ms_water", probs)
 
 
 def cmd_water_index(cfg: PipelineConfig, out: Path) -> None:
     stack = [_load_raster(out, stem) for stem in _landsat_stems(out)]
     wi = landsat_water_index(stack)
     _write(out, "landsat_wi", wi)
-    _write_mask(out, "landsat_water",
-                BinaryMask(wi.geometry, (wi.data[0] > 0.5).astype(np.uint8)))
+    _write_water(out, "landsat_water", wi)
 
 
 def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
@@ -166,8 +175,7 @@ def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
     _write(out, "pca_fused", fused)
     probs, _ = _classify(fused, out)
     _write(out, "pca_prob", probs)
-    p_water = probs.band("p_water")
-    _write_mask(out, "pca_water", BinaryMask(pan.geometry, (p_water > 0.5).astype(np.uint8)))
+    _write_water(out, "pca_water", probs)
 
 
 def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
@@ -192,16 +200,12 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
     segmap.records.p_shadow = segmap.records.p_w = np.nan
 
     # written only now, so that a stage that fails on its inputs writes nothing
-    (out / "t_pan.txt").write_text(f"t_pan = {t_pan!r}\n")
-    _write_mask(out, "pan_water",
-                BinaryMask(pan.geometry, (pan.data[0] < t_pan).astype(np.uint8)))
-    (out / "kmeans.txt").write_text(
-        f"iterations = {segmap.kmeans_iterations}\n"
-        f"converged = {str(segmap.kmeans_converged).lower()}\n"
-        f"objective = {segmap.kmeans_objective!r}\n"
-        f"segments = {segmap.count}\n")
-    _write(out, "segments",
-           RasterGrid(pan.geometry, segmap.labels.astype(np.float32)[np.newaxis], ["segment"]))
+    _write_facts(out, "t_pan", t_pan=t_pan)
+    _write_mask(out, "pan_water", BinaryMask(pan.geometry, pan.data[0] < t_pan))
+    _write_facts(out, "kmeans", iterations=segmap.kmeans_iterations,
+                 converged=segmap.kmeans_converged, objective=segmap.kmeans_objective,
+                 segments=segmap.count)
+    _write(out, "segments", RasterGrid(pan.geometry, segmap.labels, ["segment"]))
     save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
@@ -221,8 +225,7 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     kinds[tree_px] = OBJECT_KIND_TREE
     kinds[imp_px & (intensity.bits == 1)] = OBJECT_KIND_HIGH_BUILDING
     kinds[imp_px & (intensity.bits == 0)] = OBJECT_KIND_LOW_BUILDING
-    _write(out, "object_kinds",
-           RasterGrid(segmap.geometry, kinds.astype(np.float32)[np.newaxis], ["kind"]))
+    _write(out, "object_kinds", RasterGrid(segmap.geometry, kinds, ["kind"]))
 
     heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
                OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
@@ -242,9 +245,8 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
     segmap = _load_segments(out, "p_shadow")
     table = segmap.records
     table.p_w, table.water = fuse_all_segments(segmap, params)
-    (out / "fuse.txt").write_text(
-        f"landsat_active = {int(landsat_active(table.w, params).sum())}\n"
-        f"water_segments = {int(table.water.sum())}\n")
+    _write_facts(out, "fuse", landsat_active=int(landsat_active(table.w, params).sum()),
+                 water_segments=int(table.water.sum()))
     save_segment_stats(segmap, out / SEGMENT_TABLE)
     _write(out, "pgm_prob", paint_segments(segmap, table.p_w, band_name="p_water"))
     _write(out, "pgm_water", paint_segments(segmap, table.water, "pgm_water"))
@@ -254,7 +256,7 @@ def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
     segmap = _load_segments(out, "p_shadow", "p_w")
     water = segmap.records.water
     final = relabel_shadow_segments(water, segmap, cfg.shadow_relabel_threshold)
-    (out / "postclass.txt").write_text(f"relabeled = {int((water & ~final).sum())}\n")
+    _write_facts(out, "postclass", relabeled=int((water & ~final).sum()))
     _write(out, "water_final", paint_segments(segmap, final, "water_final"))
 
 
@@ -271,19 +273,16 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
                                 [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER], seed=cfg.seed)
     reference = truth.bits.ravel()[samples]
 
-    found = False
-    for stem in PREDICTION_STEMS:
-        if not (out / f"{stem}.hdr").exists():
-            continue
-        found = True
+    stems = [stem for stem in PREDICTION_STEMS if (out / f"{stem}.hdr").exists()]
+    if not stems:
+        raise RasterError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
+    for stem in stems:
         pred = read_raster(out / f"{stem}.hdr")
         if pred.geometry != truth.geometry:
             pred = resample_nearest(pred, truth.geometry)
         predicted = pred.data[0].ravel()[samples] > 0.5
         report = format_report(confusion_matrix(predicted, reference), title=stem)
         (out / f"report_{stem}.txt").write_text(report + "\n")
-    if not found:
-        raise RasterError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
 
 
 RUN_ALL_ORDER = (

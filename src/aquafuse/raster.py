@@ -321,3 +321,14 @@ def window_reduce(values: np.ndarray, length: int, op, axis: int = 0) -> np.ndar
         size = n - length + 1
         out = op(part(out, 0, size), part(out, length - span, size))
     return out
+
+
+def row_blocks(n: int, size: int) -> list:
+    """Slices that cover rows 0..n in order, ceil(n / size) blocks of at most
+    ``size`` rows whose lengths differ by one at most.  BLAS's gemm gives a
+    row the same bits in every product of two or more rows, but numpy
+    multiplies a lone row by gemv, which rounds otherwise (K. Goto and R.
+    van de Geijn, ACM TOMS 34, 2008).  For n >= 2 and size >= 3 no block has
+    one row: c >= 2 blocks have floor(n / c) >= 2 rows, as n > 3c - 3."""
+    count = -(-n // size)
+    return [slice(i * n // count, (i + 1) * n // count) for i in range(count)]

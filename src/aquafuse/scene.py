@@ -93,7 +93,9 @@ FEATURE_SHAPES = {
 }
 
 LANDSAT_DAYS = (16, 74, 135, 192, 230, 288, 340)
-NOISE_SENSORS = ("pan", "ms", "landsat")
+# (name, bands, pixel size in m) per sensor, in the order of noise streams 1, 2, 3
+SENSORS = (("pan", PAN_BANDS, PAN_PIXEL_M), ("ms", MS_BANDS, MS_PIXEL_M),
+           ("landsat", LANDSAT_BANDS, LANDSAT_PIXEL_M))
 
 
 class SceneError(Exception):
@@ -156,7 +158,7 @@ class SceneSpec:
             check(all(map(math.isfinite, values)), entry, f"{entry} numbers must be finite")
         for axis in self.extent:
             check(axis > 0, "extent", "extent must be positive")
-            for pixel in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M):
+            for _, _, pixel in SENSORS:
                 check(abs(axis / pixel - round(axis / pixel)) <= 1e-9, "extent",
                       f"extent {axis} must be a whole number of {pixel} m pixels")
         for key in ("shadow_factor", "shadow_factor_nir"):
@@ -167,7 +169,8 @@ class SceneSpec:
         check(self.train_per_class >= 2, "train_per_class",
               f"train_per_class must be >= 2, got {self.train_per_class}")
         for sensor, sigma in self.noise.items():
-            check(sensor in NOISE_SENSORS, f"noise {sensor}", f"unknown noise sensor {sensor!r}")
+            check(any(sensor == name for name, _, _ in SENSORS), f"noise {sensor}",
+                  f"unknown noise sensor {sensor!r}")
             check(sigma >= 0, f"noise {sensor}", f"noise sigma for {sensor!r} must be >= 0")
         for cls, (sigma, cell_m) in self.textures.items():
             entry = f"texture {cls}"
@@ -175,9 +178,12 @@ class SceneSpec:
             check(sigma >= 0, entry, f"texture sigma for {cls!r} must be >= 0")
             check(cell_m > 0, entry, f"texture cell for {cls!r} must be a positive size")
         for cls, bands in self.spectra.items():
-            check(cls in SURFACE_CLASSES, f"spectrum {cls}", f"unknown spectrum class {cls!r}")
+            entry = f"spectrum {cls}"
+            check(cls in SURFACE_CLASSES, entry, f"unknown spectrum class {cls!r}")
             for band in SPECTRUM_BANDS:
-                check(band in bands, f"spectrum {cls}", f"class {cls!r} misses band {band!r}")
+                check(band in bands, entry, f"class {cls!r} misses band {band!r}")
+                check(abs(bands[band]) <= float(np.finfo(np.float32).max), entry,
+                      f"{entry} {band}={bands[band]!r} is beyond the float32 range")
         for cls in SURFACE_CLASSES:
             check(cls in self.spectra, None, f"spectral library misses class {cls!r}")
         for i, f in enumerate(self.features):
@@ -343,12 +349,15 @@ def _parse_feature(parts) -> Feature:
 # ---------------------------------------------------------------------------
 # rasterization at the supersample grid
 
+def _supersamples(meters: float) -> int:
+    """The whole number of supersamples nearest to ``meters``, at least 1."""
+    return max(1, int(round(meters / SUPERSAMPLE_M)))
+
+
 def _supersample_axes(spec: SceneSpec):
     ex, ey = spec.extent
-    nx = int(round(ex / SUPERSAMPLE_M))
-    ny = int(round(ey / SUPERSAMPLE_M))
-    xs = (np.arange(nx) + 0.5) * SUPERSAMPLE_M
-    ys = ey - (np.arange(ny) + 0.5) * SUPERSAMPLE_M  # row 0 is the north edge
+    xs = (np.arange(_supersamples(ex)) + 0.5) * SUPERSAMPLE_M
+    ys = ey - (np.arange(_supersamples(ey)) + 0.5) * SUPERSAMPLE_M  # row 0 is the north edge
     return xs, ys
 
 
@@ -408,7 +417,7 @@ def _meeting(bounds: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
                           & (bounds[:, 2] < cols.stop) & (bounds[:, 3] > cols.start))
 
 
-STRIP = int(round(LANDSAT_PIXEL_M / SUPERSAMPLE_M))  # supersamples per 30 m strip or window
+STRIP = _supersamples(LANDSAT_PIXEL_M)  # supersamples per 30 m strip or window
 
 
 def _line_windows(f: Feature, r0, r1, c0, c1, xs, ys):
@@ -461,10 +470,6 @@ def _paint(out: np.ndarray, rows: slice, cols: slice, f: Feature, box, value, xs
                 window[_feature_mask(f, xs[c:d], ys[a:b])] = value
 
 
-def _texture_factor(cell_m: float) -> int:
-    return max(1, int(round(cell_m / SUPERSAMPLE_M)))
-
-
 def _cell_edges(spec: SceneSpec, n: int) -> np.ndarray:
     """Cell boundaries along an axis of ``n`` supersamples, 0 and ``n``
     included.  Cells are cut at every multiple of each sensor pixel and of
@@ -472,9 +477,8 @@ def _cell_edges(spec: SceneSpec, n: int) -> np.ndarray:
     every class's texture is constant inside a cell.  The PAN pixel's edges
     make every cell at most 8 supersamples wide, so a cell holds at most 64
     supersamples and its counts fit ``uint8``."""
-    sides = {int(round(p / SUPERSAMPLE_M)) for p in (PAN_PIXEL_M, MS_PIXEL_M, LANDSAT_PIXEL_M)}
-    steps = sides | {_texture_factor(c) for _, c in spec.textures.values()}
-    return np.unique(np.concatenate([np.arange(0, n + 1, s) for s in steps]))
+    meters = [pixel_m for _, _, pixel_m in SENSORS] + [c for _, c in spec.textures.values()]
+    return np.unique(np.concatenate([np.arange(0, n + 1, _supersamples(m)) for m in meters]))
 
 
 def _object_height(f: Feature) -> np.float32:
@@ -629,19 +633,25 @@ def _texture_grids(spec: SceneSpec, shape) -> list:
     """Per class, ``(factor, grid)``: its multiplicative brightness texture
     on a grid of ``factor``-supersample cells over a grid of ``shape``
     supersamples, clipped to stay positive, in float32 (``None`` when the
-    class is untextured)."""
+    class is untextured).  A texture that takes the class's reflectance
+    beyond float32's range is a SceneError of its ``texture`` entry."""
     grids = [None] * len(SURFACE_CLASSES)
     for stream, cls in enumerate(sorted(spec.textures)):
         sigma, cell_m = spec.textures[cls]
-        factor = _texture_factor(cell_m)
+        factor = _supersamples(cell_m)
         rng = np.random.default_rng([spec.seed, 1000 + stream])
         cells = 1.0 + rng.normal(0.0, sigma, size=tuple(-(-n // factor) for n in shape))
-        grids[SURFACE_CLASSES.index(cls)] = factor, np.clip(cells, 0.2, None).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            grid = np.clip(cells, 0.2, None).astype(np.float32)
+            top = grid.max() * np.float32(max(map(abs, spec.spectra[cls].values())))
+        if not np.isfinite(top):
+            raise SceneError(f"texture {cls} {sigma!r} {cell_m!r} takes {cls!r} reflectances "
+                             f"beyond the float32 range", f"texture {cls}")
+        grids[SURFACE_CLASSES.index(cls)] = factor, grid
     return grids
 
 
 NIR_GROUP = ("nir", "swir1", "swir2")
-SENSORS = ((PAN_BANDS, PAN_PIXEL_M), (MS_BANDS, MS_PIXEL_M), (LANDSAT_BANDS, LANDSAT_PIXEL_M))
 
 
 def _reduce(cells: np.ndarray, row_starts, col_starts) -> np.ndarray:
@@ -684,12 +694,12 @@ def _render(spec: SceneSpec, xs, ys, edges):
     for i, code in enumerate(textured):
         weights[:nb, 2 * code:2 * code + 2] = 0.0
         weights[own + 2 * i:own + 2 * i + 2, 2 * code:2 * code + 2] = np.eye(2)
-    sides = [int(round(pixel_m / SUPERSAMPLE_M)) for _, pixel_m in SENSORS]
+    sides = [_supersamples(pixel_m) for _, _, pixel_m in SENSORS]
     col_starts = [np.searchsorted(col_edges, np.arange(0, xs.size, s)) for s in sides]
-    starts = [SPECTRUM_BANDS.index(names[0]) for names, _ in SENSORS]
-    bands = [slice(i, i + len(names)) for i, (names, _) in zip(starts, SENSORS)]
+    bands = [slice(SPECTRUM_BANDS.index(names[0]), SPECTRUM_BANDS.index(names[-1]) + 1)
+             for _, names, _ in SENSORS]
     sums = [np.zeros((len(names), ys.size // s, xs.size // s))
-            for s, (names, _) in zip(sides, SENSORS)]
+            for s, (_, names, _) in zip(sides, SENSORS)]
     pan_counts = np.zeros((*sums[0].shape[1:], n_classes + 1), dtype=np.uint8)
     for top, stop, first, counts in _strip_counts(spec, xs, ys, edges):
         cell_rows = row_edges[first:first + counts.shape[0]]
@@ -719,28 +729,25 @@ def _render(spec: SceneSpec, xs, ys, edges):
     return sums, pan_counts
 
 
-def _rasters(spec: SceneSpec, sums, band_names, pixel_m, sensor: str, sensor_id: int,
-             dates: int = 1) -> list:
-    """One raster per date: each pixel's mean reflectance, from its sum
-    (bands, height, width), plus the sensor's noise.  A noise that takes a
-    sample out of float32's range, where the noise-free samples fit, is a
-    SceneError of its ``noise`` entry."""
-    _, height, width = sums.shape
-    geom = GridGeometry(width, height, pixel_m, origin_x=0.0, origin_y=spec.extent[1])
-    means = sums / int(round(pixel_m / SUPERSAMPLE_M)) ** 2
+def _rasters(spec: SceneSpec, sums, i: int) -> list:
+    """One raster of sensor ``SENSORS[i]`` per date (one per ``landsat_days``
+    for Landsat): each pixel's mean reflectance plus noise from stream i + 1.
+    A sample beyond float32's range is a SceneError of the ``noise`` entry, as
+    the noise-free ones fit (``SceneSpec.validate``, ``_texture_grids``)."""
+    sensor, band_names, pixel_m = SENSORS[i]
+    geom = GridGeometry(sums.shape[2], sums.shape[1], pixel_m, origin_y=spec.extent[1])
+    means = sums / _supersamples(pixel_m) ** 2
     sigma = spec.noise.get(sensor, 0.0)
     rasters = []
-    for date_idx in range(dates):
-        bands = np.empty((len(band_names), height, width), dtype=np.float32)
-        for bidx in range(len(band_names)):
-            pixels = means[bidx]
+    for date_idx in range(len(spec.landsat_days) if sensor == "landsat" else 1):
+        bands = np.empty(sums.shape, dtype=np.float32)
+        for bidx, pixels in enumerate(means):
             if sigma > 0:
-                rng = np.random.default_rng([spec.seed, sensor_id, bidx, date_idx])
+                rng = np.random.default_rng([spec.seed, i + 1, bidx, date_idx])
                 pixels = pixels + rng.normal(0.0, sigma, size=pixels.shape)
             with np.errstate(over="ignore"):  # an infinite sample is reported below
                 bands[bidx] = pixels
-        if (sigma > 0 and not np.isfinite(bands).all()
-                and np.abs(means).max() <= np.finfo(np.float32).max):  # noise-free samples fit
+        if sigma > 0 and not np.isfinite(bands).all():
             raise SceneError(f"noise {sensor} {sigma!r} gives samples beyond the float32 range",
                              f"noise {sensor}")
         rasters.append(RasterGrid(geom, bands, list(band_names)))
@@ -798,15 +805,12 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     spec.validate()
     xs, ys = _supersample_axes(spec)
     edges = (_cell_edges(spec, ys.size), _cell_edges(spec, xs.size))
-    (pan_sums, ms_sums, landsat_sums), pan_counts = _render(spec, xs, ys, edges)
-    [pan] = _rasters(spec, pan_sums, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
-    [ms] = _rasters(spec, ms_sums, MS_BANDS, MS_PIXEL_M, "ms", 2)
-    landsat = _rasters(spec, landsat_sums, LANDSAT_BANDS, LANDSAT_PIXEL_M, "landsat", 3,
-                       dates=len(spec.landsat_days))
+    sums, pan_counts = _render(spec, xs, ys, edges)
+    [pan], [ms], landsat = (_rasters(spec, total, i) for i, total in enumerate(sums))
 
     n_classes = len(SURFACE_CLASSES)
     class_counts = pan_counts[..., :n_classes]
-    half = int(round(PAN_PIXEL_M / SUPERSAMPLE_M)) ** 2 / 2
+    half = _supersamples(PAN_PIXEL_M) ** 2 / 2
     water_codes = [SURFACE_CLASSES.index(c) for c in WATER_CLASSES]
     truth_bits = class_counts[..., water_codes].sum(axis=-1) > half
     shadow_bits = pan_counts[..., n_classes] > half
@@ -820,8 +824,8 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     class_truth = RasterGrid(
         pan.geometry, class_truth_codes.astype(np.float32)[np.newaxis], ["class_index"]
     )
-    truth = BinaryMask(pan.geometry, truth_bits.astype(np.uint8))
-    shadow_truth = BinaryMask(pan.geometry, shadow_bits.astype(np.uint8))
+    truth = BinaryMask(pan.geometry, truth_bits)
+    shadow_truth = BinaryMask(pan.geometry, shadow_bits)
     sites = _pick_train_sites(spec, majority, shadow_bits, pan.geometry)
     return SceneBundle(pan, ms, landsat, tuple(spec.landsat_days), truth,
                        class_truth, shadow_truth, sites)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import RasterError, RasterGrid, read_table, window_reduce, write_table
+from .raster import RasterError, RasterGrid, read_table, row_blocks, window_reduce, write_table
 from .spectral import CLASS_ORDER
 
 # profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
@@ -211,7 +211,10 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndar
     that each centre's distances are contiguous.  Scaling the product by -2
     is exact and addition commutes, so the bits are those of
     ``(x2 - (2 * x) @ centers.T) + c2``, transposed: BLAS's gemm computes
-    the dot product of a row and a centre alike in either orientation."""
+    the dot product of a row and a centre alike in either orientation.  A
+    lone row is multiplied as two copies of itself (``row_blocks``)."""
+    if len(x) == 1:
+        return _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:, :1]
     d2 = centers @ x.T
     d2 *= -2.0
     d2 += x2
@@ -231,31 +234,15 @@ def _farthest_point_centers(sample: np.ndarray, k: int) -> np.ndarray:
     return centers
 
 
-def _blocks(count: int, rows=None):
-    """Blocks of KMEANS_BLOCK rows that cover ``count`` rows: slices, or,
-    given the index array ``rows`` of ``count`` rows, index arrays cut from
-    it."""
-    for start in range(0, count, KMEANS_BLOCK):
-        block = slice(start, start + KMEANS_BLOCK)
-        yield block if rows is None else rows[block]
-
-
-def _nearest_two(x, x2, centers, n):
+def _nearest_two(x, x2, centers):
     """The nearest and second-nearest centres of the rows ``x``, whose
-    squared norms are ``x2``, of a row source of ``n`` rows: the index of
-    each row's smallest ``_sq_distances`` value (the lowest on a tie), that
-    value, and the smallest value at any other centre (inf for one centre).
-    Callers pass one of ``_blocks`` at a time, so that no (n, k) array is
-    made.
-
-    Each value is bit-equal to that of one product over all n rows: BLAS's
-    gemm computes a row alike in every product of two or more rows.  But
-    numpy multiplies a single row by gemv, which rounds otherwise, so a lone
-    row of a longer product is multiplied as two copies of itself."""
-    if len(x) == 1 and n > 1:
-        d2 = _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:, :1]
-    else:
-        d2 = _sq_distances(x, x2, centers)
+    squared norms are ``x2``: the index of each row's smallest
+    ``_sq_distances`` value (the lowest on a tie), that value, and the
+    smallest value at any other centre (inf for one centre).  Callers pass
+    one of the ``row_blocks`` of up to KMEANS_BLOCK rows at a time, so that
+    no (rows, k) array is made; by their rule, each value is bit-equal to
+    that of one product over all rows."""
+    d2 = _sq_distances(x, x2, centers)
     # one centre at a time: argmin and min over k values per column are
     # slow; a strict < keeps the lowest index on a tie, as argmin does
     nearest = np.zeros(d2.shape[1], dtype=np.intp)
@@ -274,8 +261,8 @@ def _nearest(features, f2, centers):
     n = len(features)
     assign = np.empty(n, dtype=np.intp)
     best = np.empty(n)
-    for block in _blocks(n):
-        assign[block], best[block], _ = _nearest_two(features[block], f2[block], centers, n)
+    for block in row_blocks(n, KMEANS_BLOCK):
+        assign[block], best[block], _ = _nearest_two(features[block], f2[block], centers)
     return assign, best
 
 
@@ -286,13 +273,14 @@ def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums
     norm goes into ``f2`` and its features into its centre's sum in
     ``sums``.  With an index array, each row whose centre changes moves from
     its old centre's sum in ``sums`` to its new one."""
-    n, first = len(features), rows is None
-    for block in _blocks(n if first else len(rows), rows):
+    first = rows is None
+    for block in row_blocks(len(features) if first else len(rows), KMEANS_BLOCK):
+        block = block if first else rows[block]
         x = features[block]
         if first:
             f2[block] = _row_norms(x)
         x2 = f2[block]
-        nearest, best, second = _nearest_two(x, x2, centers, n)
+        nearest, best, second = _nearest_two(x, x2, centers)
         if first:
             sums += np.stack([np.bincount(nearest, weights=column, minlength=len(sums))
                               for column in x.T], axis=1)
@@ -321,8 +309,7 @@ def _unsettled_rows(assign, upper, lower, f2, norm2, old, new):
     np.fill_diagonal(gaps, np.inf)
     half = 0.5 * down * np.min(gaps, axis=1)
     settled = np.empty(len(assign), dtype=bool)
-    for start in range(0, len(assign), KMEANS_TEST_BLOCK):  # no row-length temporaries
-        block = slice(start, start + KMEANS_TEST_BLOCK)
+    for block in row_blocks(len(assign), KMEANS_TEST_BLOCK):  # no row-length temporaries
         centre, bound = assign[block], upper[block]
         bound += move[centre]
         bound *= up
@@ -350,16 +337,17 @@ def _lloyd(features, centers: np.ndarray):
     ``features`` is a row source: ``len(features)`` rows, of which
     ``features[block]`` gives those of a slice or an index array as a
     float64 array, the same values in any block.  ``_FeatureRows`` builds
-    them from the image planes; a matrix is a row source too.  The rows
-    must be rounded by ``_round_to_quantum``, as ``_FeatureRows`` rounds
-    them.  Rows are read only in blocks (``_blocks``): the first pass and
-    the final labelling build each block once, a later pass only its
-    unsettled rows.  No value depends on the block a row is built in,
+    them from the image planes; a matrix is a row source too.  The rows must
+    be rounded by ``_round_to_quantum``, as ``_FeatureRows`` rounds them.
+    Rows are read only in ``row_blocks`` of up to KMEANS_BLOCK: the first
+    pass and the final labelling build each block once, a later pass only
+    its unsettled rows.  No value depends on the block a row is built in,
     its squared norm is summed left to right (``_row_norms``) and each
-    distance is the one a product over all rows gives it, so the results
-    are those of one matrix, bit for bit.  Four arrays of one value a row
-    are held (``f2``, ``assign``, ``upper`` and ``lower``); a row's slack
-    ``2 tau`` is built in each block of the bound test from ``f2`` and
+    distance is the one a product over all rows gives it (the rule of
+    ``row_blocks``, which ``_sq_distances`` keeps for a lone row), so the
+    results are those of one matrix, bit for bit.  Four arrays of one value
+    a row are held (``f2``, ``assign``, ``upper`` and ``lower``); a row's
+    slack ``2 tau`` is built in each block of the bound test from ``f2`` and
     ``norm2``, with the same steps, so it needs no array of its own.
 
     Each pass assigns every row to the centre of its smallest
@@ -532,14 +520,14 @@ def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
 
 def band_std(stack: np.ndarray) -> np.ndarray:
     """``stack.std(axis=0, dtype=np.float64)`` of a (bands, h, w) stack, one
-    band at a time and STD_BLOCK pixels at a time, so that no temporary
-    larger than one float64 block is made besides the (h, w) result.  numpy
-    reduces axis 0 plane by plane, in this order, with the same steps for
-    each element, so the result is the same bit for bit."""
+    band at a time and up to STD_BLOCK pixels at a time, so that no
+    temporary larger than one float64 block is made besides the (h, w)
+    result.  numpy reduces axis 0 plane by plane, in this order, with the
+    same steps for each element, so the result is the same bit for bit."""
     bands = stack.reshape(len(stack), -1)
     var = np.zeros(bands.shape[1])
-    for start in range(0, len(var), STD_BLOCK):
-        block, out = bands[:, start:start + STD_BLOCK], var[start:start + STD_BLOCK]
+    for pixels in row_blocks(len(var), STD_BLOCK):
+        block, out = bands[:, pixels], var[pixels]
         mean = block[0].astype(np.float64)
         for band in block[1:]:
             mean += band

@@ -70,8 +70,7 @@ def building_intensity_map(impervious_mask: BinaryMask, window: int,
     """1 where the impervious-area ratio of the centered ``window`` x
     ``window`` neighbourhood strictly exceeds ``ratio_threshold``."""
     ratio = window_ratio(impervious_mask, window)
-    return BinaryMask(impervious_mask.geometry,
-                      (ratio.data[0] > ratio_threshold).astype(np.uint8))
+    return BinaryMask(impervious_mask.geometry, ratio.data[0] > ratio_threshold)
 
 
 OBJECT_KIND_HIGH_BUILDING = 1
@@ -167,4 +166,4 @@ def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
         sweep = height_sweep(h_min, h_max, step)
         union, top, left = sweep_union(mask, sweep_offsets(a, b, sweep, r))
         shift_or(out, union, top, left)
-    return BinaryMask(grid, out.astype(np.uint8))
+    return BinaryMask(grid, out)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import RasterError, RasterGrid, resample_nearest
+from .raster import RasterError, RasterGrid, resample_nearest, row_blocks
 
 CLASS_ORDER = ("vegetation", "soil", "impervious", "water")
 
@@ -17,7 +17,7 @@ OTSU_BINS = 256  # histogram bins of otsu_threshold
 
 COVARIANCE_EPSILON = 1e-4
 CLASSIFY_BLOCK = 1 << 14  # pixels per block of classify_probabilities
-PCA_BLOCK = 1 << 14  # rows per block of the pca_fuse transforms, at least 4
+PCA_BLOCK = 1 << 14  # rows per block of the pca_fuse transforms
 
 
 class ComputeError(Exception):
@@ -47,14 +47,13 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     component replaced by the PAN band rescaled to the first component's mean
     and standard deviation, and transformed back.  The spectra are copied to
     float64 and centred once; the fused spectra overwrite that copy, which
-    is freed once the float32 output is made.  Both transforms run
+    is freed once the float32 output is made.  Both transforms run up to
     PCA_BLOCK rows at a time, so no (n, d) array of scores is held: the
     first keeps only the first component, whose mean and deviation are
     taken and which is freed before the PAN band is copied to float64.  So
-    the peak is the float64 spectra and one float32 copy.  BLAS's gemm
-    computes a row alike in every product of two or more rows, so the blocks
-    give the bits of one product over all rows; numpy multiplies a lone row
-    by gemv, so no block is left with one row.
+    the peak is the float64 spectra and one float32 copy.  The blocks are
+    ``row_blocks``, none of one row, so they give the bits of one product
+    over all rows.
     """
     if pan.bands != 1:
         raise RasterError("PAN raster must have exactly 1 band")
@@ -68,9 +67,7 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     mean = x.mean(axis=0)
     x -= mean
     components = pca_components(x)
-    count = -(-n // PCA_BLOCK)  # blocks of n // count rows or one more, at least 2
-    edges = np.arange(count + 1) * n // count
-    blocks = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    blocks = row_blocks(n, PCA_BLOCK)
     pc1 = np.empty(n)
     for block in blocks:
         pc1[block] = (x[block] @ components.T)[:, 0]
@@ -144,13 +141,14 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     per CLASS_ORDER class (normalized to sum to 1), and a single-band raster
     of class indices into CLASS_ORDER.
 
-    Each class's Cholesky factor L is inverted once.  Then, CLASSIFY_BLOCK
-    pixels at a time, the squared Mahalanobis distance is |L^-1 (x - mean)|^2,
-    the log-posteriors are normalized by their logsumexp, and the float64
-    posteriors give the class (the first on a tie) before they are stored as
-    float32, where more pixels tie.  Besides the float32 outputs, only one
-    block's float64 work is held, about seven (classes, CLASSIFY_BLOCK)
-    arrays; a pixel's values do not depend on the block it is in.
+    Each class's Cholesky factor L is inverted once.  Then, up to
+    CLASSIFY_BLOCK pixels at a time, the squared Mahalanobis distance is
+    |L^-1 (x - mean)|^2, the log-posteriors are normalized by their
+    logsumexp, and the float64 posteriors give the class (the first on a tie)
+    before they are stored as float32, where more pixels tie.  Besides the
+    float32 outputs, only one block's float64 work is held, about seven
+    (classes, CLASSIFY_BLOCK) arrays.  The blocks are ``row_blocks``, so a
+    pixel's values do not depend on the block it is in.
     """
     if raster.bands != model.means.shape[1]:
         raise RasterError(
@@ -164,8 +162,7 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     logdets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
     probs = np.empty((len(CLASS_ORDER), n), dtype=np.float32)
     classes = np.empty(n, dtype=np.float32)
-    for start in range(0, n, CLASSIFY_BLOCK):
-        block = slice(start, start + CLASSIFY_BLOCK)
+    for block in row_blocks(n, CLASSIFY_BLOCK):
         x = spectra[:, block].astype(np.float64)
         logpost = np.empty((len(CLASS_ORDER), x.shape[1]))
         for i in range(len(CLASS_ORDER)):

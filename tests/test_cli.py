@@ -18,6 +18,20 @@ from aquafuse.config import ConfigError, PipelineConfig, format_config, load_con
 from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
 
 
+def synth_with_warnings_as_errors(tmp_path, text):
+    """Run ``synth`` on the scene ``text`` in a fresh ``python -W error``
+    process: the finished process, with its stderr."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(text)
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"scene = {scene}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "aquafuse.cli", "synth", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=300)
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
@@ -143,18 +157,36 @@ class TestExitCodes:
         """A noise whose samples leave float32's range stops synth with one
         stderr line that names its entry, and with every warning an error,
         numpy warns of nothing; a noise of 1e30 still renders."""
-        scene = tmp_path / "scene.txt"
-        scene.write_text(cli.DEFAULT_SCENE_TEXT.replace("noise pan 0.004", f"noise pan {sigma}"))
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"scene = {scene}\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "aquafuse.cli", "synth", "--config", str(cfg),
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
-            timeout=300)
+        done = synth_with_warnings_as_errors(
+            tmp_path, cli.DEFAULT_SCENE_TEXT.replace("noise pan 0.004", f"noise pan {sigma}"))
         assert done.returncode == code, done.stderr
         assert done.stderr.splitlines() == stderr
+
+    @pytest.mark.parametrize("old,new,ending", [
+        ("spectrum water    pan=0.05", "spectrum water pan=1e39",
+         "spectrum water pan=1e+39 is beyond the float32 range"),
+        ("texture water 0.10 3.2", "texture water 1e300 3.2",
+         "texture water 1e+300 3.2 takes 'water' reflectances beyond the float32 range"),
+        ("spectrum water    pan=0.05", "spectrum water pan=3e38",
+         "texture water 0.1 3.2 takes 'water' reflectances beyond the float32 range"),
+        ("spectrum water    pan=0.05", "spectrum water pan=1e30", None),
+        ("texture water 0.10 3.2", "texture water 1e30 3.2", None),
+    ], ids=["spectrum-1e39", "texture-1e300", "spectrum-3e38", "spectrum-1e30", "texture-1e30"])
+    def test_huge_scene_spectrum_or_texture(self, tmp_path, old, new, ending):
+        """A reflectance beyond float32's range, or a texture that takes one
+        there, stops synth with one stderr line that names its entry, and
+        with every warning an error, numpy warns of nothing.  A reflectance
+        of 3e38 fits float32, but the water texture takes it beyond; values
+        of 1e30 still render."""
+        assert cli.DEFAULT_SCENE_TEXT.count(old) == 1
+        done = synth_with_warnings_as_errors(tmp_path, cli.DEFAULT_SCENE_TEXT.replace(old, new))
+        if ending is None:
+            assert done.returncode == cli.EXIT_OK, done.stderr
+            assert done.stderr == ""
+        else:
+            assert done.returncode == cli.EXIT_CONFIG, done.stderr
+            [line] = done.stderr.splitlines()
+            assert line.startswith("config error: ") and line.endswith(ending)
 
     @pytest.mark.parametrize("old,new,message", [
         ("texture grass 0.08 3.2", "texture grass -0.1 3.2",

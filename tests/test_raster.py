@@ -9,6 +9,7 @@ from aquafuse.raster import (
     read_mask,
     read_raster,
     resample_nearest,
+    row_blocks,
     window_ratio,
     window_reduce,
     write_raster,
@@ -248,3 +249,20 @@ class TestWindowReduce:
     def test_window_longer_than_the_axis_rejected(self, length):
         with pytest.raises(RasterError, match="window"):
             window_reduce(np.zeros((5, 3)), length, np.minimum)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("size", range(3, 11))
+    def test_blocks_cover_the_rows_in_order_and_none_has_one_row(self, size):
+        for n in range(300):
+            blocks = row_blocks(n, size)
+            assert [i for block in blocks for i in range(n)[block]] == list(range(n))
+            lengths = [len(range(n)[block]) for block in blocks]
+            assert len(blocks) == -(-n // size)
+            assert all(0 < length <= size for length in lengths)
+            assert not lengths or max(lengths) - min(lengths) <= 1
+            if n >= 2:
+                assert min(lengths) >= 2
+
+    def test_size_two_leaves_one_row_alone(self):
+        assert row_blocks(3, 2) == [slice(0, 1), slice(1, 3)]

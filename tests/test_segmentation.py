@@ -6,7 +6,7 @@ from scipy import ndimage
 
 from aquafuse import segmentation
 from aquafuse.config import PipelineConfig
-from aquafuse.raster import GridGeometry, RasterError, RasterGrid, read_raster
+from aquafuse.raster import GridGeometry, RasterError, RasterGrid, read_raster, row_blocks
 from aquafuse.segmentation import (
     KMEANS_BLOCK,
     KMEANS_MAX_ITER,
@@ -364,7 +364,8 @@ class TestFeatureRows:
             slice(None), slice(None, None, KMEANS_SUBSAMPLE), picked,
             np.arange(3, n, 7), slice(n - 1, n), slice(0, 1),
             *(np.array([i]) for i in range(5, n, n // 40)),
-            *segmentation._blocks(n), *segmentation._blocks(len(picked), picked)])
+            *row_blocks(n, KMEANS_BLOCK),
+            *(picked[part] for part in row_blocks(len(picked), KMEANS_BLOCK))])
         assert rows.q > 0
 
     def test_constant_column(self):
@@ -743,14 +744,30 @@ def test_row_blocks_give_the_values_of_one_product():
     assert np.array_equal(segmentation._sq_distances(features, f2, centers), d2.T)
     two = np.sort(d2, axis=1)[:, :2]
     picked = np.arange(5, 3 * KMEANS_BLOCK // 2, 3)
-    for block in [*segmentation._blocks(n), *segmentation._blocks(len(picked), picked),
+    for block in [*row_blocks(n, KMEANS_BLOCK),
+                  *(picked[part] for part in row_blocks(len(picked), KMEANS_BLOCK)),
                   *(np.array([i]) for i in range(8))]:
         x = features[block]
         assert np.array_equal(bits(segmentation._row_norms(x)), bits(f2[block]))
-        nearest, best, second = segmentation._nearest_two(x, f2[block], centers, n)
+        nearest, best, second = segmentation._nearest_two(x, f2[block], centers)
         assert np.array_equal(nearest, np.argmin(d2[block], axis=1))
         assert np.array_equal(best, two[block, 0])
         assert np.array_equal(second, two[block, 1])
+
+
+def test_lone_row_has_the_values_of_a_product_of_rows():
+    """_sq_distances gives a lone row, alone or picked, the bits that a
+    product of two or more rows gives it.  numpy would multiply it by gemv,
+    which rounds otherwise: here every one of the nine rows would differ."""
+    rng = np.random.default_rng(0)
+    x = np.asfortranarray(rng.normal(size=(9, 11)))
+    centers = rng.normal(size=(8, 11))
+    x2 = segmentation._row_norms(x)
+    d2 = segmentation._sq_distances(x, x2, centers)
+    for i in range(len(x)):
+        for row in (x[i:i + 1], x[[i]]):
+            got = segmentation._sq_distances(row, x2[i:i + 1], centers)
+            assert np.array_equal(bits(got), bits(d2[:, i:i + 1]))
 
 
 def test_lloyd_holds_no_rows_by_centres_array():
@@ -872,8 +889,8 @@ class TestSegmentStats:
                               np.std(stack, axis=0, dtype=np.float64))
 
     def test_band_std_by_blocks_is_numpy_std_bit_for_bit(self, monkeypatch):
-        """In blocks of 100 pixels, the 1457 pixels take 15 blocks, the last
-        of 57, and the deviation is still numpy's bit for bit."""
+        """In blocks of up to 100 pixels, the 1457 pixels take 15 blocks of
+        97 or 98, and the deviation is still numpy's bit for bit."""
         monkeypatch.setattr(segmentation, "STD_BLOCK", 100)
         stack = np.random.default_rng(4).normal(0.0, 1.0, (10, 31, 47)).astype(np.float32)
         assert np.array_equal(band_std(stack), np.std(stack, axis=0, dtype=np.float64))
