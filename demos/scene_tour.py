@@ -9,7 +9,7 @@ Usage:  python demos/scene_tour.py
 
 import numpy as np
 
-from aquafuse.scene import MS_BANDS, default_scene, generate_scene
+from aquafuse.scene import LANDSAT_DAYS, MS_BANDS, default_scene, generate_scene
 from aquafuse.spectral import CLASS_ORDER
 
 spec = default_scene()
@@ -28,7 +28,7 @@ for name, raster in (("PAN", bundle.pan), ("MS", bundle.ms),
     g = raster.geometry
     print(f"{name:<17} {g.width:>4} x {g.height:<4} pixels at {g.pixel_size:g} m, "
           f"{raster.bands} band(s)")
-print(f"Landsat day-of-year tags: {bundle.landsat_days}")
+print(f"Landsat day-of-year tags: {LANDSAT_DAYS}")
 print()
 
 truth = bundle.truth.bits.astype(bool)

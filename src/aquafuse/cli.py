@@ -27,9 +27,9 @@ from .config import ConfigError, PipelineConfig, format_config, load_config
 from .evaluate import confusion_matrix, format_report, stratified_sample
 from .fusion import FusionParams, fuse_all_segments, landsat_active
 from .postclass import relabel_shadow_segments
-from .raster import (BinaryMask, RasterError, RasterGrid, read_mask, read_raster,
+from .raster import (BinaryMask, RasterError, RasterGrid, read_header, read_mask, read_raster,
                      read_table, resample_nearest, write_raster, write_table)
-from .scene import DEFAULT_SCENE_TEXT, SceneError, generate_scene, parse_scene
+from .scene import DEFAULT_SCENE_TEXT, LANDSAT_DAYS, SceneError, generate_scene, parse_scene
 from .segmentation import (band_std, kmeans_segment, load_segment_stats,
                            morphological_profiles, paint_segments, save_segment_stats,
                            segment_stats)
@@ -145,7 +145,7 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     (out / "scene.txt").write_text(text)
     _write(out, "pan", bundle.pan)
     _write(out, "ms", bundle.ms)
-    for day, raster in zip(bundle.landsat_days, bundle.landsat):
+    for day, raster in zip(LANDSAT_DAYS, bundle.landsat):
         _write(out, f"landsat_d{day:03d}", raster)
     _write_mask(out, "truth", bundle.truth)
     _write(out, "class_truth", bundle.class_truth)
@@ -239,8 +239,8 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
 
 def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
     params = FusionParams(n1=cfg.n1, n2=cfg.n2,
-                          r_ms=_load_raster(out, "ms").geometry.pixel_size,
-                          r_l=_load_raster(out, "landsat_wi").geometry.pixel_size,
+                          r_ms=read_header(out / "ms.hdr")[0].pixel_size,
+                          r_l=read_header(out / "landsat_wi.hdr")[0].pixel_size,
                           decision_threshold=cfg.decision_threshold)
     segmap = _load_segments(out, "p_shadow")
     table = segmap.records

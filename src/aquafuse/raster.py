@@ -10,11 +10,11 @@ float32 samples, row-major within each band, bands stored sequentially
 
     samples     image width in pixels
     lines       image height in pixels
-    bands       band count
+    bands       band count, at least 1
     data_type   always "float32le"
     interleave  always "bsq"
-    pixel_size  square pixel size in meters
-    ulx, uly    map coordinates (m) of the upper-left corner of pixel (0, 0)
+    pixel_size  square pixel size in meters, finite and > 0
+    ulx, uly    finite map coordinates (m) of the upper-left corner of pixel (0, 0)
     band_names  comma-separated labels
 
 The column index increases eastward (+x), the row index southward (-y).
@@ -27,6 +27,7 @@ damaged raster is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +51,10 @@ class GridGeometry:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise RasterError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-        if not (self.pixel_size > 0):
-            raise RasterError(f"pixel_size must be > 0, got {self.pixel_size}")
+        if not 0 < self.pixel_size < math.inf:
+            raise RasterError(f"pixel_size must be finite and > 0, got {self.pixel_size}")
+        if not (math.isfinite(self.origin_x) and math.isfinite(self.origin_y)):
+            raise RasterError(f"origin must be finite, got ({self.origin_x}, {self.origin_y})")
 
     def pixel_center(self, row, col):
         """Map coordinates of the center of pixel (row, col)."""
@@ -88,8 +91,9 @@ class RasterGrid:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim == 2:
             arr = arr[np.newaxis]
-        if arr.ndim != 3:
-            raise RasterError(f"data must be 2-D or 3-D, got ndim={arr.ndim}")
+        if arr.ndim != 3 or not arr.shape[0]:
+            raise RasterError(f"data must be 2-D, or 3-D with at least 1 band, "
+                              f"got shape {arr.shape}")
         if arr.shape[1] != self.geometry.height or arr.shape[2] != self.geometry.width:
             raise RasterError(
                 f"data shape {arr.shape} does not match geometry "
@@ -173,56 +177,62 @@ def write_raster(raster: RasterGrid, path) -> None:
     stem.with_suffix(".bin").write_bytes(np.ascontiguousarray(raster.data, dtype="<f4"))
 
 
-def _parse_header(path: Path) -> dict:
+def read_header(path) -> tuple:
+    """``(geometry, bands, band_names)`` of a flat raster, from its
+    ``<stem>.hdr`` alone; a grid that GridGeometry rejects is a RasterError
+    that names the header."""
+    hdr_path = Path(path).with_suffix("").with_suffix(".hdr")
+    if not hdr_path.exists():
+        raise RasterError(f"missing file: {hdr_path}")
     fields = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(hdr_path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         if "=" not in line:
-            raise RasterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise RasterError(f"{hdr_path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _HEADER_KEYS:
-            raise RasterError(f"{path}:{lineno}: unknown header key {key!r}")
+            raise RasterError(f"{hdr_path}:{lineno}: unknown header key {key!r}")
         fields[key] = value.strip()
-    return fields
-
-
-def read_raster(path) -> RasterGrid:
-    """Read a flat raster written by :func:`write_raster`."""
-    stem = Path(path).with_suffix("")
-    hdr_path = stem.with_suffix(".hdr")
-    bin_path = stem.with_suffix(".bin")
-    for p in (hdr_path, bin_path):
-        if not p.exists():
-            raise RasterError(f"missing file: {p}")
-    fields = _parse_header(hdr_path)
     try:
-        width = int(fields["samples"])
-        height = int(fields["lines"])
+        geometry = GridGeometry(int(fields["samples"]), int(fields["lines"]),
+                                float(fields["pixel_size"]), float(fields["ulx"]),
+                                float(fields["uly"]))
         bands = int(fields["bands"])
-        pixel_size = float(fields["pixel_size"])
-        ulx = float(fields["ulx"])
-        uly = float(fields["uly"])
     except KeyError as exc:
         raise RasterError(f"{hdr_path}: missing header key {exc}") from None
     except ValueError as exc:
         raise RasterError(f"{hdr_path}: unparseable header value ({exc})") from None
+    except RasterError as exc:
+        raise RasterError(f"{hdr_path}: {exc}") from None
     if fields.get("data_type") != "float32le":
         raise RasterError(f"{hdr_path}: unsupported data_type {fields.get('data_type')!r}")
     if fields.get("interleave") != "bsq":
         raise RasterError(f"{hdr_path}: unsupported interleave {fields.get('interleave')!r}")
     band_names = [n.strip() for n in fields.get("band_names", "").split(",") if n.strip()]
+    return geometry, bands, band_names
 
-    geometry = GridGeometry(width, height, pixel_size, ulx, uly)
+
+def read_raster(path) -> RasterGrid:
+    """Read a flat raster written by :func:`write_raster`; a grid or samples
+    that RasterGrid rejects are a RasterError that names the header."""
+    geometry, bands, band_names = read_header(path)
+    bin_path = Path(path).with_suffix("").with_suffix(".bin")
+    if not bin_path.exists():
+        raise RasterError(f"missing file: {bin_path}")
     raw = bin_path.read_bytes()
+    width, height = geometry.width, geometry.height
     expected = width * height * bands * 4
     if len(raw) != expected:
         raise RasterError(
             f"{bin_path}: expected {expected} bytes for {width}x{height}x{bands}, got {len(raw)}"
         )
     data = np.frombuffer(raw, dtype="<f4").reshape(bands, height, width).copy()
-    return RasterGrid(geometry, data, band_names)
+    try:
+        return RasterGrid(geometry, data, band_names)
+    except RasterError as exc:
+        raise RasterError(f"{bin_path.with_suffix('.hdr')}: {exc}") from None
 
 
 def read_mask(path) -> BinaryMask:

@@ -134,7 +134,6 @@ class SceneSpec:
     # class -> (sigma, cell size m) multiplicative brightness texture
     textures: dict = field(default_factory=dict)
     features: list = field(default_factory=list)
-    landsat_days: tuple = LANDSAT_DAYS
     train_per_class: int = 60
 
     def validate(self):
@@ -155,7 +154,8 @@ class SceneSpec:
                    **{f"feature {i}": (*f.params, f.width, f.height)
                       for i, f in enumerate(self.features)}}
         for entry, values in numbers.items():
-            check(all(map(math.isfinite, values)), entry, f"{entry} numbers must be finite")
+            for value in values:
+                check(math.isfinite(value), entry, f"{str(value)!r} is not a finite number")
         for axis in self.extent:
             check(axis > 0, "extent", "extent must be positive")
             for _, _, pixel in SENSORS:
@@ -208,8 +208,7 @@ class SceneSpec:
 class SceneBundle:
     pan: RasterGrid
     ms: RasterGrid
-    landsat: list
-    landsat_days: tuple
+    landsat: list                # one raster per LANDSAT_DAYS date
     truth: BinaryMask            # water truth on the PAN grid
     class_truth: RasterGrid      # validation-stratum indices on the PAN grid
     shadow_truth: BinaryMask     # rendered-shadow truth on the PAN grid
@@ -237,23 +236,16 @@ class SceneBundle:
 # Every directive but `feature` is given at most once, and `noise`, `texture`
 # and `spectrum` at most once per sensor or class.  A `spectrum` line gives
 # each of its bands at most once, and only bands of SPECTRUM_BANDS.  A
-# `feature` gives `height` and `width` at most once.  Numbers are finite, and
-# the other directives take exactly the operands shown.  The rules on the
-# values, among them `seed` >= 0, a feature's shape and its count of
-# numbers (FEATURE_SHAPES) and a `line` with two distinct ends, are
+# `feature` gives `height` and `width` at most once.  The other directives
+# take exactly the operands shown.  The rules on the values, among them
+# finite numbers, `seed` >= 0, a feature's shape and its count of numbers
+# (FEATURE_SHAPES) and a `line` with two distinct ends, are
 # SceneSpec.validate's.  Every error names its line, except the error of a
 # class with no `spectrum` line.
 
 NAMED_DIRECTIVES = ("noise", "texture", "spectrum")
 OPERAND_COUNTS = {"extent": 2, "sun": 2, "shadow_factor": 1, "shadow_factor_nir": 1,
                   "seed": 1, "train_per_class": 1, "noise": 2, "texture": 3}
-
-
-def _number(word: str) -> float:
-    value = float(word)
-    if not math.isfinite(value):
-        raise SceneError(f"{word!r} is not a finite number")
-    return value
 
 
 def _on_line(lineno: int, raw: str, exc: Exception) -> SceneError:
@@ -281,21 +273,21 @@ def parse_scene(text: str) -> SceneSpec:
                 raise SceneError(f"{key!r} takes {OPERAND_COUNTS[key]} operand(s), "
                                  f"got {len(parts) - 1}")
             if key == "extent":
-                spec.extent = (_number(parts[1]), _number(parts[2]))
+                spec.extent = (float(parts[1]), float(parts[2]))
             elif key == "sun":
-                spec.sun = ShadowGeometry(_number(parts[1]), _number(parts[2]))
+                spec.sun = ShadowGeometry(float(parts[1]), float(parts[2]))
             elif key == "shadow_factor":
-                spec.shadow_factor = _number(parts[1])
+                spec.shadow_factor = float(parts[1])
             elif key == "shadow_factor_nir":
-                spec.shadow_factor_nir = _number(parts[1])
+                spec.shadow_factor_nir = float(parts[1])
             elif key == "seed":
                 spec.seed = int(parts[1])
             elif key == "train_per_class":
                 spec.train_per_class = int(parts[1])
             elif key == "noise":
-                spec.noise[parts[1]] = _number(parts[2])
+                spec.noise[parts[1]] = float(parts[2])
             elif key == "texture":
-                spec.textures[parts[1]] = (_number(parts[2]), _number(parts[3]))
+                spec.textures[parts[1]] = (float(parts[2]), float(parts[3]))
             elif key == "spectrum":
                 bands = {}
                 for item in parts[2:]:
@@ -304,7 +296,7 @@ def parse_scene(text: str) -> SceneSpec:
                         raise SceneError(f"unknown band {band!r}")
                     if band in bands:
                         raise SceneError(f"band {band!r} given twice")
-                    bands[band] = _number(value)
+                    bands[band] = float(value)
                 spec.spectra[parts[1]] = bands
             elif key == "feature":
                 spec.features.append(_parse_feature(parts[1:]))
@@ -338,10 +330,10 @@ def _parse_feature(parts) -> Feature:
         if rest[i] in ("height", "width"):
             if rest[i] in named:
                 raise SceneError(f"{rest[i]!r} given twice")
-            named[rest[i]] = _number(rest[i + 1])
+            named[rest[i]] = float(rest[i + 1])
             i += 2
         else:
-            numbers.append(_number(rest[i]))
+            numbers.append(float(rest[i]))
             i += 1
     return Feature(kind, shape, tuple(numbers), **named)
 
@@ -378,18 +370,16 @@ def _feature_mask(f: Feature, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         px = x0 + t * dx
         py = y0 + t * dy
         return (gx - px) ** 2 + (gy - py) ** 2 <= (f.width / 2.0) ** 2
-    if f.shape == "poly":
-        verts = np.array(f.params, dtype=np.float64).reshape(-1, 2)
-        inside = np.zeros((ys.size, xs.size), dtype=bool)
-        x2, y2 = verts[-1]
-        for x1v, y1v in verts:
-            crosses = (y1v > gy) != (y2 > gy)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xcut = (x2 - x1v) * (gy - y1v) / (y2 - y1v) + x1v
-            inside ^= crosses & (gx < xcut)
-            x2, y2 = x1v, y1v
-        return inside
-    raise SceneError(f"unknown shape {f.shape!r}")
+    verts = np.array(f.params, dtype=np.float64).reshape(-1, 2)  # a poly
+    inside = np.zeros((ys.size, xs.size), dtype=bool)
+    x2, y2 = verts[-1]
+    for x1v, y1v in verts:
+        crosses = (y1v > gy) != (y2 > gy)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcut = (x2 - x1v) * (gy - y1v) / (y2 - y1v) + x1v
+        inside ^= crosses & (gx < xcut)
+        x2, y2 = x1v, y1v
+    return inside
 
 
 def _feature_box(f: Feature, xs: np.ndarray, ys: np.ndarray):
@@ -730,8 +720,8 @@ def _render(spec: SceneSpec, xs, ys, edges):
 
 
 def _rasters(spec: SceneSpec, sums, i: int) -> list:
-    """One raster of sensor ``SENSORS[i]`` per date (one per ``landsat_days``
-    for Landsat): each pixel's mean reflectance plus noise from stream i + 1.
+    """One raster of sensor ``SENSORS[i]`` per date (one per ``LANDSAT_DAYS``
+    date for Landsat): each pixel's mean reflectance plus noise from stream i + 1.
     A sample beyond float32's range is a SceneError of the ``noise`` entry, as
     the noise-free ones fit (``SceneSpec.validate``, ``_texture_grids``)."""
     sensor, band_names, pixel_m = SENSORS[i]
@@ -739,7 +729,7 @@ def _rasters(spec: SceneSpec, sums, i: int) -> list:
     means = sums / _supersamples(pixel_m) ** 2
     sigma = spec.noise.get(sensor, 0.0)
     rasters = []
-    for date_idx in range(len(spec.landsat_days) if sensor == "landsat" else 1):
+    for date_idx in range(len(LANDSAT_DAYS) if sensor == "landsat" else 1):
         bands = np.empty(sums.shape, dtype=np.float32)
         for bidx, pixels in enumerate(means):
             if sigma > 0:
@@ -827,8 +817,7 @@ def generate_scene(spec: SceneSpec) -> SceneBundle:
     truth = BinaryMask(pan.geometry, truth_bits)
     shadow_truth = BinaryMask(pan.geometry, shadow_bits)
     sites = _pick_train_sites(spec, majority, shadow_bits, pan.geometry)
-    return SceneBundle(pan, ms, landsat, tuple(spec.landsat_days), truth,
-                       class_truth, shadow_truth, sites)
+    return SceneBundle(pan, ms, landsat, truth, class_truth, shadow_truth, sites)
 
 
 # ---------------------------------------------------------------------------

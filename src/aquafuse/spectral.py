@@ -239,21 +239,20 @@ def otsu_threshold(values) -> float:
     counts, edges = np.histogram(values, bins=OTSU_BINS, range=(values.min(), values.max()))
     # between-class variance over bin indices (same maximizer as over bin
     # centers, which are affine in the index), compared in exact integer
-    # arithmetic so plateau ties deterministically resolve to the smallest bin
+    # arithmetic so plateau ties deterministically resolve to the smallest bin;
+    # the minimum is in the first bin and the maximum in the last, so both
+    # classes hold a value at every cut
     counts = [int(c) for c in counts]
     total = sum(counts)
     s_total = sum(i * c for i, c in enumerate(counts))
-    best = None
-    best_num = best_den = 0
+    best, best_num, best_den = 0, -1, 1
     w0 = s0 = 0
     for t in range(OTSU_BINS - 1):
         w0 += counts[t]
         s0 += t * counts[t]
         w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
         num = (s0 * w1 - (s_total - s0) * w0) ** 2
         den = w0 * w1
-        if best is None or num * best_den > best_num * den:
+        if num * best_den > best_num * den:
             best, best_num, best_den = t, num, den
     return float(edges[best + 1])

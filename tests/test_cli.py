@@ -222,6 +222,8 @@ class TestExitCodes:
         ("spectrum water    pan=0.05", "spectrum water    pan=nan",
          "'nan' is not a finite number"),
         ("texture grass 0.08 3.2", "texture grass inf 3.2", "'inf' is not a finite number"),
+        ("extent 240 240", "extent 1e999 240", "'inf' is not a finite number"),
+        ("sun 50 180", "sun nan 180", "sun elevation must be in (0, 90], got nan"),
         ("extent 240 240", "extent 240 240 480", "'extent' takes 2 operand(s), got 3"),
         ("sun 50 180", "sun 50 180 9", "'sun' takes 2 operand(s), got 3"),
         ("seed 7", "seed 7 8", "'seed' takes 1 operand(s), got 2"),
@@ -386,13 +388,26 @@ def _constant(raster):
     return RasterGrid(raster.geometry, np.full_like(raster.data, 0.2), raster.band_names)
 
 
-def _scene_line(old, new):
-    """A damage that writes ``new`` in place of the line ``old`` of the run's
-    scene.txt."""
+def _replace_line(name, old, new):
+    """A damage that writes ``new`` in place of the line ``old``, which is
+    not the first, of the run's file ``name``."""
     def damage(out):
-        path = out / "scene.txt"
-        path.write_text(path.read_text().replace(f"\n{old}\n", f"\n{new}\n"))
+        path = out / name
+        text = path.read_text()
+        assert f"\n{old}\n" in text
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
     return damage
+
+
+def _ms_without_bands(out):
+    _replace_line("ms.hdr", "bands = 4", "bands = 0")(out)
+    _replace_line("ms.hdr", "band_names = blue,green,red,nir", "band_names =")(out)
+    (out / "ms.bin").write_bytes(b"")
+
+
+def _no_prediction_maps(out):
+    for stem in cli.PREDICTION_STEMS:
+        (out / f"{stem}.hdr").unlink()
 
 
 def _sites_without_impervious(out):
@@ -416,9 +431,11 @@ BAD_INPUTS = {
                          "ms_class.hdr: class codes must be whole numbers in 0..3"),
     "landsat-shifted": ("water-index", _edit_raster("landsat_d074", _shifted_east),
                         cli.EXIT_IO, "all rasters in the stack must share one grid"),
-    "scene-sun-95": ("shadow", _scene_line("sun 50 180", "sun 95 180"), cli.EXIT_IO,
+    "scene-sun-95": ("shadow", _replace_line("scene.txt", "sun 50 180", "sun 95 180"),
+                     cli.EXIT_IO,
                      "scene.txt: scene line 4: 'sun 95 180': sun elevation must be in (0, 90]"),
-    "scene-shadow-factor-1.5": ("shadow", _scene_line("shadow_factor 0.5", "shadow_factor 1.5"),
+    "scene-shadow-factor-1.5": ("shadow", _replace_line("scene.txt", "shadow_factor 0.5",
+                                                        "shadow_factor 1.5"),
                                 cli.EXIT_IO, "scene.txt: scene line 5: 'shadow_factor 1.5': "
                                 "shadow_factor must be in (0, 1], got 1.5"),
     "pan-constant-segment": ("segment", _edit_raster("pan", _constant), cli.EXIT_COMPUTE,
@@ -430,6 +447,46 @@ BAD_INPUTS = {
                                              "class 'impervious' has 0 samples"),
     "sites-without-impervious-pca-fuse": ("pca-fuse", _sites_without_impervious,
                                           cli.EXIT_COMPUTE, "class 'impervious' has 0 samples"),
+    # a header number that no grid can have names its header
+    "landsat-wi-pixel-size-inf-segment": (
+        "segment", _replace_line("landsat_wi.hdr", "pixel_size = 30", "pixel_size = inf"),
+        cli.EXIT_IO, "landsat_wi.hdr: pixel_size must be finite and > 0, got inf"),
+    "landsat-wi-pixel-size-inf-fuse": (
+        "fuse", _replace_line("landsat_wi.hdr", "pixel_size = 30", "pixel_size = inf"),
+        cli.EXIT_IO, "landsat_wi.hdr: pixel_size must be finite and > 0, got inf"),
+    "landsat-wi-ulx-inf-segment": (
+        "segment", _replace_line("landsat_wi.hdr", "ulx = 0", "ulx = inf"),
+        cli.EXIT_IO, "landsat_wi.hdr: origin must be finite, got (inf, 240.0)"),
+    "ms-uly-nan-classify-ms": ("classify-ms", _replace_line("ms.hdr", "uly = 240", "uly = nan"),
+                               cli.EXIT_IO, "ms.hdr: origin must be finite, got (0.0, nan)"),
+    "ms-bands-0-classify-ms": ("classify-ms", _ms_without_bands, cli.EXIT_IO,
+                               "ms.hdr: data must be 2-D, or 3-D with at least 1 band"),
+    "ms-bands-0-pca-fuse": ("pca-fuse", _ms_without_bands, cli.EXIT_IO,
+                            "ms.hdr: data must be 2-D, or 3-D with at least 1 band"),
+    # a header the reader cannot take, or no map to evaluate
+    "ms-header-line-without-equals": ("classify-ms", _replace_line("ms.hdr", "lines = 75",
+                                                                   "lines 75"),
+                                      cli.EXIT_IO, "ms.hdr:2: expected 'key = value'"),
+    "ms-header-unknown-key": ("classify-ms", _replace_line("ms.hdr", "bands = 4",
+                                                           "bands = 4\ncolour = blue"),
+                              cli.EXIT_IO, "ms.hdr:4: unknown header key 'colour'"),
+    "ms-header-missing-key": ("classify-ms", _replace_line("ms.hdr", "ulx = 0", ""),
+                              cli.EXIT_IO, "ms.hdr: missing header key 'ulx'"),
+    "ms-header-unparseable-value": ("classify-ms", _replace_line("ms.hdr", "lines = 75",
+                                                                 "lines = lots"),
+                                    cli.EXIT_IO, "ms.hdr: unparseable header value"),
+    "ms-header-data-type": ("classify-ms", _replace_line("ms.hdr", "data_type = float32le",
+                                                         "data_type = float64le"),
+                            cli.EXIT_IO, "ms.hdr: unsupported data_type 'float64le'"),
+    "ms-header-interleave": ("classify-ms", _replace_line("ms.hdr", "interleave = bsq",
+                                                          "interleave = bil"),
+                             cli.EXIT_IO, "ms.hdr: unsupported interleave 'bil'"),
+    "ms-header-band-names": (
+        "classify-ms", _replace_line("ms.hdr", "band_names = blue,green,red,nir",
+                                     "band_names = blue,green,red"),
+        cli.EXIT_IO, "ms.hdr: band_names length does not match band count"),
+    "evaluate-without-prediction-maps": ("evaluate", _no_prediction_maps, cli.EXIT_IO,
+                                         "no prediction artifacts in"),
 }
 
 
@@ -538,6 +595,32 @@ class TestPipelineArtifacts:
         shutil.copytree(pipeline_dir, out)
         (out / "scene.txt").unlink()
         assert cli.main(["shadow", "--out", str(out)]) == cli.EXIT_IO
+
+    def test_fuse_reads_only_the_headers_of_ms_and_landsat_wi(self, pipeline_dir, tmp_path):
+        """fuse takes the two resolutions from the headers, so it runs, and
+        writes the same facts, with ms.bin and landsat_wi.bin gone."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        (out / "ms.bin").unlink()
+        (out / "landsat_wi.bin").unlink()
+        assert cli.main(["fuse", "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "fuse.txt").read_text() == (pipeline_dir / "fuse.txt").read_text()
+
+    def test_infinite_origin_stops_segment_without_a_warning(self, pipeline_dir, tmp_path):
+        """An infinite ulx in a header stops segment, with every warning an
+        error, on the header's rule: exit 3 and one stderr line, and no
+        numpy warning from the grid arithmetic."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        _replace_line("landsat_wi.hdr", "ulx = 0", "ulx = inf")(out)
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "aquafuse.cli", "segment", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == cli.EXIT_IO, done.stderr
+        assert done.stderr.splitlines() == [
+            f"i/o error: {out / 'landsat_wi.hdr'}: origin must be finite, got (inf, 240.0)"]
 
     def test_raster_without_data_file_is_io_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from aquafuse.raster import (
     GridGeometry,
     RasterError,
     RasterGrid,
+    read_header,
     read_mask,
     read_raster,
     resample_nearest,
@@ -29,6 +32,20 @@ class TestGeometry:
             GridGeometry(0, 3, 1.0)
         with pytest.raises(RasterError):
             GridGeometry(3, 3, 0.0)
+
+    @pytest.mark.parametrize("args,message", [
+        ((3, 3, math.inf), "pixel_size must be finite and > 0, got inf"),
+        ((3, 3, math.nan), "pixel_size must be finite and > 0, got nan"),
+        ((3, 3, 1.0, math.inf, 0.0), "origin must be finite, got \\(inf, 0.0\\)"),
+        ((3, 3, 1.0, 0.0, math.nan), "origin must be finite, got \\(0.0, nan\\)"),
+    ], ids=["pixel-size-inf", "pixel-size-nan", "ulx-inf", "uly-nan"])
+    def test_non_finite_size_or_origin_rejected(self, args, message):
+        with pytest.raises(RasterError, match=message):
+            GridGeometry(*args)
+
+    def test_raster_without_bands_rejected(self):
+        with pytest.raises(RasterError, match="at least 1 band"):
+            RasterGrid(GridGeometry(2, 2, 1.0), np.zeros((0, 2, 2)))
 
     def test_center_roundtrip(self):
         geom = GridGeometry(7, 5, 0.8, origin_x=100.0, origin_y=200.0)
@@ -98,6 +115,14 @@ class TestIO:
             fh.write("bogus = 1\n")
         with pytest.raises(RasterError, match="bogus"):
             read_raster(tmp_path / "r")
+
+    def test_header_alone(self, tmp_path):
+        raster = make_raster(width=5, height=4, bands=3, pixel_size=0.8, origin_y=3.2)
+        write_raster(raster, tmp_path / "r.hdr")
+        (tmp_path / "r.bin").unlink()
+        assert read_header(tmp_path / "r.hdr") == (raster.geometry, 3, raster.band_names)
+        with pytest.raises(RasterError, match="missing file: .*r.bin"):
+            read_raster(tmp_path / "r.hdr")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(RasterError, match="missing"):

@@ -12,6 +12,7 @@ from aquafuse.scene import (
     DEFAULT_SCENE_TEXT,
     EVAL_CLASS_OF,
     LANDSAT_BANDS,
+    LANDSAT_DAYS,
     LANDSAT_PIXEL_M,
     MS_BANDS,
     MS_PIXEL_M,
@@ -150,8 +151,15 @@ class TestParser:
     def test_spec_built_in_code_must_be_finite(self, field, value):
         spec = parse_scene(DEFAULT_SCENE_TEXT)
         setattr(spec, field, value)
-        with pytest.raises(SceneError, match="finite"):
+        with pytest.raises(SceneError, match="^'(nan|inf)' is not a finite number$"):
             spec.validate()
+
+    def test_grammar_error_comes_before_a_non_finite_number(self):
+        """Finiteness is a value rule, so it is checked once the whole scene
+        is read: a later line's grammar error is the one reported."""
+        text = SIMPLE_SCENE.replace("noise pan 0", "noise pan nan") + "\nfrobnicate 3\n"
+        with pytest.raises(SceneError, match="'frobnicate 3': unknown directive"):
+            parse_scene(text)
 
     @pytest.mark.parametrize("extra,message", [
         ("swir3=0.9", "unknown band 'swir3'"),    # a band no sensor has
@@ -277,8 +285,8 @@ class TestRendering:
         assert b.pan.geometry.pixel_size == 0.8
         assert (b.ms.geometry.width, b.ms.geometry.height) == (75, 75)
         assert len(b.landsat) == 7
+        assert LANDSAT_DAYS == (16, 74, 135, 192, 230, 288, 340)
         assert all(r.geometry.width == 8 for r in b.landsat)
-        assert b.landsat_days == (16, 74, 135, 192, 230, 288, 340)
         assert b.ms.band_names == list(MS_BANDS)
         assert b.landsat[0].band_names == list(LANDSAT_BANDS)
 
@@ -533,7 +541,7 @@ def reference_scene(spec):
     [pan] = _ref_sensor(spec, classes, brightness, shadow, PAN_BANDS, PAN_PIXEL_M, "pan", 1)
     [ms] = _ref_sensor(spec, classes, brightness, shadow, MS_BANDS, MS_PIXEL_M, "ms", 2)
     landsat = _ref_sensor(spec, classes, brightness, shadow, LANDSAT_BANDS, LANDSAT_PIXEL_M,
-                          "landsat", 3, dates=len(spec.landsat_days))
+                          "landsat", 3, dates=len(LANDSAT_DAYS))
     factor = int(round(PAN_PIXEL_M / SUPERSAMPLE_M))
     water = np.isin(classes, [SURFACE_CLASSES.index(c) for c in WATER_CLASSES])
     truth_bits = _ref_block_mean(water.astype(np.float64), factor) > 0.5
@@ -547,7 +555,7 @@ def reference_scene(spec):
     class_truth = RasterGrid(pan.geometry,
                              stratum_of_code[majority].astype(np.float32)[np.newaxis],
                              ["class_index"])
-    return SceneBundle(pan, ms, landsat, tuple(spec.landsat_days),
+    return SceneBundle(pan, ms, landsat,
                        BinaryMask(pan.geometry, truth_bits.astype(np.uint8)), class_truth,
                        BinaryMask(pan.geometry, shadow_bits.astype(np.uint8)),
                        _pick_train_sites(spec, majority, shadow_bits, pan.geometry))
@@ -685,8 +693,7 @@ def test_matches_reference_renderer(name):
     for g, w in [(got.pan, want.pan), (got.ms, want.ms)] + list(zip(got.landsat, want.landsat)):
         assert g.geometry == w.geometry and g.band_names == w.band_names
         assert np.array_equal(g.data, w.data)
-    assert len(got.landsat) == len(want.landsat) == len(spec.landsat_days)
-    assert got.landsat_days == want.landsat_days
+    assert len(got.landsat) == len(want.landsat) == len(LANDSAT_DAYS)
     assert np.array_equal(got.truth.bits, want.truth.bits)
     assert np.array_equal(got.class_truth.data, want.class_truth.data)
     assert np.array_equal(got.shadow_truth.bits, want.shadow_truth.bits)
