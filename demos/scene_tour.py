@@ -31,8 +31,8 @@ for name, raster in (("PAN", bundle.pan), ("MS", bundle.ms),
 print(f"Landsat day-of-year tags: {LANDSAT_DAYS}")
 print()
 
-truth = bundle.truth.bits.astype(bool)
-shadow = bundle.shadow_truth.bits.astype(bool)
+truth = bundle.truth.bits
+shadow = bundle.shadow_truth.bits
 area = bundle.pan.geometry.pixel_size ** 2
 print(f"water truth:  {truth.sum()} PAN pixels ({truth.sum() * area:.0f} m2)")
 print(f"shadow truth: {shadow.sum()} PAN pixels ({shadow.sum() * area:.0f} m2)")

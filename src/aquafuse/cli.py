@@ -90,11 +90,8 @@ def _write_facts(out: Path, stem: str, **facts) -> None:
         f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n" for k, v in facts.items()))
 
 
-def _landsat_stems(out: Path):
-    stems = sorted(p.stem for p in out.glob("landsat_d*.hdr"))
-    if not stems:
-        raise RasterError(f"no landsat_d*.hdr artifacts in {out}")
-    return stems
+def _landsat_stem(day: int) -> str:
+    return f"landsat_d{day:03d}"
 
 
 # one row per training site: its stratum and map coordinates (m)
@@ -146,7 +143,7 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     _write(out, "pan", bundle.pan)
     _write(out, "ms", bundle.ms)
     for day, raster in zip(LANDSAT_DAYS, bundle.landsat):
-        _write(out, f"landsat_d{day:03d}", raster)
+        _write(out, _landsat_stem(day), raster)
     _write_mask(out, "truth", bundle.truth)
     _write(out, "class_truth", bundle.class_truth)
     _write_mask(out, "shadow_truth", bundle.shadow_truth)
@@ -162,7 +159,7 @@ def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_water_index(cfg: PipelineConfig, out: Path) -> None:
-    stack = [_load_raster(out, stem) for stem in _landsat_stems(out)]
+    stack = [_load_raster(out, _landsat_stem(day)) for day in LANDSAT_DAYS]
     wi = landsat_water_index(stack)
     _write(out, "landsat_wi", wi)
     _write_water(out, "landsat_water", wi)
@@ -223,8 +220,8 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
 
     kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
     kinds[tree_px] = OBJECT_KIND_TREE
-    kinds[imp_px & (intensity.bits == 1)] = OBJECT_KIND_HIGH_BUILDING
-    kinds[imp_px & (intensity.bits == 0)] = OBJECT_KIND_LOW_BUILDING
+    kinds[imp_px & intensity.bits] = OBJECT_KIND_HIGH_BUILDING
+    kinds[imp_px & ~intensity.bits] = OBJECT_KIND_LOW_BUILDING
     _write(out, "object_kinds", RasterGrid(segmap.geometry, kinds, ["kind"]))
 
     heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
@@ -277,10 +274,10 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
     if not stems:
         raise RasterError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
     for stem in stems:
-        pred = read_raster(out / f"{stem}.hdr")
+        pred = read_mask(out / f"{stem}.hdr").as_raster(stem)
         if pred.geometry != truth.geometry:
             pred = resample_nearest(pred, truth.geometry)
-        predicted = pred.data[0].ravel()[samples] > 0.5
+        predicted = pred.data[0].ravel()[samples] == 1
         report = format_report(confusion_matrix(predicted, reference), title=stem)
         (out / f"report_{stem}.txt").write_text(report + "\n")
 

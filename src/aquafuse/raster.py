@@ -122,10 +122,12 @@ class RasterGrid:
 
 @dataclass
 class BinaryMask:
-    """Per-pixel 0/1 field on a grid."""
+    """Per-pixel yes/no field on a grid as bool bits; a bool array is kept with
+    no copy.  Any other dtype must hold exactly 0 and 1, 1 being True: the one
+    0/1 rule, which in the pipeline only masks read by read_mask reach."""
 
     geometry: GridGeometry
-    bits: np.ndarray  # (height, width) uint8
+    bits: np.ndarray  # (height, width) bool
 
     def __post_init__(self):
         arr = np.asarray(self.bits)
@@ -134,11 +136,11 @@ class BinaryMask:
                 f"mask shape {arr.shape} does not match geometry "
                 f"{self.geometry.height}x{self.geometry.width}"
             )
-        if arr.dtype == bool:
-            arr = arr.astype(np.uint8)
-        if not np.isin(arr, (0, 1)).all():
-            raise RasterError("mask values must be 0 or 1")
-        self.bits = arr.astype(np.uint8)
+        if arr.dtype != bool:
+            if not ((arr == 0) | (arr == 1)).all():
+                raise RasterError("mask values must be 0 or 1")
+            arr = arr == 1
+        self.bits = arr
 
     def as_raster(self, name):
         return RasterGrid(self.geometry, self.bits.astype(np.float32)[np.newaxis], [name])
@@ -236,7 +238,7 @@ def read_raster(path) -> RasterGrid:
 
 
 def read_mask(path) -> BinaryMask:
-    """Read a one-band raster whose samples are all exactly 0.0 or 1.0."""
+    """A one-band raster as bool bits; a sample other than 0.0 or 1.0 names the header."""
     raster = read_raster(path)
     if raster.bands != 1:
         raise RasterError(f"{path}: mask file has {raster.bands} bands, expected 1")

@@ -20,6 +20,7 @@ from aquafuse.config import PipelineConfig
 from aquafuse.evaluate import ConfusionMatrix, accuracy_metrics
 from aquafuse.fusion import FusionParams, fuse_pm, fuse_w
 from aquafuse.raster import GridGeometry, RasterGrid, read_mask, read_raster, write_raster
+from aquafuse.scene import LANDSAT_DAYS
 from aquafuse.segmentation import kmeans_segment, morphological_profiles
 from aquafuse.shadow import ShadowGeometry
 from aquafuse.spectral import landsat_water_index
@@ -155,7 +156,7 @@ class TestSmallRiver:
 
     def test_river_recovered_from_pan(self, pipeline_dir):
         segmap, _, flags = load_pipeline(pipeline_dir)
-        truth = read_mask(pipeline_dir / "truth.hdr").bits.astype(bool)
+        truth = read_mask(pipeline_dir / "truth.hdr").bits
         Y, X = map_coordinates(segmap.geometry)
         lake = (X >= 48) & (X < 144) & (Y >= 121.6) & (Y < 217.6)
         river = truth & ~lake
@@ -240,16 +241,16 @@ class TestAccuracyOrdering:
         assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
         segmap, _, _ = load_pipeline(out)
         shadowed = segmap.records.p_shadow > PipelineConfig().shadow_relabel_threshold
-        pgm = read_mask(out / "pgm_water.hdr").bits.astype(bool)
-        final = read_mask(out / "water_final.hdr").bits.astype(bool)
+        pgm = read_mask(out / "pgm_water.hdr").bits
+        final = read_mask(out / "water_final.hdr").bits
         assert shadowed[segmap.labels][pgm].any()
         assert np.array_equal(final, pgm & ~shadowed[segmap.labels])
 
 
 class TestShadowGeometryCoverage:
     def test_predicted_shadow_covers_rendered_shadow(self, pipeline_dir):
-        predicted = read_mask(pipeline_dir / "potential_shadow.hdr").bits.astype(bool)
-        rendered = read_mask(pipeline_dir / "shadow_truth.hdr").bits.astype(bool)
+        predicted = read_mask(pipeline_dir / "potential_shadow.hdr").bits
+        rendered = read_mask(pipeline_dir / "shadow_truth.hdr").bits
         assert rendered.sum() > 0
         assert (predicted & rendered).sum() / rendered.sum() >= 0.95
 
@@ -264,8 +265,8 @@ class TestShadowGeometryCoverage:
         cfg.write_text(f"scene = {scene}\n")
         out = tmp_path / "out"
         assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
-        predicted = read_mask(out / "potential_shadow.hdr").bits.astype(bool)
-        rendered = read_mask(out / "shadow_truth.hdr").bits.astype(bool)
+        predicted = read_mask(out / "potential_shadow.hdr").bits
+        rendered = read_mask(out / "shadow_truth.hdr").bits
         assert rendered.sum() > 0
         assert (predicted & rendered).sum() / rendered.sum() >= 0.95
 
@@ -278,8 +279,8 @@ class TestShadowGeometryCoverage:
         out = tmp_path / "out"
         assert cli.main(["run-all", "--config", str(cfg), "--seed", str(seed),
                          "--out", str(out)]) == 0
-        predicted = read_mask(out / "potential_shadow.hdr").bits.astype(bool)
-        rendered = read_mask(out / "shadow_truth.hdr").bits.astype(bool)
+        predicted = read_mask(out / "potential_shadow.hdr").bits
+        rendered = read_mask(out / "shadow_truth.hdr").bits
         assert (predicted & rendered).sum() / rendered.sum() >= 0.95
         assert whole_map_accuracy(out, "water_final") >= whole_map_accuracy(out, "pgm_water")
 
@@ -387,8 +388,7 @@ class TestSeedFreeSegmentation:
 
 class TestWaterIndex:
     def test_zero_noise_index_is_exact_date_fraction(self, pipeline_dir):
-        stack = [read_raster(pipeline_dir / f"{stem}.hdr")
-                 for stem in sorted(p.stem for p in pipeline_dir.glob("landsat_d*.hdr"))]
+        stack = [read_raster(pipeline_dir / f"landsat_d{day:03d}.hdr") for day in LANDSAT_DAYS]
         wi = landsat_water_index(stack).data[0]
         h, w = wi.shape
         for row in range(h):

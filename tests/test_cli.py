@@ -487,6 +487,12 @@ BAD_INPUTS = {
         cli.EXIT_IO, "ms.hdr: band_names length does not match band count"),
     "evaluate-without-prediction-maps": ("evaluate", _no_prediction_maps, cli.EXIT_IO,
                                          "no prediction artifacts in"),
+    # a prediction map is a mask, read by the same 0/1 rule as truth, on the
+    # truth grid or on a coarser one that is resampled to it
+    "pgm-water-0.7": ("evaluate", _edit_raster("pgm_water", _first_sample(0.7)), cli.EXIT_IO,
+                      "pgm_water.hdr: mask values must be 0 or 1"),
+    "ms-water-1.9": ("evaluate", _edit_raster("ms_water", _first_sample(1.9)), cli.EXIT_IO,
+                     "ms_water.hdr: mask values must be 0 or 1"),
 }
 
 
@@ -621,6 +627,28 @@ class TestPipelineArtifacts:
         assert done.returncode == cli.EXIT_IO, done.stderr
         assert done.stderr.splitlines() == [
             f"i/o error: {out / 'landsat_wi.hdr'}: origin must be finite, got (inf, 240.0)"]
+
+    def test_missing_landsat_date_is_io_error(self, pipeline_dir, tmp_path, capsys):
+        """water-index reads one raster per LANDSAT_DAYS date: without one it
+        stops and names the file, and does not index the six that remain."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        for ext in ("hdr", "bin"):
+            (out / f"landsat_d074.{ext}").unlink()
+        (out / "landsat_wi.hdr").unlink()
+        assert cli.main(["water-index", "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"i/o error: missing file: {out / 'landsat_d074.hdr'}\n"
+        assert not (out / "landsat_wi.hdr").exists()
+
+    def test_stray_landsat_file_is_not_read(self, pipeline_dir, tmp_path):
+        """A landsat_d* raster of no LANDSAT_DAYS date is not part of the
+        stack: landsat_wi and landsat_water keep their bytes."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        write_raster(_constant(read_raster(out / "landsat_d074.hdr")), out / "landsat_d999.hdr")
+        assert cli.main(["water-index", "--out", str(out)]) == cli.EXIT_OK
+        for name in ("landsat_wi.hdr", "landsat_wi.bin", "landsat_water.hdr", "landsat_water.bin"):
+            assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
     def test_raster_without_data_file_is_io_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "out"

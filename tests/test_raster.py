@@ -133,8 +133,14 @@ class TestIO:
         mask = BinaryMask(GridGeometry(3, 2, 1.0), bits)
         write_raster(mask.as_raster("m"), tmp_path / "m")
         back = read_mask(tmp_path / "m.hdr")
-        assert back.bits.dtype == np.uint8
+        assert back.bits.dtype == bool
         assert np.array_equal(back.bits, bits)
+
+    def test_bool_bits_kept_without_a_copy(self):
+        bits = np.array([[False, True, True], [True, False, False]])
+        mask = BinaryMask(GridGeometry(3, 2, 1.0), bits)
+        assert mask.bits.dtype == bool
+        assert np.shares_memory(mask.bits, bits)
 
     @pytest.mark.parametrize("value", [0.7, 1.9, 2.0, -1.0])
     def test_mask_sample_other_than_0_or_1_rejected(self, tmp_path, value):

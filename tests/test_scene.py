@@ -299,7 +299,7 @@ class TestRendering:
 
     def test_river_truth_ribbon_three_pan_pixels(self, simple):
         _, b = simple
-        truth = b.truth.bits.astype(bool)
+        truth = b.truth.bits
         # the 2.4 m river at y [60.0, 62.4) is exactly rows 222..224
         for col in (10, 150, 290):
             rows = np.flatnonzero(truth[200:260, col]) + 200
