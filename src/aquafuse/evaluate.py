@@ -1,9 +1,9 @@
-"""Stratified validation sampling, water/non-water confusion matrices and
-producer's/user's/overall accuracy."""
+"""Stratified validation sampling, water/non-water confusion matrices as
+2x2 count arrays, and producer's/user's/overall accuracy as the rounded
+triple the reports print."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
@@ -35,71 +35,47 @@ def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
     return np.concatenate(chosen)
 
 
-@dataclass
-class ConfusionMatrix:
-    """2x2 counts indexed (predicted, reference), 0 = non-water, 1 = water."""
-
-    counts: np.ndarray
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-
-def confusion_matrix(predicted, reference) -> ConfusionMatrix:
-    """Tally two bool arrays of water flags, predicted against reference."""
+def confusion_matrix(predicted, reference) -> np.ndarray:
+    """Tally two bool arrays of water flags, predicted against reference,
+    into 2x2 counts indexed (predicted, reference), 0 = non-water, 1 = water."""
     predicted = np.asarray(predicted, dtype=bool)
     reference = np.asarray(reference, dtype=bool)
     if predicted.shape != reference.shape:
         raise RasterError(f"flag arrays differ in shape: {predicted.shape} vs {reference.shape}")
-    counts = np.bincount(2 * predicted.ravel() + reference.ravel(), minlength=4)
-    return ConfusionMatrix(counts.reshape(2, 2))
-
-
-@dataclass
-class AccuracyReport:
-    pa: float | None  # water producer's accuracy, percent; None without reference water
-    ua: float | None  # water user's accuracy, percent; None without predicted water
-    oa: float         # overall accuracy, percent
-
-    def rounded(self, decimals=1):
-        """Half-up rounding for display, matching 1-decimal table style;
-        an undefined accuracy stays None."""
-        q = Decimal(1).scaleb(-decimals)
-        return tuple(
-            None if v is None
-            else float(Decimal(repr(float(v))).quantize(q, rounding=ROUND_HALF_UP))
-            for v in (self.pa, self.ua, self.oa)
-        )
+    return np.bincount(2 * predicted.ravel() + reference.ravel(), minlength=4).reshape(2, 2)
 
 
 def _percent(part, whole):
-    return 100.0 * part / whole if whole else None
+    """100 * part / whole rounded half up to one decimal, as the reports
+    print it; None for a zero ``whole``."""
+    if not whole:
+        return None
+    return float(Decimal(repr(float(100.0 * part / whole)))
+                 .quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def accuracy_metrics(m: ConfusionMatrix) -> AccuracyReport:
-    """PA and UA of the water class and OA.  A map or a reference without
-    water leaves UA or PA undefined (None); no samples at all is an error."""
-    c = m.counts
-    if m.total == 0:
+def accuracy_metrics(counts):
+    """(PA, UA, OA) of the water class from 2x2 counts, in percent rounded
+    half up to one decimal.  A map or a reference without water leaves UA or
+    PA undefined (None); no samples at all is an error."""
+    c = counts
+    if c.sum() == 0:
         raise ComputeError("no samples to score")
-    return AccuracyReport(
-        pa=_percent(c[1, 1], c[0, 1] + c[1, 1]),
-        ua=_percent(c[1, 1], c[1, 0] + c[1, 1]),
-        oa=_percent(c[0, 0] + c[1, 1], m.total),
-    )
+    return (_percent(c[1, 1], c[0, 1] + c[1, 1]),
+            _percent(c[1, 1], c[1, 0] + c[1, 1]),
+            _percent(c[0, 0] + c[1, 1], c.sum()))
 
 
 def _shown(value, unit=""):
     return "n/a" if value is None else f"{value}{unit}"
 
 
-def format_report(m: ConfusionMatrix, title: str) -> str:
+def format_report(counts, title: str) -> str:
     """Text table mirroring the usual confusion-matrix layout, plus one
     machine-readable line ``pa=...,ua=...,oa=...``.  An undefined accuracy
     reads ``n/a``."""
-    pa, ua, oa = accuracy_metrics(m).rounded()
-    c = m.counts
+    pa, ua, oa = accuracy_metrics(counts)
+    c = counts
     lines = [
         f"Confusion matrix for {title}",
         "                       Reference",

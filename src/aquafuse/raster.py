@@ -6,7 +6,7 @@ classes, training sites).
 Flat raster: two files sharing a stem.  ``<stem>.hdr`` is text with one
 ``key = value`` per line; ``<stem>.bin`` holds raw little-endian IEEE-754
 float32 samples, row-major within each band, bands stored sequentially
-(BSQ).  Header keys::
+(BSQ).  Header keys, each given once::
 
     samples     image width in pixels
     lines       image height in pixels
@@ -196,6 +196,8 @@ def read_header(path) -> tuple:
         key = key.strip()
         if key not in _HEADER_KEYS:
             raise RasterError(f"{hdr_path}:{lineno}: unknown header key {key!r}")
+        if key in fields:
+            raise RasterError(f"{hdr_path}:{lineno}: header key {key!r} given twice")
         fields[key] = value.strip()
     try:
         geometry = GridGeometry(int(fields["samples"]), int(fields["lines"]),

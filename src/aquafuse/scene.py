@@ -137,9 +137,10 @@ class SceneSpec:
     train_per_class: int = 60
 
     def validate(self):
-        """Check every rule on the scene's values, parsed or built in code.  A
-        broken rule's SceneError names its ``entry`` (``extent``, ``noise pan``,
-        ``spectrum water``, ``feature 3`` for ``features[3]``, ...), so that
+        """Check every rule on the scene's values, parsed or built in code,
+        the sun's elevation range among them.  A broken rule's SceneError
+        names its ``entry`` (``extent``, ``sun``, ``noise pan``, ``spectrum
+        water``, ``feature 3`` for ``features[3]``, ...), so that
         ``parse_scene`` can name its line; a class with no spectrum names none."""
         def check(ok, entry, message):
             if not ok:
@@ -156,6 +157,8 @@ class SceneSpec:
         for entry, values in numbers.items():
             for value in values:
                 check(math.isfinite(value), entry, f"{str(value)!r} is not a finite number")
+        elevation = self.sun.sun_elevation_deg
+        check(0.0 < elevation <= 90.0, "sun", f"sun elevation must be in (0, 90], got {elevation}")
         for axis in self.extent:
             check(axis > 0, "extent", "extent must be positive")
             for _, _, pixel in SENSORS:

@@ -15,14 +15,11 @@ from .spectral import CLASS_ORDER, ComputeError, otsu_threshold
 
 @dataclass
 class ShadowGeometry:
-    """Sun angles; the azimuth is degrees clockwise from north."""
+    """Sun angles; the azimuth is degrees clockwise from north.  The
+    elevation's range, (0, 90], is a ``SceneSpec.validate`` rule."""
 
     sun_elevation_deg: float
     sun_azimuth_deg: float
-
-    def __post_init__(self):
-        if not (0.0 < self.sun_elevation_deg <= 90.0):
-            raise ValueError(f"sun elevation must be in (0, 90], got {self.sun_elevation_deg}")
 
     def offset_coefficients(self):
         """(a, b): column and row shadow displacement per meter of height,

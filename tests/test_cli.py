@@ -223,7 +223,8 @@ class TestExitCodes:
          "'nan' is not a finite number"),
         ("texture grass 0.08 3.2", "texture grass inf 3.2", "'inf' is not a finite number"),
         ("extent 240 240", "extent 1e999 240", "'inf' is not a finite number"),
-        ("sun 50 180", "sun nan 180", "sun elevation must be in (0, 90], got nan"),
+        ("sun 50 180", "sun nan 180", "'nan' is not a finite number"),
+        ("sun 50 180", "sun inf 180", "'inf' is not a finite number"),
         ("extent 240 240", "extent 240 240 480", "'extent' takes 2 operand(s), got 3"),
         ("sun 50 180", "sun 50 180 9", "'sun' takes 2 operand(s), got 3"),
         ("seed 7", "seed 7 8", "'seed' takes 1 operand(s), got 2"),
@@ -481,6 +482,11 @@ BAD_INPUTS = {
     "ms-header-interleave": ("classify-ms", _replace_line("ms.hdr", "interleave = bsq",
                                                           "interleave = bil"),
                              cli.EXIT_IO, "ms.hdr: unsupported interleave 'bil'"),
+    **{f"ms-header-pixel-size-twice-{stage}": (
+        stage, _replace_line("ms.hdr", "band_names = blue,green,red,nir",
+                             "band_names = blue,green,red,nir\npixel_size = 30"),
+        cli.EXIT_IO, "ms.hdr:10: header key 'pixel_size' given twice")
+       for stage in ("fuse", "classify-ms", "pca-fuse")},
     "ms-header-band-names": (
         "classify-ms", _replace_line("ms.hdr", "band_names = blue,green,red,nir",
                                      "band_names = blue,green,red"),

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from aquafuse.evaluate import (
-    AccuracyReport,
-    ConfusionMatrix,
-    accuracy_metrics,
-    confusion_matrix,
-    format_report,
-    stratified_sample,
-)
+from aquafuse.evaluate import accuracy_metrics, confusion_matrix, format_report, stratified_sample
 from aquafuse.raster import RasterError
 from aquafuse.spectral import ComputeError
 
@@ -56,9 +49,15 @@ class TestConfusionMatrix:
     def test_counts_layout(self):
         predicted = np.array([True, True, False, False])
         reference = np.array([True, False, True, False])
-        m = confusion_matrix(predicted, reference)
-        assert m.counts.tolist() == [[1, 1], [1, 1]]
-        assert m.total == 4
+        counts = confusion_matrix(predicted, reference)
+        assert counts.shape == (2, 2)
+        assert counts.tolist() == [[1, 1], [1, 1]]
+
+    def test_indexed_predicted_then_reference(self):
+        # 3 missed water pixels, 1 false alarm, 2 hits, no correct non-water
+        predicted = np.array([False, False, False, True, True, True])
+        reference = np.array([True, True, True, False, True, True])
+        assert confusion_matrix(predicted, reference).tolist() == [[0, 3], [1, 2]]
 
     def test_length_mismatch(self):
         with pytest.raises(RasterError):
@@ -78,39 +77,47 @@ class TestAccuracyMetrics:
 
     @pytest.mark.parametrize("counts,expected", REFERENCE)
     def test_reference_tables(self, counts, expected):
-        m = ConfusionMatrix(np.array(counts, dtype=np.int64))
-        assert accuracy_metrics(m).rounded() == expected
+        assert accuracy_metrics(np.array(counts, dtype=np.int64)) == expected
 
     def test_exact_fractions(self):
-        m = ConfusionMatrix(np.array([[50, 10], [20, 40]], dtype=np.int64))
-        rep = accuracy_metrics(m)
-        assert rep.pa == pytest.approx(100.0 * 40 / 50)
-        assert rep.ua == pytest.approx(100.0 * 40 / 60)
-        assert rep.oa == pytest.approx(100.0 * 90 / 120)
+        # PA 40/50 = 80, UA 40/60 = 66.66.., OA 90/120 = 75
+        assert accuracy_metrics(np.array([[50, 10], [20, 40]], dtype=np.int64)) \
+            == (80.0, 66.7, 75.0)
 
-    def test_half_up_rounding(self):
-        assert AccuracyReport(87.25, 12.35, 99.95).rounded() == (87.3, 12.4, 100.0)
-        assert AccuracyReport(87.24999, 0.05, 50.0).rounded() == (87.2, 0.1, 50.0)
+    @pytest.mark.parametrize("part,whole,expected", [
+        (349, 400, 87.3),                  # 87.25 rounds up
+        (247, 2000, 12.4),                 # 12.35 rounds up
+        (1999, 2000, 100.0),               # 99.95 rounds up to 100.0
+        (1, 2000, 0.1),                    # 0.05 rounds up
+        (8724999, 10000000, 87.2),         # 87.24999 rounds down
+    ])
+    def test_half_up_rounding(self, part, whole, expected):
+        """Each accuracy is rounded half up to one decimal.  Both matrices
+        miss ``whole - part`` water pixels: the first gets the other pixels
+        right as non-water (OA = part / whole), the second finds them as
+        water (PA = part / whole)."""
+        counts = np.array([[part, whole - part], [0, 0]], dtype=np.int64)
+        assert accuracy_metrics(counts)[2] == expected
+        counts = np.array([[0, whole - part], [0, part]], dtype=np.int64)
+        assert accuracy_metrics(counts)[0] == expected
 
     def test_zero_denominators(self):
         # no reference water: PA undefined; no predicted water: UA undefined
-        assert accuracy_metrics(ConfusionMatrix(np.array([[5, 0], [3, 0]]))).rounded() \
-            == (None, 0.0, 62.5)
-        assert accuracy_metrics(ConfusionMatrix(np.array([[5, 3], [0, 0]]))).rounded() \
-            == (0.0, None, 62.5)
-        with pytest.raises(ComputeError):
-            accuracy_metrics(ConfusionMatrix(np.zeros((2, 2), dtype=np.int64)))
+        assert accuracy_metrics(np.array([[5, 0], [3, 0]])) == (None, 0.0, 62.5)
+        assert accuracy_metrics(np.array([[5, 3], [0, 0]])) == (0.0, None, 62.5)
+        with pytest.raises(ComputeError, match="no samples to score"):
+            accuracy_metrics(np.zeros((2, 2), dtype=np.int64))
 
 
 def test_format_report_undefined_accuracy():
-    m = ConfusionMatrix(np.array([[299, 2], [0, 0]], dtype=np.int64))
-    lines = format_report(m, title="dry").splitlines()
+    counts = np.array([[299, 2], [0, 0]], dtype=np.int64)
+    lines = format_report(counts, title="dry").splitlines()
     assert lines[-2] == "PA(water) = 0.0%   UA(water) = n/a   OA = 99.3%"
     assert lines[-1] == "pa=0.0,ua=n/a,oa=99.3"
 
 
 def test_format_report_machine_line():
-    m = ConfusionMatrix(np.array([[299, 2], [69, 230]], dtype=np.int64))
-    text = format_report(m, title="demo")
+    counts = np.array([[299, 2], [69, 230]], dtype=np.int64)
+    text = format_report(counts, title="demo")
     assert "pa=99.1,ua=76.9,oa=88.2" in text.splitlines()[-1]
     assert "299" in text and "230" in text

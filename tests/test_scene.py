@@ -147,6 +147,7 @@ class TestParser:
         ("noise", {"pan": math.nan}),
         ("textures", {"grass": (math.inf, 3.2)}),
         ("sun", ShadowGeometry(50.0, math.nan)),
+        ("sun", ShadowGeometry(math.nan, 180.0)),
     ])
     def test_spec_built_in_code_must_be_finite(self, field, value):
         spec = parse_scene(DEFAULT_SCENE_TEXT)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import ndimage
 
 from aquafuse.config import PipelineConfig
 from aquafuse.raster import BinaryMask, GridGeometry, RasterError, read_raster
+from aquafuse.scene import SceneError, default_scene, generate_scene
 from aquafuse.segmentation import SegmentMap, segment_table
 from aquafuse.shadow import (
     OBJECT_KIND_HIGH_BUILDING,
@@ -48,11 +50,22 @@ class TestShadowGeometry:
     def test_zenith_sun_no_offset(self):
         assert ShadowGeometry(90.0, 123.0).offset_coefficients() == (0.0, -0.0)
 
-    def test_invalid_elevation(self):
-        with pytest.raises(ValueError):
-            ShadowGeometry(0.0, 0.0)
-        with pytest.raises(ValueError):
-            ShadowGeometry(95.0, 0.0)
+    @pytest.mark.parametrize("elevation", [0.0, 95.0])
+    def test_elevation_outside_range_is_a_scene_rule(self, elevation):
+        """The sun's range is checked by SceneSpec.validate, which names the
+        ``sun`` entry, for a scene built in code as for a parsed one."""
+        spec = dataclasses.replace(default_scene(), sun=ShadowGeometry(elevation, 180.0))
+        with pytest.raises(SceneError, match=rf"^sun elevation must be in \(0, 90\], "
+                                             rf"got {elevation}$") as info:
+            spec.validate()
+        assert info.value.entry == "sun"
+
+    def test_mutated_elevation_stops_generate_scene(self):
+        spec = default_scene()
+        spec.sun.sun_elevation_deg = 0.0
+        with pytest.raises(SceneError, match="sun elevation must be in") as info:
+            generate_scene(spec)
+        assert info.value.entry == "sun"
 
 
 def segmap_with(**columns):
