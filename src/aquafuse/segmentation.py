@@ -256,73 +256,80 @@ def _nearest_two(x, x2, centers):
     return nearest, best, second
 
 
-def _nearest(features, f2, centers):
-    """Every row's nearest centre and its ``_sq_distances`` value."""
+def _nearest(features, centers):
+    """Every row's nearest centre, as the smallest unsigned type that holds
+    its index, and its ``_sq_distances`` value."""
     n = len(features)
-    assign = np.empty(n, dtype=np.intp)
+    assign = np.empty(n, dtype=np.min_scalar_type(len(centers) - 1))
     best = np.empty(n)
     for block in row_blocks(n, KMEANS_BLOCK):
-        assign[block], best[block], _ = _nearest_two(features[block], f2[block], centers)
+        x = features[block]
+        assign[block], best[block], _ = _nearest_two(x, _row_norms(x), centers)
     return assign, best
 
 
-def _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums):
+def _float32_bound(values: np.ndarray, direction: float) -> np.ndarray:
+    """``values`` as float32, rounded up (``direction`` 1) or down (-1): each
+    is first moved that way by 2**-22 of itself and by 2**-149, float32's
+    least subnormal, more than the cast moves it back (at most 2**-24 of it,
+    or 2**-150).  An infinity stays one.  ``values`` is overwritten."""
+    factor = np.sign(values)
+    factor *= direction * 2.0 ** -22
+    factor += 1.0
+    values *= factor
+    values += direction * 2.0 ** -149
+    return values.astype(np.float32)
+
+
+def _reset_bounds(features, centers, norm2, drift, total, rows, label, ubar, budget, sums):
     """Assign ``rows`` to their nearest centres and set their bounds of
     ``_lloyd`` from the computed squared distances, building each block of
-    rows once.  With ``rows`` None (the first pass), every row's squared
-    norm goes into ``f2`` and its features into its centre's sum in
-    ``sums``.  With an index array, each row whose centre changes moves from
-    its old centre's sum in ``sums`` to its new one."""
+    rows once: ``drift`` holds each centre's cumulative move and ``total``
+    the cumulative largest move, as of these centres.  With ``rows`` None
+    (the first pass), each block's rows go into their centres' sums in
+    ``sums`` by one product with a 0/1 indicator.  With an index array, the
+    rows whose centre changes move from their old centre's sum to their new
+    one's by one product with a +-1 indicator.  Returns the number of rows
+    each centre gained, the indicator's sums."""
     first = rows is None
-    for block in row_blocks(len(features) if first else len(rows), KMEANS_BLOCK):
+    ids = np.arange(len(centers))[:, None]
+    gained = np.zeros(len(centers))
+    for block in row_blocks(len(label) if first else len(rows), KMEANS_BLOCK):
         block = block if first else rows[block]
         x = features[block]
-        if first:
-            f2[block] = _row_norms(x)
-        x2 = f2[block]
+        x2 = _row_norms(x)
         nearest, best, second = _nearest_two(x, x2, centers)
         if first:
-            sums += np.stack([np.bincount(nearest, weights=column, minlength=len(sums))
-                              for column in x.T], axis=1)
+            indicator = (nearest == ids) * 1.0
         else:
-            old = assign[block]
+            old = label[block]
             moved = old != nearest
-            if moved.any():
-                x = x[moved]
-                np.subtract.at(sums, old[moved], x)
-                np.add.at(sums, nearest[moved], x)
-        assign[block] = nearest
+            indicator = (nearest[moved] == ids) * 1.0
+            indicator -= old[moved] == ids
+            x = x[moved]
+        sums += indicator @ x
+        gained += indicator.sum(axis=1)
+        label[block] = nearest
         tau = KMEANS_SLACK * (x2 + norm2)
-        upper[block] = np.sqrt(best + tau)
-        lower[block] = np.sqrt(np.maximum(second - tau, 0.0))
+        upper = np.sqrt(best + tau) + np.sqrt(2.0 * tau)  # U + m of _lloyd
+        lower = np.sqrt(np.maximum(second - tau, 0.0))    # L
+        ubar[block] = _float32_bound(upper - drift[nearest], 1.0)
+        budget[block] = _float32_bound(lower - upper + drift[nearest] + total, -1.0)
+    return gained
 
 
-def _unsettled_rows(assign, upper, lower, f2, norm2, old, new):
-    """Move the bounds of ``_lloyd`` with the centres from ``old`` to ``new``
-    and return the rows whose bounds no longer prove their centre; a row's
-    2 tau is built in its test block from ``f2`` and ``norm2``."""
-    up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
-    move = np.sqrt(np.sum((new - old) ** 2, axis=1)) * up
-    lower -= np.max(move)
-    lower *= down
-    gaps = np.sqrt(np.sum((new[:, None] - new) ** 2, axis=2))
-    np.fill_diagonal(gaps, np.inf)
-    half = 0.5 * down * np.min(gaps, axis=1)
-    settled = np.empty(len(assign), dtype=bool)
-    for block in row_blocks(len(assign), KMEANS_TEST_BLOCK):  # no row-length temporaries
-        centre, bound = assign[block], upper[block]
-        bound += move[centre]
-        bound *= up
-        # upper**2 + 2 tau against max(half, lower)**2
-        tau2 = f2[block] + norm2
-        tau2 *= 2.0 * KMEANS_SLACK
-        lhs = bound * bound
-        lhs += tau2
-        rhs = half[centre]
-        np.maximum(rhs, lower[block], out=rhs)
-        rhs *= rhs
-        np.less(lhs, rhs, out=settled[block])
-    return np.flatnonzero(~settled)
+def _unsettled_rows(label, ubar, budget, reach, limit):
+    """The rows whose bounds of ``_lloyd`` no longer prove their centre a:
+    the candidates, whose ``budget`` is at most ``reach[a]``, less those
+    whose ``ubar`` is below ``limit[a]`` (the half-distance test).  Only the
+    label and budget of every row are read.  (``np.take`` gathers by a
+    uint8 label twice as fast as indexing does.)"""
+    rows = []
+    for block in row_blocks(len(label), KMEANS_TEST_BLOCK):  # no row-length temporaries
+        candidates = np.flatnonzero(budget[block] <= np.take(reach, label[block]))
+        candidates += block.start
+        rows.append(candidates[ubar[candidates] >= np.take(limit, label[candidates])])
+    return np.concatenate(rows)
 
 
 def _lloyd(features, centers: np.ndarray):
@@ -332,7 +339,8 @@ def _lloyd(features, centers: np.ndarray):
     Returns ``(assign, centers, iterations, objective, converged)``: the
     objective is the sum of the squared distances of every row to its
     nearest final centre, and ``converged`` tells whether the last pass
-    moved every centre coordinate by less than KMEANS_TOL.
+    moved every centre coordinate by less than KMEANS_TOL.  ``assign`` has
+    the smallest unsigned type that holds a centre index.
 
     ``features`` is a row source: ``len(features)`` rows, of which
     ``features[block]`` gives those of a slice or an index array as a
@@ -342,89 +350,128 @@ def _lloyd(features, centers: np.ndarray):
     Rows are read only in ``row_blocks`` of up to KMEANS_BLOCK: the first
     pass and the final labelling build each block once, a later pass only
     its unsettled rows.  No value depends on the block a row is built in,
-    its squared norm is summed left to right (``_row_norms``) and each
-    distance is the one a product over all rows gives it (the rule of
+    its squared norm is summed left to right (``_row_norms``, again for
+    each block built, so that no array of norms is held) and each distance
+    is the one a product over all rows gives it (the rule of
     ``row_blocks``, which ``_sq_distances`` keeps for a lone row), so the
-    results are those of one matrix, bit for bit.  Four arrays of one value
-    a row are held (``f2``, ``assign``, ``upper`` and ``lower``); a row's
-    slack ``2 tau`` is built in each block of the bound test from ``f2`` and
-    ``norm2``, with the same steps, so it needs no array of its own.
+    results are those of one matrix, bit for bit.
 
     Each pass assigns every row to the centre of its smallest
     ``_sq_distances`` value, and each centre becomes the mean of its rows.
     The rounding makes every sum of rows exact, so the first pass adds up
-    each centre's rows block by block and a later pass moves only the rows
-    that change centre from one sum, and one count, to the other: the sums,
-    and so the centres, are bit for bit those of full sums in any order.
-    The first pass, the labelling at the final centres and an empty
+    each centre's rows block by block, as one product of a 0/1 indicator
+    with the block, and a later pass moves only the rows that change
+    centre from one sum, and one count, to the other, by a product with a
+    +-1 indicator: every product term is a row or its negation, so the
+    sums, and so the centres, are bit for bit those of full sums in any
+    order.  The first pass, the labelling at the final centres and an empty
     cluster's search for the farthest row compute every distance.  In
-    between, most rows keep their centre, and Hamerly's bounds prove it
-    without their distances.  Row i keeps ``upper[i]``, at least its
-    distance to its own centre a, and ``lower[i]``, at most its distance to
-    any other centre.  When the centres move, ``upper`` grows by a's move
-    and ``lower`` shrinks by the largest move (the triangle inequality).  A
-    row keeps a unseen if ``upper**2 + 2 tau < max(half[a], lower)**2``,
-    where ``half[a]`` is half the distance from a to its nearest other
-    centre; the other rows get their distances computed and their bounds
-    reset.
+    between, most rows keep their centre, and Hamerly's bounds, kept as
+    sums of drifts (Ding et al., Yinyang k-means, 2015), prove it without
+    their distances.
+
+    The bounds.  A row holds three values, 9 bytes for up to 256 centres:
+    its centre a, in the smallest unsigned type that holds it, and two
+    float32 values set when its distances were last computed, at its reset.
+    There U is at least its distance to a, L at most its distance to any
+    other centre, and m = ``sqrt(2 tau)`` is a margin for rounding (below).
+    The passes keep, per centre, its cumulative move D since the first
+    pass, and the cumulative largest move M; a row stores ``ubar = U + m -
+    D[a]`` and ``budget = L - U - m + D[a] + M``, with D and M as of its
+    reset.  By the triangle inequality, once the centres have moved on,
+    its distance to a is at most U plus a's moves since, ``ubar + D[a] -
+    m`` with D now, and its distance to any other centre at least L less
+    the largest moves since.  The margin then is m at the reset plus
+    ``growth``, ``sqrt(2 KMEANS_SLACK (norm2 - norm2 of the first pass))``:
+    ``norm2``, the largest |c|**2 of any centre so far, never falls, and
+    ``sqrt(s + t) <= sqrt(s) + sqrt(t)``.  So a row whose budget is above
+    ``D[a] + M + growth``, D and M now, is kept unseen: every other centre
+    is farther from it than a by more than the margin.  A pass reads only
+    the label and the budget of every row.  A row whose budget is used up,
+    a candidate, is still kept if ``ubar + D[a] + growth`` is below
+    ``half[a]``, half the distance from a to its nearest other centre: the
+    distance to a plus the margin is then below ``half[a]``, and every other
+    centre is farther by more than twice the margin.  Only the candidates
+    that fail both tests are built, and their bounds reset.
 
     Why the labels are those of a full computation, bit for bit.  The
-    computed value e_c of ``f2 - 2 f.c + c2`` differs from the exact squared
-    distance d_c**2 by at most (2 dims + 4) unit roundoffs (2**-53) of
-    f2 + |c|**2.  ``tau = KMEANS_SLACK * (f2 + norm2)`` is 8192 of them,
-    of a sum at least as large: ``norm2`` is the largest |c|**2 of any
-    centre so far.  So the bounds set from computed values, ``sqrt(e_a + tau)``
-    and ``sqrt(max(e_b - tau, 0))`` with e_b the second smallest, bound the
-    exact distances.  Moves are rounded up and half-distances down by a
-    factor 1 +- KMEANS_SLACK, and so is each bound after its update, so the
-    bounds hold after any number of passes.  A row that passes the test has
-    d_a**2 + 2 tau < d_c**2, hence e_a < e_c, for every other centre c.  The
-    test is strict, so a row that ties is always recomputed and goes to the
-    lowest index, as argmin does.  The rounding of the square roots and of
-    the test itself is a few unit roundoffs of values below 2 (f2 + norm2):
-    with the error above, all of it stays inside the slack for fewer than
-    1000 columns.
+    computed value e_c of ``f2 - 2 f.c + c2``, f2 the row's squared norm,
+    differs from the exact squared distance d_c**2 by at most eps =
+    (2 dims + 4) unit roundoffs (2**-53) of f2 + |c|**2.  ``tau =
+    KMEANS_SLACK * (f2 + norm2)`` is 8192 of them, of a sum at least as
+    large, so eps <= tau / 4 for fewer than 1000 columns.  Hence U =
+    ``sqrt(e_a + tau)`` is at least d_a, and L = ``sqrt(max(e_b - tau,
+    0))``, e_b the second smallest value, at most every other d_c.  A row
+    with d_c - d_a > sqrt(tau / 2) for every other centre c has d_c**2 -
+    d_a**2 > tau / 2 >= 2 eps, hence e_a < e_c: its computed label is a.
+    In exact arithmetic, both tests keep a row only with d_c - d_a above
+    the margin, at least ``sqrt(2 tau)`` now, twice sqrt(tau / 2).  The
+    other half, sqrt(tau / 2) >= 2**-20.5 sqrt(f2 + norm2), covers the
+    float64 rounding of every step that makes or tests a bound.  Each of
+    those few dozen steps rounds by a unit roundoff of a value below
+    5 KMEANS_MAX_ITER sqrt(f2 + norm2): U and L, no distance being more
+    than |x| + |c|; every centre's move, no more than twice sqrt(norm2), so
+    that D and M are each below 2 KMEANS_MAX_ITER sqrt(norm2); ``half``,
+    ``growth``, and the sums and differences of these.  That is below
+    2**-37 sqrt(f2 + norm2) in all.  Besides, each move, D, M, ``growth``,
+    ``half`` and the per-centre sums of the tests are rounded toward the
+    safe side by a factor 1 +- KMEANS_SLACK, so that each step of D and M
+    is at least the move it adds, and the float32 values are rounded
+    outward (``_float32_bound``): ``ubar`` and ``D[a] + M + growth`` up and
+    ``budget`` down, which makes the bounds looser, never wrong.  Distances
+    must be within float32's range.  With one centre L is infinite, and so
+    is every budget: no row is ever a candidate.  The tests are strict, so
+    a row that ties is always recomputed and goes to the lowest index, as
+    argmin does.
     """
-    centers, f2, iterations, converged = _lloyd_passes(features, centers)
-    assign, best = _nearest(features, f2, centers)
+    centers, iterations, converged = _lloyd_passes(features, centers)
+    assign, best = _nearest(features, centers)
     return assign, centers, iterations, float(best.sum()), converged
 
 
 def _lloyd_passes(features, centers: np.ndarray):
     """The passes of ``_lloyd`` without its final labelling: returns
-    ``(centers, f2, iterations, converged)``, with ``f2`` each row's squared
-    norm."""
+    ``(centers, iterations, converged)``."""
     n = len(features)
     k = len(centers)
-    f2 = np.empty(n)  # filled by the first pass
-    assign = np.empty(n, dtype=np.intp)
-    upper = np.empty(n)
-    lower = np.empty(n)
+    up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
+    label = np.empty(n, dtype=np.min_scalar_type(k - 1))
+    ubar = np.empty(n, dtype=np.float32)
+    budget = np.empty(n, dtype=np.float32)
     sums = np.zeros(centers.shape)
-    norm2 = 0.0
+    drift, total = np.zeros(k), 0.0  # D and M of _lloyd
     previous = None
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         top = float(np.max(np.sum(centers ** 2, axis=1)))
-        norm2 = max(norm2, top)
         if previous is None:  # the first pass computes, sums and counts every row
-            _reset_bounds(features, f2, centers, norm2, None, assign, upper, lower, sums)
-            counts = np.bincount(assign, minlength=k)
+            norm2 = first_norm2 = top
+            counts = _reset_bounds(features, centers, norm2, drift, total, None,
+                                   label, ubar, budget, sums)
         else:  # a later pass computes the unsettled rows and moves their sums and counts
-            rows = _unsettled_rows(assign, upper, lower, f2, norm2, previous, centers)
-            counts -= np.bincount(assign[rows], minlength=k)
-            _reset_bounds(features, f2, centers, norm2, rows, assign, upper, lower, sums)
-            counts += np.bincount(assign[rows], minlength=k)
+            norm2 = max(norm2, top)
+            move = np.sqrt(np.sum((centers - previous) ** 2, axis=1)) * up
+            drift = (drift + move) * up
+            total = (total + float(np.max(move))) * up
+            growth = np.sqrt(2.0 * KMEANS_SLACK * (norm2 - first_norm2)) * up
+            gaps = np.sqrt(np.sum((centers[:, None] - centers) ** 2, axis=2))
+            np.fill_diagonal(gaps, np.inf)
+            half = 0.5 * down * np.min(gaps, axis=1)
+            rows = _unsettled_rows(label, ubar, budget,
+                                   _float32_bound((drift + total + growth) * up, 1.0),
+                                   half - (drift + growth) * up)
+            counts += _reset_bounds(features, centers, norm2, drift, total, rows,
+                                    label, ubar, budget, sums)
             del rows  # so that the next pass's bound test does not overlap it
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
         if empty.any():
-            farthest = int(np.argmax(_nearest(features, f2, centers)[1]))
+            farthest = int(np.argmax(_nearest(features, centers)[1]))
             new_centers[empty] = features[farthest:farthest + 1]
         movement = np.max(np.abs(new_centers - centers))
         previous, centers = centers, new_centers
         if movement < KMEANS_TOL:
             break
-    return centers, f2, iterations, bool(movement < KMEANS_TOL)
+    return centers, iterations, bool(movement < KMEANS_TOL)
 
 
 def _kmeans(features, k: int):
@@ -458,13 +505,15 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
     it is linked to, and then pointer jumping points every run at its root
     (Shiloach and Vishkin, 1982).  A root is thus its component's smallest
     run, whose first pixel is the component's first, so the roots in run
-    order are the ids."""
+    order are the ids.  The run of each pixel is numbered in int32, as the
+    ids are."""
     h, w = cluster_img.shape
     flat = cluster_img.ravel()
     starts = np.ones(flat.size, dtype=bool)  # a run starts at column 0 or a change
     np.not_equal(flat[1:], flat[:-1], out=starts[1:])
     starts[::w] = True
-    run_of = np.cumsum(starts) - 1
+    run_of = np.cumsum(starts, dtype=np.int32)
+    run_of -= 1
     # a pixel equal to the one above links their two runs; two runs overlap
     # in one stretch, which begins where one of them starts, so counting only
     # such pixels gives one link per pair
@@ -485,8 +534,8 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
-    roots = parent == np.arange(len(parent))
-    ids = (np.cumsum(roots) - 1).astype(np.int32)
+    ids = np.cumsum(parent == np.arange(len(parent)), dtype=np.int32)
+    ids -= 1
     return ids[parent][run_of].reshape(h, w)
 
 

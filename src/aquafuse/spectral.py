@@ -230,13 +230,18 @@ def otsu_threshold(values) -> float:
     """Histogram threshold maximizing between-class variance.
 
     Ties pick the smallest maximizing bin; the returned threshold is that
-    bin's upper edge.
+    bin's upper edge.  The values are read in their own type, so a float32
+    image is not copied to float64.  The bounds of the range are float64
+    scalars, which under numpy 2's promotion rules (NEP 50) make the bin
+    edges float64 for any input; Python floats would give a float32 image
+    float32 edges.
     """
-    values = np.asarray(values, dtype=np.float64).ravel()
+    values = np.ravel(values)
     values = values[np.isfinite(values)]
     if values.size < 2 or values.min() == values.max():
         raise ComputeError("otsu_threshold needs at least 2 distinct values")
-    counts, edges = np.histogram(values, bins=OTSU_BINS, range=(values.min(), values.max()))
+    counts, edges = np.histogram(values, bins=OTSU_BINS,
+                                 range=(np.float64(values.min()), np.float64(values.max())))
     # between-class variance over bin indices (same maximizer as over bin
     # centers, which are affine in the index), compared in exact integer
     # arithmetic so plateau ties deterministically resolve to the smallest bin;

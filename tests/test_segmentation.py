@@ -277,8 +277,9 @@ class TestKmeansSegment:
 
     def test_fixture_peak_allocation(self, pipeline_dir):
         """No (n, 11) float64 feature matrix is held: the rows are built a
-        block at a time from the planes, and the traced peak on the fixture
-        stays below the size of that matrix."""
+        block at a time from the planes, and k-means keeps 9 bytes a pixel,
+        so the traced peak on the fixture, where the blocks weigh most,
+        stays below half the size of that matrix."""
         pan = read_raster(pipeline_dir / "pan.hdr")
         mps = morphological_profiles(pan)
         tracemalloc.start()
@@ -287,7 +288,24 @@ class TestKmeansSegment:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.0 * pan.data.size * 11 * 8
+        assert peak < 0.5 * pan.data.size * 11 * 8
+
+    def test_tile_2x2_fit_and_peak_allocation(self, tile_2x2):
+        """On the bundled layout tiled 2 x 2 (480 m), k-means takes 19 full
+        passes to its pinned objective, and the traced peak of
+        kmeans_segment stays below 20 bytes a pixel: 9 bytes of k-means
+        state a pixel, the int32 segment ids, and blocks of rows."""
+        pan = tile_2x2.pan
+        mps = morphological_profiles(pan)
+        tracemalloc.start()
+        try:
+            segmap = kmeans_segment(pan, mps, PipelineConfig().kmeans_k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert segmap.kmeans_iterations == 19
+        assert segmap.kmeans_objective == pytest.approx(59521.6373, abs=1e-4)
+        assert peak < 20 * pan.data.size
 
     def test_ids_in_raster_scan_order(self):
         rng = np.random.default_rng(4)
@@ -554,6 +572,70 @@ class TestKmeansOracle:
         assign, _, _, _ = self.assert_matches_reference(features, 1)
         assert (assign == 0).all()
 
+    @pytest.fixture
+    def bound_log(self, monkeypatch):
+        """Wrap _reset_bounds and _unsettled_rows; yields the list of their
+        calls in order: ("reset", norm2) and ("test", rows, candidates,
+        rows to rebuild, whether every budget is infinite)."""
+        reset, test, log = segmentation._reset_bounds, segmentation._unsettled_rows, []
+
+        def reset_spy(features, centers, norm2, *rest):
+            log.append(("reset", norm2))
+            return reset(features, centers, norm2, *rest)
+
+        def test_spy(label, ubar, budget, reach, limit):
+            rows = test(label, ubar, budget, reach, limit)
+            log.append(("test", len(label), int(np.count_nonzero(budget <= reach[label])),
+                        len(rows), bool(np.isposinf(budget).all())))
+            return rows
+
+        monkeypatch.setattr(segmentation, "_reset_bounds", reset_spy)
+        monkeypatch.setattr(segmentation, "_unsettled_rows", test_spy)
+        return log
+
+    def test_single_cluster_budget_is_infinite(self, pipeline_dir, bound_log):
+        """With one centre there is no second distance: every budget is
+        +inf, made without an inf - inf, so no row is ever a candidate."""
+        features = standardized_features(read_raster(pipeline_dir / "pan.hdr"))
+        assign, _, iterations, _ = self.assert_matches_reference(features, 1)
+        assert not assign.any()
+        assert iterations == 2
+        tests = [entry for entry in bound_log if entry[0] == "test"]
+        assert tests and all(entry[2] == 0 and entry[4] for entry in tests)
+
+    def test_centres_whose_norm_grows(self, bound_log):
+        # two blobs 6 out from the origin and three centres near it: the
+        # largest centre norm grows from 0.25 to about 74 after the first
+        # pass, so the later passes keep rows unseen through the growth term
+        # (from farthest-point centres, the largest norm falls instead)
+        rng = np.random.default_rng(7)
+        features = np.asfortranarray(np.concatenate(
+            [rng.normal(size=(200, 3)) + [6, 0, 0], rng.normal(size=(200, 3)) + [0, 6, 0]]))
+        self.assert_matches_reference(features, 3)
+        bound_log.clear()
+        start = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        self.assert_lloyd_matches_reference(features, start)
+        first = bound_log[0][1]
+        norm2, kept_after_growth = first, 0
+        for entry in bound_log:
+            if entry[0] == "reset":
+                norm2 = entry[1]
+            elif norm2 > 100 * first:
+                kept_after_growth += entry[1] - entry[3]
+        assert kept_after_growth > 0
+
+    def test_large_drift_spends_every_budget(self, bound_log):
+        # rows in [-1, 1] and centres at -1000 and 1000: each centre moves
+        # about 1000 in the first pass, more than any row's budget, so the
+        # second pass tests and rebuilds every row
+        features = np.asfortranarray(np.random.default_rng(8).uniform(-1, 1, size=(300, 1)))
+        self.assert_matches_reference(features, 2)
+        bound_log.clear()
+        self.assert_lloyd_matches_reference(features, np.array([[-1000.0], [1000.0]]))
+        tests = [entry for entry in bound_log if entry[0] == "test"]
+        assert tests[0][1:4] == (300, 300, 300)
+        assert any(entry[2] < 300 for entry in tests[1:])
+
     def test_fixture_objective_is_the_references(self, pipeline_dir):
         """The objective is the sum over rows of the smallest expansion-form
         squared distance at the reference's final centres, computed here, so
@@ -626,20 +708,27 @@ class TestExactSums:
     def moved_rows(self, monkeypatch):
         """Wrap _reset_bounds: after the first pass, which sums every row
         block by block, and after each later pass, which moves rows between
-        the sums, they must equal full bincount sums over the labels.
+        the sums, they must equal full bincount sums over the labels, and
+        the rows each centre gained must be the change in its count.
         Yields the list of rows that change centre, one count per later
         pass."""
         reset, moved = segmentation._reset_bounds, []
 
-        def checked(features, f2, centers, norm2, rows, assign, upper, lower, sums):
-            before = assign.copy()
-            reset(features, f2, centers, norm2, rows, assign, upper, lower, sums)
+        def checked(features, centers, norm2, drift, total, rows, label, ubar, budget, sums):
+            before = label.copy()
+            gained = reset(features, centers, norm2, drift, total, rows, label, ubar, budget,
+                           sums)
             matrix = features[:]
-            full = np.stack([np.bincount(assign, weights=column, minlength=len(centers))
+            full = np.stack([np.bincount(label, weights=column, minlength=len(centers))
                              for column in matrix.T], axis=1)
             assert np.array_equal(sums, full)
-            if rows is not None:
-                moved.append(int(np.count_nonzero(before != assign)))
+            if rows is None:
+                assert np.array_equal(gained, np.bincount(label, minlength=len(centers)))
+            else:
+                assert np.array_equal(gained, np.bincount(label[rows], minlength=len(centers))
+                                      - np.bincount(before[rows], minlength=len(centers)))
+                moved.append(int(np.count_nonzero(before != label)))
+            return gained
 
         monkeypatch.setattr(segmentation, "_reset_bounds", checked)
         return moved
@@ -776,9 +865,30 @@ def test_lone_row_has_the_values_of_a_product_of_rows():
             assert np.array_equal(bits(got), bits(d2[:, i:i + 1]))
 
 
+def test_float32_bounds_round_outward():
+    """_float32_bound rounds float64 values up or down to float32 ones,
+    within a few float32 steps, from float32's subnormals to its large
+    values, and keeps infinities: a budget of +inf stays one."""
+    rng = np.random.default_rng(12)
+    values = np.concatenate([rng.normal(size=4000) * 10.0 ** rng.uniform(-46, 37, 4000),
+                             [0.0, -0.0, 1e-46, -1e-46, 2.0 ** -149, 3 * 2.0 ** -151,
+                              1.0 + 2.0 ** -30, -(1.0 + 2.0 ** -30)]])
+    up = segmentation._float32_bound(values.copy(), 1.0)
+    down = segmentation._float32_bound(values.copy(), -1.0)
+    assert up.dtype == down.dtype == np.float32
+    assert (up >= values).all() and (down <= values).all()
+    assert (up.astype(np.float64) - down <= 2.0 ** -20 * np.abs(values) + 2.0 ** -147).all()
+    infinite = np.array([np.inf, -np.inf])
+    for direction in (1.0, -1.0):
+        assert np.array_equal(segmentation._float32_bound(infinite.copy(), direction), infinite)
+
+
 def test_lloyd_holds_no_rows_by_centres_array():
     """One _lloyd call on 2**17 rows of 11 columns and 8 centres never holds
-    an (n, k) float array: its traced peak stays below n * k * 8 bytes."""
+    an (n, k) float array, nor four float64 values a row: its traced peak
+    stays below 40 bytes a row, for its 9 bytes of state a row (a uint8
+    label and two float32 bounds), or the label and float64 distance of the
+    final labelling, and its blocks of rows."""
     n, k = 1 << 17, 8
     rng = np.random.default_rng(4)
     modes = rng.normal(scale=2.0, size=(k, 11))
@@ -791,7 +901,7 @@ def test_lloyd_holds_no_rows_by_centres_array():
     finally:
         tracemalloc.stop()
     assert iterations > 2
-    assert peak < n * k * 8
+    assert peak < n * 40
 
 
 def constant_field(geom, value, name):

@@ -579,3 +579,19 @@ class TestOtsu:
     def test_constant_input(self):
         with pytest.raises(ComputeError):
             otsu_threshold(np.full(10, 4.2))
+
+    def test_float32_image_is_not_widened(self):
+        """A float32 image gives the threshold of its float64 copy, bit for
+        bit, as the bin edges stay float64; and no float64 copy of it is
+        made: the traced peak stays below 8 bytes a value."""
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.normal(2, 0.5, 1 << 19),
+                                 rng.normal(8, 1.0, 1 << 19)]).astype(np.float32)
+        assert otsu_threshold(values) == otsu_threshold(values.astype(np.float64))
+        tracemalloc.start()
+        try:
+            otsu_threshold(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * values.size
