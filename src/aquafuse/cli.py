@@ -8,7 +8,7 @@ directory, so `run-all` is exactly the composition of the individual steps:
     water-index  multi-date Landsat water index + its water map
     pca-fuse     PCA-sharpened baseline + its classifier water map
     segment      morphology, K-Means segments, per-segment statistics
-    shadow       object kinds, potential shadow mask, shadow proportions
+    shadow       object kinds, potential shadow mask
     fuse         per-segment probabilistic fusion -> PGM water map
     postclass    shadow relabeling -> final map
     evaluate     stratified accuracy reports for every water map present
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,7 @@ from .raster import (BinaryMask, RasterError, RasterGrid, read_header, read_mask
                      read_table, resample_nearest, write_raster, write_table)
 from .scene import DEFAULT_SCENE_TEXT, LANDSAT_DAYS, SceneError, generate_scene, parse_scene
 from .segmentation import (band_std, kmeans_segment, load_segment_stats,
-                           morphological_profiles, paint_segments, save_segment_stats,
-                           segment_stats)
+                           morphological_profiles, paint_segments, segment_stats)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
                      building_intensity_map, classify_segments_majority,
                      potential_shadow_mask, tree_grass_split)
@@ -119,17 +119,18 @@ def _classify(raster: RasterGrid, out: Path):
 
 
 SEGMENT_TABLE = "segment_table.npy"
-# the stage that fills each table column that segment writes as NaN
-FILLED_BY = {"p_shadow": "shadow", "p_w": "fuse"}
 
 
-def _load_segments(out: Path, *needs: str):
-    segmap = load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
-    for column in needs:  # a column of ``needs`` still NaN stops the caller
-        if np.isnan(segmap.records[column]).any():
-            raise RasterError(f"{out / SEGMENT_TABLE}: {column} is not computed "
-                              f"(run {FILLED_BY[column]} first)")
-    return segmap
+def _load_segments(out: Path):
+    return load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
+
+
+def _segment_share(out: Path, segmap, stem: str):
+    """Each segment's share of the pixels set in the mask ``stem``."""
+    mask = read_mask(out / f"{stem}.hdr")
+    if mask.geometry != segmap.geometry:
+        raise RasterError(f"{out / stem}.hdr: grid differs from the segments raster")
+    return segmap.mean(mask.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +195,6 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
                   resample_nearest(ms_class, pan.geometry), t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)
-    segmap.records.p_shadow = segmap.records.p_w = np.nan
 
     # written only now, so that a stage that fails on its inputs writes nothing
     _write_facts(out, "t_pan", t_pan=t_pan)
@@ -203,7 +203,7 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
                  converged=segmap.kmeans_converged, objective=segmap.kmeans_objective,
                  segments=segmap.count)
     _write(out, "segments", RasterGrid(pan.geometry, segmap.labels, ["segment"]))
-    save_segment_stats(segmap, out / SEGMENT_TABLE)
+    write_table(segmap.records, out / SEGMENT_TABLE)
 
 
 def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
@@ -229,9 +229,6 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
                OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
     shadow_mask = potential_shadow_mask(kinds, sun, heights, segmap.geometry)
     _write_mask(out, "potential_shadow", shadow_mask)
-    segmap.records.p_shadow = segmap.mean(shadow_mask.bits)
-    segmap.records.p_w = np.nan  # the last fuse used the shares just replaced
-    save_segment_stats(segmap, out / SEGMENT_TABLE)
 
 
 def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
@@ -239,20 +236,19 @@ def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
                           r_ms=read_header(out / "ms.hdr")[0].pixel_size,
                           r_l=read_header(out / "landsat_wi.hdr")[0].pixel_size,
                           decision_threshold=cfg.decision_threshold)
-    segmap = _load_segments(out, "p_shadow")
-    table = segmap.records
-    table.p_w, table.water = fuse_all_segments(segmap, params)
-    _write_facts(out, "fuse", landsat_active=int(landsat_active(table.w, params).sum()),
-                 water_segments=int(table.water.sum()))
-    save_segment_stats(segmap, out / SEGMENT_TABLE)
-    _write(out, "pgm_prob", paint_segments(segmap, table.p_w, band_name="p_water"))
-    _write(out, "pgm_water", paint_segments(segmap, table.water, "pgm_water"))
+    segmap = _load_segments(out)
+    p_w, water = fuse_all_segments(segmap, params, _segment_share(out, segmap, "potential_shadow"))
+    _write_facts(out, "fuse", landsat_active=int(landsat_active(segmap.records.w, params).sum()),
+                 water_segments=int(water.sum()))
+    _write(out, "pgm_prob", paint_segments(segmap, p_w, band_name="p_water"))
+    _write(out, "pgm_water", paint_segments(segmap, water, "pgm_water"))
 
 
 def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
-    segmap = _load_segments(out, "p_shadow", "p_w")
-    water = segmap.records.water
-    final = relabel_shadow_segments(water, segmap, cfg.shadow_relabel_threshold)
+    segmap = _load_segments(out)
+    water = _segment_share(out, segmap, "pgm_water") > 0.5
+    final = relabel_shadow_segments(water, _segment_share(out, segmap, "potential_shadow"),
+                                    cfg.shadow_relabel_threshold)
     _write_facts(out, "postclass", relabeled=int((water & ~final).sum()))
     _write(out, "water_final", paint_segments(segmap, final, "water_final"))
 
@@ -295,12 +291,43 @@ RUN_ALL_ORDER = (
 )
 
 
+# the stages whose artifacts each stage reads
+READS = {
+    "synth": (),
+    "classify-ms": ("synth",),
+    "water-index": ("synth",),
+    "pca-fuse": ("synth",),
+    "segment": ("synth", "classify-ms", "water-index"),
+    "shadow": ("synth", "segment"),
+    "fuse": ("synth", "water-index", "segment", "shadow"),
+    "postclass": ("segment", "shadow", "fuse"),
+    "evaluate": ("synth", "classify-ms", "water-index", "pca-fuse", "segment", "fuse", "postclass"),
+}
+
+
+def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
+    """Run stage ``name`` unless a stage it reads is out of date; record the run in runs.txt."""
+    path = out / "runs.txt"
+    try:
+        runs = {stage: int(n) for stage, n in (line.split(" = ") for line in
+                path.read_text().splitlines())} if path.exists() else {}
+    except ValueError:
+        raise RasterError(f"{path}: expected 'stage = run' lines") from None
+    for read in READS[name]:
+        if read in runs and any(runs[read] < runs.get(stage, 0) for stage in READS[read]):
+            raise RasterError(f"{out}: the artifacts of {read} are out of date (run {read} first)")
+    step(cfg, out)
+    runs[name] = max(runs.values(), default=0) + 1
+    _write_facts(out, "runs", **runs)
+
+
 def cmd_run_all(cfg: PipelineConfig, out: Path) -> None:
-    for _, step in RUN_ALL_ORDER:
-        step(cfg, out)
+    _write_facts(out, "runs", **dict.fromkeys(READS, 0))  # a fresh record, in which no stage ran
+    for name, step in RUN_ALL_ORDER:
+        _run(name, step, cfg, out)
 
 
-COMMANDS = dict(RUN_ALL_ORDER) | {"run-all": cmd_run_all}
+COMMANDS = {n: partial(_run, n, step) for n, step in RUN_ALL_ORDER} | {"run-all": cmd_run_all}
 
 
 # ---------------------------------------------------------------------------

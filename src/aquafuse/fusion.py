@@ -72,8 +72,8 @@ def decide(p_w, params: FusionParams):
     return p_w > params.decision_threshold
 
 
-def fuse_all_segments(segmap, params: FusionParams):
-    """Fuse every segment's probabilities; returns (p_w, water flags) arrays."""
+def fuse_all_segments(segmap, params: FusionParams, p_shadow):
+    """Fuse each segment's probabilities and shadow share ``p_shadow``: (p_w, water flags)."""
     t = segmap.records
-    p_w = fuse_w(fuse_pm(t.p_pan, t.p_ms, t.w, t.p_shadow, params), t.p_lan, t.w, params)
+    p_w = fuse_w(fuse_pm(t.p_pan, t.p_ms, t.w, p_shadow, params), t.p_lan, t.w, params)
     return p_w, decide(p_w, params)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import RasterError, RasterGrid, read_table, row_blocks, window_reduce, write_table
+from .raster import RasterError, RasterGrid, read_table, row_blocks, window_reduce
 from .spectral import CLASS_ORDER
 
 # profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
@@ -30,8 +30,7 @@ STD_BLOCK = 1 << 14      # pixels per block of band_std
 
 
 # One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
-# order; ``label`` is "" until classify_segments_majority sets it; ``p_shadow``
-# and ``p_w`` are NaN until the shadow stage, then fuse, fill them.
+# order; ``label`` is "" until classify_segments_majority sets it.
 SEGMENT_DTYPE = np.dtype([
     ("pixel_count", "<i8"),
     ("perimeter_px", "<i8"),
@@ -40,12 +39,9 @@ SEGMENT_DTYPE = np.dtype([
     ("p_pan", "<f8"),
     ("p_ms", "<f8"),
     ("p_lan", "<f8"),
-    ("p_shadow", "<f8"),
     ("mp_std", "<f8"),
     ("votes", "<i8", (len(CLASS_ORDER),)),
     ("label", "<U10"),
-    ("p_w", "<f8"),
-    ("water", "?"),
 ])
 
 
@@ -170,9 +166,12 @@ class _FeatureRows:
     def __init__(self, planes):
         self.planes = [plane.ravel() for plane in planes]
         self.means, self.scales, top = [], [], 0.0
+        column = np.empty(len(self))  # the one float64 column, reused for each plane
         for plane in self.planes:
-            column = plane.astype(np.float64)
-            mean, std = column.mean(), column.std()
+            column[:] = plane
+            mean = column.mean()
+            column -= mean  # numpy's std, in place
+            std = np.sqrt(np.square(column, out=column).sum() / len(column))
             scale = std if std != 0 else 1.0
             self.means.append(mean)
             self.scales.append(scale)
@@ -631,13 +630,8 @@ def paint_segments(segmap: SegmentMap, values, band_name) -> RasterGrid:
     return RasterGrid(segmap.geometry, values[segmap.labels][np.newaxis], [band_name])
 
 
-def save_segment_stats(segmap: SegmentMap, path) -> None:
-    """Write the segment table as one ``.npy`` table."""
-    write_table(segmap.records, path)
-
-
 def load_segment_stats(path, segments: RasterGrid) -> SegmentMap:
-    """Read a table written by ``save_segment_stats`` for the ``segments``
+    """Read the segment table that the ``segment`` stage wrote for the ``segments``
     raster, whose ids must be 0..n-1 for n rows, each on its ``pixel_count``
     > 0 pixels; anything else, or a file of another layout, is a RasterError."""
     table = read_table(path, SEGMENT_DTYPE).view(np.recarray)

@@ -34,10 +34,12 @@ def report_metrics(out, stem):
 
 
 def load_pipeline(out):
-    """Segments + per-segment fusion results of a finished pipeline run."""
+    """Segments of a finished pipeline run, with each segment's fused water
+    flag and shadow share, read from the pgm_water and potential_shadow masks."""
     segmap = segmentation.load_segment_stats(out / "segment_table.npy",
                                              read_raster(out / "segments.hdr"))
-    return segmap, segmap.records.p_w, segmap.records.water
+    flags = segmap.mean(read_mask(out / "pgm_water.hdr").bits) > 0.5
+    return segmap, flags, segmap.mean(read_mask(out / "potential_shadow.hdr").bits)
 
 
 def scene_config(tmp_path, old, new):
@@ -152,7 +154,7 @@ class TestSmallRiver:
     non-water but the fused decision recovers it, within the runtime budget."""
 
     def test_river_recovered_from_pan(self, pipeline_dir):
-        segmap, _, flags = load_pipeline(pipeline_dir)
+        segmap, flags, _ = load_pipeline(pipeline_dir)
         truth = read_mask(pipeline_dir / "truth.hdr").bits
         Y, X = map_coordinates(segmap.geometry)
         lake = (X >= 48) & (X < 144) & (Y >= 121.6) & (Y < 217.6)
@@ -187,7 +189,7 @@ class TestDarkField:
     the MS classifier, vetoed by the multi-date SWIR evidence."""
 
     def test_field_vetoed_by_landsat(self, pipeline_dir):
-        segmap, _, flags = load_pipeline(pipeline_dir)
+        segmap, flags, _ = load_pipeline(pipeline_dir)
         Y, X = map_coordinates(segmap.geometry)
         field = (X >= 176) & (X < 224) & (Y >= 160) & (Y < 208)
         labels = segmap.labels
@@ -236,8 +238,8 @@ class TestAccuracyOrdering:
         cfg.write_text(f"scene = {scene}\n")
         out = tmp_path / "out"
         assert cli.main(["run-all", "--config", str(cfg), "--out", str(out)]) == 0
-        segmap, _, _ = load_pipeline(out)
-        shadowed = segmap.records.p_shadow > PipelineConfig().shadow_relabel_threshold
+        segmap, _, p_shadow = load_pipeline(out)
+        shadowed = p_shadow > PipelineConfig().shadow_relabel_threshold
         pgm = read_mask(out / "pgm_water.hdr").bits
         final = read_mask(out / "water_final.hdr").bits
         assert shadowed[segmap.labels][pgm].any()

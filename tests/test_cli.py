@@ -499,6 +499,18 @@ BAD_INPUTS = {
                       "pgm_water.hdr: mask values must be 0 or 1"),
     "ms-water-1.9": ("evaluate", _edit_raster("ms_water", _first_sample(1.9)), cli.EXIT_IO,
                      "ms_water.hdr: mask values must be 0 or 1"),
+    # fuse and postclass take each segment's share of a mask on the segments' grid
+    "potential-shadow-shifted-fuse": (
+        "fuse", _edit_raster("potential_shadow", _shifted_east), cli.EXIT_IO,
+        "potential_shadow.hdr: grid differs from the segments raster"),
+    "pgm-water-shifted-postclass": (
+        "postclass", _edit_raster("pgm_water", _shifted_east), cli.EXIT_IO,
+        "pgm_water.hdr: grid differs from the segments raster"),
+    "pgm-water-0.7-postclass": ("postclass", _edit_raster("pgm_water", _first_sample(0.7)),
+                                cli.EXIT_IO, "pgm_water.hdr: mask values must be 0 or 1"),
+    # the record of stage runs is an artifact like the others
+    "runs-not-a-number": ("fuse", lambda out: (out / "runs.txt").write_text("segment = soon\n"),
+                          cli.EXIT_IO, "runs.txt: expected 'stage = run' lines"),
 }
 
 
@@ -515,7 +527,7 @@ class TestPipelineArtifacts:
         expected = [f"{stem}.{ext}" for stem in stems for ext in ("hdr", "bin")]
         expected += ["config.txt", "scene.txt", "train_sites.npy",
                      "t_pan.txt", "kmeans.txt", "segment_table.npy", "fuse.txt",
-                     "postclass.txt"]
+                     "postclass.txt", "runs.txt"]
         expected += [f"report_{stem}.txt" for stem in cli.PREDICTION_STEMS]
         assert sorted(p.name for p in pipeline_dir.iterdir()) == sorted(expected)
 
@@ -561,22 +573,24 @@ class TestPipelineArtifacts:
 
     def test_map_without_water_reports_na(self, pipeline_dir, tmp_path):
         """A threshold below every PAN value leaves pan_water empty: its UA is
-        n/a, and every report is still written."""
+        n/a, and every report is still written.  The chain from segment runs
+        again, as evaluate reads the maps of the stages that read segment's."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
         for stem in cli.PREDICTION_STEMS:
             (out / f"report_{stem}.txt").unlink()
         cfg = tmp_path / "dry.cfg"
         cfg.write_text("t_pan = 0.0\n")
-        for step in ("segment", "evaluate"):
+        for step in ("segment", "shadow", "fuse", "postclass", "evaluate"):
             assert cli.main([step, "--config", str(cfg), "--out", str(out)]) == 0
         assert not read_mask(out / "pan_water.hdr").bits.any()
         last = (out / "report_pan_water.txt").read_text().splitlines()[-1]
         assert last.startswith("pa=0.0,ua=n/a,oa=")
         for stem in cli.PREDICTION_STEMS:
-            if stem != "pan_water":
-                assert (out / f"report_{stem}.txt").read_text() == \
-                    (pipeline_dir / f"report_{stem}.txt").read_text(), stem
+            assert (out / f"report_{stem}.txt").exists(), stem
+        for stem in ("ms_water", "pca_water", "landsat_water"):
+            assert (out / f"report_{stem}.txt").read_text() == \
+                (pipeline_dir / f"report_{stem}.txt").read_text(), stem
 
     def test_step_by_step_matches_run_all(self, pipeline_dir, tmp_path):
         """run-all must be exactly the composition of the individual steps."""
@@ -677,52 +691,123 @@ class TestPipelineArtifacts:
         assert "truth.hdr: mask values must be 0 or 1" in capsys.readouterr().err
 
     def test_postclass_before_fuse_is_io_error(self, pipeline_dir, tmp_path, capsys):
-        """A table whose p_w fuse has not filled stops postclass."""
+        """segment and shadow run again after run-all: postclass does not
+        post-classify the pgm_water map of the last fuse, which ran before
+        them.  It stops before writing anything and names fuse."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
-        table = np.load(out / "segment_table.npy")
-        table["p_w"] = np.nan
-        np.save(out / "segment_table.npy", table)
+        for stage in ("segment", "shadow"):
+            assert cli.main([stage, "--out", str(out)]) == 0
         (out / "postclass.txt").unlink()
+        before = _artifact_state(out)
         assert cli.main(["postclass", "--out", str(out)]) == cli.EXIT_IO
-        assert "p_w is not computed (run fuse first)" in capsys.readouterr().err
-        assert not (out / "postclass.txt").exists()
+        assert capsys.readouterr().err == (
+            f"i/o error: {out}: the artifacts of fuse are out of date (run fuse first)\n")
+        assert _artifact_state(out) == before
 
     def test_fuse_without_shadow_is_io_error(self, tmp_path, capsys):
         """fuse straight after segment does not fuse with a shadow proportion
-        of 0: it stops before writing anything and names shadow."""
+        of 0: it stops before writing anything and names the shadow mask."""
         for stage in ("synth", "classify-ms", "water-index", "segment"):
             assert cli.main([stage, "--out", str(tmp_path)]) == 0
+        before = _artifact_state(tmp_path)
         assert cli.main(["fuse", "--out", str(tmp_path)]) == cli.EXIT_IO
-        assert "p_shadow is not computed (run shadow first)" in capsys.readouterr().err
-        assert not list(tmp_path.glob("pgm_*")) and not (tmp_path / "fuse.txt").exists()
+        assert capsys.readouterr().err == (
+            f"i/o error: missing file: {tmp_path / 'potential_shadow.hdr'}\n")
+        assert _artifact_state(tmp_path) == before
 
     def test_postclass_after_segment_rerun_is_io_error(self, pipeline_dir, tmp_path, capsys):
         """segment run again after run-all writes a fresh table; postclass
-        does not post-classify its unfused water column, though the last
-        pgm_water map is still there."""
+        does not post-classify it with the last shadow mask and pgm_water
+        map, though both are still there."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
         for path in out.glob("water_final.*"):
             path.unlink()
         assert cli.main(["segment", "--out", str(out)]) == 0
         assert (out / "pgm_water.hdr").exists()
+        before = _artifact_state(out)
         assert cli.main(["postclass", "--out", str(out)]) == cli.EXIT_IO
-        assert "is not computed (run shadow first)" in capsys.readouterr().err
-        assert not list(out.glob("water_final.*"))
+        assert "the artifacts of shadow are out of date (run shadow first)" in \
+            capsys.readouterr().err
+        assert _artifact_state(out) == before
 
     def test_postclass_after_shadow_rerun_is_io_error(self, pipeline_dir, tmp_path, capsys):
-        """shadow run again after run-all replaces the shadow shares that the
+        """shadow run again after run-all replaces the shadow mask that the
         last fuse decided with; postclass waits for fuse to run again."""
         out = tmp_path / "out"
         shutil.copytree(pipeline_dir, out)
         cfg = tmp_path / "p.cfg"
         cfg.write_text("height_tree_max = 10\n")
         assert cli.main(["shadow", "--config", str(cfg), "--out", str(out)]) == 0
+        before = _artifact_state(out)
         assert cli.main(["postclass", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_IO
-        assert "p_w is not computed (run fuse first)" in capsys.readouterr().err
+        assert "the artifacts of fuse are out of date (run fuse first)" in \
+            capsys.readouterr().err
+        assert _artifact_state(out) == before
         assert cli.main(["fuse", "--config", str(cfg), "--out", str(out)]) == 0
         assert cli.main(["postclass", "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("rerun", ["classify-ms", "water-index"])
+    def test_stage_after_rerun_of_a_segment_input_is_io_error(self, pipeline_dir, tmp_path,
+                                                              capsys, rerun):
+        """classify-ms run again on 1 of every 4 water sites, or water-index
+        run again, after run-all: the segment table still holds the p_ms and
+        p_lan of the old maps, so fuse and evaluate stop before writing
+        anything and name segment."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        if rerun == "classify-ms":
+            sites = np.load(out / "train_sites.npy")
+            water = np.flatnonzero(sites["cls"] == "water")
+            np.save(out / "train_sites.npy", np.delete(sites, water[np.arange(len(water)) % 4 > 0]))
+        assert cli.main([rerun, "--out", str(out)]) == 0
+        before = _artifact_state(out)
+        for stage in ("fuse", "evaluate"):
+            assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
+            assert capsys.readouterr().err == (f"i/o error: {out}: the artifacts of segment "
+                                               f"are out of date (run segment first)\n")
+        assert _artifact_state(out) == before
+
+    def test_stage_after_a_stopped_run_all_is_io_error(self, pipeline_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        """run-all that stops in segment leaves the segment, fuse and
+        postclass artifacts of the last whole run beside the new synth's:
+        evaluate does not score them."""
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+
+        def stopped(cfg, out):
+            raise OSError("stopped")
+        order = [(name, stopped if name == "segment" else step) for name, step in cli.RUN_ALL_ORDER]
+        monkeypatch.setattr(cli, "RUN_ALL_ORDER", order)
+        assert cli.main(["run-all", "--out", str(out)]) == cli.EXIT_IO
+        capsys.readouterr()
+        monkeypatch.undo()
+        assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == (f"i/o error: {out}: the artifacts of segment "
+                                           f"are out of date (run segment first)\n")
+
+    def test_reads_name_earlier_stages(self):
+        """READS lists the stages of RUN_ALL_ORDER, in its order, and each
+        stage reads only stages that run before it."""
+        names = [name for name, _ in cli.RUN_ALL_ORDER]
+        assert list(cli.READS) == names
+        for i, name in enumerate(names):
+            assert set(cli.READS[name]) <= set(names[:i]), name
+
+    def test_run_all_starts_a_fresh_record(self, pipeline_dir, tmp_path):
+        """run-all numbers the stages' runs from 1 in RUN_ALL_ORDER, and into
+        a directory with an older runs.txt writes the same record."""
+        assert (pipeline_dir / "runs.txt").read_text() == "".join(
+            f"{name} = {i}\n" for i, (name, _) in enumerate(cli.RUN_ALL_ORDER, 1))
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        for stage in ("classify-ms", "segment"):
+            assert cli.main([stage, "--out", str(out)]) == 0
+        assert (out / "runs.txt").read_text() != (pipeline_dir / "runs.txt").read_text()
+        assert cli.main(["run-all", "--out", str(out)]) == 0
+        assert (out / "runs.txt").read_text() == (pipeline_dir / "runs.txt").read_text()
 
     @pytest.mark.parametrize("stage", ["fuse", "postclass"])
     @pytest.mark.parametrize("damage", ["truncated", "wrong_dtype"])

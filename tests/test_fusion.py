@@ -163,8 +163,8 @@ class TestDecision:
         recs.w = [60.0, 60.0, 3.2]
         geom = GridGeometry(3, 1, 1.0)
         segmap = SegmentMap(np.arange(3, dtype=np.int32)[np.newaxis], recs, geom)
-        p_w, flags = fuse_all_segments(segmap, params)
+        p_w, flags = fuse_all_segments(segmap, params, np.array([0.0, 0.0, 0.5]))
         assert flags.tolist() == [True, False, False]
         assert p_w[0] == pytest.approx(1.0)
-        assert p_w[2] == pytest.approx(fuse_pm(0.9, 0.1, 3.2, 0.0, params))
+        assert p_w[2] == pytest.approx(fuse_pm(0.9, 0.1, 3.2, 0.5, params))
 

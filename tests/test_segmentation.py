@@ -6,7 +6,8 @@ from scipy import ndimage
 
 from aquafuse import segmentation
 from aquafuse.config import PipelineConfig
-from aquafuse.raster import GridGeometry, RasterError, RasterGrid, read_raster, row_blocks
+from aquafuse.raster import (GridGeometry, RasterError, RasterGrid, read_raster, row_blocks,
+                            write_table)
 from aquafuse.segmentation import (
     KMEANS_BLOCK,
     KMEANS_MAX_ITER,
@@ -19,7 +20,6 @@ from aquafuse.segmentation import (
     load_segment_stats,
     morphological_profiles,
     paint_segments,
-    save_segment_stats,
     segment_stats,
     segment_table,
 )
@@ -1064,13 +1064,12 @@ class TestSegmentTableFile:
         labels = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
         table = segment_table(3)
         rng = np.random.default_rng(0)
-        for name in ("area_m2", "w", "p_pan", "p_ms", "p_lan", "p_shadow", "mp_std", "p_w"):
+        for name in ("area_m2", "w", "p_pan", "p_ms", "p_lan", "mp_std"):
             table[name] = rng.random(3)
         table.pixel_count = [2, 2, 2]
         table.perimeter_px = [6, 6, 6]
         table.votes = rng.integers(0, 9, (3, len(CLASS_ORDER)))
         table.label = ["impervious", "", "vegetation"]
-        table.water = [True, False, True]
         return SegmentMap(labels, table, GridGeometry(3, 2, 0.8))
 
     @staticmethod
@@ -1079,7 +1078,7 @@ class TestSegmentTableFile:
 
     def test_round_trip(self, tmp_path):
         segmap = self._segmap()
-        save_segment_stats(segmap, tmp_path / "t.npy")
+        write_table(segmap.records, tmp_path / "t.npy")
         loaded = load_segment_stats(tmp_path / "t.npy", self._raster(segmap, segmap.labels))
         assert loaded.count == 3
         assert np.array_equal(loaded.labels, segmap.labels)
@@ -1088,7 +1087,7 @@ class TestSegmentTableFile:
 
     def test_other_length_rejected(self, tmp_path):
         segmap = self._segmap()
-        save_segment_stats(segmap, tmp_path / "t.npy")
+        write_table(segmap.records, tmp_path / "t.npy")
         with pytest.raises(RasterError):
             load_segment_stats(tmp_path / "t.npy", self._raster(segmap, np.zeros((2, 3))))
 
@@ -1101,6 +1100,6 @@ class TestSegmentTableFile:
     ], ids=["negative", "past-the-table", "fractional", "miscounted", "empty-id"])
     def test_damaged_segments_raster_rejected(self, tmp_path, ids, message):
         segmap = self._segmap()
-        save_segment_stats(segmap, tmp_path / "t.npy")
+        write_table(segmap.records, tmp_path / "t.npy")
         with pytest.raises(RasterError, match=message):
             load_segment_stats(tmp_path / "t.npy", self._raster(segmap, ids))
