@@ -308,11 +308,18 @@ READS = {
 def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
     """Run stage ``name`` unless a stage it reads is out of date; record the run in runs.txt."""
     path = out / "runs.txt"
-    try:
-        runs = {stage: int(n) for stage, n in (line.split(" = ") for line in
-                path.read_text().splitlines())} if path.exists() else {}
-    except ValueError:
-        raise RasterError(f"{path}: expected 'stage = run' lines") from None
+    runs = {}
+    for lineno, line in enumerate(path.read_text().splitlines() if path.exists() else [], 1):
+        try:
+            stage, n = line.split(" = ")
+            n = int(n)
+        except ValueError:
+            raise RasterError(f"{path}: expected 'stage = run' lines") from None
+        if stage not in READS:
+            raise RasterError(f"{path}:{lineno}: unknown stage {stage!r}")
+        if stage in runs:
+            raise RasterError(f"{path}:{lineno}: stage {stage!r} given twice")
+        runs[stage] = n
     for read in READS[name]:
         if read in runs and any(runs[read] < runs.get(stage, 0) for stage in READS[read]):
             raise RasterError(f"{out}: the artifacts of {read} are out of date (run {read} first)")

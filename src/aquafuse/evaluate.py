@@ -8,7 +8,6 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import numpy as np
 
-from .raster import RasterError
 from .spectral import CLASS_ORDER, ComputeError
 
 
@@ -20,8 +19,6 @@ def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
     skipped.  Deterministic for a fixed seed: classes are visited in
     CLASS_ORDER and positions drawn with numpy's seeded PCG64 generator.
     """
-    if len(counts) != len(CLASS_ORDER):
-        raise ComputeError(f"need one sample count per class of {CLASS_ORDER}, got {len(counts)}")
     flat = np.asarray(codes).ravel()
     rng = np.random.default_rng(seed)
     chosen = [np.empty(0, dtype=np.intp)]
@@ -36,12 +33,10 @@ def stratified_sample(codes: np.ndarray, counts, seed: int) -> np.ndarray:
 
 
 def confusion_matrix(predicted, reference) -> np.ndarray:
-    """Tally two bool arrays of water flags, predicted against reference,
-    into 2x2 counts indexed (predicted, reference), 0 = non-water, 1 = water."""
+    """Tally two bool arrays of one shape, water flags predicted against
+    reference, into 2x2 counts indexed (predicted, reference), 0 = non-water, 1 = water."""
     predicted = np.asarray(predicted, dtype=bool)
     reference = np.asarray(reference, dtype=bool)
-    if predicted.shape != reference.shape:
-        raise RasterError(f"flag arrays differ in shape: {predicted.shape} vs {reference.shape}")
     return np.bincount(2 * predicted.ravel() + reference.ravel(), minlength=4).reshape(2, 2)
 
 

@@ -287,9 +287,7 @@ def resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
 
 
 def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
-    """Mean of mask values in a centered window, clipped at image borders."""
-    if window < 1 or window % 2 == 0:
-        raise RasterError(f"window must be odd and >= 1, got {window}")
+    """Mean of mask values in a centered odd window, clipped at image borders."""
     radius = window // 2
     h, w = mask.bits.shape
     ii = np.zeros((h + 1, w + 1), dtype=np.float64)
@@ -309,7 +307,8 @@ def window_reduce(values: np.ndarray, length: int, op, axis: int = 0) -> np.ndar
     """Reduce every run of ``length`` consecutive samples of ``values`` along
     ``axis`` with ``op`` (``np.minimum``, ``np.maximum`` or ``np.logical_or``):
     sample i of the result is ``op`` over samples i to i + length - 1, so the
-    axis shrinks by ``length - 1``.  For ``length`` 1 it is ``values`` itself.
+    axis shrinks by ``length - 1``.  ``length`` is 1 to the axis's size; for
+    1 the result is ``values`` itself.
 
     By doubling (M. van Herk, Pattern Recognit. Lett. 13, 1992; J. Gil and
     M. Werman, IEEE PAMI 15, 1993): after k steps each sample covers 2**k
@@ -318,8 +317,6 @@ def window_reduce(values: np.ndarray, length: int, op, axis: int = 0) -> np.ndar
     ``op`` returns one of its operands and gives the same for a sample taken
     twice, so the result is that of ``op`` over each window in any order."""
     n = values.shape[axis]
-    if not 1 <= length <= n:
-        raise RasterError(f"window of {length} samples on an axis of {n}")
 
     def part(a, start, size):
         index = [slice(None)] * a.ndim

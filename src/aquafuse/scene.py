@@ -555,8 +555,6 @@ def _pair_counts(codes: np.ndarray, b: int, row_part, col_part, length: int) -> 
     per supersample."""
     lead = row_part[:, np.newaxis] + col_part
     lead += codes[::b, ::b]
-    if b == 1:
-        return np.bincount(lead.ravel(), minlength=length)
     h, w = codes.shape
     rows = codes.view(np.dtype(f"u{b}")).reshape(h // b, b, w // b)
     first = rows[:, 0]

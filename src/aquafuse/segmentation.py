@@ -72,7 +72,7 @@ class SegmentMap:
 
 
 def morphological_profiles(pan: RasterGrid) -> RasterGrid:
-    """10-band stack of grayscale openings and closings of the PAN image.
+    """10-band stack of grayscale openings and closings of the one-band PAN image.
 
     Band order: opening then closing for each element of ``SE_FAMILY``.
     Borders are edge-replicated.  Each band equals scipy's
@@ -81,8 +81,6 @@ def morphological_profiles(pan: RasterGrid) -> RasterGrid:
     an erosion or dilation is a minimum or maximum over the same windows,
     which is exact in any order.
     """
-    if pan.bands != 1:
-        raise RasterError("morphological profiles expect a single-band raster")
     image = pan.data[0]
     bands = np.empty((2 * len(SE_FAMILY), *image.shape), dtype=np.float32)
     names = []
@@ -539,12 +537,10 @@ def _connected_segments(cluster_img: np.ndarray) -> np.ndarray:
 
 
 def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
-    """Cluster (PAN, MPs) feature vectors into ``k >= 1`` clusters and split
-    them into 4-connected segments.  The result depends on the images alone.
-    The feature rows are built a block at a time from the planes
-    (``_FeatureRows``), so no (pixels, bands) matrix is held."""
-    if pan.geometry != mps.geometry:
-        raise RasterError("PAN and profile rasters must share one grid")
+    """Cluster (PAN, MPs) feature vectors, the MPs on the PAN grid, into
+    ``k >= 1`` clusters and split them into 4-connected segments.  The result
+    depends on the images alone.  The feature rows are built a block at a time
+    from the planes (``_FeatureRows``), so no (pixels, bands) matrix is held."""
     h, w = pan.geometry.height, pan.geometry.width
     assign, _, iterations, objective, converged = _kmeans(
         _FeatureRows((*pan.data, *mps.data)), k)
@@ -602,11 +598,6 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mp_std: np.ndarray,
     All rasters must already live on the PAN grid; ``ms_class_map`` holds
     indices into ``CLASS_ORDER``, which the stage that reads it has checked.
     """
-    for r in (pan, p_ms_field, p_lan_field, ms_class_map):
-        if r.geometry != segmap.geometry:
-            raise RasterError("all rasters must live on the segment grid")
-    if mp_std.shape != segmap.labels.shape:
-        raise RasterError("the mp_std plane must cover the segment grid")
     n_classes = len(CLASS_ORDER)
     class_idx = ms_class_map.data[0].ravel().astype(np.int64)
     table = segmap.records

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import BinaryMask, RasterError, window_ratio, window_reduce
+from .raster import BinaryMask, window_ratio, window_reduce
 from .segmentation import SegmentMap
 from .spectral import CLASS_ORDER, ComputeError, otsu_threshold
 
@@ -36,11 +36,8 @@ def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
     """Label each segment with its maximum-vote class from the MS class map.
 
     Ties break by the fixed class order (vegetation < soil < impervious <
-    water)."""
-    votes = segmap.records.votes
-    if (votes.sum(axis=1) == 0).any():
-        raise RasterError("segment has no class votes; run segment_stats first")
-    segmap.records.label = np.array(CLASS_ORDER)[votes.argmax(axis=1)]
+    water).  ``segment_stats`` has counted one vote per pixel."""
+    segmap.records.label = np.array(CLASS_ORDER)[segmap.records.votes.argmax(axis=1)]
     return segmap.records.label
 
 

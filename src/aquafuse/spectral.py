@@ -55,8 +55,6 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     ``row_blocks``, none of one row, so they give the bits of one product
     over all rows.
     """
-    if pan.bands != 1:
-        raise RasterError("PAN raster must have exactly 1 band")
     x = resample_nearest(ms, pan.geometry).data.reshape(ms.bands, -1).T  # (n, d)
     n, d = x.shape
     if d < 2:
@@ -104,16 +102,10 @@ class ClassifierModel:
 
 def fit_classifier(spectra, labels) -> ClassifierModel:
     """Per-class Gaussian fit (sample mean, regularized sample covariance) of
-    every CLASS_ORDER class.  A label outside CLASS_ORDER, or a class with
-    fewer than 2 samples, is an error."""
+    every CLASS_ORDER class to finite (n, d) ``spectra``, one label a row.  A
+    label outside CLASS_ORDER, or a class with fewer than 2 samples, is an error."""
     spectra = np.asarray(spectra, dtype=np.float64)
     labels = np.asarray(labels)
-    if spectra.ndim != 2 or spectra.shape[0] != labels.shape[0]:
-        raise ComputeError("spectra must be (n, d) with one label per row")
-    if not np.isfinite(spectra).all():
-        raise ComputeError("training spectra must be finite")
-    if not labels.size:
-        raise ComputeError("no training samples")
     unknown = labels[~np.isin(labels, CLASS_ORDER)]
     if unknown.size:
         raise ComputeError(f"training label {str(unknown[0])!r} is not one of {CLASS_ORDER}")
@@ -135,7 +127,8 @@ def fit_classifier(spectra, labels) -> ClassifierModel:
 
 
 def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
-    """Per-pixel class posteriors under a uniform prior, and the argmax class map.
+    """Per-pixel class posteriors under a uniform prior, and the argmax class
+    map, of a raster with the bands that ``model`` was fitted on.
 
     Returns ``(probabilities, class_map)``: one probability band ``p_<class>``
     per CLASS_ORDER class (normalized to sum to 1), and a single-band raster
@@ -150,10 +143,6 @@ def classify_probabilities(model: ClassifierModel, raster: RasterGrid):
     (classes, CLASSIFY_BLOCK) arrays.  The blocks are ``row_blocks``, so a
     pixel's values do not depend on the block it is in.
     """
-    if raster.bands != model.means.shape[1]:
-        raise RasterError(
-            f"raster has {raster.bands} bands but the model expects {model.means.shape[1]}"
-        )
     d = raster.bands
     spectra = raster.data.reshape(d, -1)
     n = spectra.shape[1]
@@ -207,10 +196,8 @@ def landsat_water_index(stack) -> RasterGrid:
 
     Per date the pixel scores 1 if the brightest of VISIBLE_BANDS is above the
     brightest of SWIR_BANDS, else 0; the output is the mean score over the stack,
-    so values are k/M for a stack of M dates.
+    so values are k/M for a stack of M >= 1 dates.
     """
-    if not stack:
-        raise RasterError("empty Landsat stack")
     geometry = stack[0].geometry
     total = np.zeros((geometry.height, geometry.width), dtype=np.float64)
     for raster in stack:
@@ -227,7 +214,7 @@ def landsat_water_index(stack) -> RasterGrid:
 # Otsu threshold
 
 def otsu_threshold(values) -> float:
-    """Histogram threshold maximizing between-class variance.
+    """Histogram threshold of finite ``values`` maximizing between-class variance.
 
     Ties pick the smallest maximizing bin; the returned threshold is that
     bin's upper edge.  The values are read in their own type, so a float32
@@ -237,7 +224,6 @@ def otsu_threshold(values) -> float:
     float32 edges.
     """
     values = np.ravel(values)
-    values = values[np.isfinite(values)]
     if values.size < 2 or values.min() == values.max():
         raise ComputeError("otsu_threshold needs at least 2 distinct values")
     counts, edges = np.histogram(values, bins=OTSU_BINS,

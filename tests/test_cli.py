@@ -1,5 +1,8 @@
+import builtins
 import filecmp
+import functools
 import importlib
+import inspect
 import os
 import pkgutil
 import shutil
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import aquafuse
-from aquafuse import cli, segmentation
+from aquafuse import cli, segmentation, shadow
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
 from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
 
@@ -416,6 +419,10 @@ def _sites_without_impervious(out):
     np.save(out / "train_sites.npy", sites[sites["cls"] != "impervious"])
 
 
+def _no_sites(out):
+    np.save(out / "train_sites.npy", np.load(out / "train_sites.npy")[:0])
+
+
 # (stage, damage to a run-all tree, exit code, message on stderr): a damaged or
 # mismatched artifact is exit 3, whichever module finds it; a method with no
 # answer on valid inputs is exit 4
@@ -448,6 +455,9 @@ BAD_INPUTS = {
                                              "class 'impervious' has 0 samples"),
     "sites-without-impervious-pca-fuse": ("pca-fuse", _sites_without_impervious,
                                           cli.EXIT_COMPUTE, "class 'impervious' has 0 samples"),
+    **{f"no-sites-{stage}": (stage, _no_sites, cli.EXIT_COMPUTE,
+                             "class 'vegetation' has 0 samples, need >= 2")
+       for stage in ("classify-ms", "pca-fuse")},
     # a header number that no grid can have names its header
     "landsat-wi-pixel-size-inf-segment": (
         "segment", _replace_line("landsat_wi.hdr", "pixel_size = 30", "pixel_size = inf"),
@@ -511,6 +521,12 @@ BAD_INPUTS = {
     # the record of stage runs is an artifact like the others
     "runs-not-a-number": ("fuse", lambda out: (out / "runs.txt").write_text("segment = soon\n"),
                           cli.EXIT_IO, "runs.txt: expected 'stage = run' lines"),
+    # a stage given twice would let the later line hide a newer run
+    "runs-stage-twice": ("fuse", _replace_line("runs.txt", "segment = 5",
+                                               "segment = 10\nsegment = 5"),
+                         cli.EXIT_IO, "runs.txt:6: stage 'segment' given twice"),
+    "runs-unknown-stage": ("fuse", _replace_line("runs.txt", "segment = 5", "segmentation = 5"),
+                           cli.EXIT_IO, "runs.txt:5: unknown stage 'segmentation'"),
 }
 
 
@@ -796,6 +812,54 @@ class TestPipelineArtifacts:
         for i, name in enumerate(names):
             assert set(cli.READS[name]) <= set(names[:i]), name
 
+    def test_reads_match_the_files_each_stage_opens(self, tmp_path, monkeypatch):
+        """In run-all, each stage opens, besides config.txt and runs.txt,
+        files written by exactly the stages that READS names for it."""
+        out = tmp_path / "out"
+        current = [None]  # the stage running now
+        opened = {name: set() for name in cli.READS}
+        writer = {}
+
+        def note(path, writes):
+            path = Path(path)
+            if current[0] is not None and path.parent == out:
+                if writes:
+                    writer[path.name] = current[0]
+                else:
+                    opened[current[0]].add(path.name)
+
+        def watched(method, writes):
+            def call(self, *args, **kwargs):
+                note(self, writes)
+                return method(self, *args, **kwargs)
+            return call
+
+        def watched_open(file, mode="r", *args, real_open=builtins.open, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                note(file, any(c in mode for c in "wax+"))
+            return real_open(file, mode, *args, **kwargs)
+
+        def in_stage(name, step):
+            def run(cfg, out):
+                current[0] = name
+                try:
+                    step(cfg, out)
+                finally:
+                    current[0] = None
+            return run
+
+        monkeypatch.setattr(builtins, "open", watched_open)
+        for method, writes in (("read_text", False), ("read_bytes", False),
+                               ("write_text", True), ("write_bytes", True)):
+            monkeypatch.setattr(Path, method, watched(getattr(Path, method), writes))
+        monkeypatch.setattr(cli, "RUN_ALL_ORDER",
+                            tuple((n, in_stage(n, step)) for n, step in cli.RUN_ALL_ORDER))
+        assert cli.main(["run-all", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert {name: {writer[f] for f in files - {"config.txt", "runs.txt"}}
+                for name, files in opened.items()} == \
+            {name: set(reads) for name, reads in cli.READS.items()}
+
     def test_run_all_starts_a_fresh_record(self, pipeline_dir, tmp_path):
         """run-all numbers the stages' runs from 1 in RUN_ALL_ORDER, and into
         a directory with an older runs.txt writes the same record."""
@@ -883,6 +947,18 @@ class TestPipelineArtifacts:
         assert cli.main([stage, "--out", str(out)]) == cli.EXIT_IO
         assert (f"{out / 'pan.hdr'}: PAN raster must have exactly 1 band, got 2"
                 in capsys.readouterr().err)
+        assert _artifact_state(out) == before
+
+    @pytest.mark.parametrize("case", ["runs-stage-twice", "runs-unknown-stage"])
+    def test_damaged_run_record_stops_before_any_write(self, pipeline_dir, tmp_path, case):
+        """A record that repeats a stage or names an unknown one stops the
+        stage before it writes any artifact, runs.txt among them."""
+        stage, damage, code, _ = BAD_INPUTS[case]
+        out = tmp_path / "out"
+        shutil.copytree(pipeline_dir, out)
+        damage(out)
+        before = _artifact_state(out)
+        assert cli.main([stage, "--out", str(out)]) == code
         assert _artifact_state(out) == before
 
     @pytest.mark.parametrize("stem", ["ms_prob", "ms_class", "landsat_wi"])
@@ -988,6 +1064,88 @@ class TestSegmentStage:
             tracemalloc.stop()
         [peak] = peaks
         assert peak < 64 * read_raster(out / "pan.hdr").data.size
+
+
+def _on_segment_grid(segmap, pan, mp_std, p_ms_field, p_lan_field, ms_class_map, **_):
+    return all(r.geometry == segmap.geometry
+               for r in (pan, p_ms_field, p_lan_field, ms_class_map))
+
+
+# The rules that a kernel leaves to the stage that calls it, as (module the
+# kernel is called from, kernel, rule on its arguments by name): the stage has
+# read, checked or computed the arguments so that the rule holds, and the
+# kernel does not test it again.
+KERNEL_RULES = {
+    "window_ratio-odd-window": (
+        shadow, "window_ratio", lambda window, **_: window >= 1 and window % 2 == 1),
+    "window_reduce-profile-window-on-the-axis": (
+        segmentation, "window_reduce",
+        lambda values, length, axis, **_: 1 <= length <= values.shape[axis]),
+    "window_reduce-shadow-run-on-the-axis": (
+        shadow, "window_reduce",
+        lambda values, length, axis, **_: 1 <= length <= values.shape[axis]),
+    "morphological_profiles-one-band-pan": (
+        cli, "morphological_profiles", lambda pan, **_: pan.bands == 1),
+    "pca_fuse-one-band-pan": (cli, "pca_fuse", lambda pan, **_: pan.bands == 1),
+    "kmeans_segment-profiles-on-the-pan-grid": (
+        cli, "kmeans_segment", lambda pan, mps, **_: mps.geometry == pan.geometry),
+    "segment_stats-rasters-on-the-segment-grid": (cli, "segment_stats", _on_segment_grid),
+    "segment_stats-mp_std-covers-the-segment-grid": (
+        cli, "segment_stats", lambda segmap, mp_std, **_: mp_std.shape == segmap.labels.shape),
+    "classify_segments_majority-votes-in-every-segment": (
+        cli, "classify_segments_majority",
+        lambda segmap, **_: (segmap.records.votes.sum(axis=1) > 0).all()),
+    "fit_classifier-one-label-a-row": (
+        cli, "fit_classifier",
+        lambda spectra, labels, **_: spectra.ndim == 2 and len(spectra) == len(labels)),
+    "fit_classifier-finite-spectra": (
+        cli, "fit_classifier", lambda spectra, **_: np.isfinite(spectra).all()),
+    "classify_probabilities-bands-of-the-model": (
+        cli, "classify_probabilities",
+        lambda model, raster, **_: raster.bands == model.means.shape[1]),
+    "landsat_water_index-dates-in-the-stack": (
+        cli, "landsat_water_index", lambda stack, **_: len(stack) >= 1),
+    "otsu_threshold-finite-pan": (
+        cli, "otsu_threshold", lambda values, **_: np.isfinite(values).all()),
+    "otsu_threshold-finite-profile-deviations": (
+        shadow, "otsu_threshold", lambda values, **_: np.isfinite(values).all()),
+    "stratified_sample-one-count-per-class": (
+        cli, "stratified_sample", lambda counts, **_: len(counts) == len(cli.CLASS_ORDER)),
+    "confusion_matrix-flags-of-one-shape": (
+        cli, "confusion_matrix",
+        lambda predicted, reference, **_: np.shape(predicted) == np.shape(reference)),
+}
+
+
+class TestKernelRules:
+    """Each rule that a kernel trusts its caller for holds on every call
+    that run-all makes: the check lives where the data enters."""
+
+    @pytest.fixture(scope="class")
+    def held(self, tmp_path_factory):
+        """For each rule, whether it held, one entry per call in run-all."""
+        held = {case: [] for case in KERNEL_RULES}
+        with pytest.MonkeyPatch.context() as mp:
+            for case, (module, name, rule) in KERNEL_RULES.items():
+                kernel = getattr(module, name)
+                signature = inspect.signature(kernel)
+
+                @functools.wraps(kernel)  # a kernel with two rules is wrapped twice
+                def checked(*args, kernel=kernel, signature=signature, rule=rule,
+                            calls=held[case], **kwargs):
+                    bound = signature.bind(*args, **kwargs)
+                    bound.apply_defaults()
+                    calls.append(bool(rule(**bound.arguments)))
+                    return kernel(*args, **kwargs)
+
+                mp.setattr(module, name, checked)
+            out = tmp_path_factory.mktemp("kernel_rules")
+            assert cli.main(["run-all", "--out", str(out)]) == 0
+        return held
+
+    @pytest.mark.parametrize("case", KERNEL_RULES)
+    def test_rule_holds_on_every_call(self, held, case):
+        assert held[case] and all(held[case]), held[case]
 
 
 class TestWithoutScipy:

@@ -214,20 +214,8 @@ class TestMorphologicalProfiles:
             tracemalloc.stop()
         assert peak < 1.5 * mps.data.nbytes
 
-    def test_multiband_rejected(self):
-        geom = GridGeometry(4, 4, 1.0)
-        raster = RasterGrid(geom, np.zeros((2, 4, 4), dtype=np.float32))
-        with pytest.raises(RasterError):
-            morphological_profiles(raster)
-
 
 class TestKmeansSegment:
-    def test_profiles_off_the_pan_grid_rejected(self):
-        pan = pan_raster(np.random.default_rng(0).random((8, 8)))
-        mps = morphological_profiles(pan_raster(np.zeros((8, 8)), pixel_size=1.0))
-        with pytest.raises(RasterError, match="share one grid"):
-            kmeans_segment(pan, mps, k=2)
-
     def test_single_cluster(self):
         pan = pan_raster(np.random.default_rng(0).random((8, 8)))
         mps = morphological_profiles(pan)
@@ -981,22 +969,6 @@ class TestSegmentStats:
                               constant_field(geom, 0.0, "class_index"), 0.5)
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
-
-    @pytest.mark.parametrize("moved", range(4))
-    def test_raster_off_the_grid_rejected(self, moved):
-        """Each of pan, p_ms, p_lan and the class map must lie on the segment
-        grid."""
-        segmap, geom = self._segmap_for(np.zeros((2, 2), dtype=np.int32))
-        rasters = [constant_field(geom, 0.0, "p")] * 4
-        rasters[moved] = constant_field(GridGeometry(2, 2, 0.8, origin_x=0.8), 0.0, "p")
-        with pytest.raises(RasterError, match="segment grid"):
-            segment_stats(segmap, rasters[0], np.zeros((2, 2)), *rasters[1:], 0.5)
-
-    def test_mp_std_plane_off_the_grid_rejected(self):
-        segmap, geom = self._segmap_for(np.zeros((2, 2), dtype=np.int32))
-        f = constant_field(geom, 0.0, "p")
-        with pytest.raises(RasterError, match="mp_std"):
-            segment_stats(segmap, f, np.zeros((2, 3)), f, f, f, 0.5)
 
     @pytest.mark.parametrize("case", ["random", "constant_band", "large_offset", "one_band"])
     def test_band_std_is_numpy_std_bit_for_bit(self, case):
