@@ -265,21 +265,8 @@ def _nearest(features, centers):
     return assign, best
 
 
-def _float32_bound(values: np.ndarray, direction: float) -> np.ndarray:
-    """``values`` as float32, rounded up (``direction`` 1) or down (-1): each
-    is first moved that way by 2**-22 of itself and by 2**-149, float32's
-    least subnormal, more than the cast moves it back (at most 2**-24 of it,
-    or 2**-150).  An infinity stays one.  ``values`` is overwritten."""
-    factor = np.sign(values)
-    factor *= direction * 2.0 ** -22
-    factor += 1.0
-    values *= factor
-    values += direction * 2.0 ** -149
-    return values.astype(np.float32)
-
-
-def _reset_bounds(features, centers, norm2, drift, total, rows, label, ubar, budget, sums):
-    """Assign ``rows`` to their nearest centres and set their bounds of
+def _reset_bounds(features, centers, norm2, drift, total, rows, label, budget, sums):
+    """Assign ``rows`` to their nearest centres and set their budgets of
     ``_lloyd`` from the computed squared distances, building each block of
     rows once: ``drift`` holds each centre's cumulative move and ``total``
     the cumulative largest move, as of these centres.  With ``rows`` None
@@ -310,22 +297,17 @@ def _reset_bounds(features, centers, norm2, drift, total, rows, label, ubar, bud
         tau = KMEANS_SLACK * (x2 + norm2)
         upper = np.sqrt(best + tau) + np.sqrt(2.0 * tau)  # U + m of _lloyd
         lower = np.sqrt(np.maximum(second - tau, 0.0))    # L
-        ubar[block] = _float32_bound(upper - drift[nearest], 1.0)
-        budget[block] = _float32_bound(lower - upper + drift[nearest] + total, -1.0)
+        budget[block] = lower - upper + drift[nearest] + total
     return gained
 
 
-def _unsettled_rows(label, ubar, budget, reach, limit):
-    """The rows whose bounds of ``_lloyd`` no longer prove their centre a:
-    the candidates, whose ``budget`` is at most ``reach[a]``, less those
-    whose ``ubar`` is below ``limit[a]`` (the half-distance test).  Only the
-    label and budget of every row are read.  (``np.take`` gathers by a
-    uint8 label twice as fast as indexing does.)"""
+def _unsettled_rows(label, budget, reach):
+    """The rows whose budget of ``_lloyd`` no longer proves their centre a,
+    the candidates: those whose ``budget`` is at most ``reach[a]``.
+    (``np.take`` gathers by a uint8 label twice as fast as indexing does.)"""
     rows = []
     for block in row_blocks(len(label), KMEANS_TEST_BLOCK):  # no row-length temporaries
-        candidates = np.flatnonzero(budget[block] <= np.take(reach, label[block]))
-        candidates += block.start
-        rows.append(candidates[ubar[candidates] >= np.take(limit, label[candidates])])
+        rows.append(np.flatnonzero(budget[block] <= np.take(reach, label[block])) + block.start)
     return np.concatenate(rows)
 
 
@@ -367,29 +349,25 @@ def _lloyd(features, centers: np.ndarray):
     sums of drifts (Ding et al., Yinyang k-means, 2015), prove it without
     their distances.
 
-    The bounds.  A row holds three values, 9 bytes for up to 256 centres:
-    its centre a, in the smallest unsigned type that holds it, and two
-    float32 values set when its distances were last computed, at its reset.
-    There U is at least its distance to a, L at most its distance to any
-    other centre, and m = ``sqrt(2 tau)`` is a margin for rounding (below).
-    The passes keep, per centre, its cumulative move D since the first
-    pass, and the cumulative largest move M; a row stores ``ubar = U + m -
-    D[a]`` and ``budget = L - U - m + D[a] + M``, with D and M as of its
-    reset.  By the triangle inequality, once the centres have moved on,
-    its distance to a is at most U plus a's moves since, ``ubar + D[a] -
-    m`` with D now, and its distance to any other centre at least L less
-    the largest moves since.  The margin then is m at the reset plus
-    ``growth``, ``sqrt(2 KMEANS_SLACK (norm2 - norm2 of the first pass))``:
-    ``norm2``, the largest |c|**2 of any centre so far, never falls, and
-    ``sqrt(s + t) <= sqrt(s) + sqrt(t)``.  So a row whose budget is above
-    ``D[a] + M + growth``, D and M now, is kept unseen: every other centre
-    is farther from it than a by more than the margin.  A pass reads only
-    the label and the budget of every row.  A row whose budget is used up,
-    a candidate, is still kept if ``ubar + D[a] + growth`` is below
-    ``half[a]``, half the distance from a to its nearest other centre: the
-    distance to a plus the margin is then below ``half[a]``, and every other
-    centre is farther by more than twice the margin.  Only the candidates
-    that fail both tests are built, and their bounds reset.
+    The bounds.  A row holds two values, 9 bytes for up to 256 centres:
+    its centre a, in the smallest unsigned type that holds it, and a
+    float64 budget set when its distances were last computed, at its
+    reset.  There U is at least its distance to a, L at most its distance
+    to any other centre, and m = ``sqrt(2 tau)`` is a margin for rounding
+    (below).  The passes keep, per centre, its cumulative move D since the
+    first pass, and the cumulative largest move M; a row stores ``budget =
+    L - U - m + D[a] + M``, with D and M as of its reset.  By the triangle
+    inequality, once the centres have moved on, its distance to a is at
+    most U plus a's moves since, and its distance to any other centre at
+    least L less the largest moves since.  The margin then is m at the
+    reset plus ``growth``, ``sqrt(2 KMEANS_SLACK (norm2 - norm2 of the
+    first pass))``: ``norm2``, the largest |c|**2 of any centre so far,
+    never falls, and ``sqrt(s + t) <= sqrt(s) + sqrt(t)``.  So a row whose
+    budget is above ``D[a] + M + growth``, D and M now, is kept unseen:
+    every other centre is farther from it than a by more than the margin.
+    A pass reads only the label and the budget of every row.  Only the
+    rows whose budget is used up, the candidates, are built, and their
+    budgets reset.
 
     Why the labels are those of a full computation, bit for bit.  The
     computed value e_c of ``f2 - 2 f.c + c2``, f2 the row's squared norm,
@@ -401,25 +379,21 @@ def _lloyd(features, centers: np.ndarray):
     0))``, e_b the second smallest value, at most every other d_c.  A row
     with d_c - d_a > sqrt(tau / 2) for every other centre c has d_c**2 -
     d_a**2 > tau / 2 >= 2 eps, hence e_a < e_c: its computed label is a.
-    In exact arithmetic, both tests keep a row only with d_c - d_a above
-    the margin, at least ``sqrt(2 tau)`` now, twice sqrt(tau / 2).  The
-    other half, sqrt(tau / 2) >= 2**-20.5 sqrt(f2 + norm2), covers the
-    float64 rounding of every step that makes or tests a bound.  Each of
-    those few dozen steps rounds by a unit roundoff of a value below
-    5 KMEANS_MAX_ITER sqrt(f2 + norm2): U and L, no distance being more
-    than |x| + |c|; every centre's move, no more than twice sqrt(norm2), so
-    that D and M are each below 2 KMEANS_MAX_ITER sqrt(norm2); ``half``,
-    ``growth``, and the sums and differences of these.  That is below
-    2**-37 sqrt(f2 + norm2) in all.  Besides, each move, D, M, ``growth``,
-    ``half`` and the per-centre sums of the tests are rounded toward the
-    safe side by a factor 1 +- KMEANS_SLACK, so that each step of D and M
-    is at least the move it adds, and the float32 values are rounded
-    outward (``_float32_bound``): ``ubar`` and ``D[a] + M + growth`` up and
-    ``budget`` down, which makes the bounds looser, never wrong.  Distances
-    must be within float32's range.  With one centre L is infinite, and so
-    is every budget: no row is ever a candidate.  The tests are strict, so
-    a row that ties is always recomputed and goes to the lowest index, as
-    argmin does.
+    In exact arithmetic, the test keeps a row only with d_c - d_a above the
+    margin, at least ``sqrt(2 tau)`` now, twice sqrt(tau / 2).  The second
+    sqrt(tau / 2) >= 2**-20.5 sqrt(f2 + norm2) covers the float64 rounding
+    of every step that makes or tests a budget.  Each of those few dozen
+    steps rounds by a unit roundoff of a value below 5 KMEANS_MAX_ITER
+    sqrt(f2 + norm2): U and L, no distance being more than |x| + |c|; every
+    centre's move, no more than twice sqrt(norm2), so that D and M are each
+    below 2 KMEANS_MAX_ITER sqrt(norm2); ``growth``, and the sums and
+    differences of these.  That is below 2**-37 sqrt(f2 + norm2) in all.
+    Besides, each move, D, M, ``growth`` and the per-centre sums of the
+    test are rounded up by a factor 1 + KMEANS_SLACK, so that each step of
+    D and M is at least the move it adds.  Squared distances must be
+    finite.  With one centre L is infinite, and so is every budget: no row
+    is ever a candidate.  The test is strict, so a row that ties is always
+    recomputed and goes to the lowest index, as argmin does.
     """
     centers, iterations, converged = _lloyd_passes(features, centers)
     assign, best = _nearest(features, centers)
@@ -431,10 +405,9 @@ def _lloyd_passes(features, centers: np.ndarray):
     ``(centers, iterations, converged)``."""
     n = len(features)
     k = len(centers)
-    up, down = 1.0 + KMEANS_SLACK, 1.0 - KMEANS_SLACK
+    up = 1.0 + KMEANS_SLACK
     label = np.empty(n, dtype=np.min_scalar_type(k - 1))
-    ubar = np.empty(n, dtype=np.float32)
-    budget = np.empty(n, dtype=np.float32)
+    budget = np.empty(n)
     sums = np.zeros(centers.shape)
     drift, total = np.zeros(k), 0.0  # D and M of _lloyd
     previous = None
@@ -443,21 +416,16 @@ def _lloyd_passes(features, centers: np.ndarray):
         if previous is None:  # the first pass computes, sums and counts every row
             norm2 = first_norm2 = top
             counts = _reset_bounds(features, centers, norm2, drift, total, None,
-                                   label, ubar, budget, sums)
+                                   label, budget, sums)
         else:  # a later pass computes the unsettled rows and moves their sums and counts
             norm2 = max(norm2, top)
             move = np.sqrt(np.sum((centers - previous) ** 2, axis=1)) * up
             drift = (drift + move) * up
             total = (total + float(np.max(move))) * up
             growth = np.sqrt(2.0 * KMEANS_SLACK * (norm2 - first_norm2)) * up
-            gaps = np.sqrt(np.sum((centers[:, None] - centers) ** 2, axis=2))
-            np.fill_diagonal(gaps, np.inf)
-            half = 0.5 * down * np.min(gaps, axis=1)
-            rows = _unsettled_rows(label, ubar, budget,
-                                   _float32_bound((drift + total + growth) * up, 1.0),
-                                   half - (drift + growth) * up)
+            rows = _unsettled_rows(label, budget, (drift + total + growth) * up)
             counts += _reset_bounds(features, centers, norm2, drift, total, rows,
-                                    label, ubar, budget, sums)
+                                    label, budget, sums)
             del rows  # so that the next pass's bound test does not overlap it
         new_centers = sums / np.maximum(counts, 1)[:, None]
         empty = counts == 0
@@ -545,8 +513,10 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     assign, _, iterations, objective, converged = _kmeans(
         _FeatureRows((*pan.data, *mps.data)), k)
     labels = _connected_segments(assign.reshape(h, w))
-    records = segment_table(int(labels.max()) + 1)
-    records.pixel_count = np.bincount(labels.ravel())
+    n = int(labels.max()) + 1
+    records = segment_table(n)
+    for rows in row_blocks(h, 64):  # no intp copy of every id
+        records.pixel_count += np.bincount(labels[rows].ravel(), minlength=n)
     return SegmentMap(labels, records, pan.geometry, iterations, objective, converged)
 
 

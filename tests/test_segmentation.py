@@ -254,20 +254,23 @@ class TestKmeansSegment:
         b = kmeans_segment(pan, mps, k=3)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_partition_completeness(self):
+    @pytest.mark.parametrize("height", [10, 150])
+    def test_partition_completeness(self, height):
+        # 150 rows: the pixel counts are summed over several blocks of rows
         rng = np.random.default_rng(3)
-        pan = pan_raster(rng.random((10, 14)))
+        pan = pan_raster(rng.random((height, 14)))
         mps = morphological_profiles(pan)
         segmap = kmeans_segment(pan, mps, k=5)
         counts = np.bincount(segmap.labels.ravel(), minlength=segmap.count)
-        assert counts.sum() == 10 * 14
+        assert counts.sum() == height * 14
         assert np.array_equal(segmap.records.pixel_count, counts)
 
     def test_fixture_peak_allocation(self, pipeline_dir):
         """No (n, 11) float64 feature matrix is held: the rows are built a
-        block at a time from the planes, and k-means keeps 9 bytes a pixel,
-        so the traced peak on the fixture, where the blocks weigh most,
-        stays below half the size of that matrix."""
+        block at a time from the planes, and k-means keeps 9 bytes a pixel
+        (a uint8 label and a float64 budget), so the traced peak on the
+        fixture, where the blocks weigh most, stays below half the size of
+        that matrix."""
         pan = read_raster(pipeline_dir / "pan.hdr")
         mps = morphological_profiles(pan)
         tracemalloc.start()
@@ -282,7 +285,8 @@ class TestKmeansSegment:
         """On the bundled layout tiled 2 x 2 (480 m), k-means takes 19 full
         passes to its pinned objective, and the traced peak of
         kmeans_segment stays below 20 bytes a pixel: 9 bytes of k-means
-        state a pixel, the int32 segment ids, and blocks of rows."""
+        state a pixel (a uint8 label and a float64 budget), the int32
+        segment ids, and blocks of rows."""
         pan = tile_2x2.pan
         mps = morphological_profiles(pan)
         tracemalloc.start()
@@ -571,8 +575,8 @@ class TestKmeansOracle:
             log.append(("reset", norm2))
             return reset(features, centers, norm2, *rest)
 
-        def test_spy(label, ubar, budget, reach, limit):
-            rows = test(label, ubar, budget, reach, limit)
+        def test_spy(label, budget, reach):
+            rows = test(label, budget, reach)
             log.append(("test", len(label), int(np.count_nonzero(budget <= reach[label])),
                         len(rows), bool(np.isposinf(budget).all())))
             return rows
@@ -702,10 +706,9 @@ class TestExactSums:
         pass."""
         reset, moved = segmentation._reset_bounds, []
 
-        def checked(features, centers, norm2, drift, total, rows, label, ubar, budget, sums):
+        def checked(features, centers, norm2, drift, total, rows, label, budget, sums):
             before = label.copy()
-            gained = reset(features, centers, norm2, drift, total, rows, label, ubar, budget,
-                           sums)
+            gained = reset(features, centers, norm2, drift, total, rows, label, budget, sums)
             matrix = features[:]
             full = np.stack([np.bincount(label, weights=column, minlength=len(centers))
                              for column in matrix.T], axis=1)
@@ -853,29 +856,11 @@ def test_lone_row_has_the_values_of_a_product_of_rows():
             assert np.array_equal(bits(got), bits(d2[:, i:i + 1]))
 
 
-def test_float32_bounds_round_outward():
-    """_float32_bound rounds float64 values up or down to float32 ones,
-    within a few float32 steps, from float32's subnormals to its large
-    values, and keeps infinities: a budget of +inf stays one."""
-    rng = np.random.default_rng(12)
-    values = np.concatenate([rng.normal(size=4000) * 10.0 ** rng.uniform(-46, 37, 4000),
-                             [0.0, -0.0, 1e-46, -1e-46, 2.0 ** -149, 3 * 2.0 ** -151,
-                              1.0 + 2.0 ** -30, -(1.0 + 2.0 ** -30)]])
-    up = segmentation._float32_bound(values.copy(), 1.0)
-    down = segmentation._float32_bound(values.copy(), -1.0)
-    assert up.dtype == down.dtype == np.float32
-    assert (up >= values).all() and (down <= values).all()
-    assert (up.astype(np.float64) - down <= 2.0 ** -20 * np.abs(values) + 2.0 ** -147).all()
-    infinite = np.array([np.inf, -np.inf])
-    for direction in (1.0, -1.0):
-        assert np.array_equal(segmentation._float32_bound(infinite.copy(), direction), infinite)
-
-
 def test_lloyd_holds_no_rows_by_centres_array():
     """One _lloyd call on 2**17 rows of 11 columns and 8 centres never holds
     an (n, k) float array, nor four float64 values a row: its traced peak
     stays below 40 bytes a row, for its 9 bytes of state a row (a uint8
-    label and two float32 bounds), or the label and float64 distance of the
+    label and a float64 budget), or the label and float64 distance of the
     final labelling, and its blocks of rows."""
     n, k = 1 << 17, 8
     rng = np.random.default_rng(4)
