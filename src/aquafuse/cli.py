@@ -1,17 +1,9 @@
 """Pipeline orchestration: subcommands wiring the library modules end-to-end.
 
 Every subcommand reads and writes named artifacts inside one output
-directory, so `run-all` is exactly the composition of the individual steps:
-
-    synth        scene rasters + truth + training sites
-    classify-ms  MS classifier posteriors, class map + MS-only water map
-    water-index  multi-date Landsat water index + its water map
-    pca-fuse     PCA-sharpened baseline + its classifier water map
-    segment      morphology, K-Means segments, per-segment statistics
-    shadow       object kinds, potential shadow mask
-    fuse         per-segment probabilistic fusion -> PGM water map
-    postclass    shadow relabeling -> final map
-    evaluate     stratified accuracy reports for every water map present
+directory, so `run-all` is exactly the composition of the individual steps.
+`STAGES` lists the stages in run-all order, each with the artifacts it reads
+and writes.
 """
 
 from __future__ import annotations
@@ -90,8 +82,7 @@ def _write_facts(out: Path, stem: str, **facts) -> None:
         f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n" for k, v in facts.items()))
 
 
-def _landsat_stem(day: int) -> str:
-    return f"landsat_d{day:03d}"
+LANDSAT_STEMS = tuple(f"landsat_d{day:03d}" for day in LANDSAT_DAYS)
 
 
 # one row per training site: its stratum and map coordinates (m)
@@ -143,8 +134,8 @@ def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
     (out / "scene.txt").write_text(text)
     _write(out, "pan", bundle.pan)
     _write(out, "ms", bundle.ms)
-    for day, raster in zip(LANDSAT_DAYS, bundle.landsat):
-        _write(out, _landsat_stem(day), raster)
+    for stem, raster in zip(LANDSAT_STEMS, bundle.landsat):
+        _write(out, stem, raster)
     _write_mask(out, "truth", bundle.truth)
     _write(out, "class_truth", bundle.class_truth)
     _write_mask(out, "shadow_truth", bundle.shadow_truth)
@@ -160,7 +151,7 @@ def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_water_index(cfg: PipelineConfig, out: Path) -> None:
-    stack = [_load_raster(out, _landsat_stem(day)) for day in LANDSAT_DAYS]
+    stack = [_load_raster(out, stem) for stem in LANDSAT_STEMS]
     wi = landsat_water_index(stack)
     _write(out, "landsat_wi", wi)
     _write_water(out, "landsat_water", wi)
@@ -278,31 +269,34 @@ def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
         (out / f"report_{stem}.txt").write_text(report + "\n")
 
 
-RUN_ALL_ORDER = (
-    ("synth", cmd_synth),
-    ("classify-ms", cmd_classify_ms),
-    ("water-index", cmd_water_index),
-    ("pca-fuse", cmd_pca_fuse),
-    ("segment", cmd_segment),
-    ("shadow", cmd_shadow),
-    ("fuse", cmd_fuse),
-    ("postclass", cmd_postclass),
-    ("evaluate", cmd_evaluate),
-)
-
-
-# the stages whose artifacts each stage reads
-READS = {
-    "synth": (),
-    "classify-ms": ("synth",),
-    "water-index": ("synth",),
-    "pca-fuse": ("synth",),
-    "segment": ("synth", "classify-ms", "water-index"),
-    "shadow": ("synth", "segment"),
-    "fuse": ("synth", "water-index", "segment", "shadow"),
-    "postclass": ("segment", "shadow", "fuse"),
-    "evaluate": ("synth", "classify-ms", "water-index", "pca-fuse", "segment", "fuse", "postclass"),
+# Each stage, in run-all order: its command, the artifacts it reads and the
+# artifacts it writes.  An artifact is a raster stem (pan, for pan.hdr and
+# pan.bin) or a file name.  main writes config.txt and _run runs.txt.
+STAGES = {
+    "synth": (cmd_synth, (), ("scene.txt", "pan", "ms", *LANDSAT_STEMS, "truth", "class_truth",
+                              "shadow_truth", "train_sites.npy")),
+    "classify-ms": (cmd_classify_ms, ("ms", "train_sites.npy"),
+                    ("ms_prob", "ms_class", "ms_water")),
+    "water-index": (cmd_water_index, LANDSAT_STEMS, ("landsat_wi", "landsat_water")),
+    "pca-fuse": (cmd_pca_fuse, ("ms", "pan", "train_sites.npy"),
+                 ("pca_fused", "pca_prob", "pca_water")),
+    "segment": (cmd_segment, ("pan", "ms_prob", "ms_class", "landsat_wi"),
+                ("t_pan.txt", "pan_water", "kmeans.txt", "segments", SEGMENT_TABLE)),
+    "shadow": (cmd_shadow, ("scene.txt", "segments", SEGMENT_TABLE),
+               ("object_kinds", "potential_shadow")),
+    "fuse": (cmd_fuse, ("ms", "landsat_wi", "segments", SEGMENT_TABLE, "potential_shadow"),
+             ("fuse.txt", "pgm_prob", "pgm_water")),
+    "postclass": (cmd_postclass, ("segments", SEGMENT_TABLE, "pgm_water", "potential_shadow"),
+                  ("postclass.txt", "water_final")),
+    "evaluate": (cmd_evaluate, ("truth", "class_truth", *PREDICTION_STEMS),
+                 tuple(f"report_{stem}.txt" for stem in PREDICTION_STEMS)),
 }
+
+RUN_ALL_ORDER = tuple((name, step) for name, (step, _, _) in STAGES.items())
+
+# the stages whose artifacts each stage reads, in run-all order
+READS = {name: tuple(stage for stage, (_, _, writes) in STAGES.items() if set(reads) & set(writes))
+         for name, (_, reads, _) in STAGES.items()}
 
 
 def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
@@ -329,7 +323,7 @@ def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
 
 
 def cmd_run_all(cfg: PipelineConfig, out: Path) -> None:
-    _write_facts(out, "runs", **dict.fromkeys(READS, 0))  # a fresh record, in which no stage ran
+    _write_facts(out, "runs", **dict.fromkeys(STAGES, 0))  # a fresh record, in which no stage ran
     for name, step in RUN_ALL_ORDER:
         _run(name, step, cfg, out)
 

@@ -207,9 +207,10 @@ def _sq_distances(x: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndar
     squared norms are ``x2``, to every centre, in one (k, rows) array, so
     that each centre's distances are contiguous.  Scaling the product by -2
     is exact and addition commutes, so the bits are those of
-    ``(x2 - (2 * x) @ centers.T) + c2``, transposed: BLAS's gemm computes
-    the dot product of a row and a centre alike in either orientation.  A
-    lone row is multiplied as two copies of itself (``row_blocks``)."""
+    ``(x2 - 2 * (centers @ x.T)) + c2[:, None]``.  Not those of the (rows,
+    k) product ``x @ centers.T`` transposed: some BLAS kernels round it
+    otherwise.  The rule that holds on every kernel is that of
+    ``row_blocks``, so a lone row is multiplied as two copies of itself."""
     if len(x) == 1:
         return _sq_distances(x[[0, 0]], x2[[0, 0]], centers)[:, :1]
     d2 = centers @ x.T

@@ -805,28 +805,32 @@ class TestPipelineArtifacts:
                                            f"are out of date (run segment first)\n")
 
     def test_reads_name_earlier_stages(self):
-        """READS lists the stages of RUN_ALL_ORDER, in its order, and each
-        stage reads only stages that run before it."""
-        names = [name for name, _ in cli.RUN_ALL_ORDER]
-        assert list(cli.READS) == names
-        for i, name in enumerate(names):
-            assert set(cli.READS[name]) <= set(names[:i]), name
+        """Every artifact a stage reads is written by a stage before it in
+        STAGES."""
+        written = set()
+        for name, (_, reads, writes) in cli.STAGES.items():
+            assert set(reads) <= written, name
+            written |= set(writes)
 
     def test_reads_match_the_files_each_stage_opens(self, tmp_path, monkeypatch):
-        """In run-all, each stage opens, besides config.txt and runs.txt,
-        files written by exactly the stages that READS names for it."""
+        """In run-all, each stage opens the artifacts of its read column in
+        STAGES and writes those of its write column, and neither config.txt
+        nor runs.txt, which main and _run write; the tree is every write
+        column's artifacts and those two files.  A raster stem stands for
+        its .hdr and .bin files."""
         out = tmp_path / "out"
         current = [None]  # the stage running now
-        opened = {name: set() for name in cli.READS}
-        writer = {}
+        opened = {name: set() for name in cli.STAGES}
+        written = {name: set() for name in cli.STAGES}
+
+        def artifact(name):
+            stem, ext = os.path.splitext(name)
+            return stem if ext in (".hdr", ".bin") else name
 
         def note(path, writes):
             path = Path(path)
             if current[0] is not None and path.parent == out:
-                if writes:
-                    writer[path.name] = current[0]
-                else:
-                    opened[current[0]].add(path.name)
+                (written if writes else opened)[current[0]].add(artifact(path.name))
 
         def watched(method, writes):
             def call(self, *args, **kwargs):
@@ -856,9 +860,10 @@ class TestPipelineArtifacts:
                             tuple((n, in_stage(n, step)) for n, step in cli.RUN_ALL_ORDER))
         assert cli.main(["run-all", "--out", str(out)]) == 0
         monkeypatch.undo()
-        assert {name: {writer[f] for f in files - {"config.txt", "runs.txt"}}
-                for name, files in opened.items()} == \
-            {name: set(reads) for name, reads in cli.READS.items()}
+        assert opened == {name: set(reads) for name, (_, reads, _) in cli.STAGES.items()}
+        assert written == {name: set(writes) for name, (_, _, writes) in cli.STAGES.items()}
+        tree = {"config.txt", "runs.txt"}.union(*(writes for _, _, writes in cli.STAGES.values()))
+        assert {artifact(p.name) for p in out.iterdir()} == tree
 
     def test_run_all_starts_a_fresh_record(self, pipeline_dir, tmp_path):
         """run-all numbers the stages' runs from 1 in RUN_ALL_ORDER, and into

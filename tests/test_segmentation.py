@@ -444,14 +444,32 @@ class TestKmeansOracle:
             np.sum((features - features.mean(axis=0)) ** 2))
 
     def test_empty_cluster_takes_farthest_point(self):
+        # start at rows 0, 1 and 2 of three points p0, p0, p1, p1, p2: the
+        # repeated centre p0 loses both copies of p0 to the first, lower
+        # index, so cluster 1 is empty.  It takes the farthest row from its
+        # centre, row 4: every other row lies on a centre, whatever the
+        # rounding.  In the second pass row 4 leaves the cluster it joined
+        # in the first, whose centre moves back; nothing moves in the third
+        for seed in range(8):
+            points = np.random.default_rng(seed).normal(size=(3, 2))
+            features = np.asfortranarray(points[[0, 0, 1, 1, 2]])
+            segmentation._round_to_quantum(features)
+            start = features[[0, 0, 2]]
+            assign, centers, iterations, objective, _ = segmentation._lloyd(features, start)
+            ref_assign, ref_centers = reference_lloyd(features, start)
+            assert np.array_equal(assign, ref_assign)
+            assert np.array_equal(centers, ref_centers)
+            assert np.array_equal(centers[1], features[4])
+            assert assign.tolist() == [0, 0, 2, 2, 1]
+            assert iterations == 3
+            assert abs(objective) < 1e-12
         # three centres for two distinct points: the farthest-point start
         # repeats row 0's point as centre 2, so one cluster is always empty.
         # It takes the row whose computed distance to its own point, zero but
         # for rounding, is largest.  Where that is a copy of the other point,
         # the centre moves there and a second pass follows.  Which copy
-        # rounds largest follows the BLAS's dot product, so eight pairs of
-        # points are tried, and at least one must move
-        moved = []
+        # rounds largest, and so whether a centre moves, follows the BLAS
+        # kernel's dot product; either way the reference gives the same
         for seed in range(8):
             points = np.random.default_rng(seed).normal(size=(2, 2))
             features = np.asfortranarray(points[[0, 0, 0, 1, 1]])
@@ -465,12 +483,11 @@ class TestKmeansOracle:
             assert np.array_equal(centers, ref_centers)
             assert sorted(np.bincount(assign, minlength=3)) == [0, 2, 3]
             assert abs(objective) < 1e-12
-            moved.append(not np.array_equal(centers[2], start[2]))
-            if moved[-1]:
+            moved = not np.array_equal(centers[2], start[2])
+            if moved:
                 assert np.array_equal(centers[2], features[3])
-            assert iterations == (2 if moved[-1] else 1)
+            assert iterations == (2 if moved else 1)
             self.assert_matches_reference(features, 3)
-        assert any(moved)
 
     @pytest.mark.parametrize("shape,k", [((8, 8), 8), ((5, 1), 3)],
                              ids=["8x8-k8", "5x1-k3"])
@@ -817,8 +834,8 @@ class TestConnectedSegments:
 
 
 def test_row_blocks_give_the_values_of_one_product():
-    """Every row gets from _nearest_two the values that one (rows, k)
-    product over all rows gives it, as the reference computes them, in a
+    """Every row gets from _nearest_two the values that one (k, rows)
+    product over all rows gives it, as _sq_distances orients it, in a
     block of consecutive rows, of picked rows or alone; and from _row_norms
     the squared norms of the whole matrix."""
     rng = np.random.default_rng(6)
@@ -826,8 +843,9 @@ def test_row_blocks_give_the_values_of_one_product():
     n = len(features)
     centers = rng.normal(size=(8, 11))
     f2 = np.sum(features ** 2, axis=1)
-    d2 = (f2[:, None] - 2.0 * features @ centers.T) + np.sum(centers ** 2, axis=1)
-    assert np.array_equal(segmentation._sq_distances(features, f2, centers), d2.T)
+    d2 = (f2 - 2.0 * (centers @ features.T)) + np.sum(centers ** 2, axis=1)[:, None]
+    assert np.array_equal(segmentation._sq_distances(features, f2, centers), d2)
+    d2 = d2.T
     two = np.sort(d2, axis=1)[:, :2]
     picked = np.arange(5, 3 * KMEANS_BLOCK // 2, 3)
     for block in [*row_blocks(n, KMEANS_BLOCK),
