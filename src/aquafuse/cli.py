@@ -3,7 +3,11 @@
 Every subcommand reads and writes named artifacts inside one output
 directory, so `run-all` is exactly the composition of the individual steps.
 `STAGES` lists the stages in run-all order, each with the artifacts it reads
-and writes.
+and writes.  A stage command opens no file: it takes the config and the
+artifacts of its read column and returns those of its write column.  `_run`
+reads the column through `_read`, which checks each rule on the data, calls
+the command, and only after it returns writes each value through `_write`
+and records the run in `runs.txt`; so a stage that stops writes nothing.
 """
 
 from __future__ import annotations
@@ -37,56 +41,15 @@ EXIT_IO = 3
 EXIT_COMPUTE = 4
 
 
-# ---------------------------------------------------------------------------
-# artifact helpers; a missing input is reported by the reader that opens it
-
-def _load_raster(out: Path, stem: str) -> RasterGrid:
-    return read_raster(out / f"{stem}.hdr")
-
-
-def _load_pan(out: Path) -> RasterGrid:
-    """The PAN raster, which must have one band: a stage that reads it checks
-    that before it writes anything."""
-    pan = _load_raster(out, "pan")
-    if pan.bands != 1:
-        raise RasterError(f"{out / 'pan'}.hdr: PAN raster must have exactly 1 band, "
-                          f"got {pan.bands}")
-    return pan
-
-
-def _load_classes(out: Path, stem: str) -> RasterGrid:
-    """The class-code raster ``stem``, whose codes must index CLASS_ORDER."""
-    raster = _load_raster(out, stem)
-    if not np.isin(raster.data, np.arange(len(CLASS_ORDER))).all():
-        raise RasterError(f"{out / stem}.hdr: class codes must be whole numbers "
-                          f"in 0..{len(CLASS_ORDER) - 1}")
-    return raster
-
-
-def _write(out: Path, stem: str, raster: RasterGrid) -> None:
-    write_raster(raster, out / f"{stem}.hdr")
-
-
-def _write_mask(out: Path, stem: str, mask: BinaryMask) -> None:
-    write_raster(mask.as_raster(stem), out / f"{stem}.hdr")
-
-
-def _write_water(out: Path, stem: str, probs: RasterGrid) -> None:
-    """The water map of the pixels whose ``p_water`` exceeds 0.5."""
-    _write_mask(out, stem, BinaryMask(probs.geometry, probs.band("p_water") > 0.5))
-
-
-def _write_facts(out: Path, stem: str, **facts) -> None:
-    """``<stem>.txt``: a ``key = value`` line a fact, a bool as true/false, else its repr."""
-    (out / f"{stem}.txt").write_text("".join(
-        f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n" for k, v in facts.items()))
-
-
 LANDSAT_STEMS = tuple(f"landsat_d{day:03d}" for day in LANDSAT_DAYS)
-
 
 # one row per training site: its stratum and map coordinates (m)
 SITE_DTYPE = np.dtype([("cls", "<U10"), ("x", "<f8"), ("y", "<f8")])
+
+SEGMENT_TABLE = "segment_table.npy"
+
+PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
+                    "pan_water", "landsat_water")
 
 
 def _sample_spectra(raster: RasterGrid, sites):
@@ -102,76 +65,44 @@ def _sample_spectra(raster: RasterGrid, sites):
     return np.ascontiguousarray(spectra), sites["cls"]
 
 
-def _classify(raster: RasterGrid, out: Path):
+def _classify(raster: RasterGrid, sites):
     """Fit the Gaussian classifier to the spectra of ``raster`` under the
     training sites and apply it to every pixel: ``(probabilities, class_map)``."""
-    spectra, labels = _sample_spectra(raster, read_table(out / "train_sites.npy", SITE_DTYPE))
-    return classify_probabilities(fit_classifier(spectra, labels), raster)
+    return classify_probabilities(fit_classifier(*_sample_spectra(raster, sites)), raster)
 
 
-SEGMENT_TABLE = "segment_table.npy"
-
-
-def _load_segments(out: Path):
-    return load_segment_stats(out / SEGMENT_TABLE, _load_raster(out, "segments"))
-
-
-def _segment_share(out: Path, segmap, stem: str):
-    """Each segment's share of the pixels set in the mask ``stem``."""
-    mask = read_mask(out / f"{stem}.hdr")
-    if mask.geometry != segmap.geometry:
-        raise RasterError(f"{out / stem}.hdr: grid differs from the segments raster")
-    return segmap.mean(mask.bits)
+def _water(probs: RasterGrid) -> BinaryMask:
+    """The water map of the pixels whose ``p_water`` exceeds 0.5."""
+    return BinaryMask(probs.geometry, probs.band("p_water") > 0.5)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: each takes the config and the artifacts of its read column in STAGES,
+# in column order, and returns the values of its write column, in column order
 
-def cmd_synth(cfg: PipelineConfig, out: Path) -> None:
-    text = Path(cfg.scene).read_text() if cfg.scene else DEFAULT_SCENE_TEXT
-    spec = parse_scene(text)
-    bundle = generate_scene(spec)
-    (out / "scene.txt").write_text(text)
-    _write(out, "pan", bundle.pan)
-    _write(out, "ms", bundle.ms)
-    for stem, raster in zip(LANDSAT_STEMS, bundle.landsat):
-        _write(out, stem, raster)
-    _write_mask(out, "truth", bundle.truth)
-    _write(out, "class_truth", bundle.class_truth)
-    _write_mask(out, "shadow_truth", bundle.shadow_truth)
-    write_table(np.array(bundle.train_sites, dtype=SITE_DTYPE), out / "train_sites.npy")
+def cmd_synth(cfg: PipelineConfig, text: str):
+    bundle = generate_scene(parse_scene(text))
+    return (text, bundle.pan, bundle.ms, *bundle.landsat, bundle.truth, bundle.class_truth,
+            bundle.shadow_truth, np.array(bundle.train_sites, dtype=SITE_DTYPE))
 
 
-def cmd_classify_ms(cfg: PipelineConfig, out: Path) -> None:
-    ms = _load_raster(out, "ms")
-    probs, class_map = _classify(ms, out)
-    _write(out, "ms_prob", probs)
-    _write(out, "ms_class", class_map)
-    _write_water(out, "ms_water", probs)
+def cmd_classify_ms(cfg: PipelineConfig, ms, sites):
+    probs, class_map = _classify(ms, sites)
+    return probs, class_map, _water(probs)
 
 
-def cmd_water_index(cfg: PipelineConfig, out: Path) -> None:
-    stack = [_load_raster(out, stem) for stem in LANDSAT_STEMS]
+def cmd_water_index(cfg: PipelineConfig, *stack):
     wi = landsat_water_index(stack)
-    _write(out, "landsat_wi", wi)
-    _write_water(out, "landsat_water", wi)
+    return wi, _water(wi)
 
 
-def cmd_pca_fuse(cfg: PipelineConfig, out: Path) -> None:
-    ms = _load_raster(out, "ms")
-    pan = _load_pan(out)
+def cmd_pca_fuse(cfg: PipelineConfig, ms, pan, sites):
     fused = pca_fuse(ms, pan)
-    _write(out, "pca_fused", fused)
-    probs, _ = _classify(fused, out)
-    _write(out, "pca_prob", probs)
-    _write_water(out, "pca_water", probs)
+    probs, _ = _classify(fused, sites)
+    return fused, probs, _water(probs)
 
 
-def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
-    pan = _load_pan(out)
-    ms_prob = _load_raster(out, "ms_prob")
-    ms_class = _load_classes(out, "ms_class")
-    landsat_wi = _load_raster(out, "landsat_wi")
+def cmd_segment(cfg: PipelineConfig, pan, ms_prob, ms_class, landsat_wi):
     t_pan = cfg.t_pan if cfg.t_pan is not None else otsu_threshold(pan.data[0])
 
     mps = morphological_profiles(pan)
@@ -186,24 +117,13 @@ def cmd_segment(cfg: PipelineConfig, out: Path) -> None:
                   resample_nearest(ms_class, pan.geometry), t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)
-
-    # written only now, so that a stage that fails on its inputs writes nothing
-    _write_facts(out, "t_pan", t_pan=t_pan)
-    _write_mask(out, "pan_water", BinaryMask(pan.geometry, pan.data[0] < t_pan))
-    _write_facts(out, "kmeans", iterations=segmap.kmeans_iterations,
-                 converged=segmap.kmeans_converged, objective=segmap.kmeans_objective,
-                 segments=segmap.count)
-    _write(out, "segments", RasterGrid(pan.geometry, segmap.labels, ["segment"]))
-    write_table(segmap.records, out / SEGMENT_TABLE)
+    return ({"t_pan": t_pan}, BinaryMask(pan.geometry, pan.data[0] < t_pan),
+            {"iterations": segmap.kmeans_iterations, "converged": segmap.kmeans_converged,
+             "objective": segmap.kmeans_objective, "segments": segmap.count},
+            RasterGrid(pan.geometry, segmap.labels, ["segment"]), segmap.records)
 
 
-def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
-    path = out / "scene.txt"
-    try:  # synth wrote it, so a bad line is a damaged artifact
-        sun = parse_scene(path.read_text()).sun
-    except SceneError as exc:
-        raise RasterError(f"{path}: {exc}") from None
-    segmap = _load_segments(out)
+def cmd_shadow(cfg: PipelineConfig, scene, segmap):
     tree_px = (segmap.records.label == "tree")[segmap.labels]
     imp_px = (segmap.records.label == "impervious")[segmap.labels]
     intensity = building_intensity_map(BinaryMask(segmap.geometry, imp_px),
@@ -213,65 +133,50 @@ def cmd_shadow(cfg: PipelineConfig, out: Path) -> None:
     kinds[tree_px] = OBJECT_KIND_TREE
     kinds[imp_px & intensity.bits] = OBJECT_KIND_HIGH_BUILDING
     kinds[imp_px & ~intensity.bits] = OBJECT_KIND_LOW_BUILDING
-    _write(out, "object_kinds", RasterGrid(segmap.geometry, kinds, ["kind"]))
-
     heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
                OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
                OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
-    shadow_mask = potential_shadow_mask(kinds, sun, heights, segmap.geometry)
-    _write_mask(out, "potential_shadow", shadow_mask)
+    shadow_mask = potential_shadow_mask(kinds, scene.sun, heights, segmap.geometry)
+    return RasterGrid(segmap.geometry, kinds, ["kind"]), shadow_mask
 
 
-def cmd_fuse(cfg: PipelineConfig, out: Path) -> None:
-    params = FusionParams(n1=cfg.n1, n2=cfg.n2,
-                          r_ms=read_header(out / "ms.hdr")[0].pixel_size,
-                          r_l=read_header(out / "landsat_wi.hdr")[0].pixel_size,
+def cmd_fuse(cfg: PipelineConfig, ms_grid, landsat_wi_grid, segmap, shadow):
+    params = FusionParams(n1=cfg.n1, n2=cfg.n2, r_ms=ms_grid.pixel_size,
+                          r_l=landsat_wi_grid.pixel_size,
                           decision_threshold=cfg.decision_threshold)
-    segmap = _load_segments(out)
-    p_w, water = fuse_all_segments(segmap, params, _segment_share(out, segmap, "potential_shadow"))
-    _write_facts(out, "fuse", landsat_active=int(landsat_active(segmap.records.w, params).sum()),
-                 water_segments=int(water.sum()))
-    _write(out, "pgm_prob", paint_segments(segmap, p_w, band_name="p_water"))
-    _write(out, "pgm_water", paint_segments(segmap, water, "pgm_water"))
+    p_w, water = fuse_all_segments(segmap, params, segmap.mean(shadow.bits))
+    return ({"landsat_active": int(landsat_active(segmap.records.w, params).sum()),
+             "water_segments": int(water.sum())},
+            paint_segments(segmap, p_w, band_name="p_water"),
+            paint_segments(segmap, water, "pgm_water"))
 
 
-def cmd_postclass(cfg: PipelineConfig, out: Path) -> None:
-    segmap = _load_segments(out)
-    water = _segment_share(out, segmap, "pgm_water") > 0.5
-    final = relabel_shadow_segments(water, _segment_share(out, segmap, "potential_shadow"),
+def cmd_postclass(cfg: PipelineConfig, segmap, pgm_water, shadow):
+    water = segmap.mean(pgm_water.bits) > 0.5
+    final = relabel_shadow_segments(water, segmap.mean(shadow.bits),
                                     cfg.shadow_relabel_threshold)
-    _write_facts(out, "postclass", relabeled=int((water & ~final).sum()))
-    _write(out, "water_final", paint_segments(segmap, final, "water_final"))
+    return ({"relabeled": int((water & ~final).sum())},
+            paint_segments(segmap, final, "water_final"))
 
 
-PREDICTION_STEMS = ("water_final", "pgm_water", "ms_water", "pca_water",
-                    "pan_water", "landsat_water")
-
-
-def cmd_evaluate(cfg: PipelineConfig, out: Path) -> None:
-    truth = read_mask(out / "truth.hdr")
-    class_truth = _load_classes(out, "class_truth")
-    if class_truth.geometry != truth.geometry:
-        raise RasterError(f"{out / 'class_truth.hdr'}: grid differs from the truth mask")
+def cmd_evaluate(cfg: PipelineConfig, truth, class_truth, *maps):
     samples = stratified_sample(class_truth.data[0],
                                 [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER], seed=cfg.seed)
     reference = truth.bits.ravel()[samples]
-
-    stems = [stem for stem in PREDICTION_STEMS if (out / f"{stem}.hdr").exists()]
-    if not stems:
-        raise RasterError(f"no prediction artifacts in {out} (expected one of {PREDICTION_STEMS})")
-    for stem in stems:
-        pred = read_mask(out / f"{stem}.hdr").as_raster(stem)
+    reports = []
+    for stem, mask in zip(PREDICTION_STEMS, maps):
+        pred = mask.as_raster(stem)
         if pred.geometry != truth.geometry:
             pred = resample_nearest(pred, truth.geometry)
         predicted = pred.data[0].ravel()[samples] == 1
-        report = format_report(confusion_matrix(predicted, reference), title=stem)
-        (out / f"report_{stem}.txt").write_text(report + "\n")
+        reports.append(format_report(confusion_matrix(predicted, reference), title=stem) + "\n")
+    return reports
 
 
 # Each stage, in run-all order: its command, the artifacts it reads and the
 # artifacts it writes.  An artifact is a raster stem (pan, for pan.hdr and
-# pan.bin) or a file name.  main writes config.txt and _run runs.txt.
+# pan.bin) or a file name; a read .hdr file stands for its grid alone.  main
+# writes config.txt and _run runs.txt.
 STAGES = {
     "synth": (cmd_synth, (), ("scene.txt", "pan", "ms", *LANDSAT_STEMS, "truth", "class_truth",
                               "shadow_truth", "train_sites.npy")),
@@ -284,7 +189,8 @@ STAGES = {
                 ("t_pan.txt", "pan_water", "kmeans.txt", "segments", SEGMENT_TABLE)),
     "shadow": (cmd_shadow, ("scene.txt", "segments", SEGMENT_TABLE),
                ("object_kinds", "potential_shadow")),
-    "fuse": (cmd_fuse, ("ms", "landsat_wi", "segments", SEGMENT_TABLE, "potential_shadow"),
+    "fuse": (cmd_fuse, ("ms.hdr", "landsat_wi.hdr", "segments", SEGMENT_TABLE,
+                        "potential_shadow"),
              ("fuse.txt", "pgm_prob", "pgm_water")),
     "postclass": (cmd_postclass, ("segments", SEGMENT_TABLE, "pgm_water", "potential_shadow"),
                   ("postclass.txt", "water_final")),
@@ -292,15 +198,77 @@ STAGES = {
                  tuple(f"report_{stem}.txt" for stem in PREDICTION_STEMS)),
 }
 
-RUN_ALL_ORDER = tuple((name, step) for name, (step, _, _) in STAGES.items())
-
-# the stages whose artifacts each stage reads, in run-all order
-READS = {name: tuple(stage for stage, (_, _, writes) in STAGES.items() if set(reads) & set(writes))
+# the stages whose artifacts each stage reads, in run-all order; x.hdr is x's
+READS = {name: tuple(stage for stage, (_, _, writes) in STAGES.items()
+                     if {read.removesuffix(".hdr") for read in reads} & set(writes))
          for name, (_, reads, _) in STAGES.items()}
 
+# the artifacts read as masks, whose samples must be exactly 0 or 1
+MASKS = {"truth", "potential_shadow", *PREDICTION_STEMS}
 
-def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
-    """Run stage ``name`` unless a stage it reads is out of date; record the run in runs.txt."""
+
+# ---------------------------------------------------------------------------
+# artifact I/O: _run alone calls these, and each rule on read data is checked
+# here, in an error that names the file
+
+def _read(out: Path, name: str) -> list:
+    """The artifacts of stage ``name``'s read column, in column order.  The
+    segments raster and the table after it are read as one SegmentMap."""
+    values = {}
+    for artifact in STAGES[name][1]:
+        path = out / (artifact if "." in artifact else f"{artifact}.hdr")
+        if artifact.endswith(".hdr"):
+            value = read_header(path)[0]
+        elif artifact == "scene.txt":
+            try:  # synth wrote it, so a bad line is a damaged artifact
+                value = parse_scene(path.read_text())
+            except SceneError as exc:
+                raise RasterError(f"{path}: {exc}") from None
+        elif artifact == "train_sites.npy":
+            value = read_table(path, SITE_DTYPE)
+        elif artifact == SEGMENT_TABLE:  # one SegmentMap with the raster before it
+            value = values.pop("segments")  # the raster is freed once the map is built
+            artifact, value = "segments", load_segment_stats(path, value)
+        elif artifact in MASKS:
+            value = read_mask(path)
+        else:
+            value = read_raster(path)
+        if artifact == "pan" and value.bands != 1:
+            raise RasterError(f"{path}: PAN raster must have exactly 1 band, got {value.bands}")
+        if artifact in ("ms_class", "class_truth") and not np.isin(
+                value.data, np.arange(len(CLASS_ORDER))).all():
+            raise RasterError(f"{path}: class codes must be whole numbers "
+                              f"in 0..{len(CLASS_ORDER) - 1}")
+        if artifact == "class_truth" and value.geometry != values["truth"].geometry:
+            raise RasterError(f"{path}: grid differs from the truth mask")
+        if artifact in MASKS and "segments" in values \
+                and value.geometry != values["segments"].geometry:
+            raise RasterError(f"{path}: grid differs from the segments raster")
+        values[artifact] = value
+    return list(values.values())
+
+
+def _write(out: Path, artifact: str, value) -> None:
+    """Write ``value`` as ``artifact``: a raster or a mask under its stem, a
+    ``.npy`` table, a text, or a dict of facts as ``key = value`` lines, a
+    bool as true/false, any other value as its repr."""
+    if isinstance(value, BinaryMask):
+        value = value.as_raster(artifact)
+    if isinstance(value, RasterGrid):
+        write_raster(value, out / f"{artifact}.hdr")
+    elif isinstance(value, np.ndarray):
+        write_table(value, out / artifact)
+    else:
+        if isinstance(value, dict):
+            value = "".join(f"{k} = {str(v).lower() if isinstance(v, bool) else repr(v)}\n"
+                            for k, v in value.items())
+        (out / artifact).write_text(value)
+
+
+def _run(name: str, cfg: PipelineConfig, out: Path) -> None:
+    """Run stage ``name`` unless a stage it reads is out of date: read its read
+    column, call its command, and only after it returns write its write column
+    and record the run in runs.txt.  So a stage that stops writes nothing."""
     path = out / "runs.txt"
     runs = {}
     for lineno, line in enumerate(path.read_text().splitlines() if path.exists() else [], 1):
@@ -317,18 +285,27 @@ def _run(name: str, step, cfg: PipelineConfig, out: Path) -> None:
     for read in READS[name]:
         if read in runs and any(runs[read] < runs.get(stage, 0) for stage in READS[read]):
             raise RasterError(f"{out}: the artifacts of {read} are out of date (run {read} first)")
-    step(cfg, out)
+    command, _, writes = STAGES[name]
+    if name == "synth":  # it reads no artifact, but the scene file that the config names
+        values = command(cfg, Path(cfg.scene).read_text() if cfg.scene else DEFAULT_SCENE_TEXT)
+    else:
+        values = command(cfg, *_read(out, name))
+    for artifact, value in zip(writes, values, strict=True):
+        _write(out, artifact, value)
     runs[name] = max(runs.values(), default=0) + 1
-    _write_facts(out, "runs", **runs)
+    _write(out, "runs.txt", runs)
+
+
+RUN_ALL_ORDER = tuple((name, partial(_run, name)) for name in STAGES)
 
 
 def cmd_run_all(cfg: PipelineConfig, out: Path) -> None:
-    _write_facts(out, "runs", **dict.fromkeys(STAGES, 0))  # a fresh record, in which no stage ran
-    for name, step in RUN_ALL_ORDER:
-        _run(name, step, cfg, out)
+    _write(out, "runs.txt", dict.fromkeys(STAGES, 0))  # a fresh record, in which no stage ran
+    for _, command in RUN_ALL_ORDER:
+        command(cfg, out)
 
 
-COMMANDS = {n: partial(_run, n, step) for n, step in RUN_ALL_ORDER} | {"run-all": cmd_run_all}
+COMMANDS = dict(RUN_ALL_ORDER) | {"run-all": cmd_run_all}
 
 
 # ---------------------------------------------------------------------------
