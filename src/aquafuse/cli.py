@@ -110,11 +110,10 @@ def cmd_segment(cfg: PipelineConfig, pan, ms_prob, ms_class, landsat_wi):
     mp_std = band_std(mps.data)
     del mps  # the ten profile bands are freed before the fields are resampled
     # resampled to the PAN grid only now, so that k-means does not hold them
-    p_ms_field = resample_nearest(
-        RasterGrid(ms_prob.geometry, ms_prob.band("p_water")[np.newaxis], ["p_water"]),
-        pan.geometry)
-    segment_stats(segmap, pan, mp_std, p_ms_field, resample_nearest(landsat_wi, pan.geometry),
-                  resample_nearest(ms_class, pan.geometry), t_pan)
+    segment_stats(segmap, pan.data[0], mp_std,
+                  resample_nearest(ms_prob.band("p_water"), ms_prob.geometry, pan.geometry),
+                  resample_nearest(landsat_wi.data[0], landsat_wi.geometry, pan.geometry),
+                  resample_nearest(ms_class.data[0], ms_class.geometry, pan.geometry), t_pan)
     classify_segments_majority(segmap)
     tree_grass_split(segmap, t_tree=cfg.t_tree)
     return ({"t_pan": t_pan}, BinaryMask(pan.geometry, pan.data[0] < t_pan),
@@ -126,13 +125,12 @@ def cmd_segment(cfg: PipelineConfig, pan, ms_prob, ms_class, landsat_wi):
 def cmd_shadow(cfg: PipelineConfig, scene, segmap):
     tree_px = (segmap.records.label == "tree")[segmap.labels]
     imp_px = (segmap.records.label == "impervious")[segmap.labels]
-    intensity = building_intensity_map(BinaryMask(segmap.geometry, imp_px),
-                                       cfg.intensity_window, cfg.intensity_ratio)
+    intensity = building_intensity_map(imp_px, cfg.intensity_window, cfg.intensity_ratio)
 
     kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
     kinds[tree_px] = OBJECT_KIND_TREE
-    kinds[imp_px & intensity.bits] = OBJECT_KIND_HIGH_BUILDING
-    kinds[imp_px & ~intensity.bits] = OBJECT_KIND_LOW_BUILDING
+    kinds[imp_px & intensity] = OBJECT_KIND_HIGH_BUILDING
+    kinds[imp_px & ~intensity] = OBJECT_KIND_LOW_BUILDING
     heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
                OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
                OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
@@ -163,12 +161,11 @@ def cmd_evaluate(cfg: PipelineConfig, truth, class_truth, *maps):
     samples = stratified_sample(class_truth.data[0],
                                 [getattr(cfg, f"eval_{c}") for c in CLASS_ORDER], seed=cfg.seed)
     reference = truth.bits.ravel()[samples]
+    # each map is looked up, in its own grid, at the centers of the sampled pixels
+    x, y = truth.geometry.pixel_center(*np.divmod(samples, truth.geometry.width))
     reports = []
     for stem, mask in zip(PREDICTION_STEMS, maps):
-        pred = mask.as_raster(stem)
-        if pred.geometry != truth.geometry:
-            pred = resample_nearest(pred, truth.geometry)
-        predicted = pred.data[0].ravel()[samples] == 1
+        predicted = mask.bits[mask.geometry.pixel_of(x, y)]
         reports.append(format_report(confusion_matrix(predicted, reference), title=stem) + "\n")
     return reports
 
@@ -206,14 +203,27 @@ READS = {name: tuple(stage for stage, (_, _, writes) in STAGES.items()
 # the artifacts read as masks, whose samples must be exactly 0 or 1
 MASKS = {"truth", "potential_shadow", *PREDICTION_STEMS}
 
+# each rule between two grids of a stage's read column: (artifact, target, "=")
+# for the target's grid, or "covers" for a grid that holds every target pixel center
+GRIDS = {
+    "water-index": [(stem, LANDSAT_STEMS[0], "=") for stem in LANDSAT_STEMS[1:]],
+    "pca-fuse": [("ms", "pan", "covers")],
+    "segment": [(stem, "pan", "covers") for stem in ("ms_prob", "ms_class", "landsat_wi")],
+    "fuse": [("potential_shadow", "segments", "=")],
+    "postclass": [("pgm_water", "segments", "="), ("potential_shadow", "segments", "=")],
+    "evaluate": [("class_truth", "truth", "="),
+                 *((stem, "truth", "covers") for stem in PREDICTION_STEMS)],
+}
+
 
 # ---------------------------------------------------------------------------
 # artifact I/O: _run alone calls these, and each rule on read data is checked
 # here, in an error that names the file
 
 def _read(out: Path, name: str) -> list:
-    """The artifacts of stage ``name``'s read column, in column order.  The
-    segments raster and the table after it are read as one SegmentMap."""
+    """The artifacts of stage ``name``'s read column, in column order, the segments
+    raster and the table after it as one SegmentMap.  The GRIDS rules are
+    checked once the whole column is read, as pca-fuse reads ms before pan."""
     values = {}
     for artifact in STAGES[name][1]:
         path = out / (artifact if "." in artifact else f"{artifact}.hdr")
@@ -235,16 +245,19 @@ def _read(out: Path, name: str) -> list:
             value = read_raster(path)
         if artifact == "pan" and value.bands != 1:
             raise RasterError(f"{path}: PAN raster must have exactly 1 band, got {value.bands}")
+        if artifact in ("ms_prob", "landsat_wi") and not (
+                0 <= value.data.min() <= value.data.max() <= 1):
+            raise RasterError(f"{path}: probabilities must be in [0, 1]")
         if artifact in ("ms_class", "class_truth") and not np.isin(
                 value.data, np.arange(len(CLASS_ORDER))).all():
             raise RasterError(f"{path}: class codes must be whole numbers "
                               f"in 0..{len(CLASS_ORDER) - 1}")
-        if artifact == "class_truth" and value.geometry != values["truth"].geometry:
-            raise RasterError(f"{path}: grid differs from the truth mask")
-        if artifact in MASKS and "segments" in values \
-                and value.geometry != values["segments"].geometry:
-            raise RasterError(f"{path}: grid differs from the segments raster")
         values[artifact] = value
+    for artifact, target, relation in GRIDS.get(name, ()):
+        grid, under = values[artifact].geometry, values[target].geometry
+        if not (grid == under if relation == "=" else grid.covers(under)):
+            verb = "differs from" if relation == "=" else "does not cover"
+            raise RasterError(f"{out / artifact}.hdr: grid {verb} the {target} grid")
     return list(values.values())
 
 
@@ -253,7 +266,7 @@ def _write(out: Path, artifact: str, value) -> None:
     ``.npy`` table, a text, or a dict of facts as ``key = value`` lines, a
     bool as true/false, any other value as its repr."""
     if isinstance(value, BinaryMask):
-        value = value.as_raster(artifact)
+        value = RasterGrid(value.geometry, value.bits.astype(np.float32), [artifact])
     if isinstance(value, RasterGrid):
         write_raster(value, out / f"{artifact}.hdr")
     elif isinstance(value, np.ndarray):

@@ -68,15 +68,20 @@ class GridGeometry:
         row = (self.origin_y - np.asarray(y)) / self.pixel_size - 0.5
         return row, col
 
-    @property
-    def extent(self):
-        """(xmin, ymin, xmax, ymax) of the covered map area."""
-        return (
-            self.origin_x,
-            self.origin_y - self.height * self.pixel_size,
-            self.origin_x + self.width * self.pixel_size,
-            self.origin_y,
-        )
+    def pixel_of(self, x, y):
+        """(row, col) of the pixel that holds each map point, by the floor of its
+        offset in pixels: the one nearest-pixel rule (off the grid, out of range)."""
+        col = np.floor((np.asarray(x) - self.origin_x) / self.pixel_size).astype(np.int64)
+        row = np.floor((self.origin_y - np.asarray(y)) / self.pixel_size).astype(np.int64)
+        return row, col
+
+    def covers(self, other) -> bool:
+        """Whether each pixel center of grid ``other`` is in a pixel of this
+        grid; both rules are monotone, so the corner pixels' centers decide."""
+        row, col = self.pixel_of(*other.pixel_center([0, other.height - 1],
+                                                     [0, other.width - 1]))
+        return bool(0 <= row.min() and row.max() < self.height
+                    and 0 <= col.min() and col.max() < self.width)
 
 
 @dataclass
@@ -141,9 +146,6 @@ class BinaryMask:
                 raise RasterError("mask values must be 0 or 1")
             arr = arr == 1
         self.bits = arr
-
-    def as_raster(self, name):
-        return RasterGrid(self.geometry, self.bits.astype(np.float32)[np.newaxis], [name])
 
 
 def _format_number(v):
@@ -268,30 +270,22 @@ def read_table(path, dtype) -> np.ndarray:
     return table
 
 
-def resample_nearest(src: RasterGrid, target: GridGeometry) -> RasterGrid:
-    """Nearest-neighbor resampling of ``src`` onto ``target``.
-
-    Each target pixel takes the sample of the source pixel containing the
-    target pixel center; a center outside the source extent is a RasterError.
-    """
-    tx, _ = target.pixel_center(0, np.arange(target.width))
-    _, ty = target.pixel_center(np.arange(target.height), 0)
-    src_col = np.floor((tx - src.geometry.origin_x) / src.geometry.pixel_size).astype(np.int64)
-    src_row = np.floor((src.geometry.origin_y - ty) / src.geometry.pixel_size).astype(np.int64)
-    if not ((0 <= src_col) & (src_col < src.geometry.width)).all() \
-            or not ((0 <= src_row) & (src_row < src.geometry.height)).all():
-        raise RasterError(f"target extent {target.extent} is not inside the source "
-                          f"extent {src.geometry.extent}")
-    out = src.data[:, src_row[:, None], src_col[None, :]]
-    return RasterGrid(target, out, list(src.band_names))
+def resample_nearest(values: np.ndarray, src: GridGeometry, target: GridGeometry) -> np.ndarray:
+    """Nearest-neighbor resampling of ``values``, (..., height, width) on grid
+    ``src``, onto grid ``target``: each target pixel takes the sample of the
+    source pixel that holds its center (``pixel_of``).  ``src`` must cover
+    ``target``, which the reader of the two grids checks."""
+    row, col = src.pixel_of(*target.pixel_center(np.arange(target.height),
+                                                 np.arange(target.width)))
+    return values[..., row[:, None], col[None, :]]
 
 
-def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
-    """Mean of mask values in a centered odd window, clipped at image borders."""
+def window_ratio(bits: np.ndarray, window: int) -> np.ndarray:
+    """Float32 mean of (h, w) ``bits`` in a centered odd window, clipped at the borders."""
     radius = window // 2
-    h, w = mask.bits.shape
+    h, w = bits.shape
     ii = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(mask.bits, axis=0, dtype=np.float64), axis=1, out=ii[1:, 1:])
+    np.cumsum(np.cumsum(bits, axis=0, dtype=np.float64), axis=1, out=ii[1:, 1:])
     r0 = np.clip(np.arange(h) - radius, 0, h)
     r1 = np.clip(np.arange(h) + radius + 1, 0, h)
     c0 = np.clip(np.arange(w) - radius, 0, w)
@@ -299,8 +293,7 @@ def window_ratio(mask: BinaryMask, window: int) -> RasterGrid:
     sums = (ii[np.ix_(r1, c1)] - ii[np.ix_(r0, c1)]
             - ii[np.ix_(r1, c0)] + ii[np.ix_(r0, c0)])
     counts = (r1 - r0)[:, None] * (c1 - c0)[None, :]
-    ratio = (sums / counts).astype(np.float32)
-    return RasterGrid(mask.geometry, ratio[np.newaxis], ["ratio"])
+    return (sums / counts).astype(np.float32)
 
 
 def window_reduce(values: np.ndarray, length: int, op, axis: int = 0) -> np.ndarray:

@@ -556,21 +556,18 @@ def band_std(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var).reshape(stack.shape[1:])
 
 
-def segment_stats(segmap: SegmentMap, pan: RasterGrid, mp_std: np.ndarray,
-                  p_ms_field: RasterGrid, p_lan_field: RasterGrid,
-                  ms_class_map: RasterGrid, t_pan: float) -> SegmentMap:
-    """Fill every per-segment statistic except the shadow proportion;
-    ``p_pan`` is the share of PAN pixels strictly darker than ``t_pan``, and
-    ``mp_std`` the mean of the (h, w) plane ``mp_std``, each pixel's
-    ``band_std`` over the morphological profiles.  The caller takes that
-    plane before it resamples the fields, so that the ten profile bands are
-    freed first.
-
-    All rasters must already live on the PAN grid; ``ms_class_map`` holds
-    indices into ``CLASS_ORDER``, which the stage that reads it has checked.
-    """
+def segment_stats(segmap: SegmentMap, pan: np.ndarray, mp_std: np.ndarray,
+                  p_ms: np.ndarray, p_lan: np.ndarray, ms_class: np.ndarray,
+                  t_pan: float) -> SegmentMap:
+    """Fill every per-segment statistic except the shadow proportion from
+    (h, w) planes on the segment grid: ``p_pan`` is the share of ``pan``
+    pixels strictly darker than ``t_pan``, and ``p_ms``, ``p_lan`` and
+    ``mp_std`` are the means of their planes.  ``mp_std`` is each pixel's
+    ``band_std`` over the morphological profiles, which the caller takes
+    before it resamples the fields, so that the ten profile bands are freed
+    first.  ``ms_class`` holds indices into ``CLASS_ORDER``, checked by its reader."""
     n_classes = len(CLASS_ORDER)
-    class_idx = ms_class_map.data[0].ravel().astype(np.int64)
+    class_idx = ms_class.ravel().astype(np.int64)
     table = segmap.records
     n = segmap.count
     table.votes = np.bincount(segmap.labels.ravel() * n_classes + class_idx,
@@ -579,9 +576,9 @@ def segment_stats(segmap: SegmentMap, pan: RasterGrid, mp_std: np.ndarray,
     table.area_m2 = table.pixel_count * r_pan * r_pan
     table.perimeter_px = _perimeter_edges(segmap.labels, n)
     table.w = 4.0 * table.area_m2 / (table.perimeter_px * r_pan)
-    table.p_pan = segmap.mean(pan.data[0] < t_pan)
-    table.p_ms = segmap.mean(p_ms_field.data[0])
-    table.p_lan = segmap.mean(p_lan_field.data[0])
+    table.p_pan = segmap.mean(pan < t_pan)
+    table.p_ms = segmap.mean(p_ms)
+    table.p_lan = segmap.mean(p_lan)
     table.mp_std = segmap.mean(mp_std)
     return segmap
 

@@ -59,12 +59,11 @@ def tree_grass_split(segmap: SegmentMap, t_tree: float | None) -> np.ndarray:
     return labels
 
 
-def building_intensity_map(impervious_mask: BinaryMask, window: int,
-                           ratio_threshold: float) -> BinaryMask:
-    """1 where the impervious-area ratio of the centered ``window`` x
-    ``window`` neighbourhood strictly exceeds ``ratio_threshold``."""
-    ratio = window_ratio(impervious_mask, window)
-    return BinaryMask(impervious_mask.geometry, ratio.data[0] > ratio_threshold)
+def building_intensity_map(impervious: np.ndarray, window: int,
+                           ratio_threshold: float) -> np.ndarray:
+    """True where the share of (h, w) ``impervious`` pixels in the centered
+    ``window`` x ``window`` neighbourhood strictly exceeds ``ratio_threshold``."""
+    return window_ratio(impervious, window) > ratio_threshold
 
 
 OBJECT_KIND_HIGH_BUILDING = 1

@@ -55,7 +55,7 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     ``row_blocks``, none of one row, so they give the bits of one product
     over all rows.
     """
-    x = resample_nearest(ms, pan.geometry).data.reshape(ms.bands, -1).T  # (n, d)
+    x = resample_nearest(ms.data, ms.geometry, pan.geometry).reshape(ms.bands, -1).T  # (n, d)
     n, d = x.shape
     if d < 2:
         raise RasterError("PCA needs at least 2 bands")
@@ -196,18 +196,15 @@ def landsat_water_index(stack) -> RasterGrid:
 
     Per date the pixel scores 1 if the brightest of VISIBLE_BANDS is above the
     brightest of SWIR_BANDS, else 0; the output is the mean score over the stack,
-    so values are k/M for a stack of M >= 1 dates.
+    so values are k/M for a stack of M >= 1 dates, all on one grid.
     """
-    geometry = stack[0].geometry
-    total = np.zeros((geometry.height, geometry.width), dtype=np.float64)
+    total = np.zeros(stack[0].data.shape[1:], dtype=np.float64)
     for raster in stack:
-        if raster.geometry != geometry:
-            raise RasterError("all rasters in the stack must share one grid")
         vis = np.max([raster.band(b) for b in VISIBLE_BANDS], axis=0)
         swir = np.max([raster.band(b) for b in SWIR_BANDS], axis=0)
         total += (vis > swir)
     total /= len(stack)
-    return RasterGrid(geometry, total.astype(np.float32)[np.newaxis], ["p_water"])
+    return RasterGrid(stack[0].geometry, total.astype(np.float32)[np.newaxis], ["p_water"])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ import pytest
 import aquafuse
 from aquafuse import cli, segmentation, shadow
 from aquafuse.config import ConfigError, PipelineConfig, format_config, load_config, parse_config
-from aquafuse.raster import RasterGrid, read_mask, read_raster, write_raster
+from aquafuse.evaluate import confusion_matrix, format_report, stratified_sample
+from aquafuse.raster import (BinaryMask, RasterGrid, read_mask, read_raster, resample_nearest,
+                             write_raster)
 
 
 def synth_with_warnings_as_errors(tmp_path, text):
@@ -388,6 +390,14 @@ def _artifact_state(out):
             for p in out.iterdir() if p.name != "config.txt"}
 
 
+def _scaled(factor):
+    """An edit that multiplies the p_water band by ``factor``."""
+    def edit(raster):
+        raster.band("p_water")[...] *= factor
+        return raster
+    return edit
+
+
 def _constant(raster):
     return RasterGrid(raster.geometry, np.full_like(raster.data, 0.2), raster.band_names)
 
@@ -438,7 +448,7 @@ BAD_INPUTS = {
     "ms-class-minus-1": ("segment", _edit_raster("ms_class", _first_sample(-1.0)), cli.EXIT_IO,
                          "ms_class.hdr: class codes must be whole numbers in 0..3"),
     "landsat-shifted": ("water-index", _edit_raster("landsat_d074", _shifted_east),
-                        cli.EXIT_IO, "all rasters in the stack must share one grid"),
+                        cli.EXIT_IO, "{out}/landsat_d074.hdr: grid differs from the landsat_d016 grid"),
     "scene-sun-95": ("shadow", _replace_line("scene.txt", "sun 50 180", "sun 95 180"),
                      cli.EXIT_IO,
                      "scene.txt: scene line 4: 'sun 95 180': sun elevation must be in (0, 90]"),
@@ -504,9 +514,14 @@ BAD_INPUTS = {
     "evaluate-without-prediction-maps": ("evaluate", _no_prediction_maps, cli.EXIT_IO,
                                          "missing file: {out}/water_final.hdr"),
     "class-truth-shifted": ("evaluate", _edit_raster("class_truth", _shifted_east), cli.EXIT_IO,
-                            "class_truth.hdr: grid differs from the truth mask"),
+                            "{out}/class_truth.hdr: grid differs from the truth grid"),
     # a prediction map is a mask, read by the same 0/1 rule as truth, on the
-    # truth grid or on a coarser one that is resampled to it
+    # truth grid or on a coarser one that covers it, looked up at the centers
+    # of the sampled truth pixels
+    **{f"{stem.replace('_', '-')}-shifted-evaluate": (
+        "evaluate", _edit_raster(stem, _shifted_east), cli.EXIT_IO,
+        f"{{out}}/{stem}.hdr: grid does not cover the truth grid")
+       for stem in ("ms_water", "landsat_water", "pgm_water")},
     "pgm-water-0.7": ("evaluate", _edit_raster("pgm_water", _first_sample(0.7)), cli.EXIT_IO,
                       "pgm_water.hdr: mask values must be 0 or 1"),
     "ms-water-1.9": ("evaluate", _edit_raster("ms_water", _first_sample(1.9)), cli.EXIT_IO,
@@ -514,17 +529,27 @@ BAD_INPUTS = {
     # fuse and postclass take each segment's share of a mask on the segments' grid
     "potential-shadow-shifted-fuse": (
         "fuse", _edit_raster("potential_shadow", _shifted_east), cli.EXIT_IO,
-        "potential_shadow.hdr: grid differs from the segments raster"),
+        "{out}/potential_shadow.hdr: grid differs from the segments grid"),
     "pgm-water-shifted-postclass": (
         "postclass", _edit_raster("pgm_water", _shifted_east), cli.EXIT_IO,
-        "pgm_water.hdr: grid differs from the segments raster"),
+        "{out}/pgm_water.hdr: grid differs from the segments grid"),
     "pgm-water-0.7-postclass": ("postclass", _edit_raster("pgm_water", _first_sample(0.7)),
                                 cli.EXIT_IO, "pgm_water.hdr: mask values must be 0 or 1"),
-    # segment resamples ms_prob, ms_class and landsat_wi to the PAN grid only
-    # after k-means, so a field off that grid stops it late
+    # segment resamples ms_prob, ms_class and landsat_wi to the PAN grid, and
+    # pca-fuse ms: each must cover it, a rule checked when the column is read,
+    # so a field off that grid stops segment before k-means
     **{f"{stem.replace('_', '-')}-shifted-segment": (
         "segment", _edit_raster(stem, _shifted_east), cli.EXIT_IO,
-        "is not inside the source extent") for stem in ("ms_prob", "ms_class", "landsat_wi")},
+        f"{{out}}/{stem}.hdr: grid does not cover the pan grid")
+       for stem in ("ms_prob", "ms_class", "landsat_wi")},
+    "ms-shifted-pca-fuse": ("pca-fuse", _edit_raster("ms", _shifted_east), cli.EXIT_IO,
+                            "{out}/ms.hdr: grid does not cover the pan grid"),
+    # a water probability outside [0, 1] would carry through fusion unseen
+    "landsat-wi-times-3-segment": ("segment", _edit_raster("landsat_wi", _scaled(3.0)),
+                                   cli.EXIT_IO,
+                                   "{out}/landsat_wi.hdr: probabilities must be in [0, 1]"),
+    "ms-prob-negated-segment": ("segment", _edit_raster("ms_prob", _scaled(-1.0)), cli.EXIT_IO,
+                                "{out}/ms_prob.hdr: probabilities must be in [0, 1]"),
     # the record of stage runs is an artifact like the others
     "runs-not-a-number": ("fuse", lambda out: (out / "runs.txt").write_text("segment = soon\n"),
                           cli.EXIT_IO, "runs.txt: expected 'stage = run' lines"),
@@ -640,6 +665,40 @@ class TestPipelineArtifacts:
         for stem in cli.PREDICTION_STEMS:
             report = (tmp_path / f"report_{stem}.txt").read_text()
             assert "pa=100.0,ua=100.0,oa=100.0" in report, stem
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_point_lookups_equal_the_whole_map_resample(self, pipeline_dir, seed):
+        """evaluate looks each map up, in the map's own grid, at the centers of
+        the sampled truth pixels.  The reference is the path that lookup
+        replaced: the map as a float32 raster, resampled whole to the truth
+        grid when its grid differs, read at the sampled indices.  Each map is
+        also taken with random bits on a grid moved half a pixel north-west,
+        with a row and a column more, so that it still covers the truth."""
+        truth, class_truth, *maps = cli._read(pipeline_dir, "evaluate")
+        rng = np.random.default_rng(seed)
+        for mask in list(maps):
+            g = mask.geometry
+            moved = replace(g, width=g.width + 1, height=g.height + 1,
+                            origin_x=g.origin_x - g.pixel_size / 2,
+                            origin_y=g.origin_y + g.pixel_size / 2)
+            assert moved.covers(truth.geometry)
+            maps.append(BinaryMask(moved, rng.random((moved.height, moved.width)) < 0.5))
+        cfg = replace(PipelineConfig(), seed=seed)
+        samples = stratified_sample(class_truth.data[0],
+                                    [getattr(cfg, f"eval_{c}") for c in cli.CLASS_ORDER],
+                                    seed=seed)
+        reference = truth.bits.ravel()[samples]
+        expected = []
+        for stem, mask in zip(cli.PREDICTION_STEMS * 2, maps):
+            pred = RasterGrid(mask.geometry, mask.bits.astype(np.float32), [stem])
+            if pred.geometry != truth.geometry:
+                pred = RasterGrid(truth.geometry,
+                                  resample_nearest(pred.data, pred.geometry, truth.geometry))
+            predicted = pred.data[0].ravel()[samples] == 1
+            expected.append(format_report(confusion_matrix(predicted, reference), title=stem)
+                            + "\n")
+        assert (cli.cmd_evaluate(cfg, truth, class_truth, *maps[:6])
+                + cli.cmd_evaluate(cfg, truth, class_truth, *maps[6:])) == expected
 
     def test_shadow_without_scene_artifact_is_io_error(self, pipeline_dir, tmp_path):
         out = tmp_path / "out"
@@ -989,7 +1048,7 @@ class TestPipelineArtifacts:
         write_raster(RasterGrid(geometry, class_truth.data[:, :-1], class_truth.band_names),
                      out / "class_truth.hdr")
         assert cli.main(["evaluate", "--out", str(out)]) == cli.EXIT_IO
-        assert "grid differs from the truth mask" in capsys.readouterr().err
+        assert "class_truth.hdr: grid differs from the truth grid" in capsys.readouterr().err
 
     def test_ms_prob_without_water_band_is_io_error(self, pipeline_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1073,9 +1132,8 @@ class TestSegmentStage:
         assert peak < bound * read_raster(out / "pan.hdr").data.size
 
 
-def _on_segment_grid(segmap, pan, mp_std, p_ms_field, p_lan_field, ms_class_map, **_):
-    return all(r.geometry == segmap.geometry
-               for r in (pan, p_ms_field, p_lan_field, ms_class_map))
+def _on_segment_grid(segmap, pan, p_ms, p_lan, ms_class, **_):
+    return all(plane.shape == segmap.labels.shape for plane in (pan, p_ms, p_lan, ms_class))
 
 
 # The rules that a kernel leaves to the stage that calls it, as (module the
@@ -1094,6 +1152,10 @@ KERNEL_RULES = {
     "morphological_profiles-one-band-pan": (
         cli, "morphological_profiles", lambda pan, **_: pan.bands == 1),
     "pca_fuse-one-band-pan": (cli, "pca_fuse", lambda pan, **_: pan.bands == 1),
+    "pca_fuse-ms-covers-pan": (
+        cli, "pca_fuse", lambda ms, pan, **_: ms.geometry.covers(pan.geometry)),
+    "resample_nearest-source-covers-target": (
+        cli, "resample_nearest", lambda src, target, **_: src.covers(target)),
     "kmeans_segment-profiles-on-the-pan-grid": (
         cli, "kmeans_segment", lambda pan, mps, **_: mps.geometry == pan.geometry),
     "segment_stats-rasters-on-the-segment-grid": (cli, "segment_stats", _on_segment_grid),
@@ -1112,6 +1174,9 @@ KERNEL_RULES = {
         lambda model, raster, **_: raster.bands == model.means.shape[1]),
     "landsat_water_index-dates-in-the-stack": (
         cli, "landsat_water_index", lambda stack, **_: len(stack) >= 1),
+    "landsat_water_index-one-grid": (
+        cli, "landsat_water_index",
+        lambda stack, **_: all(raster.geometry == stack[0].geometry for raster in stack)),
     "otsu_threshold-finite-pan": (
         cli, "otsu_threshold", lambda values, **_: np.isfinite(values).all()),
     "otsu_threshold-finite-profile-deviations": (

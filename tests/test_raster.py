@@ -131,7 +131,8 @@ class TestIO:
     def test_mask_round_trip(self, tmp_path):
         bits = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
         mask = BinaryMask(GridGeometry(3, 2, 1.0), bits)
-        write_raster(mask.as_raster("m"), tmp_path / "m")
+        write_raster(RasterGrid(mask.geometry, mask.bits.astype(np.float32), ["m"]),
+                     tmp_path / "m")
         back = read_mask(tmp_path / "m.hdr")
         assert back.bits.dtype == bool
         assert np.array_equal(back.bits, bits)
@@ -164,24 +165,99 @@ class TestIO:
             RasterGrid(geom, data, ["b"])
 
 
+def _random_grid_pair(rng, case):
+    """(source, target) grids at a random origin: a 30 m or a 3.2 m source
+    over the 0.8 m PAN grid of its area (ratios 37.5 and 4).  "shifted" takes
+    a target up to two source pixels smaller and moves it east and south by
+    -1/4 to 1 source pixel; "short" makes the target one pixel wider or
+    taller than the source."""
+    size = float(rng.choice([30.0, 3.2]))
+    n = 2 * int(rng.integers(1, 5))  # 37.5 target pixels to a 30 m one, so an even count
+    ox, oy = (float(v) for v in rng.uniform(-100.0, 100.0, 2))
+    src = GridGeometry(n, n, size, ox, oy)
+    w = h = round(n * size / 0.8)
+    if case == "shifted":
+        w, h = (int(v) for v in w - rng.integers(0, 2 * size / 0.8 + 1, 2))
+        dx, dy = (float(v) for v in rng.uniform(-size / 4, size, 2))
+        ox, oy = ox + dx, oy - dy
+    elif case == "short":
+        w, h = (w + 1, h) if rng.random() < 0.5 else (w, h + 1)
+    return src, GridGeometry(w, h, 0.8, ox, oy)
+
+
+def _all_centers(geom):
+    rows, cols = np.meshgrid(np.arange(geom.height), np.arange(geom.width), indexing="ij")
+    return geom.pixel_center(rows, cols)
+
+
+def _every_center_in(src, target):
+    """The reference for ``covers``: the pixel of every center of ``target``,
+    not only its corners', is in range on ``src``."""
+    row, col = src.pixel_of(*_all_centers(target))
+    return bool(((row >= 0) & (row < src.height) & (col >= 0) & (col < src.width)).all())
+
+
+GRID_PAIRS = [(case, seed) for case in ("same-area", "shifted", "short") for seed in range(12)]
+COVERING_PAIRS = [(case, seed) for case, seed in GRID_PAIRS
+                  if _every_center_in(*_random_grid_pair(np.random.default_rng(seed), case))]
+
+
+class TestPixelOf:
+    """The one nearest-pixel rule against references that do not use it."""
+
+    def test_floor_of_the_offset(self):
+        geom = GridGeometry(4, 3, 2.0, origin_x=10.0, origin_y=6.0)
+        row, col = geom.pixel_of([10.0, 11.9, 12.0, 17.9, 9.9], [6.0, 4.1, 4.0, 0.1, 6.1])
+        assert row.tolist() == [0, 0, 1, 2, -1]
+        assert col.tolist() == [0, 0, 1, 3, -1]
+
+    def test_own_centers(self):
+        geom = GridGeometry(7, 5, 0.8, origin_x=100.0, origin_y=200.0)
+        rows, cols = np.meshgrid(np.arange(5), np.arange(7), indexing="ij")
+        row, col = geom.pixel_of(*geom.pixel_center(rows, cols))
+        assert np.array_equal(row, rows) and np.array_equal(col, cols)
+
+    @pytest.mark.parametrize("case,seed", GRID_PAIRS)
+    def test_covers_is_every_center_in_range(self, case, seed):
+        """``covers`` reads four corner centers; the reference looks up every
+        center of the target."""
+        src, target = _random_grid_pair(np.random.default_rng(seed), case)
+        every = _every_center_in(src, target)
+        assert src.covers(target) == every
+        assert every == (case == "same-area") or case == "shifted"
+
+    def test_shifted_pairs_both_cover_and_not(self):
+        assert 0 < sum(case == "shifted" for case, _ in COVERING_PAIRS) < 12
+
+    def test_a_pixel_short_does_not_cover(self):
+        src = GridGeometry(8, 8, 30.0, origin_y=240.0)
+        assert src.covers(GridGeometry(300, 300, 0.8, origin_y=240.0))
+        assert not src.covers(GridGeometry(301, 300, 0.8, origin_y=240.0))
+        assert not src.covers(GridGeometry(300, 301, 0.8, origin_y=240.0))
+        assert not src.covers(GridGeometry(300, 300, 0.8, 30.0, 240.0))
+        assert GridGeometry(300, 300, 0.8, origin_y=240.0).covers(src)
+        geom = GridGeometry(2, 2, 1.0, origin_x=0.0, origin_y=2.0)
+        assert not geom.covers(GridGeometry(4, 4, 1.0, origin_x=0.0, origin_y=4.0))
+        assert not geom.covers(GridGeometry(2, 2, 1.0, origin_x=0.5, origin_y=2.0))
+
+
 class TestResample:
     def test_identity(self):
         raster = make_raster(width=6, height=5, pixel_size=0.8)
-        out = resample_nearest(raster, raster.geometry)
-        assert np.array_equal(out.data, raster.data)
+        out = resample_nearest(raster.data, raster.geometry, raster.geometry)
+        assert np.array_equal(out, raster.data)
 
     def test_duplication_from_single_pixel(self):
         geom = GridGeometry(1, 1, 3.2, origin_x=0.0, origin_y=3.2)
-        src = RasterGrid(geom, np.full((1, 1, 1), 7.5, dtype=np.float32), ["b"])
         target = GridGeometry(4, 4, 0.8, origin_x=0.0, origin_y=3.2)
-        out = resample_nearest(src, target)
-        assert np.array_equal(out.data, np.full((1, 4, 4), 7.5, dtype=np.float32))
+        out = resample_nearest(np.full((1, 1, 1), 7.5, dtype=np.float32), geom, target)
+        assert np.array_equal(out, np.full((1, 4, 4), 7.5, dtype=np.float32))
 
     def test_nearest_center_against_bruteforce(self):
         geom = GridGeometry(2, 2, 1.0, origin_x=0.0, origin_y=2.0)
-        src = RasterGrid(geom, np.arange(4, dtype=np.float32).reshape(1, 2, 2), ["b"])
+        data = np.arange(4, dtype=np.float32).reshape(1, 2, 2)
         target = GridGeometry(4, 4, 0.5, origin_x=0.0, origin_y=2.0)
-        out = resample_nearest(src, target)
+        out = resample_nearest(data, geom, target)
         for tr in range(4):
             for tc in range(4):
                 tx, ty = target.pixel_center(tr, tc)
@@ -190,44 +266,52 @@ class TestResample:
                     key=lambda rc: (geom.pixel_center(*rc)[0] - tx) ** 2
                     + (geom.pixel_center(*rc)[1] - ty) ** 2,
                 )
-                assert out.data[0, tr, tc] == src.data[0, best[0], best[1]]
+                assert out[0, tr, tc] == data[0, best[0], best[1]]
 
-    def test_outside_extent_rejected(self):
-        geom = GridGeometry(2, 2, 1.0, origin_x=0.0, origin_y=2.0)
-        src = RasterGrid(geom, np.ones((1, 2, 2), dtype=np.float32), ["b"])
-        for target in (GridGeometry(4, 4, 1.0, origin_x=0.0, origin_y=4.0),
-                       GridGeometry(2, 2, 1.0, origin_x=0.5, origin_y=2.0)):
-            with pytest.raises(RasterError, match="not inside the source"):
-                resample_nearest(src, target)
+    @pytest.mark.parametrize("case,seed", COVERING_PAIRS)
+    def test_nearest_center_on_random_grid_pairs(self, case, seed):
+        """On a source that covers the target, each target pixel takes a
+        source pixel whose center is nearest to its own along each axis
+        (square pixels), a tie either way."""
+        src, target = _random_grid_pair(np.random.default_rng(seed), case)
+        ids = np.arange(src.height * src.width).reshape(src.height, src.width)
+        out = resample_nearest(ids, src, target)
+        tx, ty = _all_centers(target)
+        sx, _ = src.pixel_center(0, np.arange(src.width))
+        _, sy = src.pixel_center(np.arange(src.height), 0)
+        dx = np.abs(tx[..., None] - sx)  # (h, w, source columns)
+        dy = np.abs(ty[..., None] - sy)  # (h, w, source rows)
+        row, col = np.divmod(out, src.width)
+        tol = 1e-9 * src.pixel_size
+        assert (np.take_along_axis(dx, col[..., None], -1)[..., 0]
+                <= dx.min(axis=-1) + tol).all()
+        assert (np.take_along_axis(dy, row[..., None], -1)[..., 0]
+                <= dy.min(axis=-1) + tol).all()
 
     def test_idempotent_on_same_geometry(self):
         raster = make_raster(width=5, height=5, pixel_size=2.0)
-        once = resample_nearest(raster, raster.geometry)
-        twice = resample_nearest(once, raster.geometry)
-        assert np.array_equal(once.data, twice.data)
+        once = resample_nearest(raster.data, raster.geometry, raster.geometry)
+        twice = resample_nearest(once, raster.geometry, raster.geometry)
+        assert np.array_equal(once, twice)
 
 
 class TestWindowRatio:
     def test_constant_masks(self):
-        geom = GridGeometry(5, 5, 1.0)
-        ones = BinaryMask(geom, np.ones((5, 5), dtype=np.uint8))
-        zeros = BinaryMask(geom, np.zeros((5, 5), dtype=np.uint8))
-        assert (window_ratio(ones, 3).data == 1.0).all()
-        assert (window_ratio(zeros, 3).data == 0.0).all()
+        assert (window_ratio(np.ones((5, 5), dtype=bool), 3) == 1.0).all()
+        assert (window_ratio(np.zeros((5, 5), dtype=bool), 3) == 0.0).all()
 
     def test_single_center_pixel(self):
-        geom = GridGeometry(3, 3, 1.0)
-        bits = np.zeros((3, 3), dtype=np.uint8)
-        bits[1, 1] = 1
-        out = window_ratio(BinaryMask(geom, bits), 3).data[0]
+        bits = np.zeros((3, 3), dtype=bool)
+        bits[1, 1] = True
+        out = window_ratio(bits, 3)
+        assert out.dtype == np.float32
         assert out[1, 1] == pytest.approx(1 / 9)
         assert out[0, 0] == pytest.approx(1 / 4)
 
     def test_matches_direct_enumeration(self):
         rng = np.random.default_rng(5)
-        bits = (rng.random((7, 6)) < 0.4).astype(np.uint8)
-        geom = GridGeometry(6, 7, 1.0)
-        out = window_ratio(BinaryMask(geom, bits), 5).data[0]
+        bits = rng.random((7, 6)) < 0.4
+        out = window_ratio(bits, 5)
         for r in range(7):
             for c in range(6):
                 r0, r1 = max(0, r - 2), min(7, r + 3)

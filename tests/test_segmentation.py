@@ -895,9 +895,9 @@ def test_lloyd_holds_no_rows_by_centres_array():
     assert peak < n * 40
 
 
-def constant_field(geom, value, name):
-    return RasterGrid(geom, np.full((1, geom.height, geom.width), value,
-                                    dtype=np.float32), [name])
+def constant_field(geom, value):
+    """An (h, w) float32 plane of ``value`` on ``geom``."""
+    return np.full((geom.height, geom.width), value, dtype=np.float32)
 
 
 class TestSegmentStats:
@@ -914,11 +914,11 @@ class TestSegmentStats:
     def test_constant_probability_mean(self):
         labels = np.zeros((4, 4), dtype=np.int32)
         segmap, geom = self._segmap_for(labels)
-        pan = constant_field(geom, 1.0, "pan")
+        pan = constant_field(geom, 1.0)
         stats = segment_stats(segmap, pan, np.zeros((4, 4)),
-                              constant_field(geom, 0.7, "p"),
-                              constant_field(geom, 0.2, "p"),
-                              constant_field(geom, 3.0, "class_index"), 0.5)
+                              constant_field(geom, 0.7),
+                              constant_field(geom, 0.2),
+                              constant_field(geom, 3.0), 0.5)
         assert stats.records[0].p_ms == pytest.approx(0.7)
         assert stats.records[0].p_lan == pytest.approx(0.2)
         assert stats.records.votes[0, CLASS_ORDER.index("water")] == 16
@@ -927,9 +927,8 @@ class TestSegmentStats:
         labels = np.array([[0, 0, 1], [1, 1, 2]], dtype=np.int32)
         segmap, geom = self._segmap_for(labels)
         classes = np.array([[0, 3, 3], [1, 3, 1]], dtype=np.float32)
-        f = constant_field(geom, 0.0, "p")
-        stats = segment_stats(segmap, f, np.zeros((2, 3)),
-                              f, f, RasterGrid(geom, classes[np.newaxis]), 0.5)
+        f = constant_field(geom, 0.0)
+        stats = segment_stats(segmap, f, np.zeros((2, 3)), f, f, classes, 0.5)
         expected = np.zeros((3, len(CLASS_ORDER)), dtype=np.int64)
         for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
             expected[segment, cls] += 1
@@ -939,10 +938,10 @@ class TestSegmentStats:
         labels = np.ones((7, 104), dtype=np.int32)
         labels[2:5, 2:102] = 0
         segmap, geom = self._segmap_for(labels, pixel_size=0.8)
-        pan = constant_field(geom, 1.0, "pan")
-        f = constant_field(geom, 0.0, "p")
+        pan = constant_field(geom, 1.0)
+        f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, np.zeros((7, 104)), f, f,
-                              constant_field(geom, 0.0, "class_index"), 0.5)
+                              constant_field(geom, 0.0), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 300
         assert rec.perimeter_px == 206
@@ -952,10 +951,10 @@ class TestSegmentStats:
         labels = np.ones((44, 44), dtype=np.int32)
         labels[2:42, 2:42] = 0
         segmap, geom = self._segmap_for(labels, pixel_size=0.8)
-        pan = constant_field(geom, 1.0, "pan")
-        f = constant_field(geom, 0.0, "p")
+        pan = constant_field(geom, 1.0)
+        f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, np.zeros((44, 44)), f, f,
-                              constant_field(geom, 0.0, "class_index"), 0.5)
+                              constant_field(geom, 0.0), 0.5)
         rec = stats.records[0]
         assert rec.pixel_count == 1600
         assert rec.perimeter_px == 160
@@ -964,12 +963,12 @@ class TestSegmentStats:
     def test_mp_std(self):
         labels = np.zeros((2, 2), dtype=np.int32)
         segmap, geom = self._segmap_for(labels)
-        pan = constant_field(geom, 1.0, "pan")
+        pan = constant_field(geom, 1.0)
         mp_data = np.zeros((10, 2, 2), dtype=np.float32)
         mp_data[:, 0, 0] = np.arange(10)  # std 2.8722813
-        f = constant_field(geom, 0.0, "p")
+        f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, band_std(mp_data), f, f,
-                              constant_field(geom, 0.0, "class_index"), 0.5)
+                              constant_field(geom, 0.0), 0.5)
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
 
@@ -1003,8 +1002,9 @@ class TestPanWaterProbability:
         labels = np.zeros_like(pan.data[0], dtype=np.int32)
         segmap = SegmentMap(labels, segment_table(1), pan.geometry)
         segmap.records.pixel_count = labels.size
-        f = constant_field(pan.geometry, 0.0, "p")
-        return segment_stats(segmap, pan, np.zeros(labels.shape), f, f, f, t).records[0].p_pan
+        f = constant_field(pan.geometry, 0.0)
+        return segment_stats(segmap, pan.data[0], np.zeros(labels.shape), f, f, f,
+                             t).records[0].p_pan
 
     def test_all_below(self):
         assert self._simple(np.zeros((10, 10)), 1.0) == 1.0

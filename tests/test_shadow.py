@@ -117,26 +117,20 @@ class TestTreeGrassSplit:
 
 class TestBuildingIntensity:
     def test_saturated_neighborhood(self):
-        geom = GridGeometry(9, 9, 1.0)
-        mask = BinaryMask(geom, np.ones((9, 9), dtype=np.uint8))
-        out = building_intensity_map(mask, 3, 0.30)
-        assert (out.bits == 1).all()
+        out = building_intensity_map(np.ones((9, 9), dtype=bool), 3, 0.30)
+        assert out.dtype == bool and out.all()
 
     def test_isolated_pixel_below_default_ratio(self):
-        geom = GridGeometry(9, 9, 1.0)
-        bits = np.zeros((9, 9), dtype=np.uint8)
-        bits[4, 4] = 1
-        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.30)
-        assert (out.bits == 0).all()  # best ratio is 1/9 < 0.30
+        bits = np.zeros((9, 9), dtype=bool)
+        bits[4, 4] = True
+        out = building_intensity_map(bits, 3, 0.30)
+        assert not out.any()  # best ratio is 1/9 < 0.30
 
     def test_threshold_is_strict(self):
-        geom = GridGeometry(3, 3, 1.0)
-        bits = np.zeros((3, 3), dtype=np.uint8)
-        bits[0, 0] = 1  # corner window of a 3x3 filter covers 4 pixels: ratio 1/4
-        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.25)
-        assert out.bits[0, 0] == 0
-        out = building_intensity_map(BinaryMask(geom, bits), 3, 0.24)
-        assert out.bits[0, 0] == 1
+        bits = np.zeros((3, 3), dtype=bool)
+        bits[0, 0] = True  # corner window of a 3x3 filter covers 4 pixels: ratio 1/4
+        assert not building_intensity_map(bits, 3, 0.25)[0, 0]
+        assert building_intensity_map(bits, 3, 0.24)[0, 0]
 
 
 class TestPotentialShadowMask:

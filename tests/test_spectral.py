@@ -66,8 +66,8 @@ def reference_pca_fuse(ms, pan):
     """pca_fuse as first written: a PCA fit to the upsampled spectra, then a
     forward transform and an inverse one, each converting and centring its
     own float64 copy of the pixels.  Returns the float32 (d, h, w) array."""
-    up = resample_nearest(ms, pan.geometry)
-    spectra = up.data.reshape(up.bands, -1).T.astype(np.float64, order="C")
+    up = resample_nearest(ms.data, ms.geometry, pan.geometry)
+    spectra = up.reshape(ms.bands, -1).T.astype(np.float64, order="C")
     mean = spectra.mean(axis=0)
     centered = spectra - mean
     cov = centered.T @ centered / (spectra.shape[0] - 1)
@@ -77,7 +77,7 @@ def reference_pca_fuse(ms, pan):
         pivot = np.argmax(np.abs(comp))
         if comp[pivot] < 0:
             comp *= -1.0
-    scores = (np.asarray(up.data.reshape(up.bands, -1).T, dtype=np.float64) - mean) \
+    scores = (np.asarray(up.reshape(ms.bands, -1).T, dtype=np.float64) - mean) \
         @ components.T
     pc1 = scores[:, 0]
     pan_values = pan.data[0].ravel().astype(np.float64)
@@ -85,7 +85,7 @@ def reference_pca_fuse(ms, pan):
                     + pc1.mean())
     fused = np.asarray(scores, dtype=np.float64) @ components + mean
     h, w = pan.geometry.height, pan.geometry.width
-    return fused.T.reshape(up.bands, h, w).astype(np.float32)
+    return fused.T.reshape(ms.bands, h, w).astype(np.float32)
 
 
 def pca_of(spectra):
@@ -152,14 +152,14 @@ class TestPcaFuse:
 
     def test_substitution_identity(self):
         ms, pan_geom = self._ms_pan(seed=3)
-        up = resample_nearest(ms, pan_geom)
-        centred, components, _ = pca_of(up.data.reshape(4, -1).T)
+        up = resample_nearest(ms.data, ms.geometry, pan_geom)
+        centred, components, _ = pca_of(up.reshape(4, -1).T)
         pc1 = centred @ components[0]
         pan = RasterGrid(pan_geom,
                          pc1.reshape(pan_geom.height, pan_geom.width)
                          .astype(np.float32)[np.newaxis], ["pan"])
         fused = pca_fuse(ms, pan)
-        assert np.allclose(fused.data, up.data, atol=2e-3)
+        assert np.allclose(fused.data, up, atol=2e-3)
 
     def test_constant_ms_rejected_varying_pan_shape(self):
         ms, pan_geom = self._ms_pan(seed=4)
@@ -175,14 +175,14 @@ class TestPcaFuse:
     def test_rank_one_perturbation_along_pc1(self):
         # varying PAN over constant-offset MS only moves pixels along PC1
         ms, pan_geom = self._ms_pan(seed=5)
-        up = resample_nearest(ms, pan_geom)
-        _, components, _ = pca_of(up.data.reshape(4, -1).T)
+        up = resample_nearest(ms.data, ms.geometry, pan_geom)
+        _, components, _ = pca_of(up.reshape(4, -1).T)
         rng = np.random.default_rng(11)
         pan = RasterGrid(pan_geom,
                          rng.normal(size=(1, pan_geom.height, pan_geom.width))
                          .astype(np.float32), ["pan"])
         fused = pca_fuse(ms, pan)
-        delta = (fused.data - up.data).reshape(4, -1).T.astype(np.float64)
+        delta = (fused.data - up).reshape(4, -1).T.astype(np.float64)
         residual = delta - np.outer(delta @ components[0], components[0])
         assert np.abs(residual).max() < 1e-3
 
