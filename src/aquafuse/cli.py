@@ -26,12 +26,12 @@ from .fusion import FusionParams, fuse_all_segments, landsat_active
 from .postclass import relabel_shadow_segments
 from .raster import (BinaryMask, RasterError, RasterGrid, read_header, read_mask, read_raster,
                      read_table, resample_nearest, write_raster, write_table)
-from .scene import DEFAULT_SCENE_TEXT, LANDSAT_DAYS, SceneError, generate_scene, parse_scene
+from .scene import (DEFAULT_SCENE_TEXT, LANDSAT_DAYS, SENSORS, SceneError, generate_scene,
+                    parse_scene)
 from .segmentation import (band_std, kmeans_segment, load_segment_stats,
                            morphological_profiles, paint_segments, segment_stats)
 from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
-                     building_intensity_map, classify_segments_majority,
-                     potential_shadow_mask, tree_grass_split)
+                     building_intensity_map, potential_shadow_mask)
 from .spectral import (CLASS_ORDER, ComputeError, classify_probabilities, fit_classifier,
                        landsat_water_index, otsu_threshold, pca_fuse)
 
@@ -113,9 +113,8 @@ def cmd_segment(cfg: PipelineConfig, pan, ms_prob, ms_class, landsat_wi):
     segment_stats(segmap, pan.data[0], mp_std,
                   resample_nearest(ms_prob.band("p_water"), ms_prob.geometry, pan.geometry),
                   resample_nearest(landsat_wi.data[0], landsat_wi.geometry, pan.geometry),
-                  resample_nearest(ms_class.data[0], ms_class.geometry, pan.geometry), t_pan)
-    classify_segments_majority(segmap)
-    tree_grass_split(segmap, t_tree=cfg.t_tree)
+                  resample_nearest(ms_class.data[0], ms_class.geometry, pan.geometry),
+                  t_pan, cfg.t_tree)
     return ({"t_pan": t_pan}, BinaryMask(pan.geometry, pan.data[0] < t_pan),
             {"iterations": segmap.kmeans_iterations, "converged": segmap.kmeans_converged,
              "objective": segmap.kmeans_objective, "segments": segmap.count},
@@ -200,6 +199,11 @@ READS = {name: tuple(stage for stage, (_, _, writes) in STAGES.items()
                      if {read.removesuffix(".hdr") for read in reads} & set(writes))
          for name, (_, reads, _) in STAGES.items()}
 
+# the band names, as its writer gives them, of each raster whose bands a stage takes
+BANDS = {stem: bands for sensor, bands, _ in SENSORS
+         for stem in (LANDSAT_STEMS if sensor == "landsat" else (sensor,))}
+BANDS["ms_prob"] = tuple(f"p_{c}" for c in CLASS_ORDER)
+
 # the artifacts read as masks, whose samples must be exactly 0 or 1
 MASKS = {"truth", "potential_shadow", *PREDICTION_STEMS}
 
@@ -243,8 +247,9 @@ def _read(out: Path, name: str) -> list:
             value = read_mask(path)
         else:
             value = read_raster(path)
-        if artifact == "pan" and value.bands != 1:
-            raise RasterError(f"{path}: PAN raster must have exactly 1 band, got {value.bands}")
+        if artifact in BANDS and tuple(value.band_names) != BANDS[artifact]:
+            raise RasterError(f"{path}: band_names must be {','.join(BANDS[artifact])}, "
+                              f"got {','.join(value.band_names)}")
         if artifact in ("ms_prob", "landsat_wi") and not (
                 0 <= value.data.min() <= value.data.max() <= 1):
             raise RasterError(f"{path}: probabilities must be in [0, 1]")

@@ -1,5 +1,5 @@
-"""Morphological profiles, K-Means object segmentation and per-segment
-statistics on the panchromatic grid."""
+"""Morphological profiles, K-Means object segmentation and the segment
+table on the panchromatic grid: each segment's statistics and its label."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import RasterError, RasterGrid, read_table, row_blocks, window_reduce
-from .spectral import CLASS_ORDER
+from .spectral import CLASS_ORDER, ComputeError, otsu_threshold
 
 # profile family: (band suffix, (rows, cols) of an all-ones rectangle); each
 # contributes an opening and a closing band
@@ -29,12 +29,12 @@ KMEANS_SLACK = 2.0 ** -40  # relative rounding slack of the k-means bounds, see 
 STD_BLOCK = 1 << 14      # pixels per block of band_std
 
 
-# One row per segment.  ``votes`` counts MS class-map pixels in CLASS_ORDER
-# order; ``label`` is "" until classify_segments_majority sets it.
+# One row per segment, filled by segment_stats.  ``votes`` counts MS
+# class-map pixels in CLASS_ORDER order; ``label`` is one of SEGMENT_LABELS,
+# the majority class with vegetation split into grass and tree.
+SEGMENT_LABELS = ("grass", "tree", "soil", "impervious", "water")
 SEGMENT_DTYPE = np.dtype([
     ("pixel_count", "<i8"),
-    ("perimeter_px", "<i8"),
-    ("area_m2", "<f8"),
     ("w", "<f8"),           # hydraulic diameter 4*area/perimeter, meters
     ("p_pan", "<f8"),
     ("p_ms", "<f8"),
@@ -514,11 +514,17 @@ def kmeans_segment(pan: RasterGrid, mps: RasterGrid, k: int) -> SegmentMap:
     assign, _, iterations, objective, converged = _kmeans(
         _FeatureRows((*pan.data, *mps.data)), k)
     labels = _connected_segments(assign.reshape(h, w))
-    n = int(labels.max()) + 1
-    records = segment_table(n)
-    for rows in row_blocks(h, 64):  # no intp copy of every id
-        records.pixel_count += np.bincount(labels[rows].ravel(), minlength=n)
+    records = segment_table(int(labels.max()) + 1)
+    records.pixel_count = _pixel_counts(labels, len(records))
     return SegmentMap(labels, records, pan.geometry, iterations, objective, converged)
+
+
+def _pixel_counts(labels: np.ndarray, n: int) -> np.ndarray:
+    """Pixels of each id 0..n-1 in (h, w) ``labels``, 64 rows at a time (no intp copy)."""
+    counts = np.zeros(n, dtype=np.int64)
+    for rows in row_blocks(len(labels), 64):
+        counts += np.bincount(labels[rows].ravel(), minlength=n)
+    return counts
 
 
 def _perimeter_edges(labels: np.ndarray, n: int) -> np.ndarray:
@@ -558,28 +564,36 @@ def band_std(stack: np.ndarray) -> np.ndarray:
 
 def segment_stats(segmap: SegmentMap, pan: np.ndarray, mp_std: np.ndarray,
                   p_ms: np.ndarray, p_lan: np.ndarray, ms_class: np.ndarray,
-                  t_pan: float) -> SegmentMap:
-    """Fill every per-segment statistic except the shadow proportion from
-    (h, w) planes on the segment grid: ``p_pan`` is the share of ``pan``
-    pixels strictly darker than ``t_pan``, and ``p_ms``, ``p_lan`` and
-    ``mp_std`` are the means of their planes.  ``mp_std`` is each pixel's
-    ``band_std`` over the morphological profiles, which the caller takes
+                  t_pan: float, t_tree: float | None) -> SegmentMap:
+    """Fill the segment table but the ``pixel_count`` of ``kmeans_segment``
+    from (h, w) planes on the segment grid: ``p_pan`` is the share of ``pan``
+    pixels strictly darker than ``t_pan``; ``p_ms``, ``p_lan`` and ``mp_std``
+    (each pixel's ``band_std`` over the profiles, which the caller takes
     before it resamples the fields, so that the ten profile bands are freed
-    first.  ``ms_class`` holds indices into ``CLASS_ORDER``, checked by its reader."""
-    n_classes = len(CLASS_ORDER)
-    class_idx = ms_class.ravel().astype(np.int64)
-    table = segmap.records
-    n = segmap.count
-    table.votes = np.bincount(segmap.labels.ravel() * n_classes + class_idx,
-                              minlength=n * n_classes).reshape(n, n_classes)
-    r_pan = segmap.geometry.pixel_size
-    table.area_m2 = table.pixel_count * r_pan * r_pan
-    table.perimeter_px = _perimeter_edges(segmap.labels, n)
-    table.w = 4.0 * table.area_m2 / (table.perimeter_px * r_pan)
+    first) are the means of their planes; ``votes`` counts the ``ms_class``
+    indices into CLASS_ORDER, checked by their reader.  The label, set last,
+    is the class of the most votes (the first in CLASS_ORDER on a tie), with
+    vegetation split into tree (``mp_std`` strictly above ``t_tree``) and
+    grass; ``t_tree`` None takes Otsu's threshold over the vegetation
+    segments, and all are grass where Otsu has none."""
+    n_classes, n, table = len(CLASS_ORDER), segmap.count, segmap.records
+    codes = segmap.labels.ravel() * n_classes + ms_class.ravel().astype(np.int64)
+    table.votes = np.bincount(codes, minlength=n * n_classes).reshape(n, n_classes)
+    r = segmap.geometry.pixel_size
+    table.w = 4.0 * (table.pixel_count * r * r) / (_perimeter_edges(segmap.labels, n) * r)
     table.p_pan = segmap.mean(pan < t_pan)
     table.p_ms = segmap.mean(p_ms)
     table.p_lan = segmap.mean(p_lan)
     table.mp_std = segmap.mean(mp_std)
+    table.label = np.array(CLASS_ORDER)[table.votes.argmax(axis=1)]
+    veg = table.label == "vegetation"
+    if veg.any():
+        if t_tree is None:
+            try:
+                t_tree = otsu_threshold(table.mp_std[veg])
+            except ComputeError:
+                t_tree = np.inf
+        table.label[veg] = np.where(table.mp_std[veg] > t_tree, "tree", "grass")
     return segmap
 
 
@@ -591,15 +605,25 @@ def paint_segments(segmap: SegmentMap, values, band_name) -> RasterGrid:
 
 def load_segment_stats(path, segments: RasterGrid) -> SegmentMap:
     """Read the segment table that the ``segment`` stage wrote for the ``segments``
-    raster, whose ids must be 0..n-1 for n rows, each on its ``pixel_count``
-    > 0 pixels; anything else, or a file of another layout, is a RasterError."""
+    raster, whose ids must be 0..n-1 for n rows, each on its ``pixel_count`` > 0
+    pixels, with probabilities in [0, 1], ``w`` finite and > 0, ``mp_std`` finite
+    and >= 0 and labels of SEGMENT_LABELS; anything else is a RasterError."""
     table = read_table(path, SEGMENT_DTYPE).view(np.recarray)
+    for name, rule, held in (
+            *((p, "in [0, 1]", (0 <= table[p]) & (table[p] <= 1))
+              for p in ("p_pan", "p_ms", "p_lan")),
+            ("w", "finite and > 0", np.isfinite(table.w) & (table.w > 0)),
+            ("mp_std", "finite and >= 0", np.isfinite(table.mp_std) & (table.mp_std >= 0)),
+            ("label", f"one of {', '.join(SEGMENT_LABELS)}",
+             np.isin(table.label, SEGMENT_LABELS))):
+        if not held.all():
+            raise RasterError(f"{path}: {name} must be {rule}")
     ids = segments.data[0]
     if not ((ids >= 0) & (ids < len(table)) & (ids == np.floor(ids))).all():
         raise RasterError(f"{path}: segment ids must be whole numbers "
                           f"in 0..{len(table) - 1}")
     labels = ids.astype(np.int32)
-    counts = np.bincount(labels.ravel(), minlength=len(table))
+    counts = _pixel_counts(labels, len(table))
     if not (counts.all() and np.array_equal(counts, table.pixel_count)):
         raise RasterError(f"{path}: pixel_count must be the nonzero pixel count "
                           f"of each id in the segments raster")

@@ -1,5 +1,5 @@
 """Geometric shadow prediction from object positions and height ranges,
-plus segment classification by majority voting and the tree/grass split."""
+and the building intensity map that tells high buildings from low ones."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .raster import BinaryMask, window_ratio, window_reduce
-from .segmentation import SegmentMap
-from .spectral import CLASS_ORDER, ComputeError, otsu_threshold
 
 
 @dataclass
@@ -30,33 +28,6 @@ class ShadowGeometry:
         a = -math.sin(az) * inv_tan
         b = math.cos(az) * inv_tan
         return a, b
-
-
-def classify_segments_majority(segmap: SegmentMap) -> np.ndarray:
-    """Label each segment with its maximum-vote class from the MS class map.
-
-    Ties break by the fixed class order (vegetation < soil < impervious <
-    water).  ``segment_stats`` has counted one vote per pixel."""
-    segmap.records.label = np.array(CLASS_ORDER)[segmap.records.votes.argmax(axis=1)]
-    return segmap.records.label
-
-
-def tree_grass_split(segmap: SegmentMap, t_tree: float | None) -> np.ndarray:
-    """Relabel vegetation segments as tree (profile deviation strictly above
-    ``t_tree``) or grass.  With ``t_tree`` None, one is derived by Otsu
-    from the vegetation segments' values."""
-    labels = segmap.records.label
-    veg = labels == "vegetation"
-    if not veg.any():
-        return labels
-    mp_std = segmap.records.mp_std[veg]
-    if t_tree is None:
-        try:
-            t_tree = otsu_threshold(mp_std)
-        except ComputeError:
-            t_tree = math.inf  # indistinguishable: treat everything as grass
-    labels[veg] = np.where(mp_std > t_tree, "tree", "grass")
-    return labels
 
 
 def building_intensity_map(impervious: np.ndarray, window: int,

@@ -57,8 +57,6 @@ def pca_fuse(ms: RasterGrid, pan: RasterGrid) -> RasterGrid:
     """
     x = resample_nearest(ms.data, ms.geometry, pan.geometry).reshape(ms.bands, -1).T  # (n, d)
     n, d = x.shape
-    if d < 2:
-        raise RasterError("PCA needs at least 2 bands")
     if n < d:
         raise RasterError(f"PCA needs at least {d} pixels, got {n}")
     x = x.astype(np.float64, order="C")

@@ -1,3 +1,5 @@
+import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -918,7 +920,7 @@ class TestSegmentStats:
         stats = segment_stats(segmap, pan, np.zeros((4, 4)),
                               constant_field(geom, 0.7),
                               constant_field(geom, 0.2),
-                              constant_field(geom, 3.0), 0.5)
+                              constant_field(geom, 3.0), 0.5, None)
         assert stats.records[0].p_ms == pytest.approx(0.7)
         assert stats.records[0].p_lan == pytest.approx(0.2)
         assert stats.records.votes[0, CLASS_ORDER.index("water")] == 16
@@ -928,7 +930,7 @@ class TestSegmentStats:
         segmap, geom = self._segmap_for(labels)
         classes = np.array([[0, 3, 3], [1, 3, 1]], dtype=np.float32)
         f = constant_field(geom, 0.0)
-        stats = segment_stats(segmap, f, np.zeros((2, 3)), f, f, classes, 0.5)
+        stats = segment_stats(segmap, f, np.zeros((2, 3)), f, f, classes, 0.5, None)
         expected = np.zeros((3, len(CLASS_ORDER)), dtype=np.int64)
         for segment, cls in zip(labels.ravel(), classes.ravel().astype(int)):
             expected[segment, cls] += 1
@@ -941,10 +943,10 @@ class TestSegmentStats:
         pan = constant_field(geom, 1.0)
         f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, np.zeros((7, 104)), f, f,
-                              constant_field(geom, 0.0), 0.5)
+                              constant_field(geom, 0.0), 0.5, None)
         rec = stats.records[0]
         assert rec.pixel_count == 300
-        assert rec.perimeter_px == 206
+        assert segmentation._perimeter_edges(labels, 2)[0] == 206
         assert rec.w == pytest.approx(4 * (300 * 0.64) / (206 * 0.8))
 
     def test_square_hydraulic_diameter(self):
@@ -954,10 +956,10 @@ class TestSegmentStats:
         pan = constant_field(geom, 1.0)
         f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, np.zeros((44, 44)), f, f,
-                              constant_field(geom, 0.0), 0.5)
+                              constant_field(geom, 0.0), 0.5, None)
         rec = stats.records[0]
         assert rec.pixel_count == 1600
-        assert rec.perimeter_px == 160
+        assert segmentation._perimeter_edges(labels, 2)[0] == 160
         assert rec.w == pytest.approx(32.0)
 
     def test_mp_std(self):
@@ -968,7 +970,7 @@ class TestSegmentStats:
         mp_data[:, 0, 0] = np.arange(10)  # std 2.8722813
         f = constant_field(geom, 0.0)
         stats = segment_stats(segmap, pan, band_std(mp_data), f, f,
-                              constant_field(geom, 0.0), 0.5)
+                              constant_field(geom, 0.0), 0.5, None)
         expected = np.arange(10).std() / 4.0
         assert stats.records[0].mp_std == pytest.approx(expected)
 
@@ -996,6 +998,70 @@ class TestSegmentStats:
         assert np.array_equal(band_std(stack), np.std(stack, axis=0, dtype=np.float64))
 
 
+def test_fixture_w_bit_for_bit(pipeline_dir):
+    """The fixture's ``w`` column, 4 area / perimeter, has the bits it had
+    when the table also stored the area (m2) and the perimeter (pixel
+    edges) and ``w`` was taken from those two columns."""
+    w = np.load(pipeline_dir / "segment_table.npy")["w"]
+    assert len(w) == 1281
+    assert w[:3].tolist() == [35.17675213675214, 1.5384615384615383, 7.741935483870967]
+    assert hashlib.sha256(w.tobytes()).hexdigest() == (
+        "792c5e91042c0d993c989763bb2ea859e08325eabb8d39f7e74d852e9ecf3a3d")
+
+
+def segment_labels(segments, classes, mp_std=0.0, t_tree=None):
+    """The labels that segment_stats gives the segments of a one-row image:
+    pixel i lies in segment ``segments[i]`` and has the MS class
+    ``classes[i]`` (a CLASS_ORDER name) and the profile deviation
+    ``mp_std[i]`` (or ``mp_std`` for all)."""
+    labels = np.array([segments], dtype=np.int32)
+    table = segment_table(labels.max() + 1)
+    table.pixel_count = np.bincount(labels.ravel())
+    segmap = SegmentMap(labels, table, GridGeometry(labels.shape[1], 1, 1.0))
+    codes = np.array([[CLASS_ORDER.index(c) for c in classes]], dtype=np.float32)
+    f = np.zeros(labels.shape, dtype=np.float32)
+    deviation = np.broadcast_to(np.asarray(mp_std, dtype=np.float64), labels.shape)
+    return segment_stats(segmap, f, deviation, f, f, codes, 0.5, t_tree).records.label.tolist()
+
+
+class TestMajorityVote:
+    def test_plain_majority(self):
+        classes = ["vegetation"] * 2 + ["water"] * 5 + ["soil"]
+        assert segment_labels([0] * 8, classes) == ["water"]
+
+    @pytest.mark.parametrize("classes,label", [
+        (["soil"] * 3 + ["vegetation"] * 3 + ["water"], "grass"),
+        (["water"] * 2 + ["impervious"] * 2, "impervious"),
+        (["water", "soil"], "soil"),
+    ], ids=["vegetation-over-soil", "impervious-over-water", "soil-over-water"])
+    def test_tie_breaks_by_class_order(self, classes, label):
+        """A tie goes to the class first in CLASS_ORDER (vegetation < soil <
+        impervious < water); a vegetation segment is then grass or tree."""
+        assert segment_labels([0] * len(classes), classes) == [label]
+
+
+class TestTreeGrassSplit:
+    def test_explicit_threshold_is_strict(self):
+        assert segment_labels([0, 1, 2], ["vegetation"] * 3, [0.1, 0.5, 0.9],
+                              t_tree=0.5) == ["grass", "grass", "tree"]
+
+    def test_non_vegetation_untouched(self):
+        assert segment_labels([0, 1], ["water", "soil"]) == ["water", "soil"]
+
+    def test_derived_threshold_separates_modes(self):
+        out = segment_labels(range(6), ["vegetation"] * 6, [0.01, 0.02, 0.015, 0.8, 0.9, 0.85])
+        assert out == ["grass", "grass", "grass", "tree", "tree", "tree"]
+
+    def test_derived_threshold_from_vegetation_alone(self):
+        """Otsu sees only the vegetation segments' deviations: a water
+        segment's large one does not move the threshold."""
+        out = segment_labels(range(4), ["vegetation"] * 3 + ["water"], [0.1, 0.2, 0.9, 50.0])
+        assert out == ["grass", "grass", "tree", "water"]
+
+    def test_constant_deviation_means_all_grass(self):
+        assert segment_labels(range(4), ["vegetation"] * 4, 0.3) == ["grass"] * 4
+
+
 class TestPanWaterProbability:
     def _simple(self, values, t):
         pan = pan_raster(values)
@@ -1004,7 +1070,7 @@ class TestPanWaterProbability:
         segmap.records.pixel_count = labels.size
         f = constant_field(pan.geometry, 0.0)
         return segment_stats(segmap, pan.data[0], np.zeros(labels.shape), f, f, f,
-                             t).records[0].p_pan
+                             t, None).records[0].p_pan
 
     def test_all_below(self):
         assert self._simple(np.zeros((10, 10)), 1.0) == 1.0
@@ -1039,12 +1105,11 @@ class TestSegmentTableFile:
         labels = np.array([[0, 0, 1], [2, 2, 1]], dtype=np.int32)
         table = segment_table(3)
         rng = np.random.default_rng(0)
-        for name in ("area_m2", "w", "p_pan", "p_ms", "p_lan", "mp_std"):
+        for name in ("w", "p_pan", "p_ms", "p_lan", "mp_std"):
             table[name] = rng.random(3)
         table.pixel_count = [2, 2, 2]
-        table.perimeter_px = [6, 6, 6]
         table.votes = rng.integers(0, 9, (3, len(CLASS_ORDER)))
-        table.label = ["impervious", "", "vegetation"]
+        table.label = ["impervious", "tree", "grass"]
         return SegmentMap(labels, table, GridGeometry(3, 2, 0.8))
 
     @staticmethod
@@ -1059,6 +1124,41 @@ class TestSegmentTableFile:
         assert np.array_equal(loaded.labels, segmap.labels)
         for name in segmap.records.dtype.names:
             assert np.array_equal(loaded.records[name], segmap.records[name]), name
+
+    def test_row_holds_no_column_that_another_gives(self):
+        """No area or perimeter is stored: w holds the size, and the pixel
+        count the area.  A row is 120 bytes."""
+        assert segmentation.SEGMENT_DTYPE.names == (
+            "pixel_count", "w", "p_pan", "p_ms", "p_lan", "mp_std", "votes", "label")
+        assert segmentation.SEGMENT_DTYPE.itemsize == 120
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("p_pan", -0.1, "p_pan must be in [0, 1]"),
+        ("p_ms", 5.0, "p_ms must be in [0, 1]"),
+        ("p_ms", np.nan, "p_ms must be in [0, 1]"),
+        ("p_lan", 1.5, "p_lan must be in [0, 1]"),
+        ("w", 0.0, "w must be finite and > 0"),
+        ("w", -1.0, "w must be finite and > 0"),
+        ("w", np.inf, "w must be finite and > 0"),
+        ("w", np.nan, "w must be finite and > 0"),
+        ("mp_std", -1e-9, "mp_std must be finite and >= 0"),
+        ("mp_std", np.inf, "mp_std must be finite and >= 0"),
+        ("label", "vegetation", "label must be one of grass, tree, soil, impervious, water"),
+        ("label", "", "label must be one of grass, tree, soil, impervious, water"),
+    ])
+    def test_damaged_column_rejected(self, tmp_path, column, value, message):
+        segmap = self._segmap()
+        segmap.records[column][1] = value
+        write_table(segmap.records, tmp_path / "t.npy")
+        with pytest.raises(RasterError, match=re.escape(f"{tmp_path / 't.npy'}: {message}")):
+            load_segment_stats(tmp_path / "t.npy", self._raster(segmap, segmap.labels))
+
+    def test_bounds_are_accepted(self, tmp_path):
+        segmap = self._segmap()
+        for column, value in (("p_pan", 0.0), ("p_ms", 1.0), ("mp_std", 0.0), ("w", 1e-300)):
+            segmap.records[column][0] = value
+        write_table(segmap.records, tmp_path / "t.npy")
+        load_segment_stats(tmp_path / "t.npy", self._raster(segmap, segmap.labels))
 
     def test_other_length_rejected(self, tmp_path):
         segmap = self._segmap()

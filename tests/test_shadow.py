@@ -15,14 +15,11 @@ from aquafuse.shadow import (
     OBJECT_KIND_TREE,
     ShadowGeometry,
     building_intensity_map,
-    classify_segments_majority,
     potential_shadow_mask,
     shift_or,
     sweep_offsets,
     sweep_union,
-    tree_grass_split,
 )
-from aquafuse.spectral import CLASS_ORDER
 
 
 class TestShadowGeometry:
@@ -66,53 +63,6 @@ class TestShadowGeometry:
         with pytest.raises(SceneError, match="sun elevation must be in") as info:
             generate_scene(spec)
         assert info.value.entry == "sun"
-
-
-def segmap_with(**columns):
-    """One segment per value; each keyword fills that table column."""
-    n = len(next(iter(columns.values())))
-    table = segment_table(n)
-    for name, values in columns.items():
-        table[name] = values
-    labels = np.arange(n, dtype=np.int32)[np.newaxis]
-    return SegmentMap(labels, table, GridGeometry(n, 1, 1.0))
-
-
-def votes(**counts):
-    return [counts.get(c, 0) for c in CLASS_ORDER]
-
-
-class TestMajorityVote:
-    def test_plain_majority(self):
-        segmap = segmap_with(votes=[votes(vegetation=2, water=5, soil=1)])
-        out = classify_segments_majority(segmap)
-        assert out.tolist() == ["water"]
-        assert segmap.records.label[0] == "water"
-
-    def test_tie_breaks_by_class_order(self):
-        segmap = segmap_with(votes=[votes(soil=3, vegetation=3, water=1)])
-        assert classify_segments_majority(segmap).tolist() == ["vegetation"]
-
-
-class TestTreeGrassSplit:
-    def test_explicit_threshold_is_strict(self):
-        segmap = segmap_with(label=["vegetation"] * 3, mp_std=[0.1, 0.5, 0.9])
-        out = tree_grass_split(segmap, t_tree=0.5)
-        assert out.tolist() == ["grass", "grass", "tree"]
-
-    def test_non_vegetation_untouched(self):
-        segmap = segmap_with(label=["water", "soil"])
-        assert tree_grass_split(segmap, None).tolist() == ["water", "soil"]
-
-    def test_derived_threshold_separates_modes(self):
-        segmap = segmap_with(label=["vegetation"] * 6,
-                             mp_std=[0.01, 0.02, 0.015, 0.8, 0.9, 0.85])
-        out = tree_grass_split(segmap, None)
-        assert out.tolist() == ["grass", "grass", "grass", "tree", "tree", "tree"]
-
-    def test_constant_deviation_means_all_grass(self):
-        segmap = segmap_with(label=["vegetation"] * 4, mp_std=[0.3] * 4)
-        assert tree_grass_split(segmap, None).tolist() == ["grass"] * 4
 
 
 class TestBuildingIntensity:

@@ -194,13 +194,6 @@ class TestPcaFuse:
         with pytest.raises(ComputeError, match="variance"):
             pca_fuse(ms, pan)
 
-    def test_one_band_ms(self):
-        ms, pan_geom = self._ms_pan(seed=7, bands=1)
-        pan = RasterGrid(pan_geom, np.random.default_rng(8).random(
-            (1, pan_geom.height, pan_geom.width)).astype(np.float32), ["pan"])
-        with pytest.raises(RasterError, match="at least 2 bands"):
-            pca_fuse(ms, pan)
-
     def test_fewer_pixels_than_bands(self):
         ms, _ = self._ms_pan(seed=9, h=1, w=1)
         pan = RasterGrid(GridGeometry(1, 2, 1.0, origin_y=2.0),
