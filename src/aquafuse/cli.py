@@ -30,8 +30,7 @@ from .scene import (DEFAULT_SCENE_TEXT, LANDSAT_DAYS, SENSORS, SceneError, gener
                     parse_scene)
 from .segmentation import (band_std, kmeans_segment, load_segment_stats,
                            morphological_profiles, paint_segments, segment_stats)
-from .shadow import (OBJECT_KIND_HIGH_BUILDING, OBJECT_KIND_LOW_BUILDING, OBJECT_KIND_TREE,
-                     building_intensity_map, potential_shadow_mask)
+from .shadow import building_intensity_map, potential_shadow_mask
 from .spectral import (CLASS_ORDER, ComputeError, classify_probabilities, fit_classifier,
                        landsat_water_index, otsu_threshold, pca_fuse)
 
@@ -97,9 +96,8 @@ def cmd_water_index(cfg: PipelineConfig, *stack):
 
 
 def cmd_pca_fuse(cfg: PipelineConfig, ms, pan, sites):
-    fused = pca_fuse(ms, pan)
-    probs, _ = _classify(fused, sites)
-    return fused, probs, _water(probs)
+    probs, _ = _classify(pca_fuse(ms, pan), sites)
+    return probs, _water(probs)
 
 
 def cmd_segment(cfg: PipelineConfig, pan, ms_prob, ms_class, landsat_wi):
@@ -125,16 +123,10 @@ def cmd_shadow(cfg: PipelineConfig, scene, segmap):
     tree_px = (segmap.records.label == "tree")[segmap.labels]
     imp_px = (segmap.records.label == "impervious")[segmap.labels]
     intensity = building_intensity_map(imp_px, cfg.intensity_window, cfg.intensity_ratio)
-
-    kinds = np.zeros(segmap.labels.shape, dtype=np.int32)
-    kinds[tree_px] = OBJECT_KIND_TREE
-    kinds[imp_px & intensity] = OBJECT_KIND_HIGH_BUILDING
-    kinds[imp_px & ~intensity] = OBJECT_KIND_LOW_BUILDING
-    heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
-               OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
-               OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
-    shadow_mask = potential_shadow_mask(kinds, scene.sun, heights, segmap.geometry)
-    return RasterGrid(segmap.geometry, kinds, ["kind"]), shadow_mask
+    casters = [(tree_px, (cfg.height_tree_min, cfg.height_tree_max)),
+               (imp_px & intensity, (cfg.height_high_min, cfg.height_high_max)),
+               (imp_px & ~intensity, (cfg.height_low_min, cfg.height_low_max))]
+    return (potential_shadow_mask(casters, scene.sun, segmap.geometry),)
 
 
 def cmd_fuse(cfg: PipelineConfig, ms_grid, landsat_wi_grid, segmap, shadow):
@@ -180,11 +172,11 @@ STAGES = {
                     ("ms_prob", "ms_class", "ms_water")),
     "water-index": (cmd_water_index, LANDSAT_STEMS, ("landsat_wi", "landsat_water")),
     "pca-fuse": (cmd_pca_fuse, ("ms", "pan", "train_sites.npy"),
-                 ("pca_fused", "pca_prob", "pca_water")),
+                 ("pca_prob", "pca_water")),
     "segment": (cmd_segment, ("pan", "ms_prob", "ms_class", "landsat_wi"),
                 ("t_pan.txt", "pan_water", "kmeans.txt", "segments", SEGMENT_TABLE)),
     "shadow": (cmd_shadow, ("scene.txt", "segments", SEGMENT_TABLE),
-               ("object_kinds", "potential_shadow")),
+               ("potential_shadow",)),
     "fuse": (cmd_fuse, ("ms.hdr", "landsat_wi.hdr", "segments", SEGMENT_TABLE,
                         "potential_shadow"),
              ("fuse.txt", "pgm_prob", "pgm_water")),

@@ -15,7 +15,7 @@ float32 samples, row-major within each band, bands stored sequentially
     interleave  always "bsq"
     pixel_size  square pixel size in meters, finite and > 0
     ulx, uly    finite map coordinates (m) of the upper-left corner of pixel (0, 0)
-    band_names  comma-separated labels
+    band_names  comma-separated labels, one per band (or none, for band_1, ...)
 
 The column index increases eastward (+x), the row index southward (-y).
 
@@ -183,8 +183,9 @@ def write_raster(raster: RasterGrid, path) -> None:
 
 def read_header(path) -> tuple:
     """``(geometry, bands, band_names)`` of a flat raster, from its
-    ``<stem>.hdr`` alone; a grid that GridGeometry rejects is a RasterError
-    that names the header."""
+    ``<stem>.hdr`` alone.  A grid that GridGeometry rejects, a band count
+    below 1, or band names given but not one per band, is a RasterError that
+    names the header."""
     hdr_path = Path(path).with_suffix("").with_suffix(".hdr")
     if not hdr_path.exists():
         raise RasterError(f"missing file: {hdr_path}")
@@ -216,7 +217,11 @@ def read_header(path) -> tuple:
         raise RasterError(f"{hdr_path}: unsupported data_type {fields.get('data_type')!r}")
     if fields.get("interleave") != "bsq":
         raise RasterError(f"{hdr_path}: unsupported interleave {fields.get('interleave')!r}")
+    if bands < 1:
+        raise RasterError(f"{hdr_path}: bands must be at least 1, got {bands}")
     band_names = [n.strip() for n in fields.get("band_names", "").split(",") if n.strip()]
+    if band_names and len(band_names) != bands:
+        raise RasterError(f"{hdr_path}: band_names length does not match band count")
     return geometry, bands, band_names
 
 

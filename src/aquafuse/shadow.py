@@ -1,4 +1,4 @@
-"""Geometric shadow prediction from object positions and height ranges,
+"""Geometric shadow prediction from caster masks and their height ranges,
 and the building intensity map that tells high buildings from low ones."""
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def building_intensity_map(impervious: np.ndarray, window: int,
     """True where the share of (h, w) ``impervious`` pixels in the centered
     ``window`` x ``window`` neighbourhood strictly exceeds ``ratio_threshold``."""
     return window_ratio(impervious, window) > ratio_threshold
-
-
-OBJECT_KIND_HIGH_BUILDING = 1
-OBJECT_KIND_LOW_BUILDING = 2
-OBJECT_KIND_TREE = 3
 
 
 def shift_or(acc: np.ndarray, mask: np.ndarray, drow: int, dcol: int):
@@ -107,24 +102,22 @@ def sweep_union(mask: np.ndarray, offsets) -> tuple:
     return union, top, left
 
 
-def potential_shadow_mask(object_kind_map: np.ndarray, geom: ShadowGeometry,
-                          heights: dict, grid) -> BinaryMask:
-    """Union of projected shadow pixels over each object kind's height range.
+def potential_shadow_mask(casters, geom: ShadowGeometry, grid) -> BinaryMask:
+    """Union of projected shadow pixels over each caster's height range.
 
-    ``object_kind_map`` holds OBJECT_KIND_* codes on the PAN grid ``grid``;
-    ``heights`` maps each kind that casts a shadow to its ``(h_min, h_max)``
-    in meters.  Each height step of the sweep moves the shadow by at most
-    one pixel; each kind's shadow is one ``sweep_union`` of its pixels over
-    the sweep's offsets.  Out-of-bounds projections are dropped.
+    ``casters`` holds ``(mask, (h_min, h_max))`` pairs: a boolean mask on the
+    PAN grid ``grid`` of the pixels that cast, and their height range in
+    meters.  Each height step of the sweep moves the shadow by at most one
+    pixel; each caster's shadow is one ``sweep_union`` of its mask over the
+    sweep's offsets.  Out-of-bounds projections are dropped.
     """
     r = grid.pixel_size
     a, b = geom.offset_coefficients()
     step = min(r * math.tan(math.radians(min(geom.sun_elevation_deg, 89.0))),
                r / max(abs(a), abs(b), 1.0))
 
-    out = np.zeros(object_kind_map.shape, dtype=bool)
-    for kind, (h_min, h_max) in heights.items():
-        mask = object_kind_map == kind
+    out = np.zeros((grid.height, grid.width), dtype=bool)
+    for mask, (h_min, h_max) in casters:
         if not mask.any():
             continue
         sweep = height_sweep(h_min, h_max, step)

@@ -514,10 +514,14 @@ BAD_INPUTS = {
         cli.EXIT_IO, "landsat_wi.hdr: origin must be finite, got (inf, 240.0)"),
     "ms-uly-nan-classify-ms": ("classify-ms", _replace_line("ms.hdr", "uly = 240", "uly = nan"),
                                cli.EXIT_IO, "ms.hdr: origin must be finite, got (0.0, nan)"),
-    "ms-bands-0-classify-ms": ("classify-ms", _ms_without_bands, cli.EXIT_IO,
-                               "ms.hdr: data must be 2-D, or 3-D with at least 1 band"),
-    "ms-bands-0-pca-fuse": ("pca-fuse", _ms_without_bands, cli.EXIT_IO,
-                            "ms.hdr: data must be 2-D, or 3-D with at least 1 band"),
+    # the header's band rules hold for a stage that reads the header alone
+    **{f"ms-bands-0-{stage}": (stage, _ms_without_bands, cli.EXIT_IO,
+                               "{out}/ms.hdr: bands must be at least 1, got 0")
+       for stage in ("classify-ms", "pca-fuse", "fuse")},
+    "landsat-wi-two-band-names-fuse": (
+        "fuse", _replace_line("landsat_wi.hdr", "band_names = p_water",
+                              "band_names = p_water,p_land"),
+        cli.EXIT_IO, "{out}/landsat_wi.hdr: band_names length does not match band count"),
     # a header the reader cannot take, or no map to evaluate
     "ms-header-line-without-equals": ("classify-ms", _replace_line("ms.hdr", "lines = 75",
                                                                    "lines 75"),
@@ -541,10 +545,11 @@ BAD_INPUTS = {
                              "band_names = blue,green,red,nir\npixel_size = 30"),
         cli.EXIT_IO, "ms.hdr:10: header key 'pixel_size' given twice")
        for stage in ("fuse", "classify-ms", "pca-fuse")},
-    "ms-header-band-names": (
-        "classify-ms", _replace_line("ms.hdr", "band_names = blue,green,red,nir",
-                                     "band_names = blue,green,red"),
-        cli.EXIT_IO, "ms.hdr: band_names length does not match band count"),
+    **{f"ms-header-band-names{suffix}": (
+        stage, _replace_line("ms.hdr", "band_names = blue,green,red,nir",
+                             "band_names = blue,green,red"),
+        cli.EXIT_IO, "{out}/ms.hdr: band_names length does not match band count")
+       for stage, suffix in (("classify-ms", ""), ("fuse", "-fuse"))},
     "evaluate-without-prediction-maps": ("evaluate", _no_prediction_maps, cli.EXIT_IO,
                                          "missing file: {out}/water_final.hdr"),
     "class-truth-shifted": ("evaluate", _edit_raster("class_truth", _shifted_east), cli.EXIT_IO,
@@ -618,9 +623,8 @@ class TestPipelineArtifacts:
         stray."""
         stems = ["pan", "ms", "truth", "class_truth", "shadow_truth",
                  "ms_prob", "ms_class", "ms_water", "landsat_wi", "landsat_water",
-                 "pca_fused", "pca_prob", "pca_water", "pan_water", "segments",
-                 "object_kinds", "potential_shadow", "pgm_prob", "pgm_water",
-                 "water_final"]
+                 "pca_prob", "pca_water", "pan_water", "segments",
+                 "potential_shadow", "pgm_prob", "pgm_water", "water_final"]
         stems += [f"landsat_d{d:03d}" for d in (16, 74, 135, 192, 230, 288, 340)]
         expected = [f"{stem}.{ext}" for stem in stems for ext in ("hdr", "bin")]
         expected += ["config.txt", "scene.txt", "train_sites.npy",

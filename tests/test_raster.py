@@ -124,6 +124,24 @@ class TestIO:
         with pytest.raises(RasterError, match="missing file: .*r.bin"):
             read_raster(tmp_path / "r.hdr")
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("bands = 3", "bands = 0", "bands must be at least 1, got 0"),
+        ("bands = 3", "bands = -3", "bands must be at least 1, got -3"),
+        ("band_names = b0,b1,b2", "band_names = b0,b1",
+         "band_names length does not match band count"),
+        ("band_names = b0,b1,b2", "band_names = b0,b1,b2,b3",
+         "band_names length does not match band count"),
+    ])
+    def test_header_band_rules(self, tmp_path, old, new, message):
+        """The header alone is held to the band rules of a full read."""
+        write_raster(make_raster(bands=3), tmp_path / "r")
+        hdr = (tmp_path / "r.hdr").read_text()
+        assert f"\n{old}\n" in hdr
+        (tmp_path / "r.hdr").write_text(hdr.replace(old, new))
+        for read in (read_header, read_raster):
+            with pytest.raises(RasterError, match=rf"r\.hdr: {message}$"):
+                read(tmp_path / "r.hdr")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(RasterError, match="missing"):
             read_raster(tmp_path / "nope")

@@ -8,11 +8,8 @@ from scipy import ndimage
 from aquafuse.config import PipelineConfig
 from aquafuse.raster import BinaryMask, GridGeometry, read_raster
 from aquafuse.scene import SceneError, default_scene, generate_scene
-from aquafuse.segmentation import SegmentMap, segment_table
+from aquafuse.segmentation import SegmentMap, load_segment_stats, segment_table
 from aquafuse.shadow import (
-    OBJECT_KIND_HIGH_BUILDING,
-    OBJECT_KIND_LOW_BUILDING,
-    OBJECT_KIND_TREE,
     ShadowGeometry,
     building_intensity_map,
     potential_shadow_mask,
@@ -83,56 +80,53 @@ class TestBuildingIntensity:
         assert building_intensity_map(bits, 3, 0.24)[0, 0]
 
 
+def one_pixel(n, row, col):
+    """An n x n caster mask with only pixel (row, col) set."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[row, col] = True
+    return mask
+
+
 class TestPotentialShadowMask:
     def _grid(self, n=40, pixel_size=1.0):
         return GridGeometry(n, n, pixel_size, origin_y=n * pixel_size)
 
     def test_zenith_sun_shadows_under_object(self):
         grid = self._grid(10)
-        kinds = np.zeros((10, 10), dtype=np.int32)
-        kinds[3, 4] = OBJECT_KIND_TREE
-        mask = potential_shadow_mask(kinds, ShadowGeometry(90.0, 0.0),
-                                     {OBJECT_KIND_TREE: (3.0, 50.0)}, grid)
+        mask = potential_shadow_mask([(one_pixel(10, 3, 4), (3.0, 50.0))],
+                                     ShadowGeometry(90.0, 0.0), grid)
         assert mask.bits.sum() == 1
         assert mask.bits[3, 4] == 1
 
     def test_cardinal_ray_covers_height_range(self):
         # sun due south at 45 degrees: shadow marches one row north per meter
         grid = self._grid(20)
-        kinds = np.zeros((20, 20), dtype=np.int32)
-        kinds[15, 10] = OBJECT_KIND_HIGH_BUILDING
-        mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
-                                     {OBJECT_KIND_HIGH_BUILDING: (3.0, 5.0)}, grid)
+        mask = potential_shadow_mask([(one_pixel(20, 15, 10), (3.0, 5.0))],
+                                     ShadowGeometry(45.0, 180.0), grid)
         expected = np.zeros((20, 20), dtype=np.uint8)
         expected[12, 10] = expected[11, 10] = expected[10, 10] = 1
         assert np.array_equal(mask.bits, expected)
 
     def test_out_of_bounds_dropped(self):
         grid = self._grid(6)
-        kinds = np.zeros((6, 6), dtype=np.int32)
-        kinds[0, 3] = OBJECT_KIND_TREE  # northern border, shadow cast north
-        mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
-                                     {OBJECT_KIND_TREE: (3.0, 50.0)}, grid)
+        # northern border, shadow cast north
+        mask = potential_shadow_mask([(one_pixel(6, 0, 3), (3.0, 50.0))],
+                                     ShadowGeometry(45.0, 180.0), grid)
         assert mask.bits.sum() == 0
 
     def test_diagonal_ray_has_no_gaps(self):
         grid = self._grid(120)
-        kinds = np.zeros((120, 120), dtype=np.int32)
-        kinds[100, 10] = OBJECT_KIND_TREE
         geom = ShadowGeometry(20.0, 225.0)  # long shadow to the north-east
-        mask = potential_shadow_mask(kinds, geom, {OBJECT_KIND_TREE: (3.0, 40.0)}, grid)
+        mask = potential_shadow_mask([(one_pixel(120, 100, 10), (3.0, 40.0))], geom, grid)
         assert mask.bits.sum() > 30
         _, n = ndimage.label(mask.bits, structure=np.ones((3, 3), dtype=bool))
         assert n == 1
 
-    def test_kinds_use_their_own_ranges(self):
+    def test_casters_use_their_own_ranges(self):
         grid = self._grid(80)
-        kinds = np.zeros((80, 80), dtype=np.int32)
-        kinds[70, 10] = OBJECT_KIND_HIGH_BUILDING
-        kinds[70, 40] = OBJECT_KIND_LOW_BUILDING
         geom = ShadowGeometry(45.0, 180.0)
-        heights = {OBJECT_KIND_HIGH_BUILDING: (3.0, 60.0), OBJECT_KIND_LOW_BUILDING: (3.0, 20.0)}
-        mask = potential_shadow_mask(kinds, geom, heights, grid)
+        casters = [(one_pixel(80, 70, 10), (3.0, 60.0)), (one_pixel(80, 70, 40), (3.0, 20.0))]
+        mask = potential_shadow_mask(casters, geom, grid)
         high_len = mask.bits[:, 10].sum()
         low_len = mask.bits[:, 40].sum()
         assert high_len == 58  # rows 10..67 for heights 3..60
@@ -141,10 +135,8 @@ class TestPotentialShadowMask:
     def test_pixel_size_scales_offsets(self):
         # same scene at 2 m pixels: a 10 m shadow is 5 pixels, not 10
         grid = GridGeometry(30, 30, 2.0, origin_y=60.0)
-        kinds = np.zeros((30, 30), dtype=np.int32)
-        kinds[20, 15] = OBJECT_KIND_TREE
-        mask = potential_shadow_mask(kinds, ShadowGeometry(45.0, 180.0),
-                                     {OBJECT_KIND_TREE: (4.0, 10.0)}, grid)
+        mask = potential_shadow_mask([(one_pixel(30, 20, 15), (4.0, 10.0))],
+                                     ShadowGeometry(45.0, 180.0), grid)
         rows = np.flatnonzero(mask.bits[:, 15])
         assert rows.tolist() == [15, 16, 17, 18]  # offsets -2..-5
 
@@ -250,27 +242,32 @@ class TestPotentialShadowMaskOnTheFixture:
     @pytest.mark.parametrize("elevation,azimuth", [(50.0, 180.0), (30.0, 90.0), (35.0, 120.0),
                                                    (60.0, 240.0), (25.0, 330.0)])
     def test_matches_per_offset_sweep(self, pipeline_dir, elevation, azimuth):
-        """The fixture's object kinds under five suns, against the sweep of
+        """The fixture's three casters (trees, and impervious pixels of high
+        and of low building intensity) under five suns, against the sweep of
         every height step ORed in one offset at a time."""
-        kinds_raster = read_raster(pipeline_dir / "object_kinds.hdr")
-        kinds = kinds_raster.data[0].astype(np.int32)
+        segmap = load_segment_stats(pipeline_dir / "segment_table.npy",
+                                    read_raster(pipeline_dir / "segments.hdr"))
+        tree = (segmap.records.label == "tree")[segmap.labels]
+        impervious = (segmap.records.label == "impervious")[segmap.labels]
         cfg = PipelineConfig()
-        heights = {OBJECT_KIND_HIGH_BUILDING: (cfg.height_high_min, cfg.height_high_max),
-                   OBJECT_KIND_LOW_BUILDING: (cfg.height_low_min, cfg.height_low_max),
-                   OBJECT_KIND_TREE: (cfg.height_tree_min, cfg.height_tree_max)}
+        high = impervious & building_intensity_map(impervious, cfg.intensity_window,
+                                                   cfg.intensity_ratio)
+        casters = [(tree, (cfg.height_tree_min, cfg.height_tree_max)),
+                   (high, (cfg.height_high_min, cfg.height_high_max)),
+                   (impervious & ~high, (cfg.height_low_min, cfg.height_low_max))]
         geom = ShadowGeometry(elevation, azimuth)
-        grid = kinds_raster.geometry
-        got = potential_shadow_mask(kinds, geom, heights, grid)
+        grid = segmap.geometry
+        got = potential_shadow_mask(casters, geom, grid)
 
         r = grid.pixel_size
         a, b = geom.offset_coefficients()
         step = min(r * math.tan(math.radians(min(elevation, 89.0))), r / max(abs(a), abs(b), 1.0))
-        want = np.zeros(kinds.shape, dtype=bool)
-        for kind, (h_min, h_max) in heights.items():
+        want = np.zeros(segmap.labels.shape, dtype=bool)
+        for mask, (h_min, h_max) in casters:
             n_steps = max(1, int(math.ceil((h_max - h_min) / step)) + 1)
             sweep = np.minimum(h_min + step * np.arange(n_steps), h_max)
-            per_offset_union(want, kinds == kind, sweep_offsets(a, b, sweep, r))
-        assert set(np.unique(kinds)) >= {OBJECT_KIND_TREE, OBJECT_KIND_LOW_BUILDING}
+            per_offset_union(want, mask, sweep_offsets(a, b, sweep, r))
+        assert tree.any() and (impervious & ~high).any()
         assert want.any()
         assert np.array_equal(got.bits, want)
 

@@ -338,6 +338,20 @@ class TestClassifier:
         assert np.abs(sums - 1.0).max() < 1e-6
 
 
+@pytest.fixture(scope="module")
+def fixture_rasters(pipeline_dir):
+    """The fixture's ``ms`` raster and its PCA-fused image (``pca_fused``),
+    fused in process from ``ms`` and ``pan``.  Classified, the fused image
+    gives the run's ``pca_prob`` bit for bit, so it is the image that the
+    pca-fuse stage classified."""
+    ms, pan = (read_raster(pipeline_dir / f"{stem}.hdr") for stem in ("ms", "pan"))
+    fused = pca_fuse(ms, pan)
+    probs, _ = cli._classify(fused, read_table(pipeline_dir / "train_sites.npy",
+                                               cli.SITE_DTYPE))
+    assert np.array_equal(probs.data, read_raster(pipeline_dir / "pca_prob.hdr").data)
+    return {"ms": ms, "pca_fused": fused}
+
+
 class TestBlockedClassifier:
     """classify_probabilities, in blocks of pixels through the inverse
     Cholesky factors, gives the float32 posteriors and the classes of the LU
@@ -349,18 +363,18 @@ class TestBlockedClassifier:
     for these inputs with the BLAS and LAPACK in use, not for any build."""
 
     @pytest.mark.parametrize("stem", ["ms", "pca_fused"])
-    def test_fixture_rasters(self, pipeline_dir, stem):
-        raster = read_raster(pipeline_dir / f"{stem}.hdr")
+    def test_fixture_rasters(self, pipeline_dir, fixture_rasters, stem):
+        raster = fixture_rasters[stem]
         sites = read_table(pipeline_dir / "train_sites.npy", cli.SITE_DTYPE)
         model = fit_classifier(*cli._sample_spectra(raster, sites))
         assert_classifies_as_reference(model, raster)
 
-    def test_fixture_peak_allocation(self, pipeline_dir):
+    def test_fixture_peak_allocation(self, pipeline_dir, fixture_rasters):
         """On the PCA-fused fixture (90000 pixels), the traced peak is the
         float32 outputs plus one block's work, about 6.6 float64 (classes,
         CLASSIFY_BLOCK) arrays: 2.9 times the outputs at 2**14 pixels a
         block, 7.3 times at 2**16.  It stays below 3.5 times the outputs."""
-        raster = read_raster(pipeline_dir / "pca_fused.hdr")
+        raster = fixture_rasters["pca_fused"]
         sites = read_table(pipeline_dir / "train_sites.npy", cli.SITE_DTYPE)
         model = fit_classifier(*cli._sample_spectra(raster, sites))
         tracemalloc.start()
@@ -440,7 +454,7 @@ class TestLogsumexp:
                               logsumexp(block, axis=0, keepdims=True))
 
     @pytest.mark.parametrize("stem", ["ms", "pca_fused"])
-    def test_fixture_logposts(self, pipeline_dir, stem, monkeypatch):
+    def test_fixture_logposts(self, pipeline_dir, fixture_rasters, stem, monkeypatch):
         numpy_logsumexp, blocks = spectral._logsumexp, []
 
         def recorded(logpost):
@@ -448,7 +462,7 @@ class TestLogsumexp:
             return numpy_logsumexp(logpost)
 
         monkeypatch.setattr(spectral, "_logsumexp", recorded)
-        raster = read_raster(pipeline_dir / f"{stem}.hdr")
+        raster = fixture_rasters[stem]
         sites = read_table(pipeline_dir / "train_sites.npy", cli.SITE_DTYPE)
         classify_probabilities(fit_classifier(*cli._sample_spectra(raster, sites)), raster)
         assert blocks
